@@ -51,10 +51,9 @@
 // The -baseline gate checks IPC (percent drop), trace mispredictions
 // (rise per 1000 insts), recovery counts (percent rise) and I-/D-cache
 // miss rates (rise per 1000 insts); -tolerances sets all of them at once
-// as k=v pairs ("ipc=2,miss=0.5,allow-missing") or Tolerances JSON, and
-// the older per-metric -diff-tolerance-* flags survive as deprecated
-// aliases that override individual fields. The count gates default to 0 —
-// any rise regresses — because simulations are deterministic. With -seeds
+// as k=v pairs ("ipc=2,miss=0.5,allow-missing") or Tolerances JSON. The
+// IPC gate defaults to a 2% drop; the count gates default to 0 — any rise
+// regresses — because simulations are deterministic. With -seeds
 // replicates, the gate is interval-aware: a metric regresses only when
 // its mean drifts beyond tolerance AND the two 95% confidence intervals
 // are disjoint. Cells whose warm-up differs from the baseline's are
@@ -101,16 +100,8 @@ func main() {
 	baselineFile := flag.String("baseline", "", "diff results against this saved ResultSet JSON; exit 2 on regression")
 	seedsList := flag.String("seeds", "",
 		"comma-separated predictor seeds (e.g. 1,2,3); each (benchmark, model) cell runs once per seed and tables report mean±95% CI")
-	tolSpec := flag.String("tolerances", "",
-		`-baseline gate tolerances as k=v pairs ("ipc=2,miss=0.5,allow-missing") or JSON ({"ipc_pct":2}); explicit -diff-tolerance-* flags override individual fields`)
-	diffTol := flag.Float64("diff-tolerance", 2.0, "deprecated alias: -tolerances ipc=<pct> (allowed per-cell IPC drop in percent for -baseline)")
-	diffTolTMisp := flag.Float64("diff-tolerance-tmisp", 0,
-		"deprecated alias: -tolerances tmisp=<n> (allowed per-cell rise in trace mispredictions per 1000 insts for -baseline)")
-	diffTolRecoveries := flag.Float64("diff-tolerance-recoveries", 0,
-		"deprecated alias: -tolerances recoveries=<pct> (allowed per-cell rise in recovery count (percent) for -baseline)")
-	diffTolMiss := flag.Float64("diff-tolerance-miss", 0,
-		"deprecated alias: -tolerances miss=<n> (allowed per-cell rise in I-/D-cache misses per 1000 insts for -baseline)")
-	diffAllowMissing := flag.Bool("diff-allow-missing", false, "deprecated alias: -tolerances allow-missing (tolerate baseline cells absent from the current results)")
+	tolSpec := flag.String("tolerances", "ipc=2",
+		`-baseline gate tolerances as k=v pairs ("ipc=2,miss=0.5,allow-missing") or JSON ({"ipc_pct":2}); unset keys are 0`)
 	serverURL := flag.String("server", "", "run the sweep on this tracepd instance (e.g. http://localhost:8089) instead of in-process")
 	flag.Parse()
 
@@ -119,39 +110,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// One Tolerances from the new consolidated flag, with the legacy
-	// -diff-tolerance-* flags as deprecated aliases: -tolerances parses
-	// first, then any legacy flag set explicitly on the command line
-	// overrides its field (so old invocations behave bit-for-bit, and mixed
-	// invocations do what the visible flags say).
-	tol := tracep.Tolerances{
-		IPCPct:           *diffTol,
-		TraceMispPer1000: *diffTolTMisp,
-		RecoveriesPct:    *diffTolRecoveries,
-		CacheMissPer1000: *diffTolMiss,
-		AllowMissing:     *diffAllowMissing,
-	}
-	if *tolSpec != "" {
-		parsed, err := tracep.ParseTolerances(*tolSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-tolerances: %v\n", err)
-			os.Exit(1)
-		}
-		tol = parsed
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "diff-tolerance":
-				tol.IPCPct = *diffTol
-			case "diff-tolerance-tmisp":
-				tol.TraceMispPer1000 = *diffTolTMisp
-			case "diff-tolerance-recoveries":
-				tol.RecoveriesPct = *diffTolRecoveries
-			case "diff-tolerance-miss":
-				tol.CacheMissPer1000 = *diffTolMiss
-			case "diff-allow-missing":
-				tol.AllowMissing = *diffAllowMissing
-			}
-		})
+	tol, err := tracep.ParseTolerances(*tolSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-tolerances: %v\n", err)
+		os.Exit(1)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

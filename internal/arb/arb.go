@@ -51,7 +51,22 @@ type ARB struct {
 
 // New builds an empty ARB.
 func New() *ARB {
-	return &ARB{byAddr: make(map[uint32][]version)}
+	a := &ARB{}
+	a.Reset()
+	return a
+}
+
+// Reset empties the ARB and zeroes its counters, recycling every version
+// list into the pool.
+func (a *ARB) Reset() {
+	if a.byAddr == nil {
+		a.byAddr = make(map[uint32][]version)
+	}
+	for _, vs := range a.byAddr { //tracep:orderinvariant pooled lists are interchangeable
+		a.recycle(vs)
+	}
+	clear(a.byAddr)
+	a.Stores, a.Undos, a.Commits = 0, 0, 0
 }
 
 // recycle returns an emptied version list to the pool.

@@ -9,6 +9,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 
 	"tracep/internal/isa"
 )
@@ -48,18 +49,26 @@ type Predictor struct {
 
 // New builds a predictor. Entries must be a power of two.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the predictor to the state New(cfg) builds, reusing its
+// tables where they are large enough.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.Entries <= 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.Entries&(cfg.Entries-1) != 0 {
 		panic("bpred: Entries must be a power of two")
 	}
-	p := &Predictor{
-		cfg:    cfg,
-		mask:   uint32(cfg.Entries - 1),
-		ctr:    make([]uint8, cfg.Entries),
-		target: make([]uint32, cfg.Entries),
-	}
+	p.cfg, p.mask = cfg, uint32(cfg.Entries-1)
+	p.ctr = slices.Grow(p.ctr[:0], cfg.Entries)[:cfg.Entries]
+	p.target = slices.Grow(p.target[:0], cfg.Entries)[:cfg.Entries]
+	clear(p.target)
+	p.ras = p.ras[:0]
+	p.Lookups = 0
 	if cfg.Seed != 0 {
 		x := uint64(cfg.Seed)
 		nextRand := func() uint64 {
@@ -86,21 +95,22 @@ func New(cfg Config) *Predictor {
 			p.ctr[i] = 1 // weakly not-taken
 		}
 	}
-	return p
 }
 
-// Clone returns a deep copy of the predictor — counters, targets and the
-// return-address stack — so a warmed predictor captured in a snapshot can be
-// restored into many independent simulations.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:     p.cfg,
-		mask:    p.mask,
-		ctr:     append([]uint8(nil), p.ctr...),
-		target:  append([]uint32(nil), p.target...),
-		ras:     append([]uint32(nil), p.ras...),
-		Lookups: p.Lookups,
+// Clone copies the predictor — counters, targets and the return-address
+// stack — into dst, reusing dst's tables, and returns dst; a nil dst gets
+// fresh ones. A warmed predictor captured in a snapshot is cloned into every
+// simulation restored from it.
+func (p *Predictor) Clone(dst *Predictor) *Predictor {
+	if dst == nil {
+		dst = &Predictor{}
 	}
+	ctr := append(dst.ctr[:0], p.ctr...)
+	target := append(dst.target[:0], p.target...)
+	ras := append(dst.ras[:0], p.ras...)
+	*dst = *p
+	dst.ctr, dst.target, dst.ras = ctr, target, ras
+	return dst
 }
 
 // ResetStats zeroes the lookup counter, keeping the trained state.

@@ -15,7 +15,7 @@ func TestCloneIndependence(t *testing.T) {
 	p.PushRAS(66)
 	p.PredictDirection(7)
 
-	c := p.Clone()
+	c := p.Clone(nil)
 	if c.Lookups != p.Lookups {
 		t.Errorf("clone Lookups = %d, want %d", c.Lookups, p.Lookups)
 	}

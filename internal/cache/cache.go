@@ -4,7 +4,10 @@
 // only; data contents live elsewhere (memory, ARB, trace store).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SetAssoc is a set-associative cache with true-LRU replacement, keyed by an
 // opaque uint64 line key (callers shift addresses to line granularity or hash
@@ -28,39 +31,51 @@ type SetAssoc struct {
 // NewSetAssoc builds a cache with the given number of sets (power of two)
 // and associativity.
 func NewSetAssoc(sets, assoc int) *SetAssoc {
+	c := &SetAssoc{}
+	c.Reset(sets, assoc)
+	return c
+}
+
+// Reset empties the cache and gives it the given geometry, reusing its
+// arrays where they are large enough.
+func (c *SetAssoc) Reset(sets, assoc int) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("cache: assoc must be positive")
 	}
-	c := &SetAssoc{sets: sets, assoc: assoc}
 	n := sets * assoc
-	c.tags = make([]uint64, n)
-	c.valid = make([]bool, n)
-	c.lru = make([]uint8, n)
+	c.sets, c.assoc = sets, assoc
+	c.tags = slices.Grow(c.tags[:0], n)[:n]
+	c.valid = slices.Grow(c.valid[:0], n)[:n]
+	c.lru = slices.Grow(c.lru[:0], n)[:n]
+	clear(c.tags)
+	clear(c.valid)
 	for i := 0; i < sets; i++ {
 		for w := 0; w < assoc; w++ {
 			c.lru[i*assoc+w] = uint8(w)
 		}
 	}
-	return c
+	c.Accesses, c.Misses = 0, 0
 }
 
-// Clone returns a deep copy of the cache — tag, valid and LRU arrays plus
-// the access counters — sharing nothing mutable with the receiver. It is the
+// Clone copies the cache — tag, valid and LRU arrays plus the access
+// counters — into dst, reusing dst's arrays, and returns dst; a nil dst gets
+// fresh ones. The copy shares nothing mutable with the receiver. It is the
 // building block for warm-up snapshots: a captured cache is cloned on every
 // restore so concurrent simulations forked from one snapshot cannot perturb
 // each other.
-func (c *SetAssoc) Clone() *SetAssoc {
-	n := &SetAssoc{
-		sets: c.sets, assoc: c.assoc,
-		Accesses: c.Accesses, Misses: c.Misses,
+func (c *SetAssoc) Clone(dst *SetAssoc) *SetAssoc {
+	if dst == nil {
+		dst = &SetAssoc{}
 	}
-	n.tags = append([]uint64(nil), c.tags...)
-	n.valid = append([]bool(nil), c.valid...)
-	n.lru = append([]uint8(nil), c.lru...)
-	return n
+	tags := append(dst.tags[:0], c.tags...)
+	valid := append(dst.valid[:0], c.valid...)
+	lru := append(dst.lru[:0], c.lru...)
+	*dst = *c
+	dst.tags, dst.valid, dst.lru = tags, valid, lru
+	return dst
 }
 
 // ResetStats zeroes the access counters, keeping the array contents. Used
@@ -250,7 +265,7 @@ func (c *SetAssoc) MissRate() float64 {
 // ICache models the instruction cache: 64 kB, 4-way, 16-instruction lines,
 // 12-cycle miss penalty (Table 1). Addresses are instruction indices.
 type ICache struct {
-	c           *SetAssoc
+	c           SetAssoc
 	lineShift   uint //tracep:nostats configuration
 	MissPenalty int  //tracep:nostats configuration
 }
@@ -270,16 +285,30 @@ func DefaultICacheConfig() ICacheConfig {
 
 // NewICache builds the instruction cache.
 func NewICache(cfg ICacheConfig) *ICache {
+	ic := &ICache{}
+	ic.Reset(cfg)
+	return ic
+}
+
+// Reset empties the instruction cache and sizes it by cfg, reusing its
+// arrays where they are large enough.
+func (ic *ICache) Reset(cfg ICacheConfig) {
 	if cfg.SizeInsts == 0 {
 		cfg = DefaultICacheConfig()
 	}
 	lines := cfg.SizeInsts / cfg.LineInsts
-	sets := lines / cfg.Assoc
+	ic.c.Reset(lines/cfg.Assoc, cfg.Assoc)
+	ic.lineShift = lineShift(cfg.LineInsts)
+	ic.MissPenalty = cfg.MissPenalty
+}
+
+// lineShift is log2 of a power-of-two line size.
+func lineShift(line int) uint {
 	shift := uint(0)
-	for 1<<shift < cfg.LineInsts {
+	for 1<<shift < line {
 		shift++
 	}
-	return &ICache{c: NewSetAssoc(sets, cfg.Assoc), lineShift: shift, MissPenalty: cfg.MissPenalty}
+	return shift
 }
 
 // Fetch accesses the line containing pc and returns the access latency in
@@ -305,11 +334,17 @@ func (ic *ICache) SameLine(a, b uint32) bool {
 func (ic *ICache) Stats() (accesses, misses uint64) { return ic.c.Accesses, ic.c.Misses }
 
 // State exposes the underlying set-associative array for serialisation.
-func (ic *ICache) State() *SetAssoc { return ic.c }
+func (ic *ICache) State() *SetAssoc { return &ic.c }
 
-// Clone returns a deep copy of the instruction cache.
-func (ic *ICache) Clone() *ICache {
-	return &ICache{c: ic.c.Clone(), lineShift: ic.lineShift, MissPenalty: ic.MissPenalty}
+// Clone copies the instruction cache into dst, reusing dst's arrays, and
+// returns dst; a nil dst gets fresh ones.
+func (ic *ICache) Clone(dst *ICache) *ICache {
+	if dst == nil {
+		dst = &ICache{}
+	}
+	ic.c.Clone(&dst.c)
+	dst.lineShift, dst.MissPenalty = ic.lineShift, ic.MissPenalty
+	return dst
 }
 
 // ResetStats zeroes the access counters, keeping the warmed lines.
@@ -318,7 +353,7 @@ func (ic *ICache) ResetStats() { ic.c.ResetStats() }
 // DCache models the data cache: 64 kB, 4-way, 64-byte (8-word) lines,
 // 14-cycle miss penalty (Table 1). Addresses are data-word addresses.
 type DCache struct {
-	c           *SetAssoc
+	c           SetAssoc
 	lineShift   uint //tracep:nostats configuration
 	MissPenalty int  //tracep:nostats configuration
 	HitLatency  int  //tracep:nostats configuration
@@ -341,19 +376,21 @@ func DefaultDCacheConfig() DCacheConfig {
 
 // NewDCache builds the data cache.
 func NewDCache(cfg DCacheConfig) *DCache {
+	dc := &DCache{}
+	dc.Reset(cfg)
+	return dc
+}
+
+// Reset empties the data cache and sizes it by cfg, reusing its arrays where
+// they are large enough.
+func (dc *DCache) Reset(cfg DCacheConfig) {
 	if cfg.SizeWords == 0 {
 		cfg = DefaultDCacheConfig()
 	}
 	lines := cfg.SizeWords / cfg.LineWords
-	sets := lines / cfg.Assoc
-	shift := uint(0)
-	for 1<<shift < cfg.LineWords {
-		shift++
-	}
-	return &DCache{
-		c: NewSetAssoc(sets, cfg.Assoc), lineShift: shift,
-		MissPenalty: cfg.MissPenalty, HitLatency: cfg.HitLatency,
-	}
+	dc.c.Reset(lines/cfg.Assoc, cfg.Assoc)
+	dc.lineShift = lineShift(cfg.LineWords)
+	dc.MissPenalty, dc.HitLatency = cfg.MissPenalty, cfg.HitLatency
 }
 
 // Access touches the line containing addr and returns total access latency
@@ -371,14 +408,17 @@ func (dc *DCache) Access(addr uint32) int {
 func (dc *DCache) Stats() (accesses, misses uint64) { return dc.c.Accesses, dc.c.Misses }
 
 // State exposes the underlying set-associative array for serialisation.
-func (dc *DCache) State() *SetAssoc { return dc.c }
+func (dc *DCache) State() *SetAssoc { return &dc.c }
 
-// Clone returns a deep copy of the data cache.
-func (dc *DCache) Clone() *DCache {
-	return &DCache{
-		c: dc.c.Clone(), lineShift: dc.lineShift,
-		MissPenalty: dc.MissPenalty, HitLatency: dc.HitLatency,
+// Clone copies the data cache into dst, reusing dst's arrays, and returns
+// dst; a nil dst gets fresh ones.
+func (dc *DCache) Clone(dst *DCache) *DCache {
+	if dst == nil {
+		dst = &DCache{}
 	}
+	dc.c.Clone(&dst.c)
+	dst.lineShift, dst.MissPenalty, dst.HitLatency = dc.lineShift, dc.MissPenalty, dc.HitLatency
+	return dst
 }
 
 // ResetStats zeroes the access counters, keeping the warmed lines.

@@ -9,7 +9,7 @@ func TestSetAssocCloneIndependence(t *testing.T) {
 	for k := uint64(0); k < 16; k++ {
 		c.Access(k)
 	}
-	n := c.Clone()
+	n := c.Clone(nil)
 	if n.Accesses != c.Accesses || n.Misses != c.Misses {
 		t.Fatalf("clone counters: got %d/%d, want %d/%d", n.Accesses, n.Misses, c.Accesses, c.Misses)
 	}
@@ -55,7 +55,7 @@ func TestICacheDCacheClone(t *testing.T) {
 	ic := NewICache(DefaultICacheConfig())
 	ic.Fetch(0)
 	ic.Fetch(4096)
-	icc := ic.Clone()
+	icc := ic.Clone(nil)
 	if lat := icc.Fetch(0); lat != 0 {
 		t.Errorf("cloned I-cache lost the warmed line: latency %d", lat)
 	}
@@ -66,7 +66,7 @@ func TestICacheDCacheClone(t *testing.T) {
 
 	dc := NewDCache(DefaultDCacheConfig())
 	dc.Access(100)
-	dcc := dc.Clone()
+	dcc := dc.Clone(nil)
 	if lat := dcc.Access(100); lat != dc.HitLatency {
 		t.Errorf("cloned D-cache lost the warmed line: latency %d, want hit %d", lat, dc.HitLatency)
 	}

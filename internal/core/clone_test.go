@@ -28,7 +28,7 @@ func TestBITCloneIndependence(t *testing.T) {
 		t.Fatalf("expected a found region with a miss cost, got %+v/%d", reg, cycles)
 	}
 
-	c := bit.Clone()
+	c := bit.Clone(nil)
 	if c.Lookups != bit.Lookups || c.MissCycles != bit.MissCycles || c.Misses() != bit.Misses() {
 		t.Fatal("clone counters diverge from original")
 	}

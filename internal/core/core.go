@@ -230,7 +230,7 @@ func DefaultBITConfig() BITConfig {
 // its scan latency.
 type BIT struct {
 	cfg    BITConfig //tracep:nostats configuration
-	timing *cache.SetAssoc
+	timing cache.SetAssoc
 	// results memoises the (pure) analysis so a re-fill after eviction
 	// recomputes timing cost but not the analysis itself.
 	results map[uint32]Region //tracep:nostats memoised analysis, not a counter
@@ -242,16 +242,26 @@ type BIT struct {
 
 // NewBIT builds a BIT over prog.
 func NewBIT(prog *isa.Program, cfg BITConfig) *BIT {
+	b := &BIT{}
+	b.Reset(prog, cfg)
+	return b
+}
+
+// Reset empties the table for a run over prog, reusing its storage. The
+// memoised analyses survive when prog and the analysis bounds are unchanged:
+// AnalyzeRegion is a pure function of both.
+func (b *BIT) Reset(prog *isa.Program, cfg BITConfig) {
 	if cfg.Entries == 0 {
 		cfg = DefaultBITConfig()
 	}
-	sets := cfg.Entries / cfg.Assoc
-	return &BIT{
-		cfg:     cfg,
-		timing:  cache.NewSetAssoc(sets, cfg.Assoc),
-		results: make(map[uint32]Region),
-		prog:    prog,
+	if b.results == nil {
+		b.results = make(map[uint32]Region)
+	} else if b.prog != prog || b.cfg.Analyze != cfg.Analyze {
+		clear(b.results)
 	}
+	b.timing.Reset(cfg.Entries/cfg.Assoc, cfg.Assoc)
+	b.cfg, b.prog = cfg, prog
+	b.Lookups, b.MissCycles = 0, 0
 }
 
 // Lookup returns the region information for the forward conditional branch
@@ -280,22 +290,26 @@ func (b *BIT) Lookup(pc uint32) (Region, int) {
 // Misses reports how many lookups missed the table.
 func (b *BIT) Misses() uint64 { return b.timing.Misses }
 
-// Clone returns a deep copy of the BIT: timing array, memoised analysis
-// results and counters. The program is shared (immutable); Region values are
+// Clone copies the BIT — timing array, memoised analysis results and
+// counters — into dst, reusing dst's storage, and returns dst; a nil dst
+// gets fresh storage. The program is shared (immutable); Region values are
 // copied by value.
-func (b *BIT) Clone() *BIT {
-	n := &BIT{
-		cfg:        b.cfg,
-		timing:     b.timing.Clone(),
-		results:    make(map[uint32]Region, len(b.results)),
-		prog:       b.prog,
-		Lookups:    b.Lookups,
-		MissCycles: b.MissCycles,
+func (b *BIT) Clone(dst *BIT) *BIT {
+	if dst == nil {
+		dst = &BIT{}
+	}
+	b.timing.Clone(&dst.timing)
+	if dst.results == nil {
+		dst.results = make(map[uint32]Region, len(b.results))
+	} else {
+		clear(dst.results)
 	}
 	for pc, reg := range b.results { //tracep:orderinvariant map-to-map copy
-		n.results[pc] = reg
+		dst.results[pc] = reg
 	}
-	return n
+	dst.cfg, dst.prog = b.cfg, b.prog
+	dst.Lookups, dst.MissCycles = b.Lookups, b.MissCycles
+	return dst
 }
 
 // Timing exposes the BIT's set-associative residency array for
@@ -303,7 +317,7 @@ func (b *BIT) Clone() *BIT {
 // serialised state: AnalyzeRegion is a pure function of the program, so a
 // deserialised BIT with an empty memo recomputes identical Regions on
 // demand, and the timing behaviour depends only on the residency array.
-func (b *BIT) Timing() *cache.SetAssoc { return b.timing }
+func (b *BIT) Timing() *cache.SetAssoc { return &b.timing }
 
 // ResetStats zeroes the lookup and miss-cycle counters (including the timing
 // array's), keeping the warmed entries and memoised analyses.

@@ -23,7 +23,7 @@ func TestCloneIndependence(t *testing.T) {
 
 	e := New(prog)
 	e.Run(50)
-	c := e.Clone()
+	c := e.Clone(nil)
 	if c.PC != e.PC || c.Count != e.Count || c.Regs != e.Regs {
 		t.Fatalf("clone state diverges: pc %d/%d count %d/%d", c.PC, e.PC, c.Count, e.Count)
 	}

@@ -43,22 +43,35 @@ type Emulator struct {
 // New builds an emulator with a fresh memory initialised from the program's
 // data image.
 func New(prog *isa.Program) *Emulator {
-	return &Emulator{Prog: prog, Mem: isa.NewMemory(prog), PC: prog.Entry}
+	e := &Emulator{}
+	e.Reset(prog)
+	return e
 }
 
-// Clone returns a deep copy of the emulator: registers, PC and a private
-// copy of memory. The program is shared (it is immutable). A snapshot's
+// Reset returns the emulator to architectural reset over prog, reusing its
+// memory's pages.
+func (e *Emulator) Reset(prog *isa.Program) {
+	mem := e.Mem
+	if mem == nil {
+		mem = &isa.Memory{}
+	}
+	mem.Reset(prog)
+	*e = Emulator{Prog: prog, Mem: mem, PC: prog.Entry}
+}
+
+// Clone copies the emulator — registers, PC and a private copy of memory —
+// into dst, reusing dst's memory pages, and returns dst; a nil dst gets
+// fresh storage. The program is shared (it is immutable). A snapshot's
 // architectural state is an emulator; restoring clones it so the oracle of
 // one restored simulation cannot disturb another's.
-func (e *Emulator) Clone() *Emulator {
-	return &Emulator{
-		Prog:   e.Prog,
-		Mem:    e.Mem.Clone(),
-		Regs:   e.Regs,
-		PC:     e.PC,
-		Halted: e.Halted,
-		Count:  e.Count,
+func (e *Emulator) Clone(dst *Emulator) *Emulator {
+	if dst == nil {
+		dst = &Emulator{}
 	}
+	mem := e.Mem.Clone(dst.Mem)
+	*dst = *e
+	dst.Mem = mem
+	return dst
 }
 
 // rd reads register r architecturally (R0 reads as zero).

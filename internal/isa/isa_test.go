@@ -168,7 +168,7 @@ func TestMemorySparse(t *testing.T) {
 func TestMemoryClone(t *testing.T) {
 	m := NewMemory(nil)
 	m.Write(10, 42)
-	c := m.Clone()
+	c := m.Clone(nil)
 	c.Write(10, 43)
 	if m.Read(10) != 42 || c.Read(10) != 43 {
 		t.Error("clone must be independent of the original")

@@ -20,13 +20,26 @@ type page [pageWords]int64
 // NewMemory builds an empty memory, optionally pre-loading the initial data
 // image from prog.
 func NewMemory(prog *Program) *Memory {
-	m := &Memory{pages: make(map[uint32]*page)}
+	m := &Memory{}
+	m.Reset(prog)
+	return m
+}
+
+// Reset empties the memory and, when prog is non-nil, pre-loads its initial
+// data image. Pages already allocated are zeroed and kept: an all-zero page
+// reads exactly like an untouched one.
+func (m *Memory) Reset(prog *Program) {
+	if m.pages == nil {
+		m.pages = make(map[uint32]*page)
+	}
+	for _, p := range m.pages { //tracep:orderinvariant independent clears
+		clear(p[:])
+	}
 	if prog != nil {
 		for addr, v := range prog.Data { //tracep:orderinvariant keyed writes commute
 			m.Write(addr, v)
 		}
 	}
-	return m
 }
 
 // Read returns the word at addr (zero if never written).
@@ -81,13 +94,21 @@ func (m *Memory) DumpWords() (addrs []uint32, vals []int64) {
 	return addrs, vals
 }
 
-// Clone returns a deep copy, used to give the architectural oracle and the
-// timing model independent memories initialised from the same image.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{pages: make(map[uint32]*page, len(m.pages))}
-	for idx, p := range m.pages { //tracep:orderinvariant map-to-map copy
-		np := *p
-		c.pages[idx] = &np
+// Clone copies m into dst, reusing dst's pages, and returns dst; a nil dst
+// gets fresh storage. It gives the architectural oracle and the timing model
+// independent memories initialised from the same image.
+func (m *Memory) Clone(dst *Memory) *Memory {
+	if dst == nil {
+		dst = &Memory{}
 	}
-	return c
+	dst.Reset(nil)
+	for idx, p := range m.pages { //tracep:orderinvariant map-to-map copy
+		q, ok := dst.pages[idx]
+		if !ok {
+			q = new(page)
+			dst.pages[idx] = q
+		}
+		*q = *p
+	}
+	return dst
 }

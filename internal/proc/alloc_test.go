@@ -65,7 +65,7 @@ func measureWindow(t testing.TB, p *Processor, runs, window int) float64 {
 
 // TestSteadyStateAllocs is the zero-allocation gate for the cycle engine:
 // once warm, the cycle loop — dispatch, issue, intra-PE bypass, result-bus
-// arbitration, memory snooping, retirement, and the periodic tag GC — runs
+// arbitration, memory snooping, retirement, and the tag GC — runs
 // out of pooled state (per-PE instruction arenas, the event ring, recycled
 // subscriber/load-record/ARB storage, the rename-entry pool) and must not
 // touch the heap. On a predictable workload, whose steady state constructs

@@ -63,9 +63,6 @@ func (c *Config) Validate() error {
 	if c.WatchdogCycles < 0 {
 		bad("WatchdogCycles", c.WatchdogCycles, "cannot be negative (0 disables the watchdog)")
 	}
-	if c.GCInterval < 0 {
-		bad("GCInterval", c.GCInterval, "cannot be negative (0 disables tag garbage collection)")
-	}
 
 	if !powerOfTwo(c.BPred.Entries) {
 		bad("BPred.Entries", c.BPred.Entries, "must be a power of two")

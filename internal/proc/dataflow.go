@@ -249,7 +249,7 @@ func (p *Processor) grantResultBuses() {
 //tracep:noalloc
 func (p *Processor) deliverGlobal(tag rename.Tag) {
 	i := rename.SlotIndex(tag)
-	if i < 0 || i >= len(p.subTab) {
+	if i < 0 {
 		return
 	}
 	row := &p.subTab[i]
@@ -292,28 +292,15 @@ func (p *Processor) deliverGlobal(tag rename.Tag) {
 	row.list = kept
 }
 
-// addSub subscribes ref to tag's row of the flat subscriber table. A row
-// left behind by the slot's previous tag is truncated in place, so its list
-// capacity is recycled; the table itself regrows only when the register
-// file adds a page.
+// addSub subscribes ref to tag's row of the flat subscriber table, which has
+// a row for every slot of the register file. A row left behind by the slot's
+// previous tag is truncated in place, so its list capacity is recycled.
 //
 //tracep:noalloc
 func (p *Processor) addSub(tag rename.Tag, ref subRef) {
 	i := rename.SlotIndex(tag)
-	if i >= len(p.subTab) {
-		// Double (at least) so growth stays amortised while the register
-		// file's frontier is still advancing ahead of the first sweeps.
-		n := 2 * len(p.subTab)
-		if n < p.regs.Slots() {
-			n = p.regs.Slots()
-		}
-		if n < 1024 {
-			n = 1024
-		}
-		//tracep:allow amortised: the table at least doubles per regrow
-		tab := make([]subSlot, n)
-		copy(tab, p.subTab)
-		p.subTab = tab
+	if i < 0 {
+		return // the invalid tag of an exhausted file; Step fails the run
 	}
 	row := &p.subTab[i]
 	if row.tag != tag {
@@ -443,9 +430,11 @@ func (p *Processor) snapshotLoads(addr uint32) []*instState {
 
 // collectGarbage sweeps unreferenced tags and compacts lazy index
 // structures. Roots: the dispatch-frontier map and every live PE's
-// checkpoints, operand bindings and destination tags. Marks live in the
-// register file's own slot metadata (rename.File.Mark), so periodic
-// collection maintains no side set and does not allocate.
+// checkpoints, operand bindings and destination tags (tagSpace bounds them).
+// Step runs it when the register file's free capacity drops below one
+// cycle's worth of allocations. Marks live in the register file's own slot
+// metadata (rename.File.Mark), so collection maintains no side set and does
+// not allocate.
 //
 //tracep:noalloc
 func (p *Processor) collectGarbage() {
@@ -473,7 +462,8 @@ func (p *Processor) collectGarbage() {
 	// would grow by one dead entry per consuming dispatch for the rest of
 	// the run. The staleness test matches deliverGlobal's, so removal is
 	// behaviour-neutral; rows whose tag just died are truncated outright.
-	for i := range p.subTab {
+	// Rows past the register file's high-water mark were never subscribed.
+	for i := range p.subTab[:p.regs.Slots()] {
 		row := &p.subTab[i]
 		if len(row.list) == 0 {
 			continue

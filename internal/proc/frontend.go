@@ -41,7 +41,16 @@ type frontend struct {
 	outcomes []bool        // descriptor-outcome expansion scratch
 }
 
-func (fe *frontend) init(numPEs int) {
+// init empties the frontend for a run that starts fetching at pc:
+// outstanding entries return to the pool, and the rings keep their storage.
+func (fe *frontend) init(numPEs int, pc uint32) {
+	// Every job entry is also a queue entry, so the queue holds them all.
+	for fe.queue.len() > 0 {
+		e := fe.queue.pop()
+		e.tr = nil
+		fe.putEntry(e)
+	}
+	*fe = frontend{queue: fe.queue, jobs: fe.jobs, pool: fe.pool, outcomes: fe.outcomes, expectedPC: pc}
 	fe.queue.init(numPEs)
 	fe.jobs.init(numPEs)
 }
@@ -91,7 +100,11 @@ func (r *entryRing) init(capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r.buf = make([]*fetchEntry, capacity)
+	if cap(r.buf) < capacity {
+		r.buf = make([]*fetchEntry, capacity)
+	}
+	r.buf = r.buf[:capacity]
+	clear(r.buf)
 	r.head, r.n = 0, 0
 }
 

@@ -173,6 +173,14 @@ type peState struct {
 	dispatchedAt int64
 }
 
+// reset empties the PE for a new run as PE id, keeping its instruction
+// arena. Generations keep counting, so no reference from the previous run
+// can match a slot of this one.
+func (pe *peState) reset(id int) {
+	*pe = peState{id: id, next: -1, prev: -1, gen: pe.gen,
+		insts: pe.ptrs[:0], pool: pe.pool, ptrs: pe.ptrs, cold: pe.cold}
+}
+
 // initPool sizes the PE's instruction arena for traces up to maxLen
 // instructions and wires the permanent slot pointers.
 func (pe *peState) initPool(maxLen int) {
@@ -247,18 +255,24 @@ type event struct {
 	tag  rename.Tag
 }
 
-// initEventRing sizes the per-cycle event buckets. Event deltas are bounded
-// by the largest modelled latency (cache miss penalties, the divide unit,
-// the bus latency); the ring grows on demand if a configuration exceeds the
-// initial size, and bucket storage is reused cycle after cycle so
-// steady-state scheduling never touches the heap.
+// initEventRing sizes and empties the per-cycle event buckets. Event deltas
+// are bounded by the largest modelled latency (cache miss penalties, the
+// divide unit, the bus latency); the ring grows on demand if a
+// configuration exceeds the initial size, and bucket storage is reused cycle
+// after cycle — and run after run — so steady-state scheduling never touches
+// the heap.
 func (p *Processor) initEventRing() {
 	n := 64
 	for n <= p.cfg.BusLatency+1 {
 		n *= 2
 	}
-	p.evBuckets = make([][]event, n)
-	p.evMask = int64(n - 1)
+	if len(p.evBuckets) < n {
+		p.evBuckets = make([][]event, n)
+	}
+	for i := range p.evBuckets {
+		p.evBuckets[i] = p.evBuckets[i][:0]
+	}
+	p.evMask = int64(len(p.evBuckets) - 1)
 }
 
 // growEventRing doubles the ring until the delta at-cycle fits, re-homing
@@ -643,7 +657,7 @@ func (p *Processor) execute(st *instState) {
 	case in.Op == isa.OpLoad:
 		addr := uint32(a + in.Imm)
 		p.recordLoad(st, addr)
-		val, src := p.arbuf.Load(addr, st.seq(), p.less, p.mem)
+		val, src := p.arbuf.Load(addr, st.seq(), p.less, &p.mem)
 		st.dataSeq = src
 		st.performed = true
 		lat := int64(1 + p.dcache.Access(addr))

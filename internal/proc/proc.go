@@ -15,6 +15,7 @@ package proc
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"tracep/internal/arb"
 	"tracep/internal/bpred"
@@ -109,8 +110,6 @@ type Config struct {
 	// WatchdogCycles aborts the run if nothing retires for this many cycles
 	// (a livelock/deadlock detector for the simulator itself).
 	WatchdogCycles int64
-	// GCInterval is the tag garbage-collection period in cycles.
-	GCInterval int64
 }
 
 // DefaultConfig returns Table 1's configuration.
@@ -133,7 +132,6 @@ func DefaultConfig() Config {
 		VPred:          vpred.DefaultConfig(),
 		Verify:         true,
 		WatchdogCycles: 200000,
-		GCInterval:     8192,
 	}
 }
 
@@ -143,22 +141,25 @@ type Processor struct {
 	model Model
 	prog  *isa.Program
 
-	mem     *isa.Memory // committed architectural memory
+	mem     isa.Memory // committed architectural memory
 	oracle  *emu.Emulator
 	commits CommitSource // recorded-trace oracle; replaces the emulator when set
 
-	regs    *rename.File
+	regs    rename.File
 	specMap rename.Map // rename map at the dispatch frontier
+	// tagHeadroom is the most tags one cycle can allocate; Step collects
+	// garbage once fewer than this many are free (see tagSpace).
+	tagHeadroom int
 
-	arbuf  *arb.ARB
-	dcache *cache.DCache
-	icache *cache.ICache
-	tcache *trace.Cache
-	bp     *bpred.Predictor
-	tp     *tpred.Predictor
-	bit    *core.BIT
+	arbuf  arb.ARB
+	dcache cache.DCache
+	icache cache.ICache
+	tcache trace.Cache
+	bp     bpred.Predictor
+	tp     tpred.Predictor
+	bit    core.BIT
 	vp     *vpred.Predictor
-	ctor   *trace.Constructor
+	ctor   trace.Constructor
 
 	pes  []*peState
 	free []int
@@ -173,7 +174,8 @@ type Processor struct {
 	evMask    int64
 	// subTab holds global-value subscriptions — operands bound to a tag that
 	// must be notified when the tag's value arrives or changes — as a flat
-	// table indexed by the tag's physical rename slot. See tables.go.
+	// table indexed by the tag's physical rename slot, one row per slot of
+	// the fixed-capacity register file. See tables.go.
 	subTab []subSlot
 	// subArena is the slab new subscriber rows carve their initial list
 	// capacity from, so first-touch subscriptions on fresh rename slots do
@@ -266,86 +268,147 @@ func effectiveBITConfig(cfg Config) core.BITConfig {
 // New builds a processor for prog under the given model and configuration,
 // starting from architectural reset with cold microarchitectural state.
 func New(prog *isa.Program, model Model, cfg Config) *Processor {
-	return build(prog, model, cfg, nil)
+	p := &Processor{}
+	p.build(prog, model, cfg, nil)
+	return p
 }
 
-// build constructs a processor. With a nil snapshot every structure starts
-// from reset; with a snapshot, architectural state and the warm-up-visible
-// structures are deep-cloned from it (see NewFromSnapshot).
-func build(prog *isa.Program, model Model, cfg Config, snap *Snapshot) *Processor {
-	p := &Processor{
-		cfg:   cfg,
-		model: model,
-		prog:  prog,
+// Reset turns p into the processor New(prog, model, cfg) returns, reusing
+// the tables, arenas and pools of p's previous run, so a sweep worker can
+// run cell after cell on one engine. Stats returned by earlier runs are
+// copies and do not change.
+func (p *Processor) Reset(prog *isa.Program, model Model, cfg Config) {
+	p.build(prog, model, cfg, nil)
+}
 
-		arbuf: arb.New(),
+// build is the one construction path: New runs it on zero storage, Reset and
+// ResetFromSnapshot on a previous run's. Every field restarts from its zero
+// value except the storage listed below, which carries over and is reset in
+// place. With a nil snapshot every structure starts from reset; with a
+// snapshot, architectural state and the warm-up-visible structures are
+// copied from it (see NewFromSnapshot).
+func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snapshot) {
+	old := *p
+	*p = Processor{
+		cfg: cfg, model: model, prog: prog, head: -1, tail: -1,
 
-		busPerPE: make([]int, cfg.NumPEs),
-		head:     -1,
-		tail:     -1,
+		mem: old.mem, regs: old.regs, arbuf: old.arbuf,
+		dcache: old.dcache, icache: old.icache, tcache: old.tcache,
+		bp: old.bp, tp: old.tp, bit: old.bit, ctor: old.ctor,
+		fe: old.fe, loadRecs: old.loadRecs,
+		evBuckets: old.evBuckets, subTab: old.subTab, subArena: old.subArena,
+
+		loadScratch: old.loadScratch[:0], bcastQueue: old.bcastQueue[:0],
+		busPerPE:  slices.Grow(old.busPerPE[:0], cfg.NumPEs)[:cfg.NumPEs],
+		wakeBatch: old.wakeBatch[:0], mispQueue: old.mispQueue[:0],
+		forcedScratch: old.forcedScratch, ciYounger: old.ciYounger, ciViews: old.ciViews,
+		rec: recovery{redispatch: old.rec.redispatch[:0], redispatchGens: old.rec.redispatchGens[:0]},
 	}
 	p.initEventRing()
+	p.loadRecs.reset()
+	p.arbuf.Reset()
+	capacity, headroom := tagSpace(cfg)
+	p.regs.Reset(capacity)
+	p.tagHeadroom = headroom
+	if len(p.subTab) != p.regs.Cap() {
+		p.subTab = make([]subSlot, p.regs.Cap())
+	}
+	for i := range p.subTab {
+		p.subTab[i] = subSlot{list: p.subTab[i].list[:0]}
+	}
+	// The frontier map holds the architectural registers as ready tags: zero
+	// at reset, the warm values on restore.
+	var archRegs [isa.NumRegs]int64
+	if snap != nil {
+		archRegs = snap.emu.Regs
+	}
+	p.specMap = rename.MapFrom(&p.regs, &archRegs)
+	if cfg.Verify {
+		p.oracle = reuse(old.oracle)
+	}
+	if cfg.ValuePredict {
+		p.vp = reuse(old.vp)
+	}
 	if snap == nil {
-		p.mem = isa.NewMemory(prog)
-		p.regs = rename.NewFile()
-		p.dcache = cache.NewDCache(cfg.DCache)
-		p.icache = cache.NewICache(cfg.ICache)
-		p.tcache = trace.NewCache(cfg.TCache)
-		p.bp = bpred.New(effectiveBPredConfig(cfg))
-		p.tp = tpred.New(effectiveTPredConfig(cfg))
-		p.bit = core.NewBIT(prog, effectiveBITConfig(cfg))
-		if cfg.Verify {
-			p.oracle = emu.New(prog)
+		p.mem.Reset(prog)
+		p.dcache.Reset(cfg.DCache)
+		p.icache.Reset(cfg.ICache)
+		p.tcache.Reset(cfg.TCache)
+		p.bp.Reset(effectiveBPredConfig(cfg))
+		p.tp.Reset(effectiveTPredConfig(cfg))
+		p.bit.Reset(prog, effectiveBITConfig(cfg))
+		if p.oracle != nil {
+			p.oracle.Reset(prog)
 		}
-		if cfg.ValuePredict {
-			p.vp = vpred.New(cfg.VPred)
+		if p.vp != nil {
+			p.vp.Reset(cfg.VPred)
 		}
-		p.specMap = rename.InitialMap(p.regs)
-		p.fe.expectedPC = prog.Entry
+		p.fe.init(cfg.NumPEs, prog.Entry)
 	} else {
-		// Every structure is cloned, never aliased: many simulations may be
+		// Every structure is copied, never aliased: many simulations may be
 		// forked from one snapshot, concurrently.
-		p.mem = snap.emu.Mem.Clone()
-		p.regs = snap.regs.Clone()
-		p.dcache = snap.dcache.Clone()
-		p.icache = snap.icache.Clone()
-		p.tcache = snap.tcache.Clone()
-		p.bp = snap.bp.Clone()
-		p.tp = snap.tp.Clone()
-		p.bit = snap.bit.Clone()
-		if cfg.Verify {
-			p.oracle = snap.emu.Clone()
+		snap.emu.Mem.Clone(&p.mem)
+		snap.dcache.Clone(&p.dcache)
+		snap.icache.Clone(&p.icache)
+		snap.tcache.Clone(&p.tcache)
+		snap.bp.Clone(&p.bp)
+		snap.tp.Clone(&p.tp)
+		snap.bit.Clone(&p.bit)
+		if p.oracle != nil {
+			snap.emu.Clone(p.oracle)
 		}
-		if cfg.ValuePredict {
-			p.vp = snap.vp.Clone()
+		if p.vp != nil {
+			snap.vp.Clone(p.vp)
 		}
-		p.specMap = snap.rmap
-		p.fe.expectedPC = snap.emu.PC
+		p.fe.init(cfg.NumPEs, snap.emu.PC)
 		p.Stats.WarmupInsts = snap.warmupInsts
 	}
 	// Checkpoints into the next-trace predictor's history ring reach back at
 	// most one window plus one fetch queue of in-flight traces; size the ring
 	// generously for deep-window configurations.
 	p.tp.EnsureHistoryCapacity(4 * cfg.NumPEs)
-	p.ctor = &trace.Constructor{
-		Prog: prog,
-		Sel:  trace.SelConfig{MaxLen: cfg.MaxTraceLen, NTB: model.NTB, FG: model.FG},
-		BIT:  p.bit,
-		BP:   p.bp,
-		IC:   p.icache,
+	p.ctor.Prog = prog
+	p.ctor.Sel = trace.SelConfig{MaxLen: cfg.MaxTraceLen, NTB: model.NTB, FG: model.FG}
+	p.ctor.BIT, p.ctor.BP, p.ctor.IC = &p.bit, &p.bp, &p.icache
+	p.pes = old.pes
+	if len(p.pes) != cfg.NumPEs || old.cfg.MaxTraceLen != cfg.MaxTraceLen {
+		p.pes = make([]*peState, cfg.NumPEs)
+		for i := range p.pes {
+			p.pes[i] = &peState{}
+			p.pes[i].initPool(cfg.MaxTraceLen)
+		}
 	}
-	p.pes = make([]*peState, cfg.NumPEs)
-	p.free = make([]int, 0, cfg.NumPEs)
-	for i := range p.pes {
-		pe := &peState{id: i, next: -1, prev: -1}
-		pe.initPool(cfg.MaxTraceLen)
-		p.pes[i] = pe
+	p.free = old.free[:0]
+	for i, pe := range p.pes {
+		pe.reset(i)
 		p.free = append(p.free, i)
 	}
-	p.fe.init(cfg.NumPEs)
 	p.less = p.seqLess
-	p.classifyBranches()
-	return p
+	p.branchClasses = old.branchClasses
+	if old.prog != prog || old.cfg.MaxTraceLen != cfg.MaxTraceLen {
+		p.classifyBranches()
+	}
+}
+
+// reuse returns x, or new storage when x is nil.
+func reuse[T any](x *T) *T {
+	if x == nil {
+		return new(T)
+	}
+	return x
+}
+
+// tagSpace sizes the register file for cfg. Garbage collection keeps every
+// tag its roots name: the frontier map, each PE's two checkpoint maps, and
+// each resident instruction's destination and two source tags. So at most
+// bound tags survive a sweep. One cycle allocates at most two traces' worth
+// of destination tags (a repair install and a dispatch), which is the
+// headroom: collecting whenever fewer than headroom tags are free means
+// Alloc never finds the file full.
+func tagSpace(cfg Config) (capacity, headroom int) {
+	bound := isa.NumRegs*(1+2*cfg.NumPEs) + 3*cfg.NumPEs*cfg.MaxTraceLen
+	headroom = 2 * cfg.MaxTraceLen
+	return bound + headroom, headroom
 }
 
 // instRef is a gen-stamped reference to a pooled instruction slot: gen
@@ -369,7 +432,7 @@ func (p *Processor) Halted() bool { return p.halted }
 func (p *Processor) Cycle() int64 { return p.cycle }
 
 // Run simulates until the program halts, maxInsts instructions have retired,
-// or an error occurs. It returns the collected statistics.
+// or an error occurs. It returns a copy of the collected statistics.
 func (p *Processor) Run(maxInsts uint64) (*Stats, error) {
 	return p.RunContext(context.Background(), maxInsts, 0, nil)
 }
@@ -388,10 +451,10 @@ type Progress struct {
 const ctxCheckInterval = 1024
 
 // RunContext simulates like Run but stops early when ctx is cancelled,
-// returning the statistics gathered so far together with the context's
-// error. When tap is non-nil it is called (synchronously, on the simulation
-// goroutine) each time another `every` instructions have retired; every <= 0
-// disables the tap.
+// returning a copy of the statistics gathered so far together with the
+// context's error. When tap is non-nil it is called (synchronously, on the
+// simulation goroutine) each time another `every` instructions have
+// retired; every <= 0 disables the tap.
 func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint64, tap func(Progress)) (*Stats, error) {
 	var ctxErr error
 	var nextTap uint64
@@ -418,10 +481,14 @@ func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint6
 	}
 	p.Stats.Cycles = uint64(p.cycle)
 	p.finalizeStats()
+	// The caller owns a copy: a returned pointer into the engine would keep
+	// the whole processor reachable for as long as the result is held, and
+	// would change under any further stepping.
+	stats := p.Stats
 	if p.err != nil {
-		return &p.Stats, p.err
+		return &stats, p.err
 	}
-	return &p.Stats, ctxErr
+	return &stats, ctxErr
 }
 
 // Step advances the processor one cycle.
@@ -435,8 +502,12 @@ func (p *Processor) Step() {
 	p.grantResultBuses()
 	p.frontendStep()
 	p.retireStep()
-	if p.cfg.GCInterval > 0 && p.cycle%p.cfg.GCInterval == 0 {
+	if p.regs.Free() < p.tagHeadroom {
 		p.collectGarbage()
+	}
+	if p.regs.Exhausted > 0 {
+		//tracep:allow terminal: an exhausted tag space aborts the run
+		p.fail(fmt.Errorf("rename: tag space of %d exhausted at cycle %d", p.regs.Cap(), p.cycle))
 	}
 	if p.cfg.WatchdogCycles > 0 && p.cycle-p.lastRetire > p.cfg.WatchdogCycles {
 		//tracep:allow watchdog trip is terminal: the run is abandoned, so the error construction is off the measured path
@@ -473,7 +544,8 @@ const (
 // classifyBranches statically analyses every conditional branch in the
 // program with a large-bound FGCI analysis, for Table 5 accounting.
 func (p *Processor) classifyBranches() {
-	p.branchClasses = make([]branchClass, p.prog.Len())
+	p.branchClasses = slices.Grow(p.branchClasses[:0], p.prog.Len())[:p.prog.Len()]
+	clear(p.branchClasses)
 	acfg := core.AnalyzeConfig{MaxSize: 4 * p.cfg.MaxTraceLen, MaxEdges: 8, MaxScan: 2048}
 	for pc := uint32(0); int(pc) < p.prog.Len(); pc++ {
 		in := p.prog.At(pc)

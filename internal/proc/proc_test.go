@@ -394,3 +394,29 @@ func TestStatsSanity(t *testing.T) {
 		t.Error("dispatched < retired")
 	}
 }
+
+// TestRunReturnsOwnedStats: the Stats a run returns belong to the caller. A
+// pointer into the engine would keep the whole processor reachable for as
+// long as a result is held, and would change under further stepping.
+func TestRunReturnsOwnedStats(t *testing.T) {
+	p := New(lcgProgram(300), ModelFGMLBRET, testConfig())
+	stats, err := p.Run(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *stats
+	if stats == &p.Stats {
+		t.Fatal("Run returned a pointer into the processor")
+	}
+	p.Stats.RetiredInsts += 1000
+	p.Stats.BranchClasses[classBackward].Dynamic++
+	for i := 0; i < 500 && !p.Halted(); i++ {
+		p.Step()
+	}
+	if p.Stats.Cycles == want.Cycles && p.Cycle() == int64(want.Cycles) {
+		t.Fatal("the processor did not advance; the test checks nothing")
+	}
+	if *stats != want {
+		t.Errorf("returned Stats changed after the run:\n got %+v\nwant %+v", *stats, want)
+	}
+}

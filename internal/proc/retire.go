@@ -82,7 +82,7 @@ func (p *Processor) retireStep() {
 		}
 		p.accountRetired(st)
 		if st.isStore {
-			if !p.arbuf.Commit(st.lastAddr, st.seq(), p.mem) {
+			if !p.arbuf.Commit(st.lastAddr, st.seq(), &p.mem) {
 				//tracep:allow terminal: a missing ARB version aborts the run
 				p.fail(fmt.Errorf("store at pc %d has no ARB version to commit", st.cold().pc))
 				return

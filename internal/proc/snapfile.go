@@ -44,7 +44,6 @@ import (
 	"tracep/internal/core"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
-	"tracep/internal/rename"
 	"tracep/internal/tpred"
 	"tracep/internal/trace"
 	"tracep/internal/tracefile"
@@ -424,15 +423,11 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		return nil, corruptSnap("%d trailing bytes after the last section", r.len())
 	}
 
-	f := rename.NewFile()
-	m := rename.MapFrom(f, &e.Regs)
 	s := &Snapshot{
 		prog:        prog,
 		cfg:         cfg,
 		warmupInsts: warmup,
 		emu:         e,
-		regs:        f,
-		rmap:        m,
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,

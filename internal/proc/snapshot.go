@@ -10,7 +10,6 @@ import (
 	"tracep/internal/core"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
-	"tracep/internal/rename"
 	"tracep/internal/tpred"
 	"tracep/internal/trace"
 	"tracep/internal/vpred"
@@ -33,24 +32,20 @@ var ErrIncompatibleSnapshot = errors.New("snapshot incompatible with configurati
 // warm-up region is simulated once per program, not once per (program,
 // model) cell.
 //
-// A Snapshot is never mutated after capture and every restore deep-clones
-// out of it (see the Clone methods across internal/{cache,bpred,tpred,
-// vpred,rename,emu,trace,core}), so any number of simulations may be forked
-// from one snapshot concurrently.
+// A Snapshot is never mutated after capture and every restore copies out of
+// it into the processor's own storage (see the Clone methods across
+// internal/{cache,bpred,tpred,vpred,emu,trace,core} and isa.Memory), so any
+// number of simulations may be forked from one snapshot concurrently.
 type Snapshot struct {
 	prog        *isa.Program
 	cfg         Config // capture-time configuration
 	warmupInsts uint64
 
 	// emu holds the architectural state at the checkpoint: registers, PC,
-	// memory, and the executed-instruction count. It seeds both the timing
-	// model's committed memory and (under Config.Verify) the oracle.
+	// memory, and the executed-instruction count. It seeds the timing
+	// model's rename map and committed memory, and (under Config.Verify) the
+	// oracle.
 	emu *emu.Emulator
-
-	// regs/rmap are the global register file and rename map seeded with the
-	// warm architectural register values.
-	regs *rename.File
-	rmap rename.Map
 
 	icache *cache.ICache
 	dcache *cache.DCache
@@ -166,16 +161,11 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 	bp.ResetStats()
 	bit.ResetStats()
 
-	f := rename.NewFile()
-	m := rename.MapFrom(f, &e.Regs)
-
 	s := &Snapshot{
 		prog:        prog,
 		cfg:         cfg,
 		warmupInsts: warmupInsts,
 		emu:         e,
-		regs:        f,
-		rmap:        m,
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,
@@ -193,7 +183,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 // restored from the snapshot: every field that sizes or seeds a snapshotted
 // structure must match the capture-time configuration. Fields that only
 // shape the measured simulation — PE count, issue width, bus counts and
-// latencies, verification, watchdog, GC interval — may differ freely, so a
+// latencies, verification, watchdog — may differ freely, so a
 // window-sizing sweep can share one warm-up.
 func (s *Snapshot) CompatibleWith(cfg Config) error {
 	mismatch := func(field string, capture, restore any) error {
@@ -238,11 +228,23 @@ func (s *Snapshot) CompatibleWith(cfg Config) error {
 // otherwise validated like New's (the caller is expected to have run
 // Config.Validate, as package tracep does).
 func NewFromSnapshot(snap *Snapshot, model Model, cfg Config) (*Processor, error) {
-	if snap == nil {
-		return nil, errors.New("snapshot: nil snapshot")
-	}
-	if err := snap.CompatibleWith(cfg); err != nil {
+	p := &Processor{}
+	if err := p.ResetFromSnapshot(snap, model, cfg); err != nil {
 		return nil, err
 	}
-	return build(snap.prog, model, cfg, snap), nil
+	return p, nil
+}
+
+// ResetFromSnapshot turns p into the processor NewFromSnapshot(snap, model,
+// cfg) returns, reusing the storage of p's previous run like Reset. On error
+// p is left unchanged.
+func (p *Processor) ResetFromSnapshot(snap *Snapshot, model Model, cfg Config) error {
+	if snap == nil {
+		return errors.New("snapshot: nil snapshot")
+	}
+	if err := snap.CompatibleWith(cfg); err != nil {
+		return err
+	}
+	p.build(snap.prog, model, cfg, snap)
+	return nil
 }

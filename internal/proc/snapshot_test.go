@@ -240,3 +240,62 @@ func TestWarmupIsObservable(t *testing.T) {
 		t.Errorf("warmed I-cache should miss less: warm %d, cold %d", warm.ICMisses, cold.ICMisses)
 	}
 }
+
+// TestResetMatchesNew runs a mixed sequence of cells — different programs,
+// models and window shapes, value prediction, a snapshot restore and a run
+// abandoned part-way — on one reused engine, and requires each cell's Stats
+// to equal a freshly built processor's. Nothing of one run may leak into
+// the next through the storage Reset keeps.
+func TestResetMatchesNew(t *testing.T) {
+	small := testConfig()
+	small.NumPEs, small.MaxTraceLen = 6, 16
+	vp := testConfig()
+	vp.ValuePredict = true
+	noVerify := testConfig()
+	noVerify.Verify = false
+	warmProg := lcgProgram(300)
+	snap, err := CaptureSnapshot(context.Background(), warmProg, testConfig(), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []struct {
+		prog     *isa.Program
+		model    Model
+		cfg      Config
+		snap     *Snapshot
+		maxInsts uint64
+	}{
+		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: testConfig()},
+		{prog: unpredictableLoop(60), model: ModelRET, cfg: testConfig(), maxInsts: 1500}, // abandoned mid-run
+		{prog: unpredictableLoop(60), model: ModelBase, cfg: small},
+		{prog: lcgProgram(200), model: ModelFG, cfg: vp},
+		{prog: warmProg, model: ModelMLBRET, cfg: testConfig(), snap: snap},
+		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: noVerify},
+		{prog: warmProg, model: ModelFGMLBRET, cfg: testConfig(), snap: snap},
+	}
+	engine := &Processor{}
+	for i, c := range cells {
+		fresh := New(c.prog, c.model, c.cfg)
+		engine.Reset(c.prog, c.model, c.cfg)
+		if c.snap != nil {
+			if fresh, err = NewFromSnapshot(c.snap, c.model, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := engine.ResetFromSnapshot(c.snap, c.model, c.cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := fresh.Run(c.maxInsts)
+		if err != nil {
+			t.Fatalf("cell %d (%s/%s) fresh: %v", i, c.prog.Name, c.model.Name, err)
+		}
+		got, err := engine.Run(c.maxInsts)
+		if err != nil {
+			t.Fatalf("cell %d (%s/%s) reused: %v", i, c.prog.Name, c.model.Name, err)
+		}
+		if *got != *want {
+			t.Errorf("cell %d (%s/%s): reused engine diverges from a new one:\n got %+v\nwant %+v",
+				i, c.prog.Name, c.model.Name, *got, *want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"tracep/internal/arb"
 	"tracep/internal/asm"
+	"tracep/internal/bench"
 	"tracep/internal/isa"
 )
 
@@ -164,22 +165,39 @@ func TestWatchdogHealthy(t *testing.T) {
 	}
 }
 
-// TestGCKeepsLiveTags runs a long program with a small GC interval and
-// verifies the register file stays bounded while the simulation stays
-// correct (the oracle checks correctness; this checks boundedness).
-func TestGCKeepsLiveTags(t *testing.T) {
-	prog := lcgProgram(2000)
-	cfg := testConfig()
-	cfg.GCInterval = 256
-	p := New(prog, ModelFGMLBRET, cfg)
-	if _, err := p.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if size := p.regs.Size(); size > 20000 {
-		t.Errorf("register file grew to %d tags; GC is not collecting", size)
-	}
-	if p.regs.Swept == 0 {
-		t.Error("GC never swept anything")
+// TestTagSpaceBounded runs the CI baseline grid (compress and vortex at
+// 5000 instructions, every model) one cycle at a time and checks the
+// register file's fixed capacity: tag slots never pass the construction-time
+// bound, the subscriber table never changes size, and collection reclaims
+// tags along the way.
+func TestTagSpaceBounded(t *testing.T) {
+	capacity, _ := tagSpace(testConfig())
+	for _, name := range []string{"compress", "vortex"} {
+		bm, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := bm.Build(bm.ScaleFor(5000))
+		for _, m := range allModels {
+			p := New(prog, m, testConfig())
+			slots, rows := p.regs.Cap(), len(p.subTab)
+			if rows != slots || slots < capacity {
+				t.Fatalf("%s/%s: %d subscriber rows for a file of %d slots (bound %d)", name, m.Name, rows, slots, capacity)
+			}
+			for !p.Halted() && p.Err() == nil {
+				p.Step()
+				if p.regs.Slots() > slots || p.regs.Cap() != slots || len(p.subTab) != rows {
+					t.Fatalf("%s/%s cycle %d: %d slots used of %d (built with %d), %d subscriber rows (built with %d)",
+						name, m.Name, p.Cycle(), p.regs.Slots(), p.regs.Cap(), slots, len(p.subTab), rows)
+				}
+			}
+			if err := p.Err(); err != nil {
+				t.Fatalf("%s/%s: %v", name, m.Name, err)
+			}
+			if p.regs.Swept == 0 {
+				t.Errorf("%s/%s: collection never swept a tag", name, m.Name)
+			}
+		}
 	}
 }
 

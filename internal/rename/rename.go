@@ -4,13 +4,15 @@
 // holding tag values.
 //
 // Tags are garbage-collected by mark/sweep (Table 1 does not bound the
-// physical register file, and unbounded tags make the selective-reissue
-// semantics exact: a re-dispatched control independent trace compares its
-// source tags against the updated maps and reissues only instructions whose
-// names changed, §2.2.1). A tag packs a physical slot index with the slot's
-// generation, so lookups are a gen-checked array index instead of a map
-// probe, and a stale tag (its slot swept and reused) reads as invalid
-// exactly like a deleted map key used to.
+// physical register file, and never reusing a live tag makes the
+// selective-reissue semantics exact: a re-dispatched control independent
+// trace compares its source tags against the updated maps and reissues only
+// instructions whose names changed, §2.2.1). The caller's mark roots bound
+// the live set, so the file has a fixed capacity chosen at construction and
+// the caller collects before free capacity runs out. A tag packs a physical
+// slot index with the slot's generation, so lookups are a gen-checked array
+// index instead of a map probe, and a stale tag (its slot swept and reused)
+// reads as invalid exactly like a deleted map key used to.
 package rename
 
 import "tracep/internal/isa"
@@ -47,8 +49,7 @@ type Entry struct {
 // Map translates architectural registers to tags.
 type Map [isa.NumRegs]Tag
 
-// pageBits sizes a register-file page: large enough to amortise page
-// allocation to noise, small enough not to bloat short runs.
+// pageBits sizes a register-file page, the unit capacity is rounded up to.
 const (
 	pageBits = 9
 	pageSize = 1 << pageBits
@@ -67,24 +68,45 @@ type page struct {
 }
 
 // File is the global register file: tag -> value storage, laid out as pages
-// of slots indexed directly by the tag's low bits. Swept slots go on a
-// freelist that Alloc drains before extending the frontier, and each reuse
-// bumps the slot generation so stale tags read as invalid. Clone block-copies
-// the pages out of one contiguous arena.
+// of slots indexed directly by the tag's low bits. Its capacity is fixed when
+// it is built or reset. Swept slots go on a freelist that Alloc drains before
+// extending the frontier, and each reuse bumps the slot generation so stale
+// tags read as invalid.
 type File struct {
-	pages    []*page
-	free     []uint32 // swept slot indexes, drained LIFO
+	pages    []page
+	free     []uint32 // swept slot indexes, drained LIFO; capacity Cap()
 	frontier int      // slots [0, frontier) have been handed out at least once
-	slots    int      // total capacity across pages
 	used     int      // live slot count
 
 	Allocated uint64
 	Swept     uint64
+	// Exhausted counts Alloc calls that found no free slot and returned the
+	// invalid tag. The caller sizes the file so this stays zero.
+	Exhausted uint64
 }
 
-// NewFile builds an empty register file.
-func NewFile() *File {
-	return &File{}
+// NewFile builds an empty register file holding at least capacity tags.
+func NewFile(capacity int) *File {
+	f := &File{}
+	f.Reset(capacity)
+	return f
+}
+
+// Reset empties the file for a new run with room for at least capacity
+// tags, reusing its storage when the page count is unchanged. Slot
+// numbering and generations restart, so a reset file hands out exactly the
+// tags a new one would.
+func (f *File) Reset(capacity int) {
+	n := max(1, (capacity+pageMask)>>pageBits)
+	if len(f.pages) == n {
+		clear(f.pages)
+	} else {
+		f.pages = make([]page, n)
+		f.free = make([]uint32, 0, n*pageSize)
+	}
+	f.free = f.free[:0]
+	f.frontier, f.used = 0, 0
+	f.Allocated, f.Swept, f.Exhausted = 0, 0, 0
 }
 
 // slot resolves a tag to its page and intra-page index, nil page if the tag
@@ -97,7 +119,7 @@ func (f *File) slot(t Tag) (*page, uint32) {
 		return nil, 0
 	}
 	idx := lo - 1
-	pg := f.pages[idx>>pageBits]
+	pg := &f.pages[idx>>pageBits]
 	s := idx & pageMask
 	if !pg.live[s] || pg.gen[s] != uint32(t>>32) {
 		return nil, 0
@@ -105,7 +127,8 @@ func (f *File) slot(t Tag) (*page, uint32) {
 	return pg, s
 }
 
-// Alloc creates a new, not-ready tag.
+// Alloc creates a new, not-ready tag. A full file returns the invalid tag
+// and counts the miss in Exhausted.
 //
 //tracep:noalloc
 func (f *File) Alloc() Tag {
@@ -114,15 +137,14 @@ func (f *File) Alloc() Tag {
 		idx = f.free[n-1]
 		f.free = f.free[:n-1]
 	} else {
-		if f.frontier == f.slots {
-			//tracep:allow amortised: one page per pageSize allocations
-			f.pages = append(f.pages, new(page))
-			f.slots += pageSize
+		if f.frontier == f.Cap() {
+			f.Exhausted++
+			return 0
 		}
 		idx = uint32(f.frontier)
 		f.frontier++
 	}
-	pg := f.pages[idx>>pageBits]
+	pg := &f.pages[idx>>pageBits]
 	s := idx & pageMask
 	pg.ents[s] = Entry{}
 	pg.live[s] = true
@@ -136,8 +158,9 @@ func (f *File) Alloc() Tag {
 // initial architectural state.
 func (f *File) AllocReady(v int64) Tag {
 	t := f.Alloc()
-	e := f.Get(t)
-	e.Val, e.Ready = v, true
+	if e := f.Get(t); e != nil {
+		e.Val, e.Ready = v, true
+	}
 	return t
 }
 
@@ -180,11 +203,22 @@ func (f *File) Unready(t Tag) {
 //tracep:noalloc
 func (f *File) Size() int { return f.used }
 
-// Slots returns the file's slot capacity: every live tag's SlotIndex is
-// strictly below it. Callers size per-slot side tables off this.
+// Slots returns the file's slot high-water mark: every tag handed out so far
+// has a SlotIndex strictly below it.
 //
 //tracep:noalloc
 func (f *File) Slots() int { return f.frontier }
+
+// Cap returns the file's fixed slot capacity: every tag's SlotIndex is
+// strictly below it, so callers size per-slot side tables off this once.
+//
+//tracep:noalloc
+func (f *File) Cap() int { return len(f.pages) * pageSize }
+
+// Free returns how many more tags Alloc can hand out before a sweep.
+//
+//tracep:noalloc
+func (f *File) Free() int { return f.Cap() - f.used }
 
 // freeSlot retires slot idx: its generation is bumped so outstanding tags go
 // stale, and the index joins the freelist for reuse.
@@ -193,7 +227,7 @@ func (f *File) Slots() int { return f.frontier }
 func (f *File) freeSlot(pg *page, s, idx uint32) {
 	pg.live[s] = false
 	pg.gen[s]++
-	//tracep:allow freelist return: swept slots are recycled for Alloc
+	//tracep:allow the freelist is preallocated to the file's capacity
 	f.free = append(f.free, idx)
 	f.used--
 	f.Swept++
@@ -217,7 +251,7 @@ func (f *File) Mark(t Tag) {
 //tracep:noalloc
 func (f *File) SweepUnmarked() {
 	for i := 0; i < f.frontier; i++ {
-		pg := f.pages[i>>pageBits]
+		pg := &f.pages[i>>pageBits]
 		s := uint32(i) & pageMask
 		if !pg.live[s] {
 			continue
@@ -228,47 +262,6 @@ func (f *File) SweepUnmarked() {
 		}
 		f.freeSlot(pg, s, uint32(i))
 	}
-}
-
-// Sweep removes every tag for which live returns false. The caller marks
-// roots (current maps, per-trace checkpoints, operand references).
-//
-//tracep:noalloc
-func (f *File) Sweep(live func(Tag) bool) {
-	for i := 0; i < f.frontier; i++ {
-		pg := f.pages[i>>pageBits]
-		s := uint32(i) & pageMask
-		if !pg.live[s] {
-			continue
-		}
-		//tracep:allow the live predicate is the caller's mark-set lookup, alloc-free
-		if !live(makeTag(uint32(i), pg.gen[s])) {
-			f.freeSlot(pg, s, uint32(i))
-		}
-	}
-}
-
-// Clone returns a deep copy of the register file: pages are block-copied
-// into one contiguous arena, so writes through one file never reach the
-// other. Tag identity (slot numbering, generations and the freelist) is
-// preserved, which keeps rename maps captured alongside the file valid
-// against the clone and makes both files hand out identical future tags.
-func (f *File) Clone() *File {
-	c := &File{
-		pages:     make([]*page, len(f.pages)),
-		free:      append([]uint32(nil), f.free...),
-		frontier:  f.frontier,
-		slots:     f.slots,
-		used:      f.used,
-		Allocated: f.Allocated,
-		Swept:     f.Swept,
-	}
-	arena := make([]page, len(f.pages))
-	for i, pg := range f.pages {
-		arena[i] = *pg
-		c.pages[i] = &arena[i]
-	}
-	return c
 }
 
 // InitialMap seeds a map with fresh ready tags holding zero for every

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAllocAndWrite(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	a := f.Alloc()
 	if a == 0 {
 		t.Fatal("tags must be nonzero")
@@ -30,7 +30,7 @@ func TestAllocAndWrite(t *testing.T) {
 }
 
 func TestWriteInvalidTag(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	if f.Write(999, 1) {
 		t.Error("write to unknown tag must be a no-op")
 	}
@@ -40,7 +40,7 @@ func TestWriteInvalidTag(t *testing.T) {
 }
 
 func TestUnready(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	a := f.AllocReady(7)
 	f.Unready(a)
 	if f.Get(a).Ready {
@@ -53,7 +53,7 @@ func TestUnready(t *testing.T) {
 }
 
 func TestAllocReady(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	a := f.AllocReady(-5)
 	e := f.Get(a)
 	if !e.Ready || e.Val != -5 {
@@ -62,7 +62,7 @@ func TestAllocReady(t *testing.T) {
 }
 
 func TestTagsAreUnique(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	seen := make(map[Tag]bool)
 	for i := 0; i < 1000; i++ {
 		tag := f.Alloc()
@@ -77,10 +77,11 @@ func TestTagsAreUnique(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	keep := f.AllocReady(1)
 	drop := f.AllocReady(2)
-	f.Sweep(func(tag Tag) bool { return tag == keep })
+	f.Mark(keep)
+	f.SweepUnmarked()
 	if f.Get(keep) == nil {
 		t.Error("live tag swept")
 	}
@@ -92,8 +93,42 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestFixedCapacity: the file never grows. A full file hands out the
+// invalid tag and counts the miss; a sweep makes room again, reusing the
+// swept slot under a new generation; Reset restores a fresh file's tags.
+func TestFixedCapacity(t *testing.T) {
+	f := NewFile(1)
+	if f.Cap() != pageSize {
+		t.Fatalf("Cap = %d, want one page (%d)", f.Cap(), pageSize)
+	}
+	first := f.Alloc()
+	for i := 1; i < pageSize; i++ {
+		f.Alloc()
+	}
+	if f.Free() != 0 {
+		t.Fatalf("Free = %d after filling the file", f.Free())
+	}
+	if tag := f.Alloc(); tag != 0 || f.Exhausted != 1 {
+		t.Fatalf("full file: Alloc = %d, Exhausted = %d; want 0, 1", tag, f.Exhausted)
+	}
+	f.SweepUnmarked()
+	if f.Free() != pageSize || f.Slots() != pageSize {
+		t.Fatalf("after sweep: Free = %d, Slots = %d", f.Free(), f.Slots())
+	}
+	if f.Get(first) != nil {
+		t.Fatal("swept tag still resolves")
+	}
+	if reused := f.Alloc(); reused == 0 || SlotIndex(reused) >= f.Cap() {
+		t.Fatalf("Alloc after sweep = %d, want a tag below Cap", reused)
+	}
+	f.Reset(1)
+	if got := f.Alloc(); got != first || f.Allocated != 1 || f.Exhausted != 0 {
+		t.Errorf("after Reset: Alloc = %d (want %d), Allocated = %d, Exhausted = %d", got, first, f.Allocated, f.Exhausted)
+	}
+}
+
 func TestInitialMap(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	m := InitialMap(f)
 	if m[0] != 0 {
 		t.Error("R0 must not be mapped")
@@ -107,7 +142,7 @@ func TestInitialMap(t *testing.T) {
 }
 
 func TestMapIsValueType(t *testing.T) {
-	f := NewFile()
+	f := NewFile(1024)
 	m := InitialMap(f)
 	snapshot := m // plain assignment must checkpoint
 	m[5] = f.Alloc()
@@ -119,7 +154,7 @@ func TestMapIsValueType(t *testing.T) {
 func TestWriteChangeSemantics(t *testing.T) {
 	// Property: Write reports a change iff the entry was not ready or held a
 	// different value.
-	f := NewFile()
+	f := NewFile(1024)
 	tag := f.Alloc()
 	prevReady := false
 	var prevVal int64

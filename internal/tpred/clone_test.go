@@ -1,6 +1,7 @@
 package tpred
 
 import (
+	"reflect"
 	"testing"
 
 	"tracep/internal/trace"
@@ -21,7 +22,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatalf("setup: predict %v/%v, want %v", pd, ok, d2)
 	}
 
-	c := p.Clone()
+	c := p.Clone(nil)
 	if c.HistoryPos() != p.HistoryPos() || c.Trains != p.Trains {
 		t.Fatalf("clone metadata: hist %d/%d, trains %d/%d",
 			c.HistoryPos(), p.HistoryPos(), c.Trains, p.Trains)
@@ -45,5 +46,32 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if got, ok := p.Predict(); !ok || got != d2 {
 		t.Errorf("clone's training leaked into the original: %v/%v", got, ok)
+	}
+}
+
+// TestResetAndCloneReuseStorage: Reset of a trained predictor equals a new
+// one, seed scramble included, and Clone into a used predictor equals Clone
+// into nothing — both without reallocating the tables.
+func TestResetAndCloneReuseStorage(t *testing.T) {
+	cfg := Config{PathEntries: 256, SimpleEntries: 128, HistLen: 4, Seed: 7}
+	used := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
+	for i := 0; i < 20; i++ {
+		used.Train(used.SpecUpdate(desc(uint32(i), 1)), desc(uint32(i+1), 2))
+	}
+	path := &used.path[0]
+	used.Reset(cfg)
+	if fresh := New(cfg); !reflect.DeepEqual(used, fresh) {
+		t.Error("Reset of a trained predictor differs from New")
+	}
+	if &used.path[0] != path {
+		t.Error("Reset reallocated a table that was large enough")
+	}
+
+	src := New(cfg)
+	for i := 0; i < 20; i++ {
+		src.Train(src.SpecUpdate(desc(uint32(i), 0)), desc(uint32(i+2), 1))
+	}
+	if got, want := src.Clone(used), src.Clone(nil); got != used || !reflect.DeepEqual(got, want) {
+		t.Error("Clone into a used predictor differs from Clone into nil")
 	}
 }

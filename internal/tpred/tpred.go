@@ -9,7 +9,11 @@
 // predictor is backed up to that trace", §2.1).
 package tpred
 
-import "tracep/internal/trace"
+import (
+	"slices"
+
+	"tracep/internal/trace"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -67,19 +71,32 @@ type Predictor struct {
 
 // New builds a predictor.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the predictor to the state New(cfg) builds — empty tables,
+// empty speculative history, zero counters — reusing its tables where they
+// are large enough. A history ring grown by EnsureHistoryCapacity keeps its
+// size.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.PathEntries == 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.PathEntries&(cfg.PathEntries-1) != 0 || cfg.SimpleEntries&(cfg.SimpleEntries-1) != 0 {
 		panic("tpred: table sizes must be powers of two")
 	}
-	p := &Predictor{
-		cfg:     cfg,
-		path:    make([]entry, cfg.PathEntries),
-		simple:  make([]entry, cfg.SimpleEntries),
-		histLen: cfg.HistLen,
-		hist:    make([]uint64, defaultHistRing),
+	path := slices.Grow(p.path[:0], cfg.PathEntries)[:cfg.PathEntries]
+	simple := slices.Grow(p.simple[:0], cfg.SimpleEntries)[:cfg.SimpleEntries]
+	hist := p.hist
+	if len(hist) < defaultHistRing {
+		hist = make([]uint64, defaultHistRing)
 	}
+	clear(path)
+	clear(simple)
+	clear(hist)
+	*p = Predictor{cfg: cfg, path: path, simple: simple, histLen: cfg.HistLen, hist: hist}
 	if cfg.Seed != 0 {
 		x := uint64(cfg.Seed) ^ 0xA24BAED4963EE407
 		scramble := func(es []entry) {
@@ -95,23 +112,21 @@ func New(cfg Config) *Predictor {
 		scramble(p.path)
 		scramble(p.simple)
 	}
-	return p
 }
 
-// Clone returns a deep copy of the predictor: both component tables, the
-// speculative history ring, and the counters.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:             p.cfg,
-		path:            append([]entry(nil), p.path...),
-		simple:          append([]entry(nil), p.simple...),
-		histLen:         p.histLen,
-		hist:            append([]uint64(nil), p.hist...),
-		pos:             p.pos,
-		Predictions:     p.Predictions,
-		PathPredictions: p.PathPredictions,
-		Trains:          p.Trains,
+// Clone copies the predictor — both component tables, the speculative
+// history ring, and the counters — into dst, reusing dst's tables, and
+// returns dst; a nil dst gets fresh ones.
+func (p *Predictor) Clone(dst *Predictor) *Predictor {
+	if dst == nil {
+		dst = &Predictor{}
 	}
+	path := append(dst.path[:0], p.path...)
+	simple := append(dst.simple[:0], p.simple...)
+	hist := append(dst.hist[:0], p.hist...)
+	*dst = *p
+	dst.path, dst.simple, dst.hist = path, simple, hist
+	return dst
 }
 
 // defaultHistRing is the speculative-history ring capacity at construction:
@@ -293,6 +308,3 @@ func train(e *entry, actual trace.Descriptor) {
 	e.desc = actual
 	e.ctr = 1
 }
-
-// Reset clears the speculative history (not the tables); used at run start.
-func (p *Predictor) Reset() { p.pos = 0 }

@@ -130,7 +130,7 @@ func TestHysteresisResistsNoise(t *testing.T) {
 func TestReset(t *testing.T) {
 	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
 	p.SpecUpdate(desc(1, 0))
-	p.Reset()
+	p.Reset(p.cfg)
 	if p.HistoryPos() != 0 {
 		t.Error("Reset must clear speculative history")
 	}

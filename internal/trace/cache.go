@@ -17,19 +17,30 @@ func DefaultCacheConfig() CacheConfig { return CacheConfig{Sets: 256, Assoc: 4} 
 // is modelled by a SetAssoc; contents live in a map kept in sync with the
 // timing array.
 type Cache struct {
-	timing *cache.SetAssoc
+	timing cache.SetAssoc
 	store  map[uint64]*Trace //tracep:nostats resident traces survive stat resets
 }
 
 // NewCache builds a trace cache.
 func NewCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset empties the trace cache and sizes it by cfg, reusing its storage.
+// The cache's references to resident traces are dropped, not released: a
+// reset starts a new run, and nothing of the old one survives to recycle
+// them.
+func (c *Cache) Reset(cfg CacheConfig) {
 	if cfg.Sets == 0 {
 		cfg = DefaultCacheConfig()
 	}
-	return &Cache{
-		timing: cache.NewSetAssoc(cfg.Sets, cfg.Assoc),
-		store:  make(map[uint64]*Trace),
+	c.timing.Reset(cfg.Sets, cfg.Assoc)
+	if c.store == nil {
+		c.store = make(map[uint64]*Trace)
 	}
+	clear(c.store)
 }
 
 // Lookup searches for the trace identified by d. A miss does not allocate;
@@ -83,23 +94,28 @@ func (c *Cache) Insert(tr *Trace) (evicted *Trace, fresh bool) {
 	return evicted, true
 }
 
-// Clone returns a deep copy of the cache's timing state and content index.
-// The *Trace values themselves are shared: traces are immutable once
-// inserted (repairs construct new traces rather than editing resident ones),
-// so clones may alias them safely. Shared traces are pinned immortal —
-// neither holder may recycle storage the other still reads. (The engine only
-// ever clones empty caches — snapshots capture the trace cache at reset — so
-// pinning costs nothing there.)
-func (c *Cache) Clone() *Cache {
-	n := &Cache{
-		timing: c.timing.Clone(),
-		store:  make(map[uint64]*Trace, len(c.store)),
+// Clone copies the cache's timing state and content index into dst, reusing
+// dst's storage, and returns dst; a nil dst gets fresh storage. The *Trace
+// values themselves are shared: traces are immutable once inserted (repairs
+// construct new traces rather than editing resident ones), so clones may
+// alias them safely. Shared traces are pinned immortal — neither holder may
+// recycle storage the other still reads. (The engine only ever clones empty
+// caches — snapshots capture the trace cache at reset — so pinning costs
+// nothing there.)
+func (c *Cache) Clone(dst *Cache) *Cache {
+	if dst == nil {
+		dst = &Cache{}
 	}
+	c.timing.Clone(&dst.timing)
+	if dst.store == nil {
+		dst.store = make(map[uint64]*Trace, len(c.store))
+	}
+	clear(dst.store)
 	for k, tr := range c.store { //tracep:orderinvariant map-to-map copy
 		tr.refs = -1
-		n.store[k] = tr
+		dst.store[k] = tr
 	}
-	return n
+	return dst
 }
 
 // ResetStats zeroes the lookup/miss counters, keeping resident traces.

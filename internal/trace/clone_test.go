@@ -13,7 +13,7 @@ func TestCacheCloneIndependence(t *testing.T) {
 	c.Insert(&Trace{Desc: d2})
 	c.Lookup(d1)
 
-	n := c.Clone()
+	n := c.Clone(nil)
 	if !n.Resident(d1) || !n.Resident(d2) {
 		t.Fatal("clone lost resident traces")
 	}

@@ -53,7 +53,7 @@ func TestCacheCloneImmortalisesTraces(t *testing.T) {
 	tr := &Trace{Desc: Descriptor{StartPC: 10}}
 	c.Insert(tr)
 	tr.Retain() // the cache's reference, as the processor would track it
-	_ = c.Clone()
+	_ = c.Clone(nil)
 	tr.Retain()
 	if tr.Release() || tr.Release() {
 		t.Error("a snapshot-pinned trace reported a last-reference drop")

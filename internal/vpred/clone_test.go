@@ -11,7 +11,7 @@ func TestCloneIndependence(t *testing.T) {
 		p.Train(key, v)
 	}
 
-	c := p.Clone()
+	c := p.Clone(nil)
 	pv, pok := p.Predict(key)
 	cv, cok := c.Predict(key)
 	if pok != cok || pv != cv {

@@ -11,6 +11,8 @@
 // exactly the data-speculation recovery path of §2.2.
 package vpred
 
+import "slices"
+
 // Config sizes the predictor.
 type Config struct {
 	Entries int // power of two
@@ -48,25 +50,35 @@ type Predictor struct {
 
 // New builds a predictor.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the predictor to the state New(cfg) builds, reusing its
+// table where it is large enough.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.Entries == 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.Entries&(cfg.Entries-1) != 0 {
 		panic("vpred: Entries must be a power of two")
 	}
-	return &Predictor{cfg: cfg, table: make([]entry, cfg.Entries), mask: uint64(cfg.Entries - 1)}
+	table := slices.Grow(p.table[:0], cfg.Entries)[:cfg.Entries]
+	clear(table)
+	*p = Predictor{cfg: cfg, table: table, mask: uint64(cfg.Entries - 1)}
 }
 
-// Clone returns a deep copy of the predictor table and counters.
-func (p *Predictor) Clone() *Predictor {
-	return &Predictor{
-		cfg:         p.cfg,
-		table:       append([]entry(nil), p.table...),
-		mask:        p.mask,
-		Predictions: p.Predictions,
-		Correct:     p.Correct,
-		Trains:      p.Trains,
+// Clone copies the predictor table and counters into dst, reusing dst's
+// table, and returns dst; a nil dst gets a fresh one.
+func (p *Predictor) Clone(dst *Predictor) *Predictor {
+	if dst == nil {
+		dst = &Predictor{}
 	}
+	table := append(dst.table[:0], p.table...)
+	*dst = *p
+	dst.table = table
+	return dst
 }
 
 // ResetStats zeroes the prediction/training counters, keeping the table.

@@ -159,9 +159,6 @@ func TestResultSetMetricsDelegation(t *testing.T) {
 	if hm, ok := rs.HarmonicMeanIPC("missing"); ok || hm != 0 {
 		t.Errorf("missing model HM = %v (%v), want 0, false", hm, ok)
 	}
-	if hm := rs.HarmonicMeanIPCOrZero("base"); hm < 2.66 || hm > 2.67 {
-		t.Errorf("deprecated HM wrapper = %v", hm)
-	}
 	imp, ok := rs.Improvement("a", "ci", "base")
 	if !ok || imp < 49.9 || imp > 50.1 {
 		t.Errorf("improvement = %v (%v)", imp, ok)

@@ -51,6 +51,11 @@ import (
 // below a memory-exhaustion request.
 const maxSnapshotBytes = 1 << 30
 
+// maxSweepRequestBytes bounds POST /v1/sweeps bodies. A request names
+// benchmarks, models, seeds and snapshot keys, so a mebibyte is far above
+// any real grid.
+const maxSweepRequestBytes = 1 << 20
+
 // Handler returns the tracepd HTTP API over m, routed with Go 1.22 method
 // patterns. It can be mounted directly on http.Server or wrapped with
 // middleware.
@@ -93,8 +98,12 @@ func writeNotFound(w http.ResponseWriter, id string) {
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &Error{StatusCode: http.StatusBadRequest, Message: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if _, ok := err.(*http.MaxBytesError); ok {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, &Error{StatusCode: code, Message: "bad request body: " + err.Error()})
 		return
 	}
 	st, err := m.Submit(req)

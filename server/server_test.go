@@ -274,6 +274,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit: an oversized POST /v1/sweeps body is refused with a
+// typed 413 before it is decoded in full; a malformed one is a 400.
+func TestSubmitBodyLimit(t *testing.T) {
+	mgr := server.NewManager(server.Config{Parallelism: 1})
+	defer mgr.Close()
+	ts := httptest.NewServer(mgr.Handler())
+	defer ts.Close()
+
+	post := func(body []byte) (int, server.Error) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var apiErr server.Error
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatalf("status %d: error body is not a JSON Error: %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, apiErr
+	}
+	// A syntactically valid request padded past the limit with seeds.
+	big := append([]byte(`{"benchmarks":["compress"],"seeds":[`), bytes.Repeat([]byte("1,"), 1<<20)...)
+	big = append(big, []byte("1]}")...)
+	if code, apiErr := post(big); code != http.StatusRequestEntityTooLarge || apiErr.StatusCode != code {
+		t.Errorf("oversized body: status %d, error %+v; want 413", code, apiErr)
+	}
+	if code, apiErr := post([]byte(`{"benchmarks":`)); code != http.StatusBadRequest || apiErr.StatusCode != code {
+		t.Errorf("malformed body: status %d, error %+v; want 400", code, apiErr)
+	}
+}
+
 // TestRetentionEvictsOldestTerminal: with Retain=1 only the newest
 // terminal job stays queryable; live jobs are never evicted.
 func TestRetentionEvictsOldestTerminal(t *testing.T) {

@@ -166,6 +166,11 @@ type Simulator struct {
 	warmSnap      *Snapshot
 	progress      func(ProgressEvent)
 	progressEvery uint64
+
+	// engine, when set, is the processor Run resets for each run instead of
+	// building a new one: a Sweep worker hands every cell it runs the same
+	// engine. Results never point into it.
+	engine *proc.Processor
 }
 
 func newSimulator(label string, opts []Option) *Simulator {
@@ -341,8 +346,13 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 
 // newProcessor constructs the run's processor: restored from the session's
 // snapshot, restored from a freshly captured warm-up checkpoint, or cold
-// from reset.
+// from reset. A session with an engine resets that engine instead of
+// building a new one.
 func (s *Simulator) newProcessor(ctx context.Context, prog *Program) (*proc.Processor, error) {
+	p := s.engine
+	if p == nil {
+		p = &proc.Processor{}
+	}
 	if s.snap != nil {
 		if s.snap.Program() == nil {
 			return nil, fmt.Errorf("%w: snapshot has no program (zero-value Snapshot?)", ErrIncompatibleSnapshot)
@@ -355,7 +365,7 @@ func (s *Simulator) newProcessor(ctx context.Context, prog *Program) (*proc.Proc
 			return nil, fmt.Errorf("%w: snapshot was captured from a different program (%q, session has %q)",
 				ErrIncompatibleSnapshot, s.snap.Program().Name, prog.Name)
 		}
-		return proc.NewFromSnapshot(s.snap, s.model, s.cfg)
+		return p, p.ResetFromSnapshot(s.snap, s.model, s.cfg)
 	}
 	if s.warmup > 0 {
 		if s.warmSnap == nil {
@@ -365,9 +375,10 @@ func (s *Simulator) newProcessor(ctx context.Context, prog *Program) (*proc.Proc
 			}
 			s.warmSnap = snap
 		}
-		return proc.NewFromSnapshot(s.warmSnap, s.model, s.cfg)
+		return p, p.ResetFromSnapshot(s.warmSnap, s.model, s.cfg)
 	}
-	return proc.New(prog, s.model, s.cfg), nil
+	p.Reset(prog, s.model, s.cfg)
+	return p, nil
 }
 
 // CaptureSnapshot runs the functional warm-up of n instructions over the

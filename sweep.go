@@ -260,8 +260,12 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One engine per worker, reset for every cell it runs: its tables
+			// and arenas are allocated once per sweep, not once per cell. It
+			// becomes garbage when the worker exits.
+			engine := &proc.Processor{}
 			for job := range jobCh {
-				if res := sw.runOne(ctx, job, progress); res != nil {
+				if res := sw.runOne(ctx, job, progress, engine); res != nil {
 					out <- res
 				}
 			}
@@ -319,9 +323,9 @@ func (sw *Sweep) Run(ctx context.Context) (*ResultSet, error) {
 	return rs, ctx.Err()
 }
 
-// runOne simulates one cell and returns its Result; a cell that never
-// started (sweep already cancelled) returns nil.
-func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(ProgressEvent)) *Result {
+// runOne simulates one cell on engine and returns its Result; a cell that
+// never started (sweep already cancelled) returns nil.
+func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(ProgressEvent), engine *proc.Processor) *Result {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -372,6 +376,7 @@ func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(Progres
 	// Recorded-trace rows verify against their .tptrace stream; New takes
 	// the prebuilt program, so the recording handle travels on the row.
 	sim.recorded = row.recorded
+	sim.engine = engine
 	res, err := sim.Run(ctx)
 	if err != nil {
 		return fail(err)

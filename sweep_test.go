@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -481,5 +483,29 @@ func TestSweepProgressSerialised(t *testing.T) {
 	}
 	if doneEvents != len(benches)*len(models) {
 		t.Errorf("%d Done events, want one per run (%d)", doneEvents, len(benches)*len(models))
+	}
+}
+
+// TestHeldResultSetDoesNotPinEngines: a Result owns its counters, so holding
+// a finished sweep's ResultSet keeps only the results alive, not the
+// processors that produced them (about 9 MB each).
+func TestHeldResultSetDoesNotPinEngines(t *testing.T) {
+	sw := tracep.Sweep{Benchmarks: tracep.Benchmarks(), Models: tracep.Models(), TargetInsts: 2000, Parallelism: 2}
+	rs, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	live := sample[0].Value.Uint64()
+	if n := len(rs.Results()); n != 64 {
+		t.Fatalf("%d cells, want 64", n)
+	}
+	if live >= 64<<20 {
+		t.Errorf("a held 8x8 ResultSet leaves %d MB live, want < 64 MB", live>>20)
 	}
 }
