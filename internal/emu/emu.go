@@ -95,17 +95,25 @@ func (e *Emulator) wr(rec *Record, r isa.Reg, v int64) {
 	}
 }
 
-// Step executes the next instruction and returns its record. Stepping a
-// halted machine returns a record with Halted set and advances nothing.
+// Step executes the next instruction and writes its record into rec,
+// setting every field, so one record can be reused across a whole run.
+// Stepping a halted machine writes a record with Halted set and advances
+// nothing.
 //
 //tracep:noalloc
-func (e *Emulator) Step() Record {
-	if e.Halted {
-		return Record{PC: e.PC, Halted: true}
-	}
+func (e *Emulator) Step(rec *Record) {
 	pc := e.PC
-	in := e.Prog.At(pc)
-	rec := Record{PC: pc, Inst: in, NextPC: pc + 1}
+	if e.Halted {
+		*rec = Record{PC: pc, Halted: true}
+		return
+	}
+	// Zero in place, then set fields one by one: a composite literal would be
+	// built on the stack and copied out, and that copy stalls on store
+	// forwarding.
+	*rec = Record{}
+	rec.PC, rec.NextPC = pc, pc+1
+	rec.Inst = e.Prog.At(pc)
+	in := &rec.Inst
 
 	switch op := in.Op; {
 	case op == isa.OpNop:
@@ -114,11 +122,11 @@ func (e *Emulator) Step() Record {
 		rec.Halted = true
 		rec.NextPC = pc
 	case op >= isa.OpAdd && op <= isa.OpLui:
-		e.wr(&rec, in.Rd, isa.EvalALU(op, e.rd(in.Rs1), e.rd(in.Rs2), in.Imm))
+		e.wr(rec, in.Rd, isa.EvalALU(op, e.rd(in.Rs1), e.rd(in.Rs2), in.Imm))
 	case op == isa.OpLoad:
 		addr := uint32(e.rd(in.Rs1) + in.Imm)
 		rec.Addr = addr
-		e.wr(&rec, in.Rd, e.Mem.Read(addr))
+		e.wr(rec, in.Rd, e.Mem.Read(addr))
 	case op == isa.OpStore:
 		addr := uint32(e.rd(in.Rs1) + in.Imm)
 		rec.Addr = addr
@@ -132,13 +140,13 @@ func (e *Emulator) Step() Record {
 	case op == isa.OpJump:
 		rec.NextPC = in.Target
 	case op == isa.OpCall:
-		e.wr(&rec, isa.RLink, int64(pc+1))
+		e.wr(rec, isa.RLink, int64(pc+1))
 		rec.NextPC = in.Target
 	case op == isa.OpJr:
 		rec.NextPC = uint32(e.rd(in.Rs1))
 	case op == isa.OpCallR:
 		target := uint32(e.rd(in.Rs1))
-		e.wr(&rec, isa.RLink, int64(pc+1))
+		e.wr(rec, isa.RLink, int64(pc+1))
 		rec.NextPC = target
 	case op == isa.OpRet:
 		rec.NextPC = uint32(e.rd(isa.RLink))
@@ -149,15 +157,15 @@ func (e *Emulator) Step() Record {
 
 	e.PC = rec.NextPC
 	e.Count++
-	return rec
 }
 
 // Run executes until halt or until max instructions have executed; it
 // returns the number executed.
 func (e *Emulator) Run(max uint64) uint64 {
+	var rec Record
 	var n uint64
 	for !e.Halted && n < max {
-		e.Step()
+		e.Step(&rec)
 		n++
 	}
 	return n

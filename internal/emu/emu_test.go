@@ -164,24 +164,25 @@ func TestRecordFields(t *testing.T) {
 		Store(1, 0, 7).
 		Halt()
 	e := New(b.MustBuild())
-	r := e.Step()
+	var r Record
+	e.Step(&r)
 	if !r.HasDest || r.Dest != 1 || r.Value != 2 {
 		t.Errorf("addi record wrong: %+v", r)
 	}
-	r = e.Step()
+	e.Step(&r)
 	if !r.Taken || r.NextPC != 3 {
 		t.Errorf("beq record wrong: %+v", r)
 	}
-	r = e.Step()
+	e.Step(&r)
 	if r.Inst.Op != isa.OpStore || r.Addr != 7 || r.StoreVal != 2 {
 		t.Errorf("store record wrong: %+v", r)
 	}
-	r = e.Step()
+	e.Step(&r)
 	if !r.Halted {
 		t.Errorf("halt record wrong: %+v", r)
 	}
-	if got := e.Step(); !got.Halted {
-		t.Error("stepping a halted machine should return Halted")
+	if e.Step(&r); !r.Halted {
+		t.Error("stepping a halted machine should write a Halted record")
 	}
 	if e.Count != 4 {
 		t.Errorf("count = %d, want 4", e.Count)

@@ -45,7 +45,8 @@ func (p *Processor) verifyRetired(st *instState) error {
 	if p.commits != nil {
 		return p.verifyRecorded(st)
 	}
-	rec := p.oracle.Step()
+	rec := &p.oracleRec
+	p.oracle.Step(rec)
 	if rec.PC != st.cold().pc {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("oracle divergence at cycle %d: retired pc %d, oracle pc %d",

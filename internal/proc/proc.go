@@ -144,6 +144,9 @@ type Processor struct {
 	mem     isa.Memory // committed architectural memory
 	oracle  *emu.Emulator
 	commits CommitSource // recorded-trace oracle; replaces the emulator when set
+	// oracleRec is the record the oracle steps into, one per processor so
+	// verification stays allocation-free.
+	oracleRec emu.Record
 
 	regs    rename.File
 	specMap rename.Map // rename map at the dispatch frontier

@@ -115,6 +115,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 	bp := bpred.New(effectiveBPredConfig(cfg))
 	bit := core.NewBIT(prog, effectiveBITConfig(cfg))
 
+	var rec emu.Record
 	var lastPC uint32
 	for i := uint64(0); i < warmupInsts; i++ {
 		if i%ctxCheckInterval == 0 {
@@ -122,7 +123,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 				return nil, err
 			}
 		}
-		rec := e.Step()
+		e.Step(&rec)
 		if rec.Halted {
 			return nil, fmt.Errorf("snapshot: warm-up of %d instructions runs past the program's halt (%d executed)",
 				warmupInsts, i)
@@ -132,7 +133,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 		}
 		lastPC = rec.PC
 
-		in := rec.Inst
+		in := &rec.Inst
 		switch {
 		case in.IsCondBranch():
 			bp.UpdateDirection(rec.PC, rec.Taken)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tracep/internal/asm"
+	"tracep/internal/bench"
 	"tracep/internal/isa"
 )
 
@@ -298,4 +299,26 @@ func TestResetMatchesNew(t *testing.T) {
 				i, c.prog.Name, c.model.Name, *got, *want)
 		}
 	}
+}
+
+// BenchmarkCaptureSnapshot measures the warm-up capture layer alone: one op
+// fast-forwards a suite program by warm instructions, warming the caches,
+// the branch predictor and the BIT along the committed path. It reports the
+// capture rate in Minsts/s.
+func BenchmarkCaptureSnapshot(b *testing.B) {
+	const warm = 1_000_000
+	bm, err := bench.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(2 * warm))
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CaptureSnapshot(context.Background(), prog, cfg, warm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(warm)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsts/s")
 }

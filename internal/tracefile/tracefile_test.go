@@ -59,8 +59,9 @@ func captureBuf(t *testing.T, prog *isa.Program, meta Meta) ([]byte, uint64) {
 func referenceRecords(prog *isa.Program) []emu.Record {
 	e := emu.New(prog)
 	var recs []emu.Record
+	var rec emu.Record
 	for !e.Halted {
-		rec := e.Step()
+		e.Step(&rec)
 		rec.Dest, rec.Value, rec.HasDest, rec.StoreVal = 0, 0, false, 0
 		recs = append(recs, rec)
 	}
@@ -115,8 +116,10 @@ func TestRoundTripSmallBlocks(t *testing.T) {
 	}
 	w.BlockRecords = 8 // force many block boundaries
 	e := emu.New(prog)
+	var rec emu.Record
 	for !e.Halted {
-		if err := w.Add(e.Step()); err != nil {
+		e.Step(&rec)
+		if err := w.Add(rec); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
@@ -184,8 +187,10 @@ func TestSkip(t *testing.T) {
 	}
 	w.BlockRecords = 16 // several blocks, so skips cross block boundaries
 	e := emu.New(prog)
+	var rec emu.Record
 	for !e.Halted {
-		if err := w.Add(e.Step()); err != nil {
+		e.Step(&rec)
+		if err := w.Add(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +319,8 @@ func TestWriterMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := emu.New(prog)
-	first := e.Step()
+	var first emu.Record
+	e.Step(&first)
 	if err := w.Add(first); err != nil {
 		t.Fatal(err)
 	}

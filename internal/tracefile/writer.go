@@ -219,6 +219,7 @@ func Capture(ctx context.Context, w io.Writer, prog *isa.Program, meta Meta, max
 		return 0, err
 	}
 	e := emu.New(prog)
+	var rec emu.Record
 	for !e.Halted {
 		if maxInsts > 0 && e.Count >= maxInsts {
 			return e.Count, fmt.Errorf("tracefile: capture of %q hit the %d-instruction bound before halting", prog.Name, maxInsts)
@@ -228,7 +229,7 @@ func Capture(ctx context.Context, w io.Writer, prog *isa.Program, meta Meta, max
 				return e.Count, err
 			}
 		}
-		rec := e.Step()
+		e.Step(&rec)
 		if err := tw.Add(rec); err != nil {
 			return e.Count, err
 		}

@@ -20,6 +20,12 @@ const (
 	DefaultTargetInsts = 300_000
 )
 
+// maxSweepInsts bounds the instructions one sweep may ask for: every cell's
+// target plus every row's warm-up. It only stops requests that would hold
+// the pool for days; the paper's 8×8 grid at 10M instructions a cell and
+// ten seeds is 6.4G.
+const maxSweepInsts = 1e12
+
 // Config shapes a Manager.
 type Config struct {
 	// Parallelism is the size of the shared simulation pool: the maximum
@@ -417,8 +423,23 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	seeds := dedupeSeeds(req.Seeds)
+	rowsPerBench := float64(max(len(seeds), 1))
+	insts := float64(len(benches)*len(models)) * rowsPerBench * float64(target)
+	for _, name := range benchNames {
+		warmup := req.Warmup
+		if n, ok := req.WarmupFor[name]; ok {
+			warmup = n
+		}
+		insts += rowsPerBench * float64(warmup)
+	}
+	if insts > maxSweepInsts {
+		return Status{}, &Error{StatusCode: http.StatusBadRequest,
+			Message: fmt.Sprintf("sweep asks for %.3g instructions (cells × target_insts + rows × warm-up), over the limit of %.3g",
+				insts, float64(maxSweepInsts))}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		benches:     benchNames,
 		corpus:      append([]string(nil), req.Corpus...),

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -276,33 +277,63 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestSubmitBodyLimit: an oversized POST /v1/sweeps body is refused with a
 // typed 413 before it is decoded in full; a malformed one is a 400.
+// postRaw POSTs body to url's /v1/sweeps and returns the status code and
+// the response decoded as an Error (zero for a success body).
+func postRaw(t *testing.T, url string, body []byte) (int, server.Error) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr server.Error
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatalf("status %d: body is not JSON: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, apiErr
+}
+
 func TestSubmitBodyLimit(t *testing.T) {
 	mgr := server.NewManager(server.Config{Parallelism: 1})
 	defer mgr.Close()
 	ts := httptest.NewServer(mgr.Handler())
 	defer ts.Close()
 
-	post := func(body []byte) (int, server.Error) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var apiErr server.Error
-		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
-			t.Fatalf("status %d: error body is not a JSON Error: %v", resp.StatusCode, err)
-		}
-		return resp.StatusCode, apiErr
-	}
 	// A syntactically valid request padded past the limit with seeds.
 	big := append([]byte(`{"benchmarks":["compress"],"seeds":[`), bytes.Repeat([]byte("1,"), 1<<20)...)
 	big = append(big, []byte("1]}")...)
-	if code, apiErr := post(big); code != http.StatusRequestEntityTooLarge || apiErr.StatusCode != code {
+	if code, apiErr := postRaw(t, ts.URL, big); code != http.StatusRequestEntityTooLarge || apiErr.StatusCode != code {
 		t.Errorf("oversized body: status %d, error %+v; want 413", code, apiErr)
 	}
-	if code, apiErr := post([]byte(`{"benchmarks":`)); code != http.StatusBadRequest || apiErr.StatusCode != code {
+	if code, apiErr := postRaw(t, ts.URL, []byte(`{"benchmarks":`)); code != http.StatusBadRequest || apiErr.StatusCode != code {
 		t.Errorf("malformed body: status %d, error %+v; want 400", code, apiErr)
+	}
+}
+
+// TestSubmitInstructionBudget: a sweep whose cells × target_insts plus rows
+// × warm-up exceeds the admission bound is a typed 400, whichever term
+// carries it, and even where the product overflows 64 bits. A small sweep
+// is admitted.
+func TestSubmitInstructionBudget(t *testing.T) {
+	mgr := server.NewManager(server.Config{Parallelism: 1})
+	defer mgr.Close()
+	ts := httptest.NewServer(mgr.Handler())
+	defer ts.Close()
+
+	for name, body := range map[string]string{
+		"target":       `{"benchmarks":["compress"],"models":["base"],"target_insts":2000000000000}`,
+		"overflow":     `{"benchmarks":["compress"],"models":["base","FG"],"target_insts":18446744073709551615}`,
+		"seeds x grid": `{"target_insts":200000000,"seeds":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67,68,69,70,71,72,73,74,75,76,77,78,79,80]}`,
+		"warmup":       `{"benchmarks":["compress"],"models":["base"],"target_insts":1000,"warmup":2000000000000}`,
+		"warmup_for":   `{"benchmarks":["compress","vortex"],"models":["base"],"target_insts":1000,"warmup_for":{"vortex":2000000000000}}`,
+	} {
+		code, apiErr := postRaw(t, ts.URL, []byte(body))
+		if code != http.StatusBadRequest || apiErr.StatusCode != code || !strings.Contains(apiErr.Message, "instructions") {
+			t.Errorf("%s: status %d, error %+v; want a typed 400 naming the instruction budget", name, code, apiErr)
+		}
+	}
+	if code, apiErr := postRaw(t, ts.URL, []byte(`{"benchmarks":["compress"],"models":["base"],"target_insts":2000}`)); code != http.StatusCreated {
+		t.Errorf("small sweep: status %d, error %+v; want 201", code, apiErr)
 	}
 }
 

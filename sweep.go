@@ -115,9 +115,11 @@ type Sweep struct {
 // sweepRow is the state one (benchmark, seed) row shares across its model
 // cells: the immutable program (built once per benchmark, in the feeder,
 // and shared read-only by every seed row) and, when the sweep warms up,
-// the row's snapshot — captured lazily by the first worker that needs it,
-// on a worker goroutine, so captures for different rows proceed in
-// parallel. The seed travels on the row because warm-up snapshots carry
+// the row's snapshot, captured once on a worker goroutine by whichever job
+// reaches it first. The feeder queues a capture-only job for each row right
+// after the previous row's first cell, so the capture usually runs on a
+// worker that would otherwise wait for it, while the previous row
+// simulates. The seed travels on the row because warm-up snapshots carry
 // predictor state: replicates under different seeds warm up to different
 // machine states, so the row — the cluster's placement unit — is
 // benchmark × seed, not benchmark alone. A failed build or warm-up fails
@@ -146,11 +148,12 @@ type sweepRow struct {
 // snapshot returns the row's shared warm-up snapshot (nil when the sweep
 // does not warm up), capturing it on first call. The capturing goroutine
 // holds a Gate slot only for the capture itself — warm-up CPU work is
-// bounded exactly like simulation work — while concurrent callers of the
-// same row wait slot-free until the one capture finishes, leaving the
-// gate's capacity to other sweeps. The snapshot is immutable and
-// restore-side state is always cloned, so handing it to every cell is
-// race-free.
+// bounded exactly like simulation work. A cell that arrives while the
+// capture still runs waits for it slot-free, leaving the gate's capacity
+// to other sweeps; with the one-row lookahead that wait is rare, because
+// the capture starts while the previous row's cells simulate. The snapshot
+// is immutable and restore-side state is always cloned, so handing it to
+// every cell is race-free.
 func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) {
 	if r.provided != nil {
 		return r.provided, nil
@@ -169,6 +172,12 @@ func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) 
 	return r.snap, r.snapErr
 }
 
+// captures reports whether the row's snapshot is captured in this sweep:
+// the row warms up, has no provided snapshot and its program built.
+func (r *sweepRow) captures() bool {
+	return r.warmup > 0 && r.provided == nil && r.buildErr == nil
+}
+
 // warmupFor resolves the effective warm-up length for a benchmark row: the
 // per-benchmark override when present, the sweep-wide default otherwise.
 func (sw *Sweep) warmupFor(bench string) uint64 {
@@ -178,10 +187,13 @@ func (sw *Sweep) warmupFor(bench string) uint64 {
 	return sw.Warmup
 }
 
-// sweepJob is one cell: the shared row plus the model to run it under.
+// sweepJob is one cell: the shared row plus the model to run it under. A
+// captureOnly job runs no cell: it captures the row's snapshot ahead of the
+// row's cells and delivers nothing.
 type sweepJob struct {
-	row   *sweepRow
-	model Model
+	row         *sweepRow
+	model       Model
+	captureOnly bool
 }
 
 // cellConfig resolves the one configuration every cell of a seed row runs
@@ -265,6 +277,12 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 			// becomes garbage when the worker exits.
 			engine := &proc.Processor{}
 			for job := range jobCh {
+				if job.captureOnly {
+					// The row's cells read the outcome, error included, from
+					// the row.
+					job.row.snapshot(ctx, sw.Gate)
+					continue
+				}
 				if res := sw.runOne(ctx, job, progress, engine); res != nil {
 					out <- res
 				}
@@ -273,32 +291,60 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 	}
 
 	go func() {
-	feed:
-		for _, bm := range sw.Benchmarks {
-			// One build per benchmark; every seed row — and every model cell
-			// within it — shares the immutable program. Each seed gets its own
-			// row because the row's warm-up snapshot captures seed-dependent
-			// predictor state (captured worker-side on first need).
-			prog, err := buildProgram(bm, sw.TargetInsts)
-			for _, seed := range seeds {
-				row := &sweepRow{sw: sw, bench: bm.Name, seed: seed, prog: prog,
-					buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name),
-					provided: sw.Snapshots[bm.Name]}
-				for _, m := range sw.Models {
-					select {
-					case jobCh <- sweepJob{row: row, model: m}:
-					case <-ctx.Done():
-						break feed
-					}
-				}
+		sw.feed(seeds, func(job sweepJob) bool {
+			select {
+			case jobCh <- job:
+				return true
+			case <-ctx.Done():
+				return false
 			}
-		}
+		})
 		close(jobCh)
 		wg.Wait()
 		close(out)
 	}()
 
 	return out
+}
+
+// feed hands every job of the sweep to send, in order, and stops when send
+// reports false. Each row's first cell goes out first, then a capture-only
+// job for the next row if that row captures its snapshot (see captures),
+// then the row's remaining cells: the next row's warm-up runs on a worker
+// while this row simulates, and the next row's program is built only once
+// this row has started.
+func (sw *Sweep) feed(seeds []int64, send func(sweepJob) bool) {
+	// row returns the r-th (benchmark, seed) row; rows are requested in
+	// grid order, and a benchmark's first row builds the program its seed
+	// rows share. Each seed gets its own row because the row's warm-up
+	// snapshot captures seed-dependent predictor state.
+	var prog *Program
+	var err error
+	row := func(r int) *sweepRow {
+		bm := sw.Benchmarks[r/len(seeds)]
+		if r%len(seeds) == 0 {
+			prog, err = buildProgram(bm, sw.TargetInsts)
+		}
+		return &sweepRow{sw: sw, bench: bm.Name, seed: seeds[r%len(seeds)], prog: prog,
+			buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name),
+			provided: sw.Snapshots[bm.Name]}
+	}
+	rows := len(sw.Benchmarks) * len(seeds)
+	cur := row(0)
+	for r := 0; r < rows; r++ {
+		var next *sweepRow
+		for i, m := range sw.Models {
+			if !send(sweepJob{row: cur, model: m}) {
+				return
+			}
+			if i == 0 && r+1 < rows {
+				if next = row(r + 1); next.captures() && !send(sweepJob{row: next, captureOnly: true}) {
+					return
+				}
+			}
+		}
+		cur = next
+	}
 }
 
 // Run executes the sweep (via Stream) and returns the result set. Failed
