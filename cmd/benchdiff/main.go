@@ -14,12 +14,18 @@
 //     gate, or an expired artifact, must not fail the build.
 //   - Benchmarks present on only one side are reported but never fail the
 //     gate: adding or renaming a benchmark is not a regression.
-//   - ns/op uses the percent tolerance (-tol); allocs/op is compared with
-//     the same percentage but tiny counts (old < 10 allocs/op) must also
-//     rise by at least one whole allocation — a 0→1 jump on a noisy metric
-//     should fail only when it is a real new allocation, and 2→3 on a
-//     deliberately tiny count is flagged because the engine's steady state
-//     is supposed to be allocation-free.
+//   - Every sample of a repeated benchmark (go test -count N) is kept. A
+//     metric regresses only when its mean rises by more than the percent
+//     tolerance (-tol) AND the 95% Student-t intervals of the two sides'
+//     means (internal/report.DistOf) are disjoint, so run-to-run noise
+//     inside overlapping intervals never fails the gate. A one-sample side
+//     has a zero-width interval, so two one-sample runs gate on the
+//     tolerance alone.
+//   - allocs/op uses the same rule, but tiny counts (old mean < 10
+//     allocs/op) must also rise by at least one whole allocation — a 0→1
+//     jump on a noisy metric should fail only when it is a real new
+//     allocation, and 2→3 on a deliberately tiny count is flagged because
+//     the engine's steady state is supposed to be allocation-free.
 //
 // Exit codes: 0 ok (or skipped), 1 bad input, 2 regression.
 package main
@@ -34,13 +40,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"tracep/internal/report"
 )
 
-// result is one benchmark's parsed metrics. allocs is -1 when the run was
-// not benchmem-instrumented.
+// result is one benchmark's samples, one per repetition in output order.
+// allocs holds only the benchmem-instrumented repetitions, so it is empty
+// when the run was not instrumented.
 type result struct {
-	nsPerOp float64
-	allocs  float64
+	ns     []float64
+	allocs []float64
 }
 
 // parseBench extracts benchmark result lines from `go test -json` output.
@@ -87,46 +96,72 @@ func parseBench(r io.Reader) (map[string]result, error) {
 		return nil, err
 	}
 	out := make(map[string]result)
-	//tracep:orderinvariant keyed writes commute
+	//tracep:orderinvariant samples only feed a mean and an interval, which ignore their order
 	for _, b := range text {
 		for _, line := range strings.Split(b.String(), "\n") {
-			if name, res, ok := parseLine(line); ok {
-				out[name] = res
+			name, ns, allocs, ok := parseLine(line)
+			if !ok {
+				continue
 			}
+			res := out[name]
+			res.ns = append(res.ns, ns)
+			if allocs >= 0 {
+				res.allocs = append(res.allocs, allocs)
+			}
+			out[name] = res
 		}
 	}
 	return out, nil
 }
 
-// parseLine parses one benchmark result line into (name, metrics). The
-// testing package formats them as name, iteration count, then value/unit
-// pairs.
-func parseLine(line string) (string, result, bool) {
+// parseLine parses one benchmark result line into its name, ns/op and
+// allocs/op (-1 when the line carries no allocation count). The testing
+// package formats them as name, iteration count, then value/unit pairs.
+func parseLine(line string) (name string, ns, allocs float64, ok bool) {
 	if !strings.HasPrefix(line, "Benchmark") || !strings.Contains(line, "ns/op") {
-		return "", result{}, false
+		return "", 0, 0, false
 	}
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", result{}, false
+		return "", 0, 0, false
 	}
-	res := result{allocs: -1}
+	allocs = -1
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return "", result{}, false
+			return "", 0, 0, false
 		}
 		switch fields[i+1] {
 		case "ns/op":
-			res.nsPerOp = v
+			ns = v
 		case "allocs/op":
-			res.allocs = v
+			allocs = v
 		}
 	}
-	return fields[0], res, true
+	return fields[0], ns, allocs, true
+}
+
+// change compares one metric's old and new samples: the percent change of
+// the mean, and whether the 95% intervals on the two means are disjoint.
+func change(old, cur []float64) (o, n report.Dist, pct float64, disjoint bool) {
+	o, n = report.DistOf(old), report.DistOf(cur)
+	oLo, oHi := o.Interval()
+	nLo, nHi := n.Interval()
+	return o, n, pctRise(o.Mean, n.Mean), nLo > oHi || nHi < oLo
+}
+
+// fmtDist renders a metric as its mean, with the interval half-width when
+// there is more than one sample.
+func fmtDist(d report.Dist) string {
+	if d.N <= 1 {
+		return fmt.Sprintf("%.0f", d.Mean)
+	}
+	return fmt.Sprintf("%.0f±%.0f", d.Mean, d.CIHalf)
 }
 
 // regressions compares new against old and returns human-readable failure
-// lines, one per out-of-tolerance metric.
+// lines, one per metric whose mean rose beyond the tolerance with disjoint
+// intervals.
 func regressions(old, cur map[string]result, tolPct float64) []string {
 	var fails []string
 	names := make([]string, 0, len(old))
@@ -141,21 +176,21 @@ func regressions(old, cur map[string]result, tolPct float64) []string {
 			fmt.Printf("skip %-50s not in the new run\n", name)
 			continue
 		}
-		nsDelta := pctRise(o.nsPerOp, n.nsPerOp)
+		od, nd, nsDelta, disjoint := change(o.ns, n.ns)
 		status := "ok  "
-		if nsDelta > tolPct {
+		if nsDelta > tolPct && disjoint {
 			status = "FAIL"
-			fails = append(fails, fmt.Sprintf("%s: ns/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
-				name, o.nsPerOp, n.nsPerOp, nsDelta, tolPct))
+			fails = append(fails, fmt.Sprintf("%s: ns/op %s -> %s (+%.1f%%, tolerance %.0f%%, 95%% intervals disjoint)",
+				name, fmtDist(od), fmtDist(nd), nsDelta, tolPct))
 		}
-		fmt.Printf("%s %-50s ns/op %12.0f -> %12.0f (%+.1f%%)\n", status, name, o.nsPerOp, n.nsPerOp, nsDelta)
-		if o.allocs >= 0 && n.allocs >= 0 {
-			aDelta := pctRise(o.allocs, n.allocs)
+		fmt.Printf("%s %-50s ns/op %14s -> %14s (%+.1f%%)\n", status, name, fmtDist(od), fmtDist(nd), nsDelta)
+		if len(o.allocs) > 0 && len(n.allocs) > 0 {
+			od, nd, aDelta, disjoint := change(o.allocs, n.allocs)
 			// Tiny counts: a percentage on a near-zero base is meaningless
 			// in both directions, so demand a whole-allocation rise too.
-			if aDelta > tolPct && (o.allocs >= 10 || n.allocs-o.allocs >= 1) {
-				fails = append(fails, fmt.Sprintf("%s: allocs/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",
-					name, o.allocs, n.allocs, aDelta, tolPct))
+			if aDelta > tolPct && disjoint && (od.Mean >= 10 || nd.Mean-od.Mean >= 1) {
+				fails = append(fails, fmt.Sprintf("%s: allocs/op %s -> %s (+%.1f%%, tolerance %.0f%%, 95%% intervals disjoint)",
+					name, fmtDist(od), fmtDist(nd), aDelta, tolPct))
 			}
 		}
 	}
@@ -173,10 +208,10 @@ func regressions(old, cur map[string]result, tolPct float64) []string {
 }
 
 // improvements is the mirror image of regressions: benchmarks whose ns/op or
-// allocs/op fell by more than the tolerance, one line per metric. CI prints
-// these (under -improvements) so a deliberate optimisation is visible in the
-// log and its new baseline gets committed rather than silently absorbed into
-// the old one's tolerance band.
+// allocs/op mean fell by more than the tolerance with disjoint intervals, one
+// line per metric. CI prints these (under -improvements) so a deliberate
+// optimisation is visible in the log and its new baseline gets committed
+// rather than silently absorbed into the old one's tolerance band.
 func improvements(old, cur map[string]result, tolPct float64) []string {
 	var wins []string
 	names := make([]string, 0, len(old))
@@ -190,16 +225,17 @@ func improvements(old, cur map[string]result, tolPct float64) []string {
 		if !ok {
 			continue
 		}
-		if fall := -pctRise(o.nsPerOp, n.nsPerOp); fall > tolPct {
-			wins = append(wins, fmt.Sprintf("%s: ns/op %.0f -> %.0f (-%.1f%%)",
-				name, o.nsPerOp, n.nsPerOp, fall))
+		if od, nd, rise, disjoint := change(o.ns, n.ns); -rise > tolPct && disjoint {
+			wins = append(wins, fmt.Sprintf("%s: ns/op %s -> %s (-%.1f%%)",
+				name, fmtDist(od), fmtDist(nd), -rise))
 		}
-		if o.allocs >= 0 && n.allocs >= 0 {
+		if len(o.allocs) > 0 && len(n.allocs) > 0 {
 			// Mirror the regression gate's tiny-count rule: a percentage on a
 			// near-zero base only counts with a whole-allocation change.
-			if fall := -pctRise(o.allocs, n.allocs); fall > tolPct && (o.allocs >= 10 || o.allocs-n.allocs >= 1) {
-				wins = append(wins, fmt.Sprintf("%s: allocs/op %.0f -> %.0f (-%.1f%%)",
-					name, o.allocs, n.allocs, fall))
+			od, nd, rise, disjoint := change(o.allocs, n.allocs)
+			if -rise > tolPct && disjoint && (od.Mean >= 10 || od.Mean-nd.Mean >= 1) {
+				wins = append(wins, fmt.Sprintf("%s: allocs/op %s -> %s (-%.1f%%)",
+					name, fmtDist(od), fmtDist(nd), -rise))
 			}
 		}
 	}

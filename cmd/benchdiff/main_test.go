@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,20 +30,20 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2: %v", len(m), m)
 	}
 	sw := m["BenchmarkSweepParallelism/j=1-4"]
-	if sw.nsPerOp != 1_000_000 || sw.allocs != 10 {
+	if !slices.Equal(sw.ns, []float64{1_000_000}) || !slices.Equal(sw.allocs, []float64{10}) {
 		t.Errorf("sweep = %+v, want ns/op 1000000 allocs 10", sw)
 	}
 	cl := m["BenchmarkCycleLoop-4"]
-	if cl.nsPerOp != 5000 || cl.allocs != 0 {
+	if !slices.Equal(cl.ns, []float64{5000}) || !slices.Equal(cl.allocs, []float64{0}) {
 		t.Errorf("cycle loop = %+v, want ns/op 5000 allocs 0", cl)
 	}
 
 	// Plain (non -json) bench output parses too.
 	plain := parseString(t, "BenchmarkCycleLoop-4 \t 200000\t5000 ns/op\n")
-	if plain["BenchmarkCycleLoop-4"].nsPerOp != 5000 {
+	if !slices.Equal(plain["BenchmarkCycleLoop-4"].ns, []float64{5000}) {
 		t.Errorf("plain line: %+v", plain)
 	}
-	if plain["BenchmarkCycleLoop-4"].allocs != -1 {
+	if len(plain["BenchmarkCycleLoop-4"].allocs) != 0 {
 		t.Errorf("plain line without -benchmem should carry no alloc count: %+v", plain)
 	}
 }
@@ -79,10 +81,10 @@ func TestRegressions(t *testing.T) {
 // rise is a regression and the equivalent fall is an improvement, and
 // deltas at or inside the tolerance are neither.
 func TestGateArithmeticBothDirections(t *testing.T) {
-	base := map[string]result{"BenchmarkX-4": {nsPerOp: 1000, allocs: 100}}
-	run := func(ns, allocs float64) map[string]result {
-		return map[string]result{"BenchmarkX-4": {nsPerOp: ns, allocs: allocs}}
+	one := func(ns, allocs float64) map[string]result {
+		return map[string]result{"BenchmarkX-4": {ns: []float64{ns}, allocs: []float64{allocs}}}
 	}
+	base, run := one(1000, 100), one
 
 	cases := []struct {
 		name       string
@@ -111,15 +113,83 @@ func TestGateArithmeticBothDirections(t *testing.T) {
 	// The tiny-count alloc rule mirrors: 2 -> 1 is a whole-allocation drop
 	// (reported), but a sub-allocation percentage wobble on a tiny base is
 	// not, in either direction.
-	tiny := map[string]result{"BenchmarkX-4": {nsPerOp: 1000, allocs: 2}}
+	tiny := one(1000, 2)
 	if wins := improvements(tiny, run(1000, 1), 10); len(wins) != 1 {
 		t.Errorf("2 -> 1 allocs/op not reported as an improvement: %v", wins)
 	}
-	frac := map[string]result{"BenchmarkX-4": {nsPerOp: 1000, allocs: 0.5}}
+	frac := one(1000, 0.5)
 	if wins := improvements(frac, run(1000, 0.4), 10); len(wins) != 0 {
 		t.Errorf("0.5 -> 0.4 allocs/op reported as an improvement: %v", wins)
 	}
 	if fails := regressions(frac, run(1000, 0.6), 10); len(fails) != 0 {
 		t.Errorf("0.4 -> 0.5 allocs/op reported as a regression: %v", fails)
+	}
+}
+
+// repeated renders a -count N run of BenchmarkX as go test -json output, one
+// result line per ns/op sample.
+func repeated(ns ...float64) string {
+	var b strings.Builder
+	for _, v := range ns {
+		fmt.Fprintf(&b, `{"Action":"output","Package":"tracep","Output":"BenchmarkX-4 \t1000\t%g ns/op\t0 B/op\t0 allocs/op\n"}`+"\n", v)
+	}
+	return b.String()
+}
+
+// TestRepeatedSamples: every repetition of a -count N run is kept, and a
+// rise beyond the tolerance whose intervals are disjoint regresses (and the
+// reverse improves).
+func TestRepeatedSamples(t *testing.T) {
+	old := parseString(t, repeated(1000, 1010, 990, 1005, 995))
+	if got := old["BenchmarkX-4"]; len(got.ns) != 5 || len(got.allocs) != 5 || got.ns[1] != 1010 {
+		t.Fatalf("parsed %+v, want all five samples in output order", got)
+	}
+	slow := parseString(t, repeated(1200, 1210, 1190, 1205, 1195))
+	if fails := regressions(old, slow, 10); len(fails) != 1 {
+		t.Errorf("+20%% with disjoint intervals passed the gate: %v", fails)
+	}
+	if wins := improvements(slow, old, 10); len(wins) != 1 {
+		t.Errorf("-17%% with disjoint intervals not reported as an improvement: %v", wins)
+	}
+	if fails := regressions(old, parseString(t, repeated(1050, 1060, 1040, 1055, 1045)), 10); len(fails) != 0 {
+		t.Errorf("+5%% failed the 10%% gate: %v", fails)
+	}
+}
+
+// TestOverlappingIntervalsPass: a mean rise beyond the tolerance is not a
+// regression while the two sides' intervals overlap — the samples are too
+// noisy to tell the runs apart.
+func TestOverlappingIntervalsPass(t *testing.T) {
+	old := parseString(t, repeated(600, 1400, 800, 1200, 1000))
+	noisy := parseString(t, repeated(700, 1700, 900, 1500, 1200))
+	if fails := regressions(old, noisy, 10); len(fails) != 0 {
+		t.Errorf("+20%% mean rise with overlapping intervals failed the gate: %v", fails)
+	}
+	if wins := improvements(noisy, old, 10); len(wins) != 0 {
+		t.Errorf("a fall with overlapping intervals was reported as an improvement: %v", wins)
+	}
+}
+
+// TestSingleSampleAgainstRepeated: an artifact from before repeated runs
+// (one sample per benchmark) still parses and gates — its interval is a
+// point, so against a repeated run the regression must clear both the
+// tolerance and the new run's interval.
+func TestSingleSampleAgainstRepeated(t *testing.T) {
+	old := parseString(t, oldRun)
+	cl := func(ns ...float64) map[string]result {
+		var b strings.Builder
+		for _, v := range ns {
+			fmt.Fprintf(&b, "BenchmarkCycleLoop-4 \t200000\t%g ns/op\t0 B/op\t0 allocs/op\n", v)
+		}
+		return parseString(t, b.String())
+	}
+	if fails := regressions(old, cl(6000, 6100, 5900, 6050, 5950), 10); len(fails) != 1 {
+		t.Errorf("+20%% against a one-sample artifact passed the gate: %v", fails)
+	}
+	if fails := regressions(old, cl(4000, 8000, 5000, 7000, 6000), 10); len(fails) != 0 {
+		t.Errorf("+20%% whose interval covers the old sample failed the gate: %v", fails)
+	}
+	if wins := improvements(old, cl(4000, 4100, 3900, 4050, 3950), 10); len(wins) != 1 {
+		t.Errorf("-20%% against a one-sample artifact not reported as an improvement: %v", wins)
 	}
 }

@@ -116,6 +116,7 @@ func (p *Processor) complete(ev event) {
 	if st.pendingReissue {
 		st.pendingReissue = false
 		st.status = stWaiting
+		st.markIssuable()
 	}
 }
 
@@ -155,11 +156,13 @@ func (p *Processor) wakeLocalConsumers(st *instState) {
 func (p *Processor) reissue(c *instState) {
 	switch c.status {
 	case stWaiting:
-		// Not yet issued: nothing to do, it will pick up the new value.
+		// Not yet issued: it picks up the new value when it issues.
+		c.markIssuable()
 	case stExecuting:
 		c.pendingReissue = true
 	case stDone:
 		c.status = stWaiting
+		c.markIssuable()
 	}
 }
 

@@ -277,10 +277,8 @@ func (p *Processor) fetchStep() {
 	entry.tr.Retain()
 	fe.queue.push(entry)
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("fetch: desc=%v nextPC=%d pred=%v constructing=%v qlen=%d", entry.desc, entry.tr.NextPC, entry.predicted, entry.constructing, fe.queue.len())
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("fetch: desc=%v nextPC=%d pred=%v constructing=%v qlen=%d", entry.desc, entry.tr.NextPC, entry.predicted, entry.constructing, fe.queue.len())
 	}
 	fe.expectedPC = entry.tr.NextPC
 	fe.waitIndirect = entry.tr.EndsIndirect
@@ -368,10 +366,8 @@ func (p *Processor) insertingDispatchTarget(insertAfter *int, entry *fetchEntry)
 	}
 	if entry.desc.StartPC == ci.tr.Desc.StartPC {
 		if p.debugLog != nil {
-			if p.debugLog != nil {
-				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-				p.debugf("reconvergence: ci=%d(%v) inserted=%d", ci.id, ci.tr.Desc, rec.inserted)
-			}
+			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+			p.debugf("reconvergence: ci=%d(%v) inserted=%d", ci.id, ci.tr.Desc, rec.inserted)
 		}
 		// Re-convergence: the next trace prediction matches the first
 		// control-independent trace (§2.1). The resident CI traces are

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tracep/internal/arb"
 	"tracep/internal/isa"
@@ -149,6 +150,11 @@ type peState struct {
 	// cold is the parallel cold bank: cold[i] belongs to slot i (see
 	// instCold). Kept out of pool so the hot scan's stride stays small.
 	cold []instCold
+	// cand is the issue candidate set, one bit per slot: every instruction
+	// that can issue (resident, not cancelled, waiting, operands ready) has
+	// its bit set. Extra bits are harmless; issueAll clears them as it
+	// finds them (see markIssuable).
+	cand []uint64
 
 	// Linked-list control structure (§2.1): logical order plus prev/next
 	// physical PE numbers.
@@ -178,7 +184,8 @@ type peState struct {
 // can match a slot of this one.
 func (pe *peState) reset(id int) {
 	*pe = peState{id: id, next: -1, prev: -1, gen: pe.gen,
-		insts: pe.ptrs[:0], pool: pe.pool, ptrs: pe.ptrs, cold: pe.cold}
+		insts: pe.ptrs[:0], pool: pe.pool, ptrs: pe.ptrs, cold: pe.cold, cand: pe.cand}
+	clear(pe.cand)
 }
 
 // initPool sizes the PE's instruction arena for traces up to maxLen
@@ -187,6 +194,7 @@ func (pe *peState) initPool(maxLen int) {
 	pe.pool = make([]instState, maxLen)
 	pe.ptrs = make([]*instState, maxLen)
 	pe.cold = make([]instCold, maxLen)
+	pe.cand = make([]uint64, (maxLen+63)/64)
 	for i := range pe.pool {
 		pe.pool[i].pe = pe
 		pe.pool[i].slot = i
@@ -203,6 +211,10 @@ func (pe *peState) initPool(maxLen int) {
 //tracep:noalloc
 func (pe *peState) ensureSlots(n int) {
 	for len(pe.ptrs) < n {
+		if len(pe.ptrs) == 64*len(pe.cand) {
+			//tracep:allow candidate-set word grows once per 64 PE slots, then is reused
+			pe.cand = append(pe.cand, 0)
+		}
 		//tracep:allow slot-pool growth: instruction state is allocated once per PE slot, then reinitialised in place
 		st := &instState{pe: pe, slot: len(pe.ptrs)}
 		//tracep:allow slot-pointer list grows once per PE slot, then is reused
@@ -221,6 +233,13 @@ func (st *instState) reinit() {
 	*st = instState{pe: st.pe, slot: st.slot, gen: st.gen + 1}
 	st.pe.cold[st.slot] = instCold{}
 }
+
+// markIssuable adds the slot to its PE's issue candidate set. Every
+// transition that can make an instruction issuable calls it: slot
+// (re)initialisation, reissue, and a completion with a pending reissue.
+//
+//tracep:noalloc
+func (st *instState) markIssuable() { st.pe.cand[st.slot>>6] |= 1 << (st.slot & 63) }
 
 // invalidate advances the slot's generation without installing a new
 // instruction, so stale references fail their gen check. Used when a PE
@@ -470,18 +489,14 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	pe.mapAfter = p.specMap
 	p.Stats.DispatchedTraces++
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("dispatch: pe=%d after=%d desc=%v nextPC=%d", pe.id, prevID, tr.Desc, tr.NextPC)
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("dispatch: pe=%d after=%d desc=%v nextPC=%d", pe.id, prevID, tr.Desc, tr.NextPC)
 	}
 	if p.debugLog != nil && prevID >= 0 {
 		prev := p.pes[prevID]
 		if prev.tr != nil && !prev.tr.EndsIndirect && !prev.tr.EndsHalt && prev.tr.NextPC != tr.Desc.StartPC {
-			if p.debugLog != nil {
-				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-				p.debugf("ORDER VIOLATION: prev pe=%d nextPC=%d but dispatched start=%d", prevID, prev.tr.NextPC, tr.Desc.StartPC)
-			}
+			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+			p.debugf("ORDER VIOLATION: prev pe=%d nextPC=%d but dispatched start=%d", prevID, prev.tr.NextPC, tr.Desc.StartPC)
 		}
 	}
 	return pe
@@ -511,7 +526,8 @@ func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 			st.assumedTaken = bi.Taken
 		}
 	}
-	p.bindOperands(st, tr, pe.mapBefore)
+	p.bindOperands(st, tr, &pe.mapBefore)
+	st.markIssuable()
 }
 
 // bindOperands binds st's sources per the trace's pre-renaming: local
@@ -519,7 +535,7 @@ func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 // map (subscribing to not-yet-ready tags).
 //
 //tracep:noalloc
-func (p *Processor) bindOperands(st *instState, tr *trace.Trace, mapBefore rename.Map) {
+func (p *Processor) bindOperands(st *instState, tr *trace.Trace, mapBefore *rename.Map) {
 	for k := 0; k < 2; k++ {
 		sr := tr.Srcs[st.slot][k]
 		op := &st.src[k]
@@ -589,25 +605,40 @@ func (p *Processor) issueAll() {
 			continue
 		}
 		issued, peCacheBuses := 0, 0
-		for _, st := range pe.insts {
-			if issued >= p.cfg.PEIssueWidth {
-				break
-			}
-			if st.cancelled || st.status != stWaiting {
-				continue
-			}
-			if !st.src[0].ready || !st.src[1].ready {
-				continue
-			}
-			if st.isLoad || st.isStore {
-				if cacheBusesUsed >= p.cfg.CacheBuses || peCacheBuses >= p.cfg.MaxCachePerPE {
+	scan:
+		for w := range pe.cand {
+			// seen masks the bits visited so far in this word. The word is
+			// re-read after every issue: a store's snoop may reissue a later
+			// load of this PE, which must still issue in this pass.
+			var seen uint64
+			for {
+				word := pe.cand[w] &^ seen
+				if word == 0 {
+					break
+				}
+				if issued >= p.cfg.PEIssueWidth {
+					break scan
+				}
+				b := bits.TrailingZeros64(word)
+				bit := uint64(1) << b
+				seen |= bit
+				slot := w<<6 | b
+				st := pe.ptrs[slot]
+				if slot >= len(pe.insts) || st.cancelled || st.status != stWaiting || !st.src[0].ready || !st.src[1].ready {
+					pe.cand[w] &^= bit
 					continue
 				}
-				cacheBusesUsed++
-				peCacheBuses++
+				if st.isLoad || st.isStore {
+					if cacheBusesUsed >= p.cfg.CacheBuses || peCacheBuses >= p.cfg.MaxCachePerPE {
+						continue // deferred: the bit stays for a later cycle
+					}
+					cacheBusesUsed++
+					peCacheBuses++
+				}
+				pe.cand[w] &^= bit
+				p.execute(st)
+				issued++
 			}
-			p.execute(st)
-			issued++
 		}
 	}
 }

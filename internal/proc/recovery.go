@@ -172,20 +172,16 @@ func (p *Processor) startRecovery(st *instState) {
 			rec.ciPE = ci
 			rec.ciGen = ci.gen
 			if p.debugLog != nil {
-				if p.debugLog != nil {
-					//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-					p.debugf("CI point: pe=%d(log %d) desc=%v", ci.id, ci.logical, ci.tr.Desc)
-				}
+				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+				p.debugf("CI point: pe=%d(log %d) desc=%v", ci.id, ci.logical, ci.tr.Desc)
 			}
 		}
 	}
 	rec.mode = mode
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("recovery start: mode=%d pe=%d(log %d) slot=%d pc=%d isBr=%v resolved=%v indirect=%v oldDesc=%v oldNextPC=%d tail=%d fetchQ=%d",
-				mode, pe.id, pe.logical, slot, st.cold().pc, st.isBr, st.resolvedTaken, st.isIndirect, pe.tr.Desc, pe.tr.NextPC, p.tail, p.fe.queue.len())
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("recovery start: mode=%d pe=%d(log %d) slot=%d pc=%d isBr=%v resolved=%v indirect=%v oldDesc=%v oldNextPC=%d tail=%d fetchQ=%d",
+			mode, pe.id, pe.logical, slot, st.cold().pc, st.isBr, st.resolvedTaken, st.isIndirect, pe.tr.Desc, pe.tr.NextPC, p.tail, p.fe.queue.len())
 	}
 	switch mode {
 	case recFGCI:
@@ -208,10 +204,8 @@ func (p *Processor) startRecovery(st *instState) {
 		rec.correctedTarget = st.cold().actualTarget
 		st.cold().checkedTarget = true
 		if p.debugLog != nil {
-			if p.debugLog != nil {
-				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-				p.debugf("indirect misp: correctedTarget=%d", rec.correctedTarget)
-			}
+			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+			p.debugf("indirect misp: correctedTarget=%d", rec.correctedTarget)
 		}
 	}
 
@@ -329,10 +323,8 @@ func (p *Processor) squashSuffix(pe *peState, from int) {
 //tracep:noalloc
 func (p *Processor) squashTrace(pe *peState) {
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("squash: pe=%d(log %d) desc=%v", pe.id, pe.logical, pe.tr.Desc)
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("squash: pe=%d(log %d) desc=%v", pe.id, pe.logical, pe.tr.Desc)
 	}
 	p.squashSuffix(pe, 0)
 	p.Stats.SquashedTraces++
@@ -401,10 +393,8 @@ func (p *Processor) installRepair() {
 		// full squash to stay correct.
 		p.Stats.FGCIBoundaryViolations++
 		if p.debugLog != nil {
-			if p.debugLog != nil {
-				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-				p.debugf("FGCI boundary violation: pe=%d old nextPC=%d new nextPC=%d", pe.id, rec.oldNextPC, newTr.NextPC)
-			}
+			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+			p.debugf("FGCI boundary violation: pe=%d old nextPC=%d new nextPC=%d", pe.id, rec.oldNextPC, newTr.NextPC)
 		}
 		for pe.next >= 0 {
 			p.squashTrace(p.pes[pe.next])
@@ -473,10 +463,8 @@ func (p *Processor) installRepair() {
 	}
 
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("install: pe=%d newDesc=%v nextPC=%d mode=%d", pe.id, pe.tr.Desc, pe.tr.NextPC, rec.mode)
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("install: pe=%d newDesc=%v nextPC=%d mode=%d", pe.id, pe.tr.Desc, pe.tr.NextPC, rec.mode)
 	}
 
 	// Rebuild the rename-map frontier: map before the trace plus the
@@ -644,10 +632,8 @@ func (p *Processor) retargetIndirectRecovery(st *instState) {
 		return
 	}
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("retarget indirect recovery: %d -> %d (phase %d)", rec.correctedTarget, st.cold().actualTarget, rec.phase)
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("retarget indirect recovery: %d -> %d (phase %d)", rec.correctedTarget, st.cold().actualTarget, rec.phase)
 	}
 	switch rec.phase {
 	case recRepairing:

@@ -112,10 +112,8 @@ func (p *Processor) retireStep() {
 		p.done = true
 	}
 	if p.debugLog != nil {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("retire: pe=%d desc=%v nextPC=%d", pe.id, pe.tr.Desc, pe.tr.NextPC)
-		}
+		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
+		p.debugf("retire: pe=%d desc=%v nextPC=%d", pe.id, pe.tr.Desc, pe.tr.NextPC)
 	}
 	// A retiring trace that is the CGCI insertion point moves the insertion
 	// frontier to the window head.

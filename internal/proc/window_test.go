@@ -1,6 +1,8 @@
 package proc
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +36,8 @@ func TestLinkedListInvariants(t *testing.T) {
 				p.unlinkPE(pe)
 				live = append(live[:idx], live[idx+1:]...)
 			}
-			if !checkList(p) {
+			if err := checkList(p); err != nil {
+				t.Log(err)
 				return false
 			}
 		}
@@ -45,22 +48,125 @@ func TestLinkedListInvariants(t *testing.T) {
 	}
 }
 
-func checkList(p *Processor) bool {
-	// Walk forward: logical positions dense from 0; prev links consistent.
+// checkList checks the PE list's structure: it is acyclic, logical
+// positions are dense from 0 along it, prev links mirror next links, tail is
+// its last PE, and free PEs plus window PEs account for all NumPEs.
+func checkList(p *Processor) error {
 	n := 0
 	prev := -1
 	for id := p.head; id >= 0; id = p.pes[id].next {
+		if n == len(p.pes) {
+			return fmt.Errorf("PE list from head %d is cyclic", p.head)
+		}
 		pe := p.pes[id]
 		if pe.logical != n || pe.prev != prev || !pe.active {
-			return false
+			return fmt.Errorf("PE %d at position %d: logical=%d prev=%d (want %d) active=%v", id, n, pe.logical, pe.prev, prev, pe.active)
 		}
 		prev = id
 		n++
 	}
 	if p.tail != prev {
-		return false
+		return fmt.Errorf("tail is PE %d, list ends at PE %d", p.tail, prev)
 	}
-	return n+len(p.free) == len(p.pes)
+	if n+len(p.free) != p.cfg.NumPEs {
+		return fmt.Errorf("%d window PEs + %d free PEs != NumPEs %d", n, len(p.free), p.cfg.NumPEs)
+	}
+	return nil
+}
+
+// checkMachine checks the structural laws that must hold between cycles:
+// the PE list is sound (checkList), and every instruction that can issue —
+// resident, not cancelled, waiting, both operands ready — has its bit set
+// in its PE's candidate set, which is all issueAll looks at.
+func checkMachine(p *Processor) error {
+	if err := checkList(p); err != nil {
+		return err
+	}
+	for id := p.head; id >= 0; id = p.pes[id].next {
+		pe := p.pes[id]
+		for slot, st := range pe.insts {
+			issuable := !st.cancelled && st.status == stWaiting && st.src[0].ready && st.src[1].ready
+			if issuable && pe.cand[slot>>6]&(1<<(slot&63)) == 0 {
+				return fmt.Errorf("PE %d slot %d (pc %d) can issue but is not an issue candidate", id, slot, st.cold().pc)
+			}
+		}
+	}
+	return nil
+}
+
+// runChecked steps p until it halts, fails or retires maxInsts
+// instructions, checking the machine after every cycle.
+func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
+	t.Helper()
+	for !p.Halted() && p.Err() == nil && p.Stats.RetiredInsts < maxInsts {
+		p.Step()
+		if err := checkMachine(p); err != nil {
+			t.Fatalf("%s cycle %d: %v", label, p.Cycle(), err)
+		}
+	}
+	if err := p.Err(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// TestMachineChecksItself runs checkMachine after every cycle of the CI
+// baseline grid (every model), of a scenario grid of narrow and multi-word
+// windows with one cache bus, of value-predicted runs, and of runs restored
+// from a warm-up snapshot.
+func TestMachineChecksItself(t *testing.T) {
+	const n = 5000
+	var progs []*isa.Program
+	for _, name := range []string{"compress", "vortex"} {
+		bm, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, bm.Build(bm.ScaleFor(n)))
+	}
+	t.Run("baseline", func(t *testing.T) {
+		for _, prog := range progs {
+			for _, m := range allModels {
+				runChecked(t, prog.Name+"/"+m.Name, New(prog, m, DefaultConfig()), n)
+			}
+		}
+	})
+	t.Run("scenarios", func(t *testing.T) {
+		for _, maxLen := range []int{8, 128} {
+			for _, width := range []int{1, 2} {
+				cfg := testConfig()
+				cfg.MaxTraceLen, cfg.PEIssueWidth = maxLen, width
+				cfg.CacheBuses, cfg.MaxCachePerPE = 1, 1
+				for _, prog := range progs {
+					for _, m := range []Model{ModelBase, ModelFG, ModelFGMLBRET} {
+						label := fmt.Sprintf("%s/%s len=%d width=%d", prog.Name, m.Name, maxLen, width)
+						runChecked(t, label, New(prog, m, cfg), n)
+					}
+				}
+			}
+		}
+	})
+	t.Run("value-prediction", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.ValuePredict = true
+		for _, prog := range append(progs, lcgProgram(300)) {
+			for _, m := range []Model{ModelBase, ModelFGMLBRET} {
+				runChecked(t, prog.Name+"/"+m.Name, New(prog, m, cfg), n)
+			}
+		}
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		snap, err := CaptureSnapshot(context.Background(), snapProgram(400), testConfig(), 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range allModels {
+			p, err := NewFromSnapshot(snap, m, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runChecked(t, "snapshot/"+m.Name, p, n)
+		}
+	})
 }
 
 // TestSeqLessFollowsLogicalOrder checks that the sequence-number ordering
@@ -260,5 +366,30 @@ func (o *oracleRunner) Run(max uint64) {
 		}
 		pc = next
 		o.Count++
+	}
+}
+
+// TestSnoopReissueIssuesSamePass pins a cell whose counts depend on one
+// issue-stage detail: when an issuing store's snoop reissues a later load of
+// the same PE, that load still issues in the same pass (issueAll re-reads the
+// live candidate word after every issue). Issuing from a copy of the word
+// taken before the pass defers those loads a cycle, which here costs one
+// reissue and two load-snoop reissues. The figures are those of the original
+// linear scan over every resident slot.
+func TestSnoopReissueIssuesSamePass(t *testing.T) {
+	bm, err := bench.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20_000
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	stats, err := New(bm.Build(bm.ScaleFor(n)), ModelBaseNTB, cfg).Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cycles != 4064 || stats.Reissues != 23192 || stats.LoadSnoopReissues != 8910 {
+		t.Errorf("gcc/base(ntb) at %d insts, seed 1: cycles %d, reissues %d, load-snoop reissues %d; want 4064, 23192, 8910",
+			n, stats.Cycles, stats.Reissues, stats.LoadSnoopReissues)
 	}
 }

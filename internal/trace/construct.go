@@ -74,11 +74,14 @@ func (c *Constructor) Build(startPC uint32, forced []bool) (*Trace, int) {
 
 // BuildTransient constructs like Build but returns a trace backed by the
 // constructor's reusable scratch storage: it is valid only until the next
-// Build/BuildTransient call. Callers that decide to keep the trace (dispatch
-// it, insert it into the trace cache) must call Keep first; callers that
-// discard it (descriptor formed, trace cache hit) simply drop it and the
-// storage is reused. Construction side effects (instruction-cache fills, BIT
-// lookups) are identical to Build's.
+// Build/BuildTransient call, and only its instructions, PCs, branches,
+// descriptor and successor are filled in — the pre-renamed dataflow (Srcs,
+// DestArch, LastWriter, LiveIns, LiveOuts, LocalConsumers) is computed by
+// Keep. Callers that decide to keep the trace (dispatch it, insert it into
+// the trace cache) must call Keep first; callers that discard it (descriptor
+// formed, trace cache hit) simply drop it and the storage is reused.
+// Construction side effects (instruction-cache fills, BIT lookups) are
+// identical to Build's.
 //
 //tracep:noalloc
 func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int) {
@@ -221,19 +224,19 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 	}
 	t.Desc.Len = uint8(len(t.Insts))
 	t.Desc.NumBr = uint8(brCount)
-	t.prerename()
 	c.frozenScratch = frozenBranches[:0]
 	return t, cycles
 }
 
 // Keep transfers ownership of a transient trace out of the constructor's
-// scratch storage, making it persistent; the next build allocates fresh
-// scratch. Keep on an already persistent trace is a no-op, so callers may
-// Keep unconditionally once they decide a trace survives.
+// scratch storage, pre-renaming it and making it persistent; the next build
+// allocates fresh scratch. Keep on an already persistent trace is a no-op,
+// so callers may Keep unconditionally once they decide a trace survives.
 //
 //tracep:noalloc
 func (c *Constructor) Keep(t *Trace) *Trace {
 	if t == c.scratch {
+		t.prerename()
 		c.scratch = nil
 	}
 	return t

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"tracep/internal/asm"
+	"tracep/internal/bench"
+	"tracep/internal/core"
 	"tracep/internal/isa"
 )
 
@@ -128,5 +131,83 @@ func TestConstructorRecycleReuse(t *testing.T) {
 	tr4, _ := c.Build(0, nil)
 	if tr3 == tr4 {
 		t.Error("two kept builds share storage: scratch leaked into the pool")
+	}
+}
+
+// diffTrace names the first field in which a and b differ, or returns "".
+func diffTrace(a, b *Trace) string {
+	switch {
+	case a.Desc != b.Desc:
+		return "Desc"
+	case !slices.Equal(a.PCs, b.PCs):
+		return "PCs"
+	case !slices.Equal(a.Insts, b.Insts):
+		return "Insts"
+	case !slices.Equal(a.Branches, b.Branches):
+		return "Branches"
+	case a.NextPC != b.NextPC || a.EndsIndirect != b.EndsIndirect || a.EndsInRet != b.EndsInRet ||
+		a.EndsHalt != b.EndsHalt || a.EndsNTB != b.EndsNTB:
+		return "successor"
+	case !slices.Equal(a.Srcs, b.Srcs):
+		return "Srcs"
+	case !slices.Equal(a.DestArch, b.DestArch):
+		return "DestArch"
+	case !slices.EqualFunc(a.LocalConsumers, b.LocalConsumers, slices.Equal[[]int16]):
+		return "LocalConsumers"
+	case a.LastWriter != b.LastWriter:
+		return "LastWriter"
+	case !slices.Equal(a.LiveIns, b.LiveIns):
+		return "LiveIns"
+	case !slices.Equal(a.LiveOuts, b.LiveOuts):
+		return "LiveOuts"
+	}
+	return ""
+}
+
+// TestDeferredPrerename: BuildTransient leaves the pre-renamed dataflow to
+// Keep, so a transient build discarded on a trace-cache hit skips it. Over
+// every start PC of a generated program, on one long-lived constructor whose
+// scratch and pooled storage carry stale state from earlier builds, a kept
+// transient build must equal an eager build (pre-renamed on fresh storage the
+// moment it is constructed), and a discarded transient build must leave no
+// trace in the kept build that follows it.
+func TestDeferredPrerename(t *testing.T) {
+	prog := bench.Generate(bench.DefaultGenConfig(7))
+	sel := SelConfig{MaxLen: 32, NTB: true, FG: true}
+	bit := core.NewBIT(prog, core.BITConfig{
+		Entries: 8192, Assoc: 4,
+		Analyze: core.AnalyzeConfig{MaxSize: sel.MaxLen, MaxEdges: 8, MaxScan: 512},
+	})
+	c := &Constructor{Prog: prog, Sel: sel, BIT: bit}
+	eager := func(pc uint32, forced []bool) *Trace {
+		fresh := &Constructor{Prog: prog, Sel: sel, BIT: bit}
+		tr, _ := fresh.BuildTransient(pc, forced)
+		tr.prerename()
+		return tr
+	}
+	var forced, other []bool
+	for pc := uint32(0); int(pc) < prog.Len(); pc++ {
+		// Vary the forced outcomes with the start PC so builds differ in
+		// shape from one PC to the next.
+		forced, other = forced[:0], other[:0]
+		for i := uint32(0); i < 4; i++ {
+			forced = append(forced, (pc>>i)&1 == 1)
+			other = append(other, (pc>>i)&1 == 0)
+		}
+
+		tr, _ := c.BuildTransient(pc, forced)
+		kept := c.Keep(tr)
+		if f := diffTrace(kept, eager(pc, forced)); f != "" {
+			t.Fatalf("pc %d: kept transient build differs from an eager build in %s", pc, f)
+		}
+		c.Recycle(kept)
+
+		c.BuildTransient((pc+1)%uint32(prog.Len()), other) // discarded, as on a trace-cache hit
+		after, _ := c.Build(pc, forced)
+		alone, _ := (&Constructor{Prog: prog, Sel: sel, BIT: bit}).Build(pc, forced)
+		if f := diffTrace(after, alone); f != "" {
+			t.Fatalf("pc %d: kept build after a discarded one differs from a kept build alone in %s", pc, f)
+		}
+		c.Recycle(after)
 	}
 }

@@ -254,9 +254,10 @@ func (t *Trace) BranchAt(idx int) (*BranchInfo, bool) {
 
 // prerename computes the intra-trace dataflow: source classification
 // (local vs live-in), last writers, live-ins/live-outs and the local
-// consumer lists. It is called once at construction; the results are stored
-// with the trace in the trace cache ("intra-trace values are pre-renamed in
-// the trace cache").
+// consumer lists. Constructor.Keep calls it once per kept build, so a
+// transient build discarded on a trace-cache hit skips it; the results are
+// stored with the trace in the trace cache ("intra-trace values are
+// pre-renamed in the trace cache").
 //
 //tracep:noalloc
 func (t *Trace) prerename() {
