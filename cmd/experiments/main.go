@@ -4,7 +4,7 @@
 // Figure 9 (selection-only IPC deltas) and Figure 10 (control independence
 // performance), plus the configuration and benchmark tables (1-2).
 //
-// The (benchmark × model) cross-product runs through tracep.Sweep on a
+// The (benchmark × model × seed) grid runs through tracep.Sweep on a
 // bounded worker pool; -j controls the parallelism and Ctrl-C cancels the
 // sweep cleanly mid-run. Each benchmark program is built once and shared
 // across all model cells.
@@ -20,16 +20,21 @@
 //	experiments                        # everything, default instruction budget
 //	experiments -table 5               # one table
 //	experiments -figure 10             # one figure
+//	experiments -cells                 # each cell's statistics block
 //	experiments -n 1000000             # larger runs
 //	experiments -warmup 100000         # measure after a functional warm-up; one
 //	                                   # snapshot per benchmark, shared by all models
 //	experiments -j 4                   # four simulations in flight
 //	experiments -bench compress,vortex # benchmark subset
+//	experiments -models base,FG        # explicit model columns
+//	experiments -scenarios mixed,ptr-chase -scenario-seeds 1,2
+//	                                   # scenario family instances as rows
 //	experiments -corpus traces/        # sweep the directory's .tptrace
 //	                                   # recordings instead of (or, with
 //	                                   # -bench, alongside) the generated suite
 //	experiments -seeds 1,2,3           # three replicates per cell; tables
 //	                                   # report mean±95% CI error bars
+//	experiments -spec grid.json        # the grid from a GridSpec file
 //	experiments -json > rs.json        # machine-readable ResultSet
 //	experiments -results rs.json       # re-render tables from saved JSON (no simulation)
 //	experiments -results rs.json -baseline old.json -tolerances ipc=2
@@ -37,6 +42,23 @@
 //	experiments -server http://localhost:8089
 //	                                   # run the sweep on a remote tracepd, stream
 //	                                   # cells back, render the same tables
+//
+// The grid's rows are the -scenarios instances (named family-seed), then
+// the -bench workloads, then the -corpus recordings. The full eight-workload
+// suite is the default only when none of the three is given. The model
+// columns are -models, or by default the models the requested tables and
+// figures need (all eight for -json or -cells alone). A -spec file is the
+// JSON form of the grid flags (see GridSpec); a field it sets overrides its
+// flag, and a field it leaves out keeps the flag's value:
+//
+//	{
+//	  "scenarios": ["ptr-chase", "mixed"],
+//	  "scenario_seeds": [1, 2],
+//	  "benchmarks": ["compress"],
+//	  "models": ["base", "base(ntb)"],
+//	  "seeds": [1, 2, 3],
+//	  "target_insts": 200000
+//	}
 //
 // With -server the grid is submitted to a tracepd instance (see
 // cmd/tracepd) and cells stream back over NDJSON as they complete; the
@@ -46,7 +68,8 @@
 // Combining -server with -corpus submits the recordings by name
 // (SweepRequest.Corpus): the server resolves them against its own corpus
 // directory (tracepd -corpus), so it must hold recordings with the same
-// names — GET /v1/corpus lists what it serves.
+// names — GET /v1/corpus lists what it serves. A SweepRequest has no
+// scenario axis, so -scenarios cannot run on a server.
 //
 // The -baseline gate checks IPC (percent drop), trace mispredictions
 // (rise per 1000 insts), recovery counts (percent rise) and I-/D-cache
@@ -61,16 +84,18 @@
 // [refresh-baseline] triggers the baseline-refresh workflow) or align
 // -warmup.
 //
-// Exit codes: 0 success, 1 simulation failure, 2 regression against
-// -baseline, 130 interrupted.
+// Exit codes: 0 success, 1 simulation, grid or spec failure, 2 regression
+// against -baseline or a bad flag, 130 interrupted.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -84,112 +109,224 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate a single table (1-5); 0 = all")
-	figure := flag.Int("figure", 0, "regenerate a single figure (9 or 10); 0 = all")
-	n := flag.Uint64("n", 300_000, "target dynamic instruction count per run")
-	warmup := flag.Uint64("warmup", 0,
-		"fast-forward this many instructions functionally before measuring; one warm-up snapshot per benchmark is shared across all model cells")
-	warmupFor := flag.String("warmup-for", "",
-		"per-benchmark warm-up overrides as name=insts[,name=insts...] (e.g. gcc=200000,compress=50000); unlisted benchmarks use -warmup")
-	j := flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
-	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all eight)")
-	corpusDir := flag.String("corpus", "", "directory of .tptrace recordings to sweep; replaces the suite unless -bench also selects workloads")
-	jsonOut := flag.Bool("json", false, "emit the ResultSet as JSON instead of formatted tables")
-	progress := flag.Bool("progress", false, "log per-run completion to stderr")
-	resultsFile := flag.String("results", "", "load the ResultSet from this saved JSON file instead of simulating")
-	baselineFile := flag.String("baseline", "", "diff results against this saved ResultSet JSON; exit 2 on regression")
-	seedsList := flag.String("seeds", "",
-		"comma-separated predictor seeds (e.g. 1,2,3); each (benchmark, model) cell runs once per seed and tables report mean±95% CI")
-	tolSpec := flag.String("tolerances", "ipc=2",
-		`-baseline gate tolerances as k=v pairs ("ipc=2,miss=0.5,allow-missing") or JSON ({"ipc_pct":2}); unset keys are 0`)
-	serverURL := flag.String("server", "", "run the sweep on this tracepd instance (e.g. http://localhost:8089) instead of in-process")
-	flag.Parse()
-
-	seeds, err := parseSeeds(*seedsList)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	tol, err := tracep.ParseTolerances(*tolSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-tolerances: %v\n", err)
-		os.Exit(1)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	wantTable := func(t int) bool { return (*table == 0 && *figure == 0) || *table == t }
-	wantFigure := func(f int) bool { return (*table == 0 && *figure == 0) || *figure == f }
+// GridSpec is the declarative form of the sweep grid, read by -spec: which
+// workloads (scenario family instances, suite benchmarks), which models,
+// which predictor seeds replicate each cell, and the run size.
+type GridSpec struct {
+	// Scenarios names workload families from tracep.Scenarios(); each is
+	// instantiated once per ScenarioSeeds entry as a row named family-seed.
+	Scenarios []string `json:"scenarios,omitempty"`
+	// ScenarioSeeds are the generator seeds of the scenario rows; empty =
+	// {1}.
+	ScenarioSeeds []int64 `json:"scenario_seeds,omitempty"`
+	// Benchmarks names suite workloads (tracep.BenchmarkByName), appended
+	// after the scenario rows; empty = all eight, unless scenario or
+	// corpus rows fill the grid.
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	// Models names the model columns (tracep.ModelByName); empty = the
+	// models the requested displays need.
+	Models []string `json:"models,omitempty"`
+	// Seeds is the predictor-seed replicate axis (tracep.Sweep.Seeds).
+	Seeds []int64 `json:"seeds,omitempty"`
+	// TargetInsts sizes each run.
+	TargetInsts uint64 `json:"target_insts,omitempty"`
+	// Warmup fast-forwards each row before measuring (tracep.Sweep.Warmup).
+	Warmup uint64 `json:"warmup,omitempty"`
 
-	if !*jsonOut {
-		if wantTable(1) {
-			printTable1()
+	// corpusDir (-corpus) and warmupFor (-warmup-for) come from flags only.
+	corpusDir string
+	warmupFor map[string]uint64
+}
+
+// options is the parsed command line: the grid plus what to do with it.
+type options struct {
+	grid          GridSpec
+	table, figure int
+	cells         bool
+	jsonOut       bool
+	progress      bool
+	j             int
+	resultsFile   string
+	baselineFile  string
+	tol           tracep.Tolerances
+	serverURL     string
+}
+
+// parseArgs parses the command line into options. Grid flags fill the
+// GridSpec first; a -spec file then overrides the fields it sets. A bad
+// flag exits 2 and -h exits 0, as with the flag package's default set.
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.IntVar(&o.table, "table", 0, "regenerate a single table (1-5); 0 = all")
+	fs.IntVar(&o.figure, "figure", 0, "regenerate a single figure (9 or 10); 0 = all")
+	fs.BoolVar(&o.cells, "cells", false,
+		"print each cell's statistics block (summary, recoveries, reissues, branch classes); like -table N, it selects this display alone")
+	fs.Uint64Var(&o.grid.TargetInsts, "n", 300_000, "target dynamic instruction count per run")
+	fs.Uint64Var(&o.grid.Warmup, "warmup", 0,
+		"fast-forward this many instructions functionally before measuring; one warm-up snapshot per benchmark is shared across all model cells")
+	warmupFor := fs.String("warmup-for", "",
+		"per-benchmark warm-up overrides as name=insts[,name=insts...] (e.g. gcc=200000,compress=50000); unlisted benchmarks use -warmup")
+	fs.IntVar(&o.j, "j", 0, "simulations to run in parallel (0 = GOMAXPROCS)")
+	benchList := fs.String("bench", "", "comma-separated benchmark subset (default: all eight, unless -scenarios or -corpus supplies the rows)")
+	fs.StringVar(&o.grid.corpusDir, "corpus", "", "directory of .tptrace recordings to sweep; replaces the suite unless -bench also selects workloads")
+	scenarios := fs.String("scenarios", "",
+		"comma-separated scenario families (see tracep.Scenarios) whose instances lead the rows; replaces the suite unless -bench also selects workloads")
+	scenarioSeeds := fs.String("scenario-seeds", "", "comma-separated generator seeds instantiating each -scenarios family (default 1)")
+	modelList := fs.String("models", "", "comma-separated model columns (default: the models the requested tables and figures need)")
+	seedsList := fs.String("seeds", "",
+		"comma-separated predictor seeds (e.g. 1,2,3); each (benchmark, model) cell runs once per seed and tables report mean±95% CI")
+	specFile := fs.String("spec", "", "JSON GridSpec file; fields it sets override the grid flags")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the ResultSet as JSON instead of formatted tables")
+	fs.BoolVar(&o.progress, "progress", false, "log run progress and per-run completion to stderr")
+	fs.StringVar(&o.resultsFile, "results", "", "load the ResultSet from this saved JSON file instead of simulating")
+	fs.StringVar(&o.baselineFile, "baseline", "", "diff results against this saved ResultSet JSON; exit 2 on regression")
+	tolSpec := fs.String("tolerances", "ipc=2",
+		`-baseline gate tolerances as k=v pairs ("ipc=2,miss=0.5,allow-missing") or JSON ({"ipc_pct":2}); unset keys are 0`)
+	fs.StringVar(&o.serverURL, "server", "", "run the sweep on this tracepd instance (e.g. http://localhost:8089) instead of in-process")
+	fs.Parse(args) // ExitOnError: never returns an error
+
+	var err error
+	if o.tol, err = tracep.ParseTolerances(*tolSpec); err != nil {
+		return nil, fmt.Errorf("-tolerances: %w", err)
+	}
+	if o.grid.warmupFor, err = parseWarmupFor(*warmupFor); err != nil {
+		return nil, err
+	}
+	if o.grid.ScenarioSeeds, err = parseSeeds("-scenario-seeds", *scenarioSeeds); err != nil {
+		return nil, err
+	}
+	if o.grid.Seeds, err = parseSeeds("-seeds", *seedsList); err != nil {
+		return nil, err
+	}
+	o.grid.Scenarios = splitList(*scenarios)
+	o.grid.Benchmarks = splitList(*benchList)
+	o.grid.Models = splitList(*modelList)
+	if *specFile != "" {
+		data, err := os.ReadFile(*specFile)
+		if err != nil {
+			return nil, err
 		}
-		if wantTable(2) {
-			printTable2(*n)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&o.grid); err != nil {
+			return nil, fmt.Errorf("%s: %w", *specFile, err)
 		}
 	}
+	return &o, nil
+}
+
+// run is the whole command: it sweeps (or replays) the grid args describe,
+// renders the requested displays to stdout and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	o, err := parseArgs(args, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	g := &o.grid
 
 	var rs *tracep.ResultSet
-	var ctxErr error
-	if *resultsFile != "" {
+	var sw tracep.Sweep
+	var req server.SweepRequest
+	if o.resultsFile != "" {
 		// Replay mode: render (and gate) a saved ResultSet with zero
 		// simulation.
-		var err error
-		rs, err = loadResultSet(*resultsFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if rs, err = loadResultSet(o.resultsFile); err != nil {
+			return fail(err)
 		}
 	} else {
-		warmFor, err := parseWarmupFor(*warmupFor)
+		rows, models, err := g.resolve(o.displayModels())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		rs, ctxErr = runSweep(ctx, *serverURL, *benchList, *corpusDir, *n, *warmup, warmFor, seeds, *j, *progress, *jsonOut, wantTable, wantFigure)
+		if o.serverURL != "" {
+			if req, err = g.request(rows, models); err != nil {
+				return fail(err)
+			}
+		} else {
+			sw = g.sweep(rows, models)
+			sw.Parallelism = o.j
+		}
+	}
+
+	if !o.jsonOut {
+		if o.wantTable(1) {
+			printTable1(stdout)
+		}
+		if o.wantTable(2) {
+			printTable2(stdout, g.TargetInsts)
+		}
+	}
+
+	var progress io.Writer
+	if o.progress {
+		progress = stderr
+	}
+	var ctxErr error
+	switch {
+	case rs != nil:
+	case o.serverURL != "":
+		rs, ctxErr = runRemote(ctx, o.serverURL, req, progress)
+	default:
+		rs, ctxErr = runLocal(ctx, sw, progress)
+	}
+	if ctxErr != nil && !errors.Is(ctxErr, context.Canceled) {
+		// Remote failures other than cancellation leave no partial set
+		// worth rendering.
+		return fail(ctxErr)
 	}
 
 	runErr := rs.Err()
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, runErr)
+		fmt.Fprintln(stderr, runErr)
 	}
 	// Failed cells in a replayed file are historical: they render as "-"
 	// and only the -baseline gate decides the exit code.
-	if *resultsFile != "" {
+	if o.resultsFile != "" {
 		runErr = nil
 	}
 
-	if *jsonOut {
+	if o.jsonOut {
 		// Failed cells serialise alongside successes (Result.Error), so
 		// always emit the set before reporting the failure via exit code.
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 	} else {
 		if ctxErr != nil {
-			fmt.Fprintf(os.Stderr, "sweep interrupted (%v); tables below are partial\n", ctxErr)
+			fmt.Fprintf(stderr, "sweep interrupted (%v); tables below are partial\n", ctxErr)
 		}
-		renderTables(rs, wantTable, wantFigure)
+		if o.cells {
+			printCells(stdout, rs)
+		}
+		renderTables(stdout, rs, o)
 	}
 
 	regressed := false
-	if *baselineFile != "" {
-		baseline, err := loadResultSet(*baselineFile)
+	if o.baselineFile != "" {
+		baseline, err := loadResultSet(o.baselineFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		diff := rs.Diff(baseline, tol)
+		diff := rs.Diff(baseline, o.tol)
 		// In -json mode stdout stays a clean ResultSet; the diff verdict
 		// goes to stderr.
-		out := os.Stdout
-		if *jsonOut {
-			out = os.Stderr
+		out := stdout
+		if o.jsonOut {
+			out = stderr
 		}
 		diff.WriteText(out)
 		regressed = !diff.OK()
@@ -197,99 +334,155 @@ func main() {
 
 	switch {
 	case ctxErr != nil:
-		if *jsonOut {
-			fmt.Fprintf(os.Stderr, "sweep interrupted (%v); results are partial\n", ctxErr)
+		if o.jsonOut {
+			fmt.Fprintf(stderr, "sweep interrupted (%v); results are partial\n", ctxErr)
 		}
-		os.Exit(130)
+		return 130
 	case runErr != nil:
-		os.Exit(1)
+		return 1
 	case regressed:
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
-// runSweep executes the live cross-product for the models the requested
-// tables/figures need — in-process, or on a remote tracepd when serverURL
-// is set — and returns the (possibly partial) set plus the context error,
-// mirroring Sweep.Run.
-func runSweep(ctx context.Context, serverURL, benchList, corpusDir string, n, warmup uint64, warmupFor map[string]uint64,
-	seeds []int64, j int, progress, jsonOut bool, wantTable, wantFigure func(int) bool) (*tracep.ResultSet, error) {
-	var suite []tracep.Benchmark
-	var err error
-	// -corpus without -bench sweeps the recordings alone — mirroring the
-	// server's "empty Benchmarks + Corpus = corpus only" request semantics.
-	if benchList != "" || corpusDir == "" {
-		if suite, err = selectBenchmarks(benchList); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	var corpus []tracep.Benchmark
-	if corpusDir != "" {
-		if corpus, err = tracep.Corpus(corpusDir); err != nil {
-			fmt.Fprintf(os.Stderr, "loading -corpus: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	benches := append(append([]tracep.Benchmark(nil), suite...), corpus...)
-	// Match the server's contract: an override naming a benchmark outside
-	// the requested grid is an error, not a silent no-op. Sorted so the
-	// reported name is deterministic when several overrides are bad.
-	overrideNames := make([]string, 0, len(warmupFor))
-	for name := range warmupFor { //tracep:orderinvariant sorted below
-		overrideNames = append(overrideNames, name)
-	}
-	sort.Strings(overrideNames)
-	for _, name := range overrideNames {
-		found := false
-		for _, bm := range benches {
-			if bm.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "-warmup-for names %q, which is not in the requested grid\n", name)
-			os.Exit(1)
-		}
-	}
+// wantTable and wantFigure report whether a display is requested: all of
+// them by default, or only those -table, -figure and -cells select.
+func (o *options) wantTable(t int) bool {
+	return (o.table == 0 && o.figure == 0 && !o.cells) || o.table == t
+}
 
-	needSelection := wantTable(3) || wantTable(4) || wantTable(5) || wantFigure(9)
-	needCI := wantFigure(10)
+func (o *options) wantFigure(f int) bool {
+	return (o.table == 0 && o.figure == 0 && !o.cells) || o.figure == f
+}
 
+// displayModels returns the models the requested tables and figures need;
+// -json or -cells with no table or figure wants all eight.
+func (o *options) displayModels() []tracep.Model {
+	needSelection := o.wantTable(3) || o.wantTable(4) || o.wantTable(5) || o.wantFigure(9)
 	var models []tracep.Model
 	if needSelection {
 		models = append(models, tracep.SelectionModels()...)
 	}
-	if needCI {
+	if o.wantFigure(10) {
 		if !needSelection {
 			models = append(models, tracep.ModelBase)
 		}
 		models = append(models, tracep.CIModels()...)
 	}
-	if jsonOut && len(models) == 0 {
-		// -json with only tables 1/2 requested still emits the sweep the
-		// tables/figures would need.
+	if (o.jsonOut || o.cells) && len(models) == 0 {
 		models = tracep.Models()
 	}
+	return models
+}
 
-	if serverURL != "" {
-		return runRemote(ctx, serverURL, suite, benchNames(corpus), models, n, warmup, warmupFor, seeds, progress)
+// resolve materialises the grid's rows — scenario instances, then suite
+// benchmarks, then corpus recordings — and its model columns; need is the
+// model axis used when Models is empty.
+func (g *GridSpec) resolve(need []tracep.Model) ([]tracep.Benchmark, []tracep.Model, error) {
+	scSeeds := g.ScenarioSeeds
+	if len(scSeeds) == 0 {
+		scSeeds = []int64{1}
+	}
+	var rows []tracep.Benchmark
+	for _, name := range g.Scenarios {
+		sc, err := tracep.ScenarioByName(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, sc.Benchmarks(scSeeds...)...)
+	}
+	// Scenario or corpus rows without -bench sweep those rows alone —
+	// mirroring the server's "empty Benchmarks + Corpus = corpus only"
+	// request semantics.
+	if len(g.Benchmarks) > 0 || (len(g.Scenarios) == 0 && g.corpusDir == "") {
+		suite, err := selectBenchmarks(g.Benchmarks)
+		if err != nil {
+			return nil, nil, err
+		}
+		rows = append(rows, suite...)
+	}
+	if g.corpusDir != "" {
+		corpus, err := tracep.Corpus(g.corpusDir)
+		if err != nil {
+			return nil, nil, fmt.Errorf("loading -corpus: %w", err)
+		}
+		rows = append(rows, corpus...)
+	}
+	// Match the server's contract: an override naming a benchmark outside
+	// the requested grid is an error, not a silent no-op. Sorted so the
+	// reported name is deterministic when several overrides are bad.
+	overrideNames := make([]string, 0, len(g.warmupFor))
+	for name := range g.warmupFor { //tracep:orderinvariant sorted below
+		overrideNames = append(overrideNames, name)
+	}
+	sort.Strings(overrideNames)
+	for _, name := range overrideNames {
+		if !containsBench(rows, name) {
+			return nil, nil, fmt.Errorf("-warmup-for names %q, which is not in the requested grid", name)
+		}
 	}
 
-	sw := tracep.Sweep{
-		Benchmarks:  benches,
+	models := need
+	if len(g.Models) > 0 {
+		models = nil
+		for _, name := range g.Models {
+			m, ok := tracep.ModelByName(name)
+			if !ok {
+				return nil, nil, fmt.Errorf("unknown model %q", name)
+			}
+			models = append(models, m)
+		}
+	}
+	return rows, models, nil
+}
+
+// sweep builds the in-process sweep of the resolved grid.
+func (g *GridSpec) sweep(rows []tracep.Benchmark, models []tracep.Model) tracep.Sweep {
+	return tracep.Sweep{
+		Benchmarks:  rows,
 		Models:      models,
-		TargetInsts: n,
-		Warmup:      warmup,
-		WarmupFor:   warmupFor,
-		Seeds:       seeds,
-		Parallelism: j,
+		TargetInsts: g.TargetInsts,
+		Warmup:      g.Warmup,
+		WarmupFor:   g.warmupFor,
+		Seeds:       g.Seeds,
 	}
-	if progress {
+}
+
+// request builds the tracepd request for the resolved grid. Corpus rows
+// travel by name only — the server replays its own recordings.
+func (g *GridSpec) request(rows []tracep.Benchmark, models []tracep.Model) (server.SweepRequest, error) {
+	if len(g.Scenarios) > 0 {
+		return server.SweepRequest{}, errors.New("-scenarios cannot run on -server: a SweepRequest has no scenario axis")
+	}
+	req := server.SweepRequest{
+		Models:      modelNames(models),
+		TargetInsts: g.TargetInsts,
+		Warmup:      g.Warmup,
+		WarmupFor:   g.warmupFor,
+		Seeds:       g.Seeds,
+	}
+	for _, bm := range rows {
+		if bm.Recorded != nil {
+			req.Corpus = append(req.Corpus, bm.Name)
+		} else {
+			req.Benchmarks = append(req.Benchmarks, bm.Name)
+		}
+	}
+	return req, nil
+}
+
+// runLocal runs the sweep in-process and returns the (possibly partial)
+// set plus the context error, like Sweep.Run. A non-nil progress writer
+// receives each run's progress and completion lines.
+func runLocal(ctx context.Context, sw tracep.Sweep, progress io.Writer) (*tracep.ResultSet, error) {
+	if progress != nil {
 		sw.Progress = func(ev tracep.ProgressEvent) {
 			if ev.Done {
-				fmt.Fprintf(os.Stderr, "done %-9s %-13s %d insts in %d cycles\n",
+				fmt.Fprintf(progress, "done %-9s %-13s %d insts in %d cycles\n",
+					ev.Benchmark, ev.Model, ev.RetiredInsts, ev.Cycle)
+			} else {
+				fmt.Fprintf(progress, "  ... %s/%s: %d insts, %d cycles\n",
 					ev.Benchmark, ev.Model, ev.RetiredInsts, ev.Cycle)
 			}
 		}
@@ -298,41 +491,24 @@ func runSweep(ctx context.Context, serverURL, benchList, corpusDir string, n, wa
 }
 
 // runRemote submits the grid to a tracepd instance and streams the cells
-// back; the collected ResultSet is byte-identical to a local run. Corpus
-// workloads travel by name only — the server replays its own recordings.
-// Remote failures other than cancellation are fatal (exit 1) — there is no
-// partial set worth rendering when the server is unreachable.
-func runRemote(ctx context.Context, serverURL string, benches []tracep.Benchmark, corpus []string,
-	models []tracep.Model, n, warmup uint64, warmupFor map[string]uint64, seeds []int64, progress bool) (*tracep.ResultSet, error) {
-	if (len(benches) == 0 && len(corpus) == 0) || len(models) == 0 {
+// back; the collected ResultSet is byte-identical to a local run.
+func runRemote(ctx context.Context, serverURL string, req server.SweepRequest, progress io.Writer) (*tracep.ResultSet, error) {
+	if (len(req.Benchmarks) == 0 && len(req.Corpus) == 0) || len(req.Models) == 0 {
 		return tracep.NewResultSet(), nil
 	}
-	req := server.SweepRequest{
-		Benchmarks:  benchNames(benches),
-		Corpus:      corpus,
-		Models:      modelNames(models),
-		TargetInsts: n,
-		Warmup:      warmup,
-		WarmupFor:   warmupFor,
-		Seeds:       seeds,
-	}
 	var fn func(*tracep.Result) error
-	if progress {
+	if progress != nil {
 		fn = func(res *tracep.Result) error {
 			if res.Stats != nil {
-				fmt.Fprintf(os.Stderr, "done %-9s %-13s %d insts in %d cycles\n",
+				fmt.Fprintf(progress, "done %-9s %-13s %d insts in %d cycles\n",
 					res.Benchmark, res.Model, res.Stats.RetiredInsts, res.Stats.Cycles)
 			} else {
-				fmt.Fprintf(os.Stderr, "fail %-9s %-13s %s\n", res.Benchmark, res.Model, res.Error)
+				fmt.Fprintf(progress, "fail %-9s %-13s %s\n", res.Benchmark, res.Model, res.Error)
 			}
 			return nil
 		}
 	}
 	rs, err := client.New(serverURL).Run(ctx, req, fn)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	if rs == nil {
 		// Cancelled before anything was collected (e.g. Ctrl-C during
 		// submit): hand back an empty partial set, like Sweep.Run.
@@ -341,90 +517,130 @@ func runRemote(ctx context.Context, serverURL string, benches []tracep.Benchmark
 	return rs, err
 }
 
-func renderTables(rs *tracep.ResultSet, wantTable, wantFigure func(int) bool) {
-	selNames := modelNames(tracep.SelectionModels())
-	if wantTable(3) {
-		report.Table3(os.Stdout, rs, selNames)
-		fmt.Println()
-	}
-	if wantTable(4) {
-		report.Table4(os.Stdout, rs, selNames)
-		fmt.Println()
-	}
-	if wantTable(5) {
-		report.Table5(os.Stdout, rs, tracep.ModelBase.Name)
-		fmt.Println()
-	}
-	if wantFigure(9) {
-		report.Figure(os.Stdout, "FIGURE 9: Performance impact of trace selection (% IPC improvement over base).",
-			rs, selNames[1:], tracep.ModelBase.Name)
-		fmt.Println()
-	}
-	if wantFigure(10) {
-		ciNames := modelNames(tracep.CIModels())
-		report.Figure(os.Stdout, "FIGURE 10: Performance of control independence (% IPC improvement over base).",
-			rs, ciNames, tracep.ModelBase.Name)
-		fmt.Println()
-		report.BestPerBenchmark(os.Stdout, rs, ciNames, tracep.ModelBase.Name)
-		fmt.Println()
+// printCells writes each successful cell's statistics block: a summary
+// line, then its recovery, reissue and branch-class lines.
+func printCells(w io.Writer, rs *tracep.ResultSet) {
+	for _, res := range rs.Results() {
+		s := res.Stats
+		if s == nil {
+			continue
+		}
+		fmt.Fprintf(w, "%-9s %-13s IPC=%.2f insts=%d cycles=%d traceLen=%.1f traceMisp/1k=%.1f tc$miss/1k=%.1f brMisp=%.1f%%\n",
+			res.Benchmark, res.Model, s.IPC(), s.RetiredInsts, s.Cycles, s.AvgTraceLen(),
+			s.TraceMispPer1000(), s.TCMissPer1000(), 100*s.BranchMispRate())
+		fmt.Fprintf(w, "  recoveries=%d (fgci=%d cgci=%d base=%d) reconv=%d degenerate=%d reclaims=%d\n",
+			s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries,
+			s.Reconvergences, s.CGCIDegenerate, s.TailReclaims)
+		fmt.Fprintf(w, "  reissues=%d loadSnoopReissues=%d redispatched=%d rebinds=%d broadcasts=%d tracePreds=%d\n",
+			s.Reissues, s.LoadSnoopReissues, s.RedispatchedTraces, s.RedispatchRebinds, s.Broadcasts, s.TPredictions)
+		fg := s.FGCISmall()
+		fmt.Fprintf(w, "  branches: fgci<=32 %d (misp %.1f%%) fgci>32 %d otherFwd %d (misp %.1f%%) backward %d (misp %.1f%%)\n",
+			fg.Dynamic, 100*fg.MispRate(), s.FGCIBig().Dynamic,
+			s.OtherForward().Dynamic, 100*s.OtherForward().MispRate(),
+			s.Backward().Dynamic, 100*s.Backward().MispRate())
 	}
 }
 
-// parseSeeds parses -seeds' comma-separated integer list; empty means the
-// single-replicate default.
-func parseSeeds(spec string) ([]int64, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
+func renderTables(w io.Writer, rs *tracep.ResultSet, o *options) {
+	selNames := modelNames(tracep.SelectionModels())
+	if o.wantTable(3) {
+		report.Table3(w, rs, selNames)
+		fmt.Fprintln(w)
 	}
+	if o.wantTable(4) {
+		report.Table4(w, rs, selNames)
+		fmt.Fprintln(w)
+	}
+	if o.wantTable(5) {
+		report.Table5(w, rs, tracep.ModelBase.Name)
+		fmt.Fprintln(w)
+	}
+	if o.wantFigure(9) {
+		report.Figure(w, "FIGURE 9: Performance impact of trace selection (% IPC improvement over base).",
+			rs, selNames[1:], tracep.ModelBase.Name)
+		fmt.Fprintln(w)
+	}
+	if o.wantFigure(10) {
+		ciNames := modelNames(tracep.CIModels())
+		report.Figure(w, "FIGURE 10: Performance of control independence (% IPC improvement over base).",
+			rs, ciNames, tracep.ModelBase.Name)
+		fmt.Fprintln(w)
+		report.BestPerBenchmark(w, rs, ciNames, tracep.ModelBase.Name)
+		fmt.Fprintln(w)
+	}
+}
+
+// parseSeeds parses a comma-separated integer seed list for the named
+// flag; empty means the flag's default.
+func parseSeeds(flagName, spec string) ([]int64, error) {
 	var out []int64
-	for _, part := range strings.Split(spec, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
+	for _, part := range splitList(spec) {
+		s, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("-seeds: bad seed %q: %v", part, err)
+			return nil, fmt.Errorf("%s: bad seed %q: %v", flagName, part, err)
 		}
 		out = append(out, s)
 	}
 	return out, nil
 }
 
-// parseWarmupFor parses -warmup-for's name=insts[,name=insts...] syntax,
-// validating names against the suite.
+// parseWarmupFor parses -warmup-for's name=insts[,name=insts...] syntax.
+// resolve checks the names against the grid's rows.
 func parseWarmupFor(spec string) (map[string]uint64, error) {
 	if spec == "" {
 		return nil, nil
 	}
 	out := make(map[string]uint64)
-	for _, pair := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
+	for _, pair := range splitList(spec) {
+		name, val, ok := strings.Cut(pair, "=")
 		if !ok {
 			return nil, fmt.Errorf("-warmup-for: %q is not name=insts", pair)
-		}
-		name = strings.TrimSpace(name)
-		if _, err := tracep.BenchmarkByName(name); err != nil {
-			return nil, fmt.Errorf("-warmup-for: %w", err)
 		}
 		n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("-warmup-for: bad instruction count in %q: %v", pair, err)
 		}
-		out[name] = n
+		out[strings.TrimSpace(name)] = n
 	}
 	return out, nil
 }
 
-func selectBenchmarks(list string) ([]tracep.Benchmark, error) {
-	if list == "" {
+// selectBenchmarks resolves suite benchmark names; none means all eight.
+func selectBenchmarks(names []string) ([]tracep.Benchmark, error) {
+	if len(names) == 0 {
 		return tracep.Benchmarks(), nil
 	}
-	var out []tracep.Benchmark
-	for _, name := range strings.Split(list, ",") {
-		bm, err := tracep.BenchmarkByName(strings.TrimSpace(name))
+	out := make([]tracep.Benchmark, 0, len(names))
+	for _, name := range names {
+		bm, err := tracep.BenchmarkByName(name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, bm)
 	}
 	return out, nil
+}
+
+func containsBench(rows []tracep.Benchmark, name string) bool {
+	for _, bm := range rows {
+		if bm.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// splitList splits a comma-separated flag value into trimmed items; an
+// empty value yields none.
+func splitList(s string) []string {
+	if strings.TrimSpace(s) == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	for i, part := range parts {
+		parts[i] = strings.TrimSpace(part)
+	}
+	return parts
 }
 
 func loadResultSet(path string) (*tracep.ResultSet, error) {
@@ -439,14 +655,6 @@ func loadResultSet(path string) (*tracep.ResultSet, error) {
 	return &rs, nil
 }
 
-func benchNames(bms []tracep.Benchmark) []string {
-	names := make([]string, len(bms))
-	for i, bm := range bms {
-		names[i] = bm.Name
-	}
-	return names
-}
-
 func modelNames(ms []tracep.Model) []string {
 	names := make([]string, len(ms))
 	for i, m := range ms {
@@ -455,35 +663,35 @@ func modelNames(ms []tracep.Model) []string {
 	return names
 }
 
-func printTable1() {
+func printTable1(w io.Writer) {
 	cfg := tracep.DefaultConfig()
-	fmt.Println("TABLE 1: Trace processor configuration.")
-	fmt.Printf("  frontend latency         2 cycles (fetch + dispatch)\n")
-	fmt.Printf("  trace predictor (hybrid) %d-entry path-based (8-trace hist.), %d-entry simple (1-trace hist.)\n",
+	fmt.Fprintln(w, "TABLE 1: Trace processor configuration.")
+	fmt.Fprintf(w, "  frontend latency         2 cycles (fetch + dispatch)\n")
+	fmt.Fprintf(w, "  trace predictor (hybrid) %d-entry path-based (8-trace hist.), %d-entry simple (1-trace hist.)\n",
 		cfg.TPred.PathEntries, cfg.TPred.SimpleEntries)
-	fmt.Printf("  trace cache              %d sets x %d ways, %d-instruction lines\n",
+	fmt.Fprintf(w, "  trace cache              %d sets x %d ways, %d-instruction lines\n",
 		cfg.TCache.Sets, cfg.TCache.Assoc, cfg.MaxTraceLen)
-	fmt.Printf("  instruction cache        %d insts, %d-way, %d-inst lines, %d-cycle miss\n",
+	fmt.Fprintf(w, "  instruction cache        %d insts, %d-way, %d-inst lines, %d-cycle miss\n",
 		cfg.ICache.SizeInsts, cfg.ICache.Assoc, cfg.ICache.LineInsts, cfg.ICache.MissPenalty)
-	fmt.Printf("  branch predictor         %d-entry tagless BTB, 2-bit counters\n", cfg.BPred.Entries)
-	fmt.Printf("  BIT                      %d-entry, %d-way assoc.\n", cfg.BIT.Entries, cfg.BIT.Assoc)
-	fmt.Printf("  trace construction b/w   1 port to instr. cache, branch pred., BIT\n")
-	fmt.Printf("  processing elements      %d PEs, %d-way issue per PE\n", cfg.NumPEs, cfg.PEIssueWidth)
-	fmt.Printf("  global result buses      %d buses, up to %d per PE, extra %d-cycle bypass latency\n",
+	fmt.Fprintf(w, "  branch predictor         %d-entry tagless BTB, 2-bit counters\n", cfg.BPred.Entries)
+	fmt.Fprintf(w, "  BIT                      %d-entry, %d-way assoc.\n", cfg.BIT.Entries, cfg.BIT.Assoc)
+	fmt.Fprintf(w, "  trace construction b/w   1 port to instr. cache, branch pred., BIT\n")
+	fmt.Fprintf(w, "  processing elements      %d PEs, %d-way issue per PE\n", cfg.NumPEs, cfg.PEIssueWidth)
+	fmt.Fprintf(w, "  global result buses      %d buses, up to %d per PE, extra %d-cycle bypass latency\n",
 		cfg.GlobalBuses, cfg.MaxBusPerPE, cfg.BusLatency)
-	fmt.Printf("  cache buses              %d buses, up to %d per PE\n", cfg.CacheBuses, cfg.MaxCachePerPE)
-	fmt.Printf("  data cache               %d words, %d-way, %d-word lines, %d-cycle hit, %d-cycle miss penalty\n",
+	fmt.Fprintf(w, "  cache buses              %d buses, up to %d per PE\n", cfg.CacheBuses, cfg.MaxCachePerPE)
+	fmt.Fprintf(w, "  data cache               %d words, %d-way, %d-word lines, %d-cycle hit, %d-cycle miss penalty\n",
 		cfg.DCache.SizeWords, cfg.DCache.Assoc, cfg.DCache.LineWords, cfg.DCache.HitLatency, cfg.DCache.MissPenalty)
-	fmt.Printf("  execution latencies      agen 1, memory 2 (hit), int ALU 1, mul 5, div 34 (R10000)\n")
-	fmt.Println()
+	fmt.Fprintf(w, "  execution latencies      agen 1, memory 2 (hit), int ALU 1, mul 5, div 34 (R10000)\n")
+	fmt.Fprintln(w)
 }
 
-func printTable2(n uint64) {
-	fmt.Println("TABLE 2: Benchmarks (synthetic SPEC95int analogues; see DESIGN.md).")
+func printTable2(w io.Writer, n uint64) {
+	fmt.Fprintln(w, "TABLE 2: Benchmarks (synthetic SPEC95int analogues; see DESIGN.md).")
 	for _, bm := range tracep.Benchmarks() {
-		fmt.Printf("  %-10s ~ %-13s scale=%-7d ~%d dynamic instructions\n",
+		fmt.Fprintf(w, "  %-10s ~ %-13s scale=%-7d ~%d dynamic instructions\n",
 			bm.Name, bm.Analogue, bm.ScaleFor(n), n)
-		fmt.Printf("             %s\n", bm.Profile)
+		fmt.Fprintf(w, "             %s\n", bm.Profile)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -100,7 +100,8 @@ func TestDocsCoverCluster(t *testing.T) {
 // actually uses — the hot/cold instruction banks, the paged rename table,
 // the flat subscriber/load tables, batched event delivery and the
 // reference-counted trace pool — and the README's performance methodology
-// must keep naming the committed baselines the trend gate compares.
+// must keep naming what measures speed: CI's per-commit BENCH_ci.json
+// trend gate and tracepbench's paired workload runs.
 func TestDocsCoverMemoryLayout(t *testing.T) {
 	checks := map[string][]string{
 		"ARCHITECTURE.md": {
@@ -117,8 +118,8 @@ func TestDocsCoverMemoryLayout(t *testing.T) {
 		},
 		"README.md": {
 			"Performance methodology",
-			"BENCH_009.json",
-			"BENCH_010.json",
+			"BENCH_ci.json",
+			"tracepbench",
 			"benchdiff",
 		},
 	}
@@ -137,18 +138,18 @@ func TestDocsCoverMemoryLayout(t *testing.T) {
 }
 
 // TestDocsCoverStatistics gates the prose for the seeds/CI layer the same
-// way: the statistical-sweep sections, the scenario and paperfigs surface,
+// way: the statistical-sweep sections, the scenario-grid flags,
 // and the consolidated tolerance flag must stay documented.
 func TestDocsCoverStatistics(t *testing.T) {
 	checks := map[string][]string{
 		"README.md": {
 			"### Seeds: replicated cells with confidence intervals",
-			"### cmd/paperfigs: tables with error bars",
+			"### Scenario grids with error bars: -scenarios and -spec",
 			"Sweep.Seeds",
 			"-tolerances",
 			"allow-missing",
 			"interval-aware",
-			"cmd/paperfigs",
+			"-spec",
 			"-seeds",
 			"-scenario-seeds",
 		},
@@ -159,7 +160,7 @@ func TestDocsCoverStatistics(t *testing.T) {
 			"Replicates(",
 			"95% confidence intervals are disjoint",
 			"tracep.Scenarios()",
-			"cmd/paperfigs",
+			"-scenarios",
 			"TestSeededSweepOverTheWire",
 		},
 	}

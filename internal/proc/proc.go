@@ -440,14 +440,6 @@ func (p *Processor) Run(maxInsts uint64) (*Stats, error) {
 	return p.RunContext(context.Background(), maxInsts, 0, nil)
 }
 
-// Progress is a snapshot of a running simulation, delivered to the progress
-// tap registered with RunContext.
-type Progress struct {
-	Cycle         int64
-	RetiredInsts  uint64
-	RetiredTraces uint64
-}
-
 // ctxCheckInterval is how many cycles elapse between context polls: cheap
 // enough to be invisible on the hot path, frequent enough that cancellation
 // lands within microseconds of simulated work.
@@ -457,8 +449,8 @@ const ctxCheckInterval = 1024
 // returning a copy of the statistics gathered so far together with the
 // context's error. When tap is non-nil it is called (synchronously, on the
 // simulation goroutine) each time another `every` instructions have
-// retired; every <= 0 disables the tap.
-func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint64, tap func(Progress)) (*Stats, error) {
+// retired, and may read Cycle and Stats; every <= 0 disables the tap.
+func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint64, tap func()) (*Stats, error) {
 	var ctxErr error
 	var nextTap uint64
 	if every > 0 && tap != nil {
@@ -467,7 +459,7 @@ func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint6
 	for !p.done && p.err == nil {
 		p.Step()
 		if nextTap > 0 && p.Stats.RetiredInsts >= nextTap {
-			tap(Progress{Cycle: p.cycle, RetiredInsts: p.Stats.RetiredInsts, RetiredTraces: p.Stats.RetiredTraces})
+			tap()
 			for nextTap <= p.Stats.RetiredInsts {
 				nextTap += every
 			}

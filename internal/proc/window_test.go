@@ -95,7 +95,8 @@ func checkMachine(p *Processor) error {
 }
 
 // runChecked steps p until it halts, fails or retires maxInsts
-// instructions, checking the machine after every cycle.
+// instructions, checking the machine after every cycle and the Stats laws
+// at the end.
 func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 	t.Helper()
 	for !p.Halted() && p.Err() == nil && p.Stats.RetiredInsts < maxInsts {
@@ -107,12 +108,39 @@ func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 	if err := p.Err(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	if err := checkStatsLaws(p); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 }
 
-// TestMachineChecksItself runs checkMachine after every cycle of the CI
-// baseline grid (every model), of a scenario grid of narrow and multi-word
-// windows with one cache bus, of value-predicted runs, and of runs restored
-// from a warm-up snapshot.
+// checkStatsLaws checks the accounting identities between Stats counters:
+// every recovery is of exactly one kind, retired trace lengths sum to the
+// retired instructions, and every dispatched trace has retired, been
+// squashed, or is still in the window.
+func checkStatsLaws(p *Processor) error {
+	s := &p.Stats
+	if kinds := s.FGCIRecoveries + s.CGCIRecoveries + s.BaseRecoveries; s.Recoveries != kinds {
+		return fmt.Errorf("Recoveries %d != FGCI %d + CGCI %d + base %d", s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries)
+	}
+	if s.RetiredTraceLenSum != s.RetiredInsts {
+		return fmt.Errorf("RetiredTraceLenSum %d != RetiredInsts %d", s.RetiredTraceLenSum, s.RetiredInsts)
+	}
+	inWindow := uint64(0)
+	for id := p.head; id >= 0; id = p.pes[id].next {
+		inWindow++
+	}
+	if s.DispatchedTraces != s.RetiredTraces+s.SquashedTraces+inWindow {
+		return fmt.Errorf("DispatchedTraces %d != retired %d + squashed %d + %d in the window",
+			s.DispatchedTraces, s.RetiredTraces, s.SquashedTraces, inWindow)
+	}
+	return nil
+}
+
+// TestMachineChecksItself runs checkMachine after every cycle, and
+// checkStatsLaws at the end of every cell, of the CI baseline grid (every
+// model), of a scenario grid of narrow and multi-word windows with one
+// cache bus, of value-predicted runs, and of runs restored from a warm-up
+// snapshot.
 func TestMachineChecksItself(t *testing.T) {
 	const n = 5000
 	var progs []*isa.Program

@@ -57,8 +57,8 @@ func (sc Scenario) Benchmarks(seeds ...int64) []Benchmark {
 //   - mixed: the moderate default blend (DefaultGenConfig), the vortex-like
 //     middle of the spectrum.
 //
-// The list and each family's shape are fixed: cmd/paperfigs grid specs and
-// saved baselines reference families by name.
+// The list and each family's shape are fixed: cmd/experiments -scenarios,
+// its -spec grid files and saved baselines reference families by name.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{

@@ -309,20 +309,20 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 		}
 		p.SetCommitSource(src)
 	}
-	var tap func(proc.Progress)
+	var tap func()
 	every := uint64(0)
 	if s.progress != nil {
 		every = s.progressEvery
 		if every == 0 {
 			every = DefaultProgressInterval
 		}
-		tap = func(pr proc.Progress) {
+		tap = func() {
 			s.progress(ProgressEvent{
 				Benchmark:     s.label,
 				Model:         s.model.Name,
-				Cycle:         pr.Cycle,
-				RetiredInsts:  pr.RetiredInsts,
-				RetiredTraces: pr.RetiredTraces,
+				Cycle:         p.Cycle(),
+				RetiredInsts:  p.Stats.RetiredInsts,
+				RetiredTraces: p.Stats.RetiredTraces,
 			})
 		}
 	}
