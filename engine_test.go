@@ -75,6 +75,35 @@ func TestPooledEngineByteIdentity(t *testing.T) {
 	}
 }
 
+// ciSeededSweep is the CI grid over two predictor seeds, with one row
+// restored from a warm-up snapshot: the grid whose JSON is committed as
+// testdata/ci-baseline-seeded.json. The seed-0 baseline never scrambles a
+// predictor table, so only this grid pins the seeded reset state (direction
+// counters, BTB targets and next-trace confidence counters) and a seeded
+// snapshot restore.
+func ciSeededSweep(t *testing.T) tracep.Sweep {
+	sw := ciBaselineSweep(t)
+	sw.Seeds = []int64{1, 7}
+	sw.WarmupFor = map[string]uint64{"vortex": 1500}
+	return sw
+}
+
+// TestSeededByteIdentity holds the seeded grid to its committed JSON at zero
+// tolerance.
+func TestSeededByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the seeded baseline grid")
+	}
+	got := mustRunJSON(t, ciSeededSweep(t))
+	want, err := os.ReadFile("testdata/ci-baseline-seeded.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("seeded sweep over the CI grid is not byte-identical to testdata/ci-baseline-seeded.json")
+	}
+}
+
 // TestPooledEngineSnapshotRestoreIdentity exercises pool reuse across the
 // snapshot boundary: a processor restored from a warm-up checkpoint builds
 // fresh pools over cloned state, so two restores from one snapshot — and a
