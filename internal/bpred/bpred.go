@@ -38,8 +38,15 @@ func DefaultConfig() Config { return Config{Entries: 16384, RASDepth: 16} }
 type Predictor struct {
 	cfg    Config   //tracep:nostats configuration
 	mask   uint32   //tracep:nostats configuration
-	ctr    []uint8  //tracep:nostats model state: 2-bit saturating counters, initialised weakly not-taken
+	ctr    []uint8  //tracep:nostats model state: 2-bit saturating counters
 	target []uint32 //tracep:nostats model state
+
+	// stamp[i] is the Reset generation that last wrote entry i (its counter
+	// and target together), and gen the current one. Reset increments gen
+	// instead of rewriting the tables, so an entry with an older stamp reads
+	// as its pristine value (see pristine). Stamps never exceed gen.
+	stamp []uint32 //tracep:nostats model state
+	gen   uint32   //tracep:nostats model state
 
 	ras []uint32 //tracep:nostats model state
 
@@ -55,7 +62,8 @@ func New(cfg Config) *Predictor {
 }
 
 // Reset returns the predictor to the state New(cfg) builds, reusing its
-// tables where they are large enough.
+// tables where they are large enough. It rewrites no entry: it starts a new
+// generation, so every entry reads as pristine until it is next written.
 func (p *Predictor) Reset(cfg Config) {
 	if cfg.Entries <= 0 {
 		cfg = DefaultConfig()
@@ -66,61 +74,95 @@ func (p *Predictor) Reset(cfg Config) {
 	p.cfg, p.mask = cfg, uint32(cfg.Entries-1)
 	p.ctr = slices.Grow(p.ctr[:0], cfg.Entries)[:cfg.Entries]
 	p.target = slices.Grow(p.target[:0], cfg.Entries)[:cfg.Entries]
-	clear(p.target)
+	p.stamp = slices.Grow(p.stamp[:0], cfg.Entries)[:cfg.Entries]
+	p.gen++
+	if p.gen == 0 {
+		// The stamps would alias after 2^32 resets: restart them.
+		clear(p.stamp[:cap(p.stamp)])
+		p.gen = 1
+	}
 	p.ras = p.ras[:0]
 	p.Lookups = 0
-	if cfg.Seed != 0 {
-		x := uint64(cfg.Seed)
-		nextRand := func() uint64 {
-			// splitmix64: cheap, well-mixed, reproducible.
-			x += 0x9E3779B97F4A7C15
-			z := x
-			z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-			return z ^ (z >> 31)
-		}
-		for i := range p.ctr {
-			p.ctr[i] = uint8(nextRand() & 3)
-		}
-		// Scramble a sparse subset of BTB targets (1 in 8) to model aliased
-		// leftovers rather than a uniformly poisoned table; 0 stays "no
-		// prediction" for the rest.
-		for i := range p.target {
-			if r := nextRand(); r&7 == 0 {
-				p.target[i] = uint32(r>>16) & 0xFFFFF
-			}
-		}
-	} else {
-		for i := range p.ctr {
-			p.ctr[i] = 1 // weakly not-taken
-		}
-	}
 }
 
-// Clone copies the predictor — counters, targets and the return-address
-// stack — into dst, reusing dst's tables, and returns dst; a nil dst gets
-// fresh ones. A warmed predictor captured in a snapshot is cloned into every
-// simulation restored from it.
+// splitmix64 returns the k-th output (from 1) of the splitmix64 generator
+// started at state x: cheap, well-mixed, reproducible, and computable for
+// any k without drawing the ones before it.
+//
+//tracep:noalloc
+func splitmix64(x, k uint64) uint64 {
+	z := x + k*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// pristine is entry i as Reset leaves it. Unseeded, the counter is weakly
+// not-taken and there is no target. Seeded, the counters take draws
+// 1..Entries of one splitmix64 stream and the targets the next Entries
+// draws, of which a sparse subset (1 in 8) sets a target, to model aliased
+// leftovers rather than a uniformly poisoned table; 0 stays "no prediction"
+// for the rest.
+//
+//tracep:noalloc
+func (p *Predictor) pristine(i uint32) (ctr uint8, target uint32) {
+	if p.cfg.Seed == 0 {
+		return 1, 0
+	}
+	x := uint64(p.cfg.Seed)
+	ctr = uint8(splitmix64(x, uint64(i)+1) & 3)
+	if r := splitmix64(x, uint64(p.cfg.Entries)+uint64(i)+1); r&7 == 0 {
+		target = uint32(r>>16) & 0xFFFFF
+	}
+	return ctr, target
+}
+
+// entry returns the index of the entry for pc, writing its pristine value
+// first if the current generation has not written it.
+//
+//tracep:noalloc
+func (p *Predictor) entry(pc uint32) uint32 {
+	i := pc & p.mask
+	if p.stamp[i] != p.gen {
+		p.ctr[i], p.target[i] = p.pristine(i)
+		p.stamp[i] = p.gen
+	}
+	return i
+}
+
+// Clone copies the predictor — counters, targets, their generation stamps
+// and the return-address stack — into dst, reusing dst's tables, and
+// returns dst; a nil dst gets fresh ones. A warmed predictor captured in a
+// snapshot is cloned into every simulation restored from it.
 func (p *Predictor) Clone(dst *Predictor) *Predictor {
 	if dst == nil {
 		dst = &Predictor{}
 	}
 	ctr := append(dst.ctr[:0], p.ctr...)
 	target := append(dst.target[:0], p.target...)
+	stamp := append(dst.stamp[:0], p.stamp...)
 	ras := append(dst.ras[:0], p.ras...)
 	*dst = *p
-	dst.ctr, dst.target, dst.ras = ctr, target, ras
+	dst.ctr, dst.target, dst.stamp, dst.ras = ctr, target, stamp, ras
 	return dst
 }
 
 // ResetStats zeroes the lookup counter, keeping the trained state.
 func (p *Predictor) ResetStats() { p.Lookups = 0 }
 
-// ExportState exposes the direction counters, BTB targets and return-address
-// stack for serialisation. The returned slices are the live arrays: callers
-// must treat them as read-only and must not hold them across predictions.
+// ExportState returns copies of the direction counters, BTB targets and
+// return-address stack for serialisation, with the pristine value of every
+// entry the current generation has not written. It leaves the predictor
+// untouched, so a snapshot's predictor can be exported while simulations
+// restore from it.
 func (p *Predictor) ExportState() (ctr []uint8, target, ras []uint32) {
-	return p.ctr, p.target, p.ras
+	ctr, target = slices.Clone(p.ctr), slices.Clone(p.target)
+	for i := range ctr {
+		if p.stamp[i] != p.gen {
+			ctr[i], target[i] = p.pristine(uint32(i))
+		}
+	}
+	return ctr, target, slices.Clone(p.ras)
 }
 
 // ImportState overwrites the predictor's trained state with previously
@@ -142,12 +184,12 @@ func (p *Predictor) ImportState(ctr []uint8, target, ras []uint32) error {
 	}
 	copy(p.ctr, ctr)
 	copy(p.target, target)
+	for i := range p.stamp {
+		p.stamp[i] = p.gen
+	}
 	p.ras = append(p.ras[:0], ras...)
 	return nil
 }
-
-//tracep:noalloc
-func (p *Predictor) idx(pc uint32) uint32 { return pc & p.mask }
 
 // PredictDirection predicts a conditional branch at pc: taken when the 2-bit
 // counter's high bit is set.
@@ -155,14 +197,14 @@ func (p *Predictor) idx(pc uint32) uint32 { return pc & p.mask }
 //tracep:noalloc
 func (p *Predictor) PredictDirection(pc uint32) bool {
 	p.Lookups++
-	return p.ctr[p.idx(pc)] >= 2
+	return p.ctr[p.entry(pc)] >= 2
 }
 
 // UpdateDirection trains the 2-bit counter for the branch at pc.
 //
 //tracep:noalloc
 func (p *Predictor) UpdateDirection(pc uint32, taken bool) {
-	i := p.idx(pc)
+	i := p.entry(pc)
 	if taken {
 		if p.ctr[i] < 3 {
 			p.ctr[i]++
@@ -174,12 +216,12 @@ func (p *Predictor) UpdateDirection(pc uint32, taken bool) {
 
 // PredictIndirect predicts the target of an indirect jump at pc from the
 // tagless BTB target field (0 means no prediction yet).
-func (p *Predictor) PredictIndirect(pc uint32) uint32 { return p.target[p.idx(pc)] }
+func (p *Predictor) PredictIndirect(pc uint32) uint32 { return p.target[p.entry(pc)] }
 
 // UpdateIndirect records the observed target of the indirect jump at pc.
 //
 //tracep:noalloc
-func (p *Predictor) UpdateIndirect(pc, target uint32) { p.target[p.idx(pc)] = target }
+func (p *Predictor) UpdateIndirect(pc, target uint32) { p.target[p.entry(pc)] = target }
 
 // PushRAS records a call's return address.
 func (p *Predictor) PushRAS(ret uint32) {

@@ -51,3 +51,22 @@ func TestResetStats(t *testing.T) {
 		t.Errorf("Lookups = %d after ResetStats", p.Lookups)
 	}
 }
+
+// TestCloneCopiesStamps: a clone of a trained, seeded predictor reads every
+// entry as the original does — both the entries training wrote and the ones
+// still pristine — and a Reset of the clone returns it to pristine.
+func TestCloneCopiesStamps(t *testing.T) {
+	cfg := Config{Entries: 128, RASDepth: 4, Seed: 7}
+	p := New(cfg)
+	train(p, 40)
+	dst := New(Config{Entries: 128, RASDepth: 4})
+	train(dst, 90)
+	c := p.Clone(dst)
+	wantCtr, wantTarget := logicalState(p)
+	ctr, target := logicalState(c)
+	sameState(t, "clone", ctr, target, wantCtr, wantTarget)
+	c.Reset(cfg)
+	ctr, target = logicalState(c)
+	wantCtr, wantTarget = eagerReset(cfg)
+	sameState(t, "Reset of the clone", ctr, target, wantCtr, wantTarget)
+}

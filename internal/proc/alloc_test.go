@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"runtime"
 	"testing"
 
 	"tracep/internal/asm"
@@ -178,5 +179,57 @@ func BenchmarkCycleLoop(b *testing.B) {
 	}
 	if p.Halted() {
 		b.Fatalf("workload halted after %d cycles; enlarge the program", p.Cycle())
+	}
+}
+
+// TestFreshEngineResetAllocs bounds what a fresh engine allocates in its
+// first seeded Reset. The next-trace tables are paged and the predictor
+// tables generation-stamped, so the two 2^16-entry next-trace tables (about
+// 2.6 MiB) are not allocated up front.
+func TestFreshEngineResetAllocs(t *testing.T) {
+	bm, err := bench.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(20_000))
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := &Processor{}
+	p.Reset(prog, ModelFGMLBRET, cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	const limit = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("a fresh engine's first seeded Reset allocated %d bytes, want under %d", got, limit)
+	}
+}
+
+// BenchmarkEngineReset reports what a warm engine's Reset costs between two
+// cells, unseeded and seeded, with -benchmem.
+func BenchmarkEngineReset(b *testing.B) {
+	bm, err := bench.ByName("compress")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(20_000))
+	for _, rc := range []struct {
+		name string
+		seed int64
+	}{{"unseeded", 0}, {"seeded", 1}} {
+		b.Run(rc.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Seed = rc.seed
+			p := New(prog, ModelFGMLBRET, cfg)
+			if _, err := p.Run(20_000); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Reset(prog, ModelFGMLBRET, cfg)
+			}
+		})
 	}
 }

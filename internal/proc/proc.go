@@ -332,19 +332,21 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	if cfg.ValuePredict {
 		p.vp = reuse(old.vp)
 	}
+	// The trace cache, next-trace predictor and value predictor start from
+	// reset even on a restore: the warm-up never trains them.
+	p.tcache.Reset(cfg.TCache)
+	p.tp.Reset(effectiveTPredConfig(cfg))
+	if p.vp != nil {
+		p.vp.Reset(cfg.VPred)
+	}
 	if snap == nil {
 		p.mem.Reset(prog)
 		p.dcache.Reset(cfg.DCache)
 		p.icache.Reset(cfg.ICache)
-		p.tcache.Reset(cfg.TCache)
 		p.bp.Reset(effectiveBPredConfig(cfg))
-		p.tp.Reset(effectiveTPredConfig(cfg))
 		p.bit.Reset(prog, effectiveBITConfig(cfg))
 		if p.oracle != nil {
 			p.oracle.Reset(prog)
-		}
-		if p.vp != nil {
-			p.vp.Reset(cfg.VPred)
 		}
 		p.fe.init(cfg.NumPEs, prog.Entry)
 	} else {
@@ -353,15 +355,10 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 		snap.emu.Mem.Clone(&p.mem)
 		snap.dcache.Clone(&p.dcache)
 		snap.icache.Clone(&p.icache)
-		snap.tcache.Clone(&p.tcache)
 		snap.bp.Clone(&p.bp)
-		snap.tp.Clone(&p.tp)
 		snap.bit.Clone(&p.bit)
 		if p.oracle != nil {
 			snap.emu.Clone(p.oracle)
-		}
-		if p.vp != nil {
-			snap.vp.Clone(p.vp)
 		}
 		p.fe.init(cfg.NumPEs, snap.emu.PC)
 		p.Stats.WarmupInsts = snap.warmupInsts

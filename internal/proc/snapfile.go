@@ -25,8 +25,8 @@ package proc
 //	CRC32-C of payload                      (4 bytes, little-endian)
 //
 // Only the model-independent warmed structures are encoded. The trace
-// cache, next-trace predictor and value predictor are captured at reset
-// (see Snapshot), so decoding rebuilds them from the configuration; the
+// cache, next-trace predictor and value predictor are not part of a
+// Snapshot (a restore resets them from the configuration); the
 // rename file and map are a pure function of the architectural registers,
 // so they are rebuilt rather than shipped; and the BIT's memoised analyses
 // are recomputed on demand (AnalyzeRegion is pure), so only its residency
@@ -44,10 +44,7 @@ import (
 	"tracep/internal/core"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
-	"tracep/internal/tpred"
-	"tracep/internal/trace"
 	"tracep/internal/tracefile"
-	"tracep/internal/vpred"
 )
 
 // ErrCorruptSnapshot is the sentinel wrapped by every structural error
@@ -423,7 +420,7 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		return nil, corruptSnap("%d trailing bytes after the last section", r.len())
 	}
 
-	s := &Snapshot{
+	return &Snapshot{
 		prog:        prog,
 		cfg:         cfg,
 		warmupInsts: warmup,
@@ -431,12 +428,6 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,
-		tcache:      trace.NewCache(cfg.TCache),
-		tp:          tpred.New(effectiveTPredConfig(cfg)),
 		bit:         bit,
-	}
-	if cfg.ValuePredict {
-		s.vp = vpred.New(cfg.VPred)
-	}
-	return s, nil
+	}, nil
 }

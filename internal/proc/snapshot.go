@@ -10,9 +10,6 @@ import (
 	"tracep/internal/core"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
-	"tracep/internal/tpred"
-	"tracep/internal/trace"
-	"tracep/internal/vpred"
 )
 
 // ErrIncompatibleSnapshot is the sentinel wrapped by every error
@@ -27,15 +24,15 @@ var ErrIncompatibleSnapshot = errors.New("snapshot incompatible with configurati
 // path — instruction and data cache arrays, branch-predictor counters,
 // indirect targets and return-address stack, and the BIT's memoised FGCI
 // analyses. Structures whose contents depend on the trace-selection model
-// (trace cache, next-trace predictor, value predictor) are captured at
-// reset, which is what makes one snapshot restorable under every model: the
-// warm-up region is simulated once per program, not once per (program,
-// model) cell.
+// (trace cache, next-trace predictor, value predictor) are not captured: a
+// restore resets them exactly as a cold start does, which is what makes one
+// snapshot restorable under every model: the warm-up region is simulated
+// once per program, not once per (program, model) cell.
 //
 // A Snapshot is never mutated after capture and every restore copies out of
 // it into the processor's own storage (see the Clone methods across
-// internal/{cache,bpred,tpred,vpred,emu,trace,core} and isa.Memory), so any
-// number of simulations may be forked from one snapshot concurrently.
+// internal/{cache,bpred,emu,core} and isa.Memory), so any number of
+// simulations may be forked from one snapshot concurrently.
 type Snapshot struct {
 	prog        *isa.Program
 	cfg         Config // capture-time configuration
@@ -50,10 +47,7 @@ type Snapshot struct {
 	icache *cache.ICache
 	dcache *cache.DCache
 	bp     *bpred.Predictor
-	tp     *tpred.Predictor
-	tcache *trace.Cache
 	bit    *core.BIT
-	vp     *vpred.Predictor // nil unless cfg.ValuePredict
 }
 
 // Program returns the program the snapshot was captured from. Restored
@@ -162,7 +156,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 	bp.ResetStats()
 	bit.ResetStats()
 
-	s := &Snapshot{
+	return &Snapshot{
 		prog:        prog,
 		cfg:         cfg,
 		warmupInsts: warmupInsts,
@@ -170,19 +164,15 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 		icache:      ic,
 		dcache:      dc,
 		bp:          bp,
-		tcache:      trace.NewCache(cfg.TCache),
-		tp:          tpred.New(effectiveTPredConfig(cfg)),
 		bit:         bit,
-	}
-	if cfg.ValuePredict {
-		s.vp = vpred.New(cfg.VPred)
-	}
-	return s, nil
+	}, nil
 }
 
 // CompatibleWith reports whether a processor configured with cfg can be
-// restored from the snapshot: every field that sizes or seeds a snapshotted
-// structure must match the capture-time configuration. Fields that only
+// restored from the snapshot: every field that sizes or seeds a cache or a
+// predictor must match the capture-time configuration, including those of
+// the trace cache and the next-trace and value predictors, which a restore
+// resets rather than copies. Fields that only
 // shape the measured simulation — PE count, issue width, bus counts and
 // latencies, verification, watchdog — may differ freely, so a
 // window-sizing sweep can share one warm-up.

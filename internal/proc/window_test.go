@@ -115,15 +115,29 @@ func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 
 // checkStatsLaws checks the accounting identities between Stats counters:
 // every recovery is of exactly one kind, retired trace lengths sum to the
-// retired instructions, and every dispatched trace has retired, been
-// squashed, or is still in the window.
+// retired instructions, no cache misses more often than it is accessed, and
+// every dispatched trace has retired, been squashed, or is still in the
+// window.
 func checkStatsLaws(p *Processor) error {
+	p.finalizeStats() // the cache counters reach Stats only here
 	s := &p.Stats
 	if kinds := s.FGCIRecoveries + s.CGCIRecoveries + s.BaseRecoveries; s.Recoveries != kinds {
 		return fmt.Errorf("Recoveries %d != FGCI %d + CGCI %d + base %d", s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries)
 	}
 	if s.RetiredTraceLenSum != s.RetiredInsts {
 		return fmt.Errorf("RetiredTraceLenSum %d != RetiredInsts %d", s.RetiredTraceLenSum, s.RetiredInsts)
+	}
+	for _, c := range []struct {
+		name           string
+		misses, probes uint64
+	}{
+		{"TC", s.TCMisses, s.TCLookups},
+		{"IC", s.ICMisses, s.ICAccesses},
+		{"DC", s.DCMisses, s.DCAccesses},
+	} {
+		if c.misses > c.probes {
+			return fmt.Errorf("%sMisses %d > %d accesses", c.name, c.misses, c.probes)
+		}
 	}
 	inWindow := uint64(0)
 	for id := p.head; id >= 0; id = p.pes[id].next {

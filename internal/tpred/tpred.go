@@ -36,19 +36,39 @@ func DefaultConfig() Config {
 }
 
 type entry struct {
+	// gen is the Reset generation that last wrote the entry; an entry from
+	// an older generation reads as its pristine value (see Predictor.at).
+	gen  uint32
+	desc trace.Descriptor
+	// valid is false until the entry's first installation.
 	valid bool
-	desc  trace.Descriptor
 	// ctr is a 2-bit saturating confidence counter with replace-on-zero
 	// hysteresis.
 	ctr uint8
 }
 
+// pageShift sizes a table page: 64 entries. The tables are directories of
+// pages allocated on first write, so a short run allocates only the pages
+// its trace history trains, not two 2^16-entry tables.
+const (
+	pageShift = 6
+	pageMask  = 1<<pageShift - 1
+)
+
+type page [1 << pageShift]entry
+
 // Predictor is the hybrid next-trace predictor.
 type Predictor struct {
 	cfg     Config  //tracep:nostats configuration
-	path    []entry //tracep:nostats model state
-	simple  []entry //tracep:nostats model state
+	path    []*page //tracep:nostats model state
+	simple  []*page //tracep:nostats model state
 	histLen int     //tracep:nostats model state
+
+	// gen is the current Reset generation. Reset increments it instead of
+	// clearing the tables, so every entry stamped by an older generation
+	// reads as pristine. Stamps never exceed gen.
+	//tracep:nostats model state
+	gen uint32
 
 	// hist is the speculative history of trace IDs, stored as a power-of-two
 	// ring indexed by absolute position (hist[pos&(len-1)]): the frontend
@@ -76,10 +96,11 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Reset returns the predictor to the state New(cfg) builds — empty tables,
-// empty speculative history, zero counters — reusing its tables where they
-// are large enough. A history ring grown by EnsureHistoryCapacity keeps its
-// size.
+// Reset returns the predictor to the state New(cfg) builds — pristine
+// tables, empty speculative history, zero counters — in time independent of
+// the table sizes: it starts a new generation rather than clearing entries,
+// and keeps every page already allocated. A history ring grown by
+// EnsureHistoryCapacity keeps its size.
 func (p *Predictor) Reset(cfg Config) {
 	if cfg.PathEntries == 0 {
 		cfg = DefaultConfig()
@@ -87,46 +108,82 @@ func (p *Predictor) Reset(cfg Config) {
 	if cfg.PathEntries&(cfg.PathEntries-1) != 0 || cfg.SimpleEntries&(cfg.SimpleEntries-1) != 0 {
 		panic("tpred: table sizes must be powers of two")
 	}
-	path := slices.Grow(p.path[:0], cfg.PathEntries)[:cfg.PathEntries]
-	simple := slices.Grow(p.simple[:0], cfg.SimpleEntries)[:cfg.SimpleEntries]
+	gen := p.gen + 1
+	if gen == 0 {
+		// The stamps would alias after 2^32 resets: drop every page instead.
+		clear(p.path[:cap(p.path)])
+		clear(p.simple[:cap(p.simple)])
+		gen = 1
+	}
+	path := slices.Grow(p.path[:0], pages(cfg.PathEntries))[:pages(cfg.PathEntries)]
+	simple := slices.Grow(p.simple[:0], pages(cfg.SimpleEntries))[:pages(cfg.SimpleEntries)]
 	hist := p.hist
 	if len(hist) < defaultHistRing {
 		hist = make([]uint64, defaultHistRing)
 	}
-	clear(path)
-	clear(simple)
 	clear(hist)
-	*p = Predictor{cfg: cfg, path: path, simple: simple, histLen: cfg.HistLen, hist: hist}
-	if cfg.Seed != 0 {
-		x := uint64(cfg.Seed) ^ 0xA24BAED4963EE407
-		scramble := func(es []entry) {
-			for i := range es {
-				// splitmix64: cheap, well-mixed, reproducible.
-				x += 0x9E3779B97F4A7C15
-				z := x
-				z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-				z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-				es[i].ctr = uint8((z ^ (z >> 31)) & 3)
-			}
-		}
-		scramble(p.path)
-		scramble(p.simple)
-	}
+	*p = Predictor{cfg: cfg, path: path, simple: simple, histLen: cfg.HistLen, hist: hist, gen: gen}
 }
 
-// Clone copies the predictor — both component tables, the speculative
-// history ring, and the counters — into dst, reusing dst's tables, and
-// returns dst; a nil dst gets fresh ones.
-func (p *Predictor) Clone(dst *Predictor) *Predictor {
-	if dst == nil {
-		dst = &Predictor{}
+// pages returns how many pages hold n entries.
+func pages(n int) int { return (n + pageMask) >> pageShift }
+
+// splitmix64 returns the k-th output (from 1) of the splitmix64 generator
+// started at state x: cheap, well-mixed, reproducible, and computable for
+// any k without drawing the ones before it.
+//
+//tracep:noalloc
+func splitmix64(x, k uint64) uint64 {
+	z := x + k*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// pristine is entry i of a table as Reset leaves it: invalid, with a zero
+// confidence counter or, seeded, the scramble's draw for that entry. The
+// path table takes draws 1..PathEntries and the simple table the ones after;
+// draw0 is the draw just before the table's first entry.
+//
+//tracep:noalloc
+func (p *Predictor) pristine(i, draw0 int) entry {
+	e := entry{gen: p.gen}
+	if p.cfg.Seed != 0 {
+		x := uint64(p.cfg.Seed) ^ 0xA24BAED4963EE407
+		e.ctr = uint8(splitmix64(x, uint64(draw0+i+1)) & 3)
 	}
-	path := append(dst.path[:0], p.path...)
-	simple := append(dst.simple[:0], p.simple...)
-	hist := append(dst.hist[:0], p.hist...)
-	*dst = *p
-	dst.path, dst.simple, dst.hist = path, simple, hist
-	return dst
+	return e
+}
+
+// live returns entry i of table t if the current generation has written it,
+// else nil: the entry reads as pristine, and a pristine entry is invalid.
+//
+//tracep:noalloc
+func (p *Predictor) live(t []*page, i int) *entry {
+	if pg := t[i>>pageShift]; pg != nil {
+		if e := &pg[i&pageMask]; e.gen == p.gen {
+			return e
+		}
+	}
+	return nil
+}
+
+// at returns entry i of table t for writing, allocating its page and
+// writing its pristine value first if the current generation has not
+// written it yet.
+//
+//tracep:noalloc
+func (p *Predictor) at(t []*page, i, draw0 int) *entry {
+	pg := t[i>>pageShift]
+	if pg == nil {
+		pg = new(page) //tracep:allow a page is allocated once, on its first write; Reset keeps it
+		t[i>>pageShift] = pg
+	}
+	e := &pg[i&pageMask]
+	if e.gen != p.gen {
+		*e = p.pristine(i, draw0)
+	}
+	return e
 }
 
 // defaultHistRing is the speculative-history ring capacity at construction:
@@ -177,7 +234,7 @@ func (p *Predictor) hashPathAt(pos int) int {
 		h = (h<<5 | h>>59) ^ p.hist[i&rmask]
 		h *= 0xBF58476D1CE4E5B9
 	}
-	return int(h^(h>>21)) & (len(p.path) - 1)
+	return int(h^(h>>21)) & (p.cfg.PathEntries - 1)
 }
 
 // hashSimpleAt indexes the simple component with the trace ID at absolute
@@ -191,7 +248,7 @@ func (p *Predictor) hashSimpleAt(pos int) int {
 	h := p.hist[(pos-1)&(len(p.hist)-1)]
 	h ^= h >> 17
 	h *= 0xBF58476D1CE4E5B9
-	return int(h^(h>>29)) & (len(p.simple) - 1)
+	return int(h^(h>>29)) & (p.cfg.SimpleEntries - 1)
 }
 
 // Predict returns the predicted next trace descriptor given the current
@@ -202,16 +259,15 @@ func (p *Predictor) hashSimpleAt(pos int) int {
 //tracep:noalloc
 func (p *Predictor) Predict() (trace.Descriptor, bool) {
 	p.Predictions++
-	pe := &p.path[p.hashPathAt(p.pos)]
-	if pe.valid && pe.ctr >= 2 {
+	pe := p.live(p.path, p.hashPathAt(p.pos))
+	if pe != nil && pe.valid && pe.ctr >= 2 {
 		p.PathPredictions++
 		return pe.desc, true
 	}
-	se := &p.simple[p.hashSimpleAt(p.pos)]
-	if se.valid {
+	if se := p.live(p.simple, p.hashSimpleAt(p.pos)); se != nil && se.valid {
 		return se.desc, true
 	}
-	if pe.valid {
+	if pe != nil && pe.valid {
 		p.PathPredictions++
 		return pe.desc, true
 	}
@@ -282,8 +338,8 @@ func (p *Predictor) clampPos(pos int) int {
 func (p *Predictor) Train(pos int, actual trace.Descriptor) {
 	p.Trains++
 	pos = p.clampPos(pos)
-	train(&p.path[p.hashPathAt(pos)], actual)
-	train(&p.simple[p.hashSimpleAt(pos)], actual)
+	train(p.at(p.path, p.hashPathAt(pos), 0), actual)
+	train(p.at(p.simple, p.hashSimpleAt(pos), p.cfg.PathEntries), actual)
 }
 
 // train applies 2-bit replace-on-zero hysteresis to one table entry.

@@ -55,9 +55,9 @@ func (c *Cache) Lookup(d Descriptor) (*Trace, bool) {
 			return tr, true
 		}
 		// Timing hit with missing content can only follow an external
-		// inconsistency; treat as miss.
+		// inconsistency; treat as miss. Touch has already counted the
+		// access.
 		c.timing.Misses++
-		c.timing.Accesses++
 		return nil, false
 	}
 	return nil, false
@@ -92,30 +92,6 @@ func (c *Cache) Insert(tr *Trace) (evicted *Trace, fresh bool) {
 	//tracep:allow map access: the trace cache content index is cold (one probe per construction, not per cycle)
 	c.store[key] = tr
 	return evicted, true
-}
-
-// Clone copies the cache's timing state and content index into dst, reusing
-// dst's storage, and returns dst; a nil dst gets fresh storage. The *Trace
-// values themselves are shared: traces are immutable once inserted (repairs
-// construct new traces rather than editing resident ones), so clones may
-// alias them safely. Shared traces are pinned immortal — neither holder may
-// recycle storage the other still reads. (The engine only ever clones empty
-// caches — snapshots capture the trace cache at reset — so pinning costs
-// nothing there.)
-func (c *Cache) Clone(dst *Cache) *Cache {
-	if dst == nil {
-		dst = &Cache{}
-	}
-	c.timing.Clone(&dst.timing)
-	if dst.store == nil {
-		dst.store = make(map[uint64]*Trace, len(c.store))
-	}
-	clear(dst.store)
-	for k, tr := range c.store { //tracep:orderinvariant map-to-map copy
-		tr.refs = -1
-		dst.store[k] = tr
-	}
-	return dst
 }
 
 // ResetStats zeroes the lookup/miss counters, keeping resident traces.

@@ -47,19 +47,17 @@ func TestTraceRefcountLifecycle(t *testing.T) {
 	}
 }
 
-// TestCacheCloneImmortalisesTraces: Clone pins every stored trace's count to
-// the immortal sentinel (snapshots outlive any one engine's refcounting), so
-// Retain/Release on a snapshot-held trace become no-ops and it can never be
-// recycled.
-func TestCacheCloneImmortalisesTraces(t *testing.T) {
+// TestCacheContentMissCountsOnce: a lookup whose tag hits in the timing
+// array but finds no stored trace is one access and one miss.
+func TestCacheContentMissCountsOnce(t *testing.T) {
 	c := NewCache(CacheConfig{Sets: 4, Assoc: 2})
-	tr := &Trace{Desc: Descriptor{StartPC: 10}}
-	c.Insert(tr)
-	tr.Retain() // the cache's reference, as the processor would track it
-	_ = c.Clone(nil)
-	tr.Retain()
-	if tr.Release() || tr.Release() {
-		t.Error("a snapshot-pinned trace reported a last-reference drop")
+	d := Descriptor{StartPC: 10, Len: 1}
+	c.timing.Fill(d.ID())
+	if tr, hit := c.Lookup(d); hit || tr != nil {
+		t.Fatalf("lookup with no stored trace = %v/%v, want a miss", tr, hit)
+	}
+	if lookups, misses := c.Stats(); lookups != 1 || misses != 1 {
+		t.Errorf("Stats = %d lookups, %d misses; want 1, 1", lookups, misses)
 	}
 }
 

@@ -142,24 +142,18 @@ type Trace struct {
 	// consumer (fetch entry, PE, active recovery). A persistent trace whose
 	// count drops to zero may be recycled into a Constructor's pool, so its
 	// storage backs a future build instead of becoming garbage. Zero also
-	// means "untracked" (a trace that was never retained is never recycled),
-	// and -1 marks an immortal trace shared across cache clones.
+	// means "untracked" (a trace that was never retained is never recycled).
 	refs int32
 }
 
-// Retain adds a reference to the trace. No-op on immortal traces.
+// Retain adds a reference to the trace.
 //
 //tracep:noalloc
-func (t *Trace) Retain() {
-	if t.refs >= 0 {
-		t.refs++
-	}
-}
+func (t *Trace) Retain() { t.refs++ }
 
 // Release drops one reference and reports whether the count reached zero —
 // i.e. the caller held the last reference and may recycle the trace's
-// storage (Constructor.Recycle). Untracked and immortal traces always report
-// false.
+// storage (Constructor.Recycle). Untracked traces always report false.
 //
 //tracep:noalloc
 func (t *Trace) Release() bool {

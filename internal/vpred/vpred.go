@@ -69,18 +69,6 @@ func (p *Predictor) Reset(cfg Config) {
 	*p = Predictor{cfg: cfg, table: table, mask: uint64(cfg.Entries - 1)}
 }
 
-// Clone copies the predictor table and counters into dst, reusing dst's
-// table, and returns dst; a nil dst gets a fresh one.
-func (p *Predictor) Clone(dst *Predictor) *Predictor {
-	if dst == nil {
-		dst = &Predictor{}
-	}
-	table := append(dst.table[:0], p.table...)
-	*dst = *p
-	dst.table = table
-	return dst
-}
-
 // ResetStats zeroes the prediction/training counters, keeping the table.
 func (p *Predictor) ResetStats() { p.Predictions, p.Correct, p.Trains = 0, 0, 0 }
 

@@ -272,8 +272,9 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One engine per worker, reset for every cell it runs: its tables
-			// and arenas are allocated once per sweep, not once per cell. It
+			// One engine per worker, reset for every cell it runs: its caches,
+			// arenas and the predictor pages its cells have trained carry
+			// over to the next cell instead of being allocated again. It
 			// becomes garbage when the worker exits.
 			engine := &proc.Processor{}
 			for job := range jobCh {
