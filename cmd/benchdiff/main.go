@@ -145,9 +145,7 @@ func parseLine(line string) (name string, ns, allocs float64, ok bool) {
 // the mean, and whether the 95% intervals on the two means are disjoint.
 func change(old, cur []float64) (o, n report.Dist, pct float64, disjoint bool) {
 	o, n = report.DistOf(old), report.DistOf(cur)
-	oLo, oHi := o.Interval()
-	nLo, nHi := n.Interval()
-	return o, n, pctRise(o.Mean, n.Mean), nLo > oHi || nHi < oLo
+	return o, n, pctRise(o.Mean, n.Mean), n.Above(o) || o.Above(n)
 }
 
 // fmtDist renders a metric as its mean, with the interval half-width when

@@ -21,7 +21,8 @@ type cellKey struct {
 // in trace mispredictions or recoveries, regresses, and every baseline
 // cell must be present in the current set. Simulations are deterministic,
 // so the strict gate is the natural default; tolerances exist to absorb
-// intended small perturbations.
+// intended small perturbations. Every bound is non-negative or +Inf
+// (Validate).
 type Tolerances struct {
 	// IPCPct is the maximum tolerated relative IPC drop, in percent (2.0
 	// allows up to a 2% slowdown per cell). Improvements are never
@@ -66,9 +67,9 @@ type Tolerances struct {
 //     (CacheMissPer1000), and allow-missing (bool; bare "allow-missing"
 //     means true) — e.g. "ipc=2,miss=0.5,allow-missing".
 //
-// An empty spec returns the zero (strictest) Tolerances. cmd/experiments'
-// -tolerances flag and server.SweepRequest.Tolerances both speak this
-// encoding.
+// An empty spec returns the zero (strictest) Tolerances. Every bound must
+// be non-negative (see Validate). cmd/experiments' -tolerances flag and
+// server.SweepRequest.Tolerances both speak this encoding.
 func ParseTolerances(spec string) (Tolerances, error) {
 	var tol Tolerances
 	s := strings.TrimSpace(spec)
@@ -80,6 +81,9 @@ func ParseTolerances(spec string) (Tolerances, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&tol); err != nil {
 			return Tolerances{}, fmt.Errorf("tracep: parsing tolerances JSON: %w", err)
+		}
+		if err := tol.Validate(); err != nil {
+			return Tolerances{}, err
 		}
 		return tol, nil
 	}
@@ -124,7 +128,30 @@ func ParseTolerances(spec string) (Tolerances, error) {
 			return Tolerances{}, err
 		}
 	}
+	if err := tol.Validate(); err != nil {
+		return Tolerances{}, err
+	}
 	return tol, nil
+}
+
+// Validate rejects bounds the gate cannot honour: a negative bound would
+// flag an unchanged cell, and NaN fails every comparison, so any drop
+// would pass. +Inf is allowed.
+func (t Tolerances) Validate() error {
+	for _, b := range []struct {
+		field, key string
+		v          float64
+	}{
+		{"ipc_pct", "ipc", t.IPCPct},
+		{"trace_misp_per_1000", "tmisp", t.TraceMispPer1000},
+		{"recoveries_pct", "recoveries", t.RecoveriesPct},
+		{"cache_miss_per_1000", "miss", t.CacheMissPer1000},
+	} {
+		if !(b.v >= 0) {
+			return fmt.Errorf("tracep: tolerance %s (%s) is %v; tolerances must be non-negative", b.field, b.key, b.v)
+		}
+	}
+	return nil
 }
 
 // DiffKind classifies one cell of a Diff.
@@ -164,9 +191,8 @@ type CellDelta struct {
 	CurrentIPC  float64 `json:"current_ipc,omitempty"`
 	// BaselineN/CurrentN count each side's successful seed replicates, and
 	// BaselineIPCCI/CurrentIPCCI carry the 95% CI half-widths on the mean
-	// IPC. Populated only on the interval-gated path (either side N > 1);
-	// single-point comparisons leave them zero, keeping pre-seeds diff JSON
-	// byte-identical.
+	// IPC. Populated only when either side has N > 1; a comparison of two
+	// points leaves them zero, keeping pre-seeds diff JSON byte-identical.
 	BaselineN     int     `json:"baseline_n,omitempty"`
 	CurrentN      int     `json:"current_n,omitempty"`
 	BaselineIPCCI float64 `json:"baseline_ipc_ci,omitempty"`
@@ -211,12 +237,11 @@ type Diff struct {
 
 // Diff compares r (the current results) against baseline under tol,
 // cell by cell — a multi-seed set's replicates are aggregated into their
-// cell's CellStats distributions first. Single-replicate cells on both
-// sides compare as exact points, the pre-seeds behaviour bit-for-bit; once
-// either side carries replicates the gate becomes interval-aware: a metric
-// regresses only when its mean drifts beyond tolerance AND the two 95%
-// confidence intervals are disjoint, so replicate noise within overlapping
-// intervals never fails the gate.
+// cell's CellStats distributions first, and a single-replicate cell is a
+// zero-width interval around its point. A metric regresses when its mean
+// drifts beyond tolerance AND the two 95% confidence intervals are
+// disjoint, so replicate noise within overlapping intervals never fails
+// the gate; for two points the interval condition is the drift itself.
 //
 // Only cells with statistics participate as successes; failed cells count
 // as absent on their side (a baseline failure that now succeeds is
@@ -227,11 +252,12 @@ func (r *ResultSet) Diff(baseline *ResultSet, tol Tolerances) *Diff {
 	seen := make(map[cellKey]bool)
 	for _, b := range baseline.Benches() {
 		for _, m := range baseline.Models() {
-			if _, ok := baseline.Get(b, m); !ok {
+			base, ok := baseline.Cell(b, m)
+			if !ok {
 				continue
 			}
 			seen[cellKey{b, m}] = true
-			d.Cells = append(d.Cells, compareCell(r, baseline, b, m, tol))
+			d.Cells = append(d.Cells, compareCell(r, baseline, base, tol))
 		}
 	}
 	for _, b := range r.Benches() {
@@ -239,20 +265,13 @@ func (r *ResultSet) Diff(baseline *ResultSet, tol Tolerances) *Diff {
 			if seen[cellKey{b, m}] {
 				continue
 			}
-			cur, ok := r.Get(b, m)
+			cur, ok := r.Cell(b, m)
 			if !ok {
 				continue
 			}
-			c := CellDelta{
-				Benchmark:  b,
-				Model:      m,
-				Kind:       DiffNew,
-				CurrentIPC: cur.IPC(),
-			}
-			if cell, ok := r.Cell(b, m); ok && cell.N > 1 {
-				c.CurrentIPC = cell.IPC.Mean
-				c.CurrentN = cell.N
-				c.CurrentIPCCI = cell.IPC.CIHalf
+			c := CellDelta{Benchmark: b, Model: m, Kind: DiffNew, CurrentIPC: cur.IPC.Mean}
+			if cur.N > 1 {
+				c.CurrentN, c.CurrentIPCCI = cur.N, cur.IPC.CIHalf
 			}
 			d.Cells = append(d.Cells, c)
 		}
@@ -260,10 +279,16 @@ func (r *ResultSet) Diff(baseline *ResultSet, tol Tolerances) *Diff {
 	return d
 }
 
-func compareCell(r, baseline *ResultSet, bench, model string, tol Tolerances) CellDelta {
-	base, _ := baseline.Get(bench, model)
-	c := CellDelta{Benchmark: bench, Model: model, BaselineIPC: base.IPC()}
-	cur, ok := r.Get(bench, model)
+// compareCell gates one baseline cell against the same cell of r: every
+// metric regresses only when its mean drifts beyond the tolerance AND the
+// two 95% confidence intervals are disjoint in the regressing direction.
+// Replicate counts, IPC half-widths and the "95% CIs disjoint" wording
+// appear only when a side aggregated replicates, so a diff of two point
+// sets reads as a plain point comparison.
+func compareCell(r, baseline *ResultSet, base CellStats, tol Tolerances) CellDelta {
+	bench, model := base.Benchmark, base.Model
+	c := CellDelta{Benchmark: bench, Model: model, BaselineIPC: base.IPC.Mean}
+	cur, ok := r.Cell(bench, model)
 	if !ok {
 		c.Kind = DiffMissing
 		c.Regression = !tol.AllowMissing
@@ -274,82 +299,25 @@ func compareCell(r, baseline *ResultSet, bench, model string, tol Tolerances) Ce
 		}
 		return c
 	}
-	c.CurrentIPC = cur.IPC()
-	c.BaselineWarmup, c.CurrentWarmup = base.WarmupInsts, cur.WarmupInsts
-	if base.WarmupInsts != cur.WarmupInsts {
+	c.CurrentIPC = cur.IPC.Mean
+	baseStats, _ := baseline.Get(bench, model)
+	curStats, _ := r.Get(bench, model)
+	c.BaselineWarmup, c.CurrentWarmup = baseStats.WarmupInsts, curStats.WarmupInsts
+	if c.BaselineWarmup != c.CurrentWarmup {
 		// The two sides measure different regions of the program; comparing
 		// any counter would be meaningless. Like-for-like only.
 		c.Kind = DiffIncomparable
 		c.Regression = true
 		c.Detail = fmt.Sprintf("warm-up mismatch: baseline %d insts, current %d — align -warmup or refresh the baseline",
-			base.WarmupInsts, cur.WarmupInsts)
+			c.BaselineWarmup, c.CurrentWarmup)
 		return c
 	}
-	baseCell, _ := baseline.Cell(bench, model)
-	curCell, _ := r.Cell(bench, model)
-	if baseCell.N > 1 || curCell.N > 1 {
-		return compareIntervals(c, baseCell, curCell, tol)
+	disjoint := ""
+	if base.N > 1 || cur.N > 1 {
+		c.BaselineN, c.CurrentN = base.N, cur.N
+		c.BaselineIPCCI, c.CurrentIPCCI = base.IPC.CIHalf, cur.IPC.CIHalf
+		disjoint = ", 95% CIs disjoint"
 	}
-	c.BaselineTraceMisp = base.TraceMispPer1000()
-	c.CurrentTraceMisp = cur.TraceMispPer1000()
-	c.BaselineRecoveries = base.Recoveries
-	c.CurrentRecoveries = cur.Recoveries
-	c.BaselineICacheMiss = base.ICMissPer1000()
-	c.CurrentICacheMiss = cur.ICMissPer1000()
-	c.BaselineDCacheMiss = base.DCMissPer1000()
-	c.CurrentDCacheMiss = cur.DCMissPer1000()
-	if c.BaselineIPC > 0 {
-		c.DeltaPct = 100 * (c.CurrentIPC - c.BaselineIPC) / c.BaselineIPC
-	}
-
-	var reasons []string
-	if c.DeltaPct < -tol.IPCPct {
-		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%)", -c.DeltaPct, tol.IPCPct))
-	}
-	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 {
-		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.TraceMispPer1000))
-	}
-	if cur.Recoveries > base.Recoveries {
-		exceeded := base.Recoveries == 0
-		if !exceeded {
-			pct := 100 * float64(cur.Recoveries-base.Recoveries) / float64(base.Recoveries)
-			exceeded = pct > tol.RecoveriesPct
-		}
-		if exceeded {
-			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%)",
-				base.Recoveries, cur.Recoveries, tol.RecoveriesPct))
-		}
-	}
-	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 {
-		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.CacheMissPer1000))
-	}
-	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 {
-		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f)",
-			rise, tol.CacheMissPer1000))
-	}
-	if len(reasons) > 0 {
-		c.Kind = DiffRegression
-		c.Regression = true
-		c.Detail = strings.Join(reasons, "; ")
-	} else {
-		c.Kind = DiffOK
-	}
-	return c
-}
-
-// compareIntervals gates one cell with at least one multi-replicate side:
-// every metric regresses only when its mean drifts beyond the tolerance
-// AND the two 95% confidence intervals are disjoint in the regressing
-// direction. A single-replicate side's interval is its point (CIHalf 0),
-// so each condition reduces exactly to the legacy point comparison when
-// both sides degenerate — but that case never reaches here (compareCell
-// keeps it on the bit-identical legacy path).
-func compareIntervals(c CellDelta, base, cur CellStats, tol Tolerances) CellDelta {
-	c.BaselineN, c.CurrentN = base.N, cur.N
-	c.BaselineIPC, c.CurrentIPC = base.IPC.Mean, cur.IPC.Mean
-	c.BaselineIPCCI, c.CurrentIPCCI = base.IPC.CIHalf, cur.IPC.CIHalf
 	c.BaselineTraceMisp = base.TraceMispPer1000.Mean
 	c.CurrentTraceMisp = cur.TraceMispPer1000.Mean
 	c.BaselineRecoveries = uint64(math.Round(base.Recoveries.Mean))
@@ -362,38 +330,33 @@ func compareIntervals(c CellDelta, base, cur CellStats, tol Tolerances) CellDelt
 		c.DeltaPct = 100 * (c.CurrentIPC - c.BaselineIPC) / c.BaselineIPC
 	}
 
-	// Current credibly below/above baseline: the intervals must be disjoint
-	// in the regressing direction, not merely the means drifted.
-	credDrop := func(b, cu Dist) bool { bLo, _ := b.Interval(); _, cHi := cu.Interval(); return bLo > cHi }
-	credRise := func(b, cu Dist) bool { _, bHi := b.Interval(); cLo, _ := cu.Interval(); return cLo > bHi }
-
 	var reasons []string
-	if c.DeltaPct < -tol.IPCPct && credDrop(base.IPC, cur.IPC) {
-		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%, 95%% CIs disjoint)",
-			-c.DeltaPct, tol.IPCPct))
+	if c.DeltaPct < -tol.IPCPct && base.IPC.Above(cur.IPC) {
+		reasons = append(reasons, fmt.Sprintf("IPC dropped %.2f%% (tolerance %.2f%%%s)",
+			-c.DeltaPct, tol.IPCPct, disjoint))
 	}
-	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 && credRise(base.TraceMispPer1000, cur.TraceMispPer1000) {
-		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.TraceMispPer1000))
+	if rise := c.CurrentTraceMisp - c.BaselineTraceMisp; rise > tol.TraceMispPer1000 && cur.TraceMispPer1000.Above(base.TraceMispPer1000) {
+		reasons = append(reasons, fmt.Sprintf("trace mispredictions rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.TraceMispPer1000, disjoint))
 	}
-	if cur.Recoveries.Mean > base.Recoveries.Mean && credRise(base.Recoveries, cur.Recoveries) {
+	if cur.Recoveries.Above(base.Recoveries) {
 		exceeded := base.Recoveries.Mean == 0
 		if !exceeded {
 			pct := 100 * (cur.Recoveries.Mean - base.Recoveries.Mean) / base.Recoveries.Mean
 			exceeded = pct > tol.RecoveriesPct
 		}
 		if exceeded {
-			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%, 95%% CIs disjoint)",
-				c.BaselineRecoveries, c.CurrentRecoveries, tol.RecoveriesPct))
+			reasons = append(reasons, fmt.Sprintf("recoveries rose %d -> %d (tolerance %.2f%%%s)",
+				c.BaselineRecoveries, c.CurrentRecoveries, tol.RecoveriesPct, disjoint))
 		}
 	}
-	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 && credRise(base.ICMissPer1000, cur.ICMissPer1000) {
-		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.CacheMissPer1000))
+	if rise := c.CurrentICacheMiss - c.BaselineICacheMiss; rise > tol.CacheMissPer1000 && cur.ICMissPer1000.Above(base.ICMissPer1000) {
+		reasons = append(reasons, fmt.Sprintf("I-cache misses rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.CacheMissPer1000, disjoint))
 	}
-	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 && credRise(base.DCMissPer1000, cur.DCMissPer1000) {
-		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f, 95%% CIs disjoint)",
-			rise, tol.CacheMissPer1000))
+	if rise := c.CurrentDCacheMiss - c.BaselineDCacheMiss; rise > tol.CacheMissPer1000 && cur.DCMissPer1000.Above(base.DCMissPer1000) {
+		reasons = append(reasons, fmt.Sprintf("D-cache misses rose %.2f/1000 insts (tolerance %.2f%s)",
+			rise, tol.CacheMissPer1000, disjoint))
 	}
 	if len(reasons) > 0 {
 		c.Kind = DiffRegression

@@ -10,7 +10,7 @@ import (
 
 // diffFixture builds a 2×2 baseline: IPCs 2.0, 3.0, 1.5, 2.5.
 func diffBaseline() *tracep.ResultSet {
-	rs := tracep.NewResultSetFor([]string{"compress", "vortex"}, []string{"base", "FG"})
+	rs := tracep.NewResultSetGrid([]string{"compress", "vortex"}, []string{"base", "FG"}, nil)
 	rs.Add(cell("compress", "base", 2.0))
 	rs.Add(cell("compress", "FG", 3.0))
 	rs.Add(cell("vortex", "base", 1.5))
@@ -61,7 +61,7 @@ func TestDiffDetectsRegressionWithinTolerance(t *testing.T) {
 }
 
 func TestDiffMissingAndNewCells(t *testing.T) {
-	cur := tracep.NewResultSetFor([]string{"compress", "gcc"}, []string{"base", "FG"})
+	cur := tracep.NewResultSetGrid([]string{"compress", "gcc"}, []string{"base", "FG"}, nil)
 	cur.Add(cell("compress", "base", 2.0))
 	cur.Add(cell("compress", "FG", 3.0))
 	cur.Add(cell("gcc", "base", 1.0)) // not in baseline
@@ -116,10 +116,10 @@ func statsCell(bench, model string, insts, cycles, recoveries uint64) *tracep.Re
 // count, normalised per 1000 insts) rise beyond tolerance regresses, and
 // the tolerances loosen each dimension independently.
 func TestDiffTraceMispAndRecoveryGate(t *testing.T) {
-	base := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	base := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	base.Add(statsCell("compress", "base", 10_000, 5_000, 100)) // 10 misp/1000
 
-	worse := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	worse := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	worse.Add(statsCell("compress", "base", 10_000, 5_000, 130)) // 13 misp/1000, +30% recoveries
 
 	// Zero-value tolerances: any rise regresses (in both dimensions; the
@@ -155,7 +155,7 @@ func TestDiffTraceMispAndRecoveryGate(t *testing.T) {
 	}
 
 	// Improvements are never regressions.
-	better := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	better := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	better.Add(statsCell("compress", "base", 10_000, 5_000, 40))
 	if d := better.Diff(base, tracep.Tolerances{}); !d.OK() {
 		t.Errorf("fewer recoveries flagged as regression: %+v", d.Regressions())
@@ -163,9 +163,9 @@ func TestDiffTraceMispAndRecoveryGate(t *testing.T) {
 
 	// A zero-recovery baseline regresses on any rise at all, whatever the
 	// percentage tolerance (there is no base to scale it by).
-	zero := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	zero := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	zero.Add(statsCell("compress", "base", 10_000, 5_000, 0))
-	one := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	one := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	one.Add(statsCell("compress", "base", 10_000, 5_000, 1))
 	if d := one.Diff(zero, tracep.Tolerances{TraceMispPer1000: 5, RecoveriesPct: 1000}); d.OK() {
 		t.Error("rise from a zero-recovery baseline must regress regardless of RecoveriesPct")
@@ -185,7 +185,7 @@ func TestDiffNonOverlappingBaselineFails(t *testing.T) {
 		t.Errorf("Compared() = %d, want 0", d.Compared())
 	}
 
-	renamed := tracep.NewResultSetFor([]string{"other"}, []string{"base"})
+	renamed := tracep.NewResultSetGrid([]string{"other"}, []string{"base"}, nil)
 	renamed.Add(cell("other", "base", 2.0))
 	d = diffBaseline().Diff(renamed, tracep.Tolerances{AllowMissing: true})
 	if d.OK() {
@@ -251,10 +251,10 @@ func warmCell(bench, model string, ipc float64, warmup, icMisses, dcMisses uint6
 // warm-ups must never be numerically compared — they are flagged as
 // incomparable regressions regardless of how good the numbers look.
 func TestDiffWarmupMismatchIsIncomparable(t *testing.T) {
-	cur := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	cur := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	// Higher IPC than baseline, but over a different measured region.
 	cur.Add(warmCell("compress", "base", 9.9, 5000, 0, 0))
-	base := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	base := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	base.Add(cell("compress", "base", 2.0))
 
 	d := cur.Diff(base, tracep.Tolerances{IPCPct: 100})
@@ -285,7 +285,7 @@ func TestDiffWarmupMismatchIsIncomparable(t *testing.T) {
 	}
 
 	// Matching warm-ups on both sides compare normally.
-	warmBase := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+	warmBase := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 	warmBase.Add(warmCell("compress", "base", 2.0, 5000, 0, 0))
 	if d := cur.Diff(warmBase, tracep.Tolerances{}); !d.OK() {
 		t.Errorf("matching warm-ups must compare: %+v", d.Regressions())
@@ -296,7 +296,7 @@ func TestDiffWarmupMismatchIsIncomparable(t *testing.T) {
 // regress beyond Tolerances.CacheMissPer1000; drops never do.
 func TestDiffCacheMissGate(t *testing.T) {
 	mk := func(ic, dc uint64) *tracep.ResultSet {
-		rs := tracep.NewResultSetFor([]string{"compress"}, []string{"base"})
+		rs := tracep.NewResultSetGrid([]string{"compress"}, []string{"base"}, nil)
 		rs.Add(warmCell("compress", "base", 2.0, 0, ic, dc)) // 2000 retired insts
 		return rs
 	}
@@ -330,5 +330,20 @@ func TestDiffCacheMissGate(t *testing.T) {
 	c := mk(10, 30).Diff(base, tracep.Tolerances{}).Cells[0]
 	if c.BaselineDCacheMiss != 10 || c.CurrentDCacheMiss != 15 {
 		t.Errorf("D-cache miss rates = %.1f/%.1f, want 10/15 per 1000", c.BaselineDCacheMiss, c.CurrentDCacheMiss)
+	}
+}
+
+// TestDiffUnchangedSetNeverRegresses: a set diffed against itself passes
+// whatever the bounds, even ones Validate rejects — an unchanged cell is
+// never credibly worse.
+func TestDiffUnchangedSetNeverRegresses(t *testing.T) {
+	neg := tracep.Tolerances{IPCPct: -1, TraceMispPer1000: -1, RecoveriesPct: -1, CacheMissPer1000: -1}
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted negative tolerances")
+	}
+	d := loadCIBaseline(t).Diff(loadCIBaseline(t), neg)
+	if !d.OK() || d.Compared() != 16 {
+		t.Errorf("identical CI baseline under negative tolerances: %d compared, %d regressed",
+			d.Compared(), len(d.Regressions()))
 	}
 }

@@ -20,14 +20,6 @@ type Config struct {
 	Entries int
 	// RASDepth is the return-address-stack depth.
 	RASDepth int
-	// Seed, when nonzero, initialises the direction counters and the BTB
-	// indirect-target fields from a deterministic PRNG instead of the
-	// weakly-not-taken / no-target reset, for predictor warm-up sensitivity
-	// studies. Scrambled targets model BTB aliasing from a prior context:
-	// construction from a bogus start PC decodes out-of-image instructions
-	// as halts and the normal indirect-misprediction recovery repairs the
-	// trace when the real target resolves. 0 keeps the canonical reset.
-	Seed int64
 }
 
 // DefaultConfig matches Table 1.
@@ -38,6 +30,7 @@ func DefaultConfig() Config { return Config{Entries: 16384, RASDepth: 16} }
 type Predictor struct {
 	cfg    Config   //tracep:nostats configuration
 	mask   uint32   //tracep:nostats configuration
+	seed   int64    //tracep:nostats configuration: see New
 	ctr    []uint8  //tracep:nostats model state: 2-bit saturating counters
 	target []uint32 //tracep:nostats model state
 
@@ -54,24 +47,31 @@ type Predictor struct {
 	Lookups uint64
 }
 
-// New builds a predictor. Entries must be a power of two.
-func New(cfg Config) *Predictor {
+// New builds a predictor. Entries must be a power of two. A nonzero seed
+// initialises the direction counters and the BTB indirect-target fields
+// from a deterministic PRNG instead of the weakly-not-taken / no-target
+// reset, for predictor warm-up sensitivity studies. Scrambled targets model
+// BTB aliasing from a prior context: construction from a bogus start PC
+// decodes out-of-image instructions as halts and the normal
+// indirect-misprediction recovery repairs the trace when the real target
+// resolves. Seed 0 keeps the canonical reset.
+func New(cfg Config, seed int64) *Predictor {
 	p := &Predictor{}
-	p.Reset(cfg)
+	p.Reset(cfg, seed)
 	return p
 }
 
-// Reset returns the predictor to the state New(cfg) builds, reusing its
-// tables where they are large enough. It rewrites no entry: it starts a new
-// generation, so every entry reads as pristine until it is next written.
-func (p *Predictor) Reset(cfg Config) {
+// Reset returns the predictor to the state New(cfg, seed) builds, reusing
+// its tables where they are large enough. It rewrites no entry: it starts a
+// new generation, so every entry reads as pristine until it is next written.
+func (p *Predictor) Reset(cfg Config, seed int64) {
 	if cfg.Entries <= 0 {
 		cfg = DefaultConfig()
 	}
 	if cfg.Entries&(cfg.Entries-1) != 0 {
 		panic("bpred: Entries must be a power of two")
 	}
-	p.cfg, p.mask = cfg, uint32(cfg.Entries-1)
+	p.cfg, p.mask, p.seed = cfg, uint32(cfg.Entries-1), seed
 	p.ctr = slices.Grow(p.ctr[:0], cfg.Entries)[:cfg.Entries]
 	p.target = slices.Grow(p.target[:0], cfg.Entries)[:cfg.Entries]
 	p.stamp = slices.Grow(p.stamp[:0], cfg.Entries)[:cfg.Entries]
@@ -106,10 +106,10 @@ func splitmix64(x, k uint64) uint64 {
 //
 //tracep:noalloc
 func (p *Predictor) pristine(i uint32) (ctr uint8, target uint32) {
-	if p.cfg.Seed == 0 {
+	if p.seed == 0 {
 		return 1, 0
 	}
-	x := uint64(p.cfg.Seed)
+	x := uint64(p.seed)
 	ctr = uint8(splitmix64(x, uint64(i)+1) & 3)
 	if r := splitmix64(x, uint64(p.cfg.Entries)+uint64(i)+1); r&7 == 0 {
 		target = uint32(r>>16) & 0xFFFFF

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterTraining(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 	pc := uint32(5)
 	if p.PredictDirection(pc) {
 		t.Error("fresh counter should predict not-taken (weakly)")
@@ -29,7 +29,7 @@ func TestCounterTraining(t *testing.T) {
 }
 
 func TestCounterSaturation(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 	for i := 0; i < 10; i++ {
 		p.UpdateDirection(1, true)
 	}
@@ -50,7 +50,7 @@ func TestCounterSaturation(t *testing.T) {
 }
 
 func TestTaglessAliasing(t *testing.T) {
-	p := New(Config{Entries: 16, RASDepth: 4})
+	p := New(Config{Entries: 16, RASDepth: 4}, 0)
 	p.UpdateDirection(3, true)
 	p.UpdateDirection(3, true)
 	// PC 19 aliases PC 3 in a 16-entry tagless table.
@@ -60,7 +60,7 @@ func TestTaglessAliasing(t *testing.T) {
 }
 
 func TestIndirectTargets(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 	if p.PredictIndirect(9) != 0 {
 		t.Error("unknown indirect target should be 0")
 	}
@@ -71,7 +71,7 @@ func TestIndirectTargets(t *testing.T) {
 }
 
 func TestRAS(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 2})
+	p := New(Config{Entries: 64, RASDepth: 2}, 0)
 	p.PushRAS(10)
 	p.PushRAS(20)
 	if v, ok := p.PopRAS(); !ok || v != 20 {
@@ -96,7 +96,7 @@ func TestRAS(t *testing.T) {
 }
 
 func TestPredictInst(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 
 	// Conditional branch: follows the direction table.
 	br := isa.Inst{Op: isa.OpBne, Target: 50}
@@ -133,24 +133,24 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Error("non-power-of-two entries must panic")
 		}
 	}()
-	New(Config{Entries: 100})
+	New(Config{Entries: 100}, 0)
 }
 
-// TestSeededTargets: a nonzero Seed scrambles a sparse subset of BTB
+// TestSeededTargets: a nonzero seed scrambles a sparse subset of BTB
 // indirect targets (modelling aliased leftovers from a prior context) in a
-// way that is deterministic per seed and leaves Seed 0 with the clean
+// way that is deterministic per seed and leaves seed 0 with the clean
 // no-prediction reset.
 func TestSeededTargets(t *testing.T) {
-	clean := New(Config{Entries: 1024, RASDepth: 4})
+	clean := New(Config{Entries: 1024, RASDepth: 4}, 0)
 	for pc := uint32(0); pc < 1024; pc++ {
 		if got := clean.PredictIndirect(pc); got != 0 {
 			t.Fatalf("unseeded BTB predicts target %d at pc %d; want none", got, pc)
 		}
 	}
 
-	a := New(Config{Entries: 1024, RASDepth: 4, Seed: 7})
-	b := New(Config{Entries: 1024, RASDepth: 4, Seed: 7})
-	c := New(Config{Entries: 1024, RASDepth: 4, Seed: 8})
+	a := New(Config{Entries: 1024, RASDepth: 4}, 7)
+	b := New(Config{Entries: 1024, RASDepth: 4}, 7)
+	c := New(Config{Entries: 1024, RASDepth: 4}, 8)
 	scrambled, differ := 0, false
 	for pc := uint32(0); pc < 1024; pc++ {
 		ta, tb, tc := a.PredictIndirect(pc), b.PredictIndirect(pc), c.PredictIndirect(pc)

@@ -6,7 +6,7 @@ import "testing"
 // copy exactly, and training either predictor afterwards never reaches the
 // other.
 func TestCloneIndependence(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 	for i := 0; i < 10; i++ {
 		p.UpdateDirection(7, true)
 	}
@@ -44,7 +44,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	p := New(Config{Entries: 64, RASDepth: 4})
+	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 	p.PredictDirection(3)
 	p.ResetStats()
 	if p.Lookups != 0 {
@@ -56,17 +56,17 @@ func TestResetStats(t *testing.T) {
 // entry as the original does — both the entries training wrote and the ones
 // still pristine — and a Reset of the clone returns it to pristine.
 func TestCloneCopiesStamps(t *testing.T) {
-	cfg := Config{Entries: 128, RASDepth: 4, Seed: 7}
-	p := New(cfg)
+	cfg := Config{Entries: 128, RASDepth: 4}
+	p := New(cfg, 7)
 	train(p, 40)
-	dst := New(Config{Entries: 128, RASDepth: 4})
+	dst := New(cfg, 0)
 	train(dst, 90)
 	c := p.Clone(dst)
 	wantCtr, wantTarget := logicalState(p)
 	ctr, target := logicalState(c)
 	sameState(t, "clone", ctr, target, wantCtr, wantTarget)
-	c.Reset(cfg)
+	c.Reset(cfg, 7)
 	ctr, target = logicalState(c)
-	wantCtr, wantTarget = eagerReset(cfg)
+	wantCtr, wantTarget = eagerReset(cfg, 7)
 	sameState(t, "Reset of the clone", ctr, target, wantCtr, wantTarget)
 }

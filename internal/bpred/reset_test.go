@@ -9,15 +9,15 @@ import (
 // eagerReset is the reset the tables had before they were generation
 // stamped, kept as the reference: counters then targets drawn in order from
 // one splitmix64 stream, or weakly not-taken with no targets unseeded.
-func eagerReset(cfg Config) (ctr []uint8, target []uint32) {
+func eagerReset(cfg Config, seed int64) (ctr []uint8, target []uint32) {
 	ctr, target = make([]uint8, cfg.Entries), make([]uint32, cfg.Entries)
-	if cfg.Seed == 0 {
+	if seed == 0 {
 		for i := range ctr {
 			ctr[i] = 1
 		}
 		return ctr, target
 	}
-	x := uint64(cfg.Seed)
+	x := uint64(seed)
 	nextRand := func() uint64 {
 		x += 0x9E3779B97F4A7C15
 		z := x
@@ -77,14 +77,14 @@ func train(p *Predictor, n int) {
 func TestLazyResetMatchesEager(t *testing.T) {
 	for _, entries := range []int{64, 1 << 12} {
 		for _, seed := range []int64{0, 1, 7, -3, math.MaxInt64} {
-			cfg := Config{Entries: entries, RASDepth: 4, Seed: seed}
-			wantCtr, wantTarget := eagerReset(cfg)
-			ctr, target := logicalState(New(cfg))
+			cfg := Config{Entries: entries, RASDepth: 4}
+			wantCtr, wantTarget := eagerReset(cfg, seed)
+			ctr, target := logicalState(New(cfg, seed))
 			sameState(t, "New", ctr, target, wantCtr, wantTarget)
 
-			used := New(Config{Entries: 1 << 12, RASDepth: 4, Seed: 5})
+			used := New(Config{Entries: 1 << 12, RASDepth: 4}, 5)
 			train(used, 1000)
-			used.Reset(cfg)
+			used.Reset(cfg, seed)
 			ctr, target = logicalState(used)
 			sameState(t, "Reset of a trained predictor", ctr, target, wantCtr, wantTarget)
 			ctr, target, _ = used.ExportState()
@@ -97,14 +97,14 @@ func TestLazyResetMatchesEager(t *testing.T) {
 // stamped by any earlier generation — including the one the wrapped counter
 // lands on — still read as pristine.
 func TestResetGenerationWrap(t *testing.T) {
-	cfg := Config{Entries: 256, RASDepth: 4, Seed: 7}
-	p := New(cfg)
+	cfg := Config{Entries: 256, RASDepth: 4}
+	p := New(cfg, 7)
 	train(p, 50) // stamped with generation 1
 	p.gen = math.MaxUint32
 	train(p, 80)
-	p.Reset(cfg)
+	p.Reset(cfg, 7)
 	ctr, target := logicalState(p)
-	wantCtr, wantTarget := eagerReset(cfg)
+	wantCtr, wantTarget := eagerReset(cfg, 7)
 	sameState(t, "Reset across the wrap", ctr, target, wantCtr, wantTarget)
 }
 
@@ -112,15 +112,15 @@ func TestResetGenerationWrap(t *testing.T) {
 // imports into a predictor of another generation and seed as the same
 // logical contents, and exports again unchanged.
 func TestExportImportRoundTrip(t *testing.T) {
-	cfg := Config{Entries: 256, RASDepth: 4, Seed: 7}
-	src := New(cfg)
+	cfg := Config{Entries: 256, RASDepth: 4}
+	src := New(cfg, 7)
 	train(src, 60)
 	src.PushRAS(42)
 	ctr, target, ras := src.ExportState()
 
-	dst := New(Config{Entries: 256, RASDepth: 4, Seed: 3})
+	dst := New(cfg, 3)
 	train(dst, 30)
-	dst.Reset(Config{Entries: 256, RASDepth: 4, Seed: 3})
+	dst.Reset(cfg, 3)
 	if err := dst.ImportState(ctr, target, ras); err != nil {
 		t.Fatal(err)
 	}

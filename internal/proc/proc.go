@@ -98,10 +98,9 @@ type Config struct {
 	// deterministic PRNG instead of the paper's canonical reset: the branch
 	// predictor's direction counters and (sparsely) its BTB indirect
 	// targets, and the next-trace predictor's replacement-hysteresis
-	// counters. Per-predictor seeds (BPred.Seed, TPred.Seed) override this
-	// run seed individually. Runs stay fully deterministic for a given
-	// seed; sweeping seeds measures sensitivity to predictor cold-start (0
-	// = canonical reset).
+	// counters. Runs stay fully deterministic for a given seed; sweeping
+	// seeds measures sensitivity to predictor cold-start (0 = canonical
+	// reset).
 	Seed int64
 
 	// Verify runs the architectural oracle against every retired
@@ -236,30 +235,6 @@ func (p *Processor) debugf(format string, args ...interface{}) {
 	}
 }
 
-// effectiveBPredConfig is the branch-predictor configuration a run actually
-// uses: the per-predictor seed falls back to the run seed. Snapshot capture
-// and compatibility checks must agree with New on this.
-func effectiveBPredConfig(cfg Config) bpred.Config {
-	bpCfg := cfg.BPred
-	if bpCfg.Seed == 0 {
-		bpCfg.Seed = cfg.Seed
-	}
-	return bpCfg
-}
-
-// effectiveTPredConfig is the next-trace-predictor configuration a run
-// actually uses: the per-predictor seed falls back to the run seed, so
-// WithSeed-style sweeps perturb trace-level cold-start state alongside the
-// branch predictor's. Snapshot capture and compatibility checks must agree
-// with New on this.
-func effectiveTPredConfig(cfg Config) tpred.Config {
-	tpCfg := cfg.TPred
-	if tpCfg.Seed == 0 {
-		tpCfg.Seed = cfg.Seed
-	}
-	return tpCfg
-}
-
 // effectiveBITConfig is the BIT configuration a run actually uses: the FGCI
 // scan bound follows the maximum trace length.
 func effectiveBITConfig(cfg Config) core.BITConfig {
@@ -335,7 +310,7 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	// The trace cache, next-trace predictor and value predictor start from
 	// reset even on a restore: the warm-up never trains them.
 	p.tcache.Reset(cfg.TCache)
-	p.tp.Reset(effectiveTPredConfig(cfg))
+	p.tp.Reset(cfg.TPred, cfg.Seed)
 	if p.vp != nil {
 		p.vp.Reset(cfg.VPred)
 	}
@@ -343,7 +318,7 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 		p.mem.Reset(prog)
 		p.dcache.Reset(cfg.DCache)
 		p.icache.Reset(cfg.ICache)
-		p.bp.Reset(effectiveBPredConfig(cfg))
+		p.bp.Reset(cfg.BPred, cfg.Seed)
 		p.bit.Reset(prog, effectiveBITConfig(cfg))
 		if p.oracle != nil {
 			p.oracle.Reset(prog)

@@ -375,7 +375,7 @@ func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 
-	bp := bpred.New(effectiveBPredConfig(cfg))
+	bp := bpred.New(cfg.BPred, cfg.Seed)
 	nctr, err := r.count("branch predictor")
 	if err != nil {
 		return nil, err

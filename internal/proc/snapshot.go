@@ -106,7 +106,7 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 	e := emu.New(prog)
 	ic := cache.NewICache(cfg.ICache)
 	dc := cache.NewDCache(cfg.DCache)
-	bp := bpred.New(effectiveBPredConfig(cfg))
+	bp := bpred.New(cfg.BPred, cfg.Seed)
 	bit := core.NewBIT(prog, effectiveBITConfig(cfg))
 
 	var rec emu.Record
@@ -188,10 +188,10 @@ func (s *Snapshot) CompatibleWith(cfg Config) error {
 		return mismatch("DCache", s.cfg.DCache, cfg.DCache)
 	case cfg.TCache != s.cfg.TCache:
 		return mismatch("TCache", s.cfg.TCache, cfg.TCache)
-	case effectiveBPredConfig(cfg) != effectiveBPredConfig(s.cfg):
-		return mismatch("BPred", effectiveBPredConfig(s.cfg), effectiveBPredConfig(cfg))
-	case effectiveTPredConfig(cfg) != effectiveTPredConfig(s.cfg):
-		return mismatch("TPred", effectiveTPredConfig(s.cfg), effectiveTPredConfig(cfg))
+	case cfg.BPred != s.cfg.BPred:
+		return mismatch("BPred", s.cfg.BPred, cfg.BPred)
+	case cfg.TPred != s.cfg.TPred:
+		return mismatch("TPred", s.cfg.TPred, cfg.TPred)
 	case effectiveBITConfig(cfg) != effectiveBITConfig(s.cfg):
 		return mismatch("BIT", effectiveBITConfig(s.cfg), effectiveBITConfig(cfg))
 	case cfg.MaxTraceLen != s.cfg.MaxTraceLen:

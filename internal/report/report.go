@@ -19,27 +19,29 @@ import (
 )
 
 // Results is the read-side view the renderers consume: a (benchmark, model)
-// grid of statistics with deterministic row/column orders.
+// grid of statistics with deterministic row/column orders, whose cells
+// aggregate their seed replicates.
 type Results interface {
 	// Benches returns the benchmark row order.
 	Benches() []string
 	// Models returns the model column order.
 	Models() []string
-	// Get returns the stats for one cell, or false when the cell is absent
-	// (not simulated, or failed).
+	// Get returns the stats of one cell's first successful replicate, or
+	// false when the cell is absent (not simulated, or failed).
 	Get(bench, model string) (*proc.Stats, bool)
+	// Cell returns the aggregated distribution of one cell, or false when
+	// the cell has no successful replicate. A single-replicate cell is its
+	// point: the mean is the replicate's value exactly, the half-width 0.
+	Cell(bench, model string) (CellStats, bool)
 }
 
-// HarmonicMeanIPC returns the harmonic mean IPC over r's benchmarks for
-// model, and whether any cell contributed. Replicate-aware grids
-// (CellResults) contribute each cell's mean IPC; a single-replicate cell's
-// mean is its point IPC bit-for-bit, so the pre-replicate value is
-// preserved exactly.
+// HarmonicMeanIPC returns the harmonic mean over r's benchmarks of model's
+// per-cell mean IPC, and whether any cell contributed.
 func HarmonicMeanIPC(r Results, model string) (float64, bool) {
 	sum, n := 0.0, 0
 	for _, b := range r.Benches() {
-		if ipc, _, _, ok := cellIPC(r, b, model); ok && ipc > 0 {
-			sum += 1 / ipc
+		if c, ok := r.Cell(b, model); ok && c.IPC.Mean > 0 {
+			sum += 1 / c.IPC.Mean
 			n++
 		}
 	}
@@ -50,14 +52,14 @@ func HarmonicMeanIPC(r Results, model string) (float64, bool) {
 }
 
 // Improvement returns the % IPC improvement of model over base for bench,
-// comparing per-cell mean IPCs on replicate-aware grids.
+// comparing per-cell mean IPCs.
 func Improvement(r Results, bench, model, base string) (float64, bool) {
-	s, _, _, ok1 := cellIPC(r, bench, model)
-	b, _, _, ok2 := cellIPC(r, bench, base)
-	if !ok1 || !ok2 || b == 0 {
+	s, ok1 := r.Cell(bench, model)
+	b, ok2 := r.Cell(bench, base)
+	if !ok1 || !ok2 || b.IPC.Mean == 0 {
 		return 0, false
 	}
-	return 100 * (s - b) / b, true
+	return 100 * (s.IPC.Mean - b.IPC.Mean) / b.IPC.Mean, true
 }
 
 // benchColWidth sizes the benchmark row-label column: the paper's fixed 10
@@ -74,9 +76,8 @@ func benchColWidth(r Results) int {
 }
 
 // Table3 renders "IPC without control independence" over the selection-only
-// models. On replicate-aware grids, multi-seed cells render as
-// "mean±ci" error bars; single-replicate cells keep the paper's plain
-// point format.
+// models. Multi-seed cells render as "mean±ci" error bars; single-replicate
+// cells keep the paper's plain point format (Dist.String).
 func Table3(w io.Writer, r Results, models []string) {
 	bw := benchColWidth(r)
 	fmt.Fprintln(w, "TABLE 3: IPC without control independence.")
@@ -88,12 +89,8 @@ func Table3(w io.Writer, r Results, models []string) {
 	for _, b := range r.Benches() {
 		fmt.Fprintf(w, "%-*s", bw, b)
 		for _, m := range models {
-			if mean, half, n, ok := cellIPC(r, b, m); ok {
-				if n > 1 {
-					fmt.Fprintf(w, "%14s", fmt.Sprintf("%.2f±%.2f", mean, half))
-				} else {
-					fmt.Fprintf(w, "%14.2f", mean)
-				}
+			if c, ok := r.Cell(b, m); ok {
+				fmt.Fprintf(w, "%14s", c.IPC.String())
 			} else {
 				fmt.Fprintf(w, "%14s", "-")
 			}

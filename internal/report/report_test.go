@@ -8,8 +8,8 @@ import (
 	"tracep/internal/proc"
 )
 
-// grid is a minimal Results implementation for rendering tests; the
-// production implementation is the public tracep.ResultSet.
+// grid is a minimal single-replicate Results implementation for rendering
+// tests; the production implementation is the public tracep.ResultSet.
 type grid struct {
 	benches []string
 	models  []string
@@ -35,6 +35,13 @@ func (g *grid) Models() []string  { return g.models }
 func (g *grid) Get(bench, model string) (*proc.Stats, bool) {
 	s, ok := g.cells[[2]string{bench, model}]
 	return s, ok
+}
+func (g *grid) Cell(bench, model string) (CellStats, bool) {
+	s, ok := g.Get(bench, model)
+	if !ok {
+		return CellStats{}, false
+	}
+	return CellOf(bench, model, []*proc.Stats{s}), true
 }
 
 func containsStr(xs []string, x string) bool {

@@ -26,6 +26,15 @@ type Dist struct {
 // Interval returns the 95% confidence interval on the mean.
 func (d Dist) Interval() (lo, hi float64) { return d.Mean - d.CIHalf, d.Mean + d.CIHalf }
 
+// Above reports whether d's 95% confidence interval lies wholly above o's:
+// d is credibly greater, not merely greater in the mean. For two points
+// (zero half-widths) it is d.Mean > o.Mean.
+func (d Dist) Above(o Dist) bool {
+	lo, _ := d.Interval()
+	_, hi := o.Interval()
+	return lo > hi
+}
+
 // String renders "mean" for a point and "mean±half" for a distribution,
 // with two decimals — the error-bar notation the paper figures use.
 func (d Dist) String() string {
@@ -126,33 +135,4 @@ func CellOf(bench, model string, stats []*proc.Stats) CellStats {
 	c.ICMissPer1000 = metric((*proc.Stats).ICMissPer1000)
 	c.DCMissPer1000 = metric((*proc.Stats).DCMissPer1000)
 	return c
-}
-
-// CellResults is the replicate-aware extension of Results: a grid whose
-// cells aggregate seed replicates into CellStats. The public
-// tracep.ResultSet implements it; renderers fall back to Get-based point
-// rendering for plain Results implementations.
-type CellResults interface {
-	Results
-	// Cell returns the aggregated distribution of one cell, or false when
-	// the cell has no successful replicate.
-	Cell(bench, model string) (CellStats, bool)
-}
-
-// cellIPC resolves one cell's IPC as (mean, CI half-width, replicate
-// count). For a plain Results grid — or a single-replicate cell — the mean
-// is the cell's point IPC exactly and the half-width is 0.
-func cellIPC(r Results, bench, model string) (mean, half float64, n int, ok bool) {
-	if cr, isCell := r.(CellResults); isCell {
-		c, found := cr.Cell(bench, model)
-		if !found {
-			return 0, 0, 0, false
-		}
-		return c.IPC.Mean, c.IPC.CIHalf, c.N, true
-	}
-	s, found := r.Get(bench, model)
-	if !found {
-		return 0, 0, 0, false
-	}
-	return s.IPC(), 0, 1, true
 }

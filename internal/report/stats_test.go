@@ -105,20 +105,22 @@ func TestCellOfSingleReplicateIsPoint(t *testing.T) {
 	}
 }
 
-func TestCellIPCFallsBackForPlainResults(t *testing.T) {
-	// newGrid's grid implements only Results, not CellResults; cellIPC must
-	// take the point path with n=1 and zero half-width.
-	rs := newGrid()
-	rs.Add("a", "m1", fakeStats(1.5))
-	mean, half, n, ok := cellIPC(rs, "a", "m1")
-	if !ok || n != 1 || half != 0 {
-		t.Fatalf("cellIPC fallback = (%v, %v, %d, %v)", mean, half, n, ok)
+// TestDistAbove: Above is strict interval separation — touching or
+// overlapping intervals are not above, and for points it is the plain
+// ordering of the means.
+func TestDistAbove(t *testing.T) {
+	pt := func(v float64) Dist { return DistOf([]float64{v}) }
+	if !pt(2).Above(pt(1)) || pt(1).Above(pt(2)) || pt(1).Above(pt(1)) {
+		t.Error("point ordering wrong")
 	}
-	s, _ := rs.Get("a", "m1")
-	if mean != s.IPC() {
-		t.Errorf("mean = %v, want point IPC %v", mean, s.IPC())
+	wide := Dist{N: 3, Mean: 2, CIHalf: 0.5} // [1.5, 2.5]
+	if wide.Above(pt(1.6)) || pt(2.4).Above(wide) {
+		t.Error("a point inside an interval is neither above nor below it")
 	}
-	if _, _, _, ok := cellIPC(rs, "nope", "m1"); ok {
-		t.Error("cellIPC(missing) reported ok")
+	if !wide.Above(pt(1.4)) || !pt(2.6).Above(wide) {
+		t.Error("a point outside an interval must order against it")
+	}
+	if (Dist{N: 3, Mean: 3, CIHalf: 0.5}).Above(wide) {
+		t.Error("touching intervals ([1.5,2.5] and [2.5,3.5]) are not disjoint")
 	}
 }

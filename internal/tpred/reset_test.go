@@ -54,12 +54,12 @@ func materialised(p *Predictor) []logical {
 // stamped, kept as the reference: every entry invalid, and with a seed the
 // confidence counters of the path table and then the simple table drawn in
 // order from one splitmix64 stream.
-func eagerReset(cfg Config) []logical {
+func eagerReset(cfg Config, seed int64) []logical {
 	out := make([]logical, cfg.PathEntries+cfg.SimpleEntries)
-	if cfg.Seed == 0 {
+	if seed == 0 {
 		return out
 	}
-	x := uint64(cfg.Seed) ^ 0xA24BAED4963EE407
+	x := uint64(seed) ^ 0xA24BAED4963EE407
 	for i := range out {
 		x += 0x9E3779B97F4A7C15
 		z := x
@@ -98,16 +98,14 @@ func TestLazyResetMatchesEager(t *testing.T) {
 		{PathEntries: 256, SimpleEntries: 32, HistLen: 4},
 		{PathEntries: 1 << 12, SimpleEntries: 1 << 10, HistLen: 8},
 	}
-	for _, size := range sizes {
+	for _, cfg := range sizes {
 		for _, seed := range []int64{0, 1, 7, -3, math.MaxInt64} {
-			cfg := size
-			cfg.Seed = seed
-			want := eagerReset(cfg)
-			sameContents(t, "New", contents(New(cfg)), want)
+			want := eagerReset(cfg, seed)
+			sameContents(t, "New", contents(New(cfg, seed)), want)
 
-			used := New(Config{PathEntries: 1 << 12, SimpleEntries: 1 << 12, HistLen: 2, Seed: 5})
+			used := New(Config{PathEntries: 1 << 12, SimpleEntries: 1 << 12, HistLen: 2}, 5)
 			trainSome(used, 500)
-			used.Reset(cfg)
+			used.Reset(cfg, seed)
 			sameContents(t, "Reset of a trained predictor", contents(used), want)
 			sameContents(t, "materialised after Reset", materialised(used), want)
 		}
@@ -118,13 +116,13 @@ func TestLazyResetMatchesEager(t *testing.T) {
 // stamped by any earlier generation — including the one the wrapped counter
 // lands on — still read as pristine.
 func TestResetGenerationWrap(t *testing.T) {
-	cfg := Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4, Seed: 7}
-	p := New(cfg)
+	cfg := Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4}
+	p := New(cfg, 7)
 	trainSome(p, 100) // stamped with generation 1
 	p.gen = math.MaxUint32
 	trainSome(p, 100)
-	p.Reset(cfg)
-	sameContents(t, "Reset across the wrap", contents(p), eagerReset(cfg))
+	p.Reset(cfg, 7)
+	sameContents(t, "Reset across the wrap", contents(p), eagerReset(cfg, 7))
 	trainSome(p, 10)
 	if p.Trains != 10 {
 		t.Errorf("Trains = %d after the wrap, want 10", p.Trains)
@@ -135,7 +133,7 @@ func TestResetGenerationWrap(t *testing.T) {
 // prediction allocates none, and a training allocates at most one page per
 // table.
 func TestPagesAllocatedOnFirstWrite(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), 0)
 	count := func() (n int) {
 		for _, t := range [][]*page{p.path, p.simple} {
 			for _, pg := range t {
@@ -160,8 +158,8 @@ func TestPagesAllocatedOnFirstWrite(t *testing.T) {
 // for entry over every index, as New builds it, seed scramble included, with
 // the same history and counters, and keeps the pages it already allocated.
 func TestResetAndCloneReuseStorage(t *testing.T) {
-	cfg := Config{PathEntries: 256, SimpleEntries: 128, HistLen: 4, Seed: 7}
-	used := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
+	cfg := Config{PathEntries: 256, SimpleEntries: 128, HistLen: 4}
+	used := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2}, 0)
 	trainSome(used, 20)
 	var kept *page
 	for _, pg := range used.path {
@@ -170,10 +168,10 @@ func TestResetAndCloneReuseStorage(t *testing.T) {
 			break
 		}
 	}
-	used.Reset(cfg)
-	fresh := New(cfg)
+	used.Reset(cfg, 7)
+	fresh := New(cfg, 7)
 	sameContents(t, "Reset of a trained predictor", contents(used), contents(fresh))
-	if used.cfg != fresh.cfg || used.HistoryPos() != fresh.HistoryPos() || len(used.hist) != len(fresh.hist) ||
+	if used.cfg != fresh.cfg || used.seed != fresh.seed || used.HistoryPos() != fresh.HistoryPos() || len(used.hist) != len(fresh.hist) ||
 		used.Predictions != 0 || used.PathPredictions != 0 || used.Trains != 0 {
 		t.Error("Reset of a trained predictor left configuration, history or counters unlike New")
 	}

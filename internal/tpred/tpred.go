@@ -20,14 +20,6 @@ type Config struct {
 	PathEntries   int // 2^16 per Table 1
 	SimpleEntries int // 2^16 per Table 1
 	HistLen       int // path history depth: 8 traces
-
-	// Seed, when nonzero, scrambles the initial per-entry confidence
-	// counters with a deterministic PRNG. Untrained entries never predict
-	// (they are invalid either way), but a scrambled counter delays the
-	// first installation of an entry by up to its value — a reproducible
-	// cold-start perturbation for predictor-sensitivity sweeps. 0 keeps the
-	// canonical reset, where every entry installs on first training.
-	Seed int64
 }
 
 // DefaultConfig matches Table 1.
@@ -60,6 +52,7 @@ type page [1 << pageShift]entry
 // Predictor is the hybrid next-trace predictor.
 type Predictor struct {
 	cfg     Config  //tracep:nostats configuration
+	seed    int64   //tracep:nostats configuration: see New
 	path    []*page //tracep:nostats model state
 	simple  []*page //tracep:nostats model state
 	histLen int     //tracep:nostats model state
@@ -89,19 +82,24 @@ type Predictor struct {
 	Trains          uint64
 }
 
-// New builds a predictor.
-func New(cfg Config) *Predictor {
+// New builds a predictor. A nonzero seed scrambles the initial per-entry
+// confidence counters with a deterministic PRNG. Untrained entries never
+// predict (they are invalid either way), but a scrambled counter delays the
+// first installation of an entry by up to its value — a reproducible
+// cold-start perturbation for predictor-sensitivity sweeps. Seed 0 keeps
+// the canonical reset, where every entry installs on first training.
+func New(cfg Config, seed int64) *Predictor {
 	p := &Predictor{}
-	p.Reset(cfg)
+	p.Reset(cfg, seed)
 	return p
 }
 
-// Reset returns the predictor to the state New(cfg) builds — pristine
+// Reset returns the predictor to the state New(cfg, seed) builds — pristine
 // tables, empty speculative history, zero counters — in time independent of
 // the table sizes: it starts a new generation rather than clearing entries,
 // and keeps every page already allocated. A history ring grown by
 // EnsureHistoryCapacity keeps its size.
-func (p *Predictor) Reset(cfg Config) {
+func (p *Predictor) Reset(cfg Config, seed int64) {
 	if cfg.PathEntries == 0 {
 		cfg = DefaultConfig()
 	}
@@ -122,7 +120,7 @@ func (p *Predictor) Reset(cfg Config) {
 		hist = make([]uint64, defaultHistRing)
 	}
 	clear(hist)
-	*p = Predictor{cfg: cfg, path: path, simple: simple, histLen: cfg.HistLen, hist: hist, gen: gen}
+	*p = Predictor{cfg: cfg, seed: seed, path: path, simple: simple, histLen: cfg.HistLen, hist: hist, gen: gen}
 }
 
 // pages returns how many pages hold n entries.
@@ -148,8 +146,8 @@ func splitmix64(x, k uint64) uint64 {
 //tracep:noalloc
 func (p *Predictor) pristine(i, draw0 int) entry {
 	e := entry{gen: p.gen}
-	if p.cfg.Seed != 0 {
-		x := uint64(p.cfg.Seed) ^ 0xA24BAED4963EE407
+	if p.seed != 0 {
+		x := uint64(p.seed) ^ 0xA24BAED4963EE407
 		e.ctr = uint8(splitmix64(x, uint64(draw0+i+1)) & 3)
 	}
 	return e
@@ -354,7 +352,7 @@ func train(e *entry, actual trace.Descriptor) {
 	}
 	// Replace-on-zero hysteresis. With the canonical reset this guards
 	// valid entries only (invalid entries hold ctr 0 and install
-	// immediately); a Config.Seed scrambles the initial counters so
+	// immediately); a nonzero seed (see New) scrambles the initial counters so
 	// first installations are dithered too.
 	if e.ctr > 0 {
 		e.ctr--

@@ -11,14 +11,14 @@ func desc(pc uint32, n uint8) trace.Descriptor {
 }
 
 func TestColdPredictorHasNoOpinion(t *testing.T) {
-	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4})
+	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4}, 0)
 	if _, ok := p.Predict(); ok {
 		t.Error("cold predictor must not predict")
 	}
 }
 
 func TestLearnsRepeatingSequence(t *testing.T) {
-	p := New(Config{PathEntries: 1 << 10, SimpleEntries: 1 << 10, HistLen: 4})
+	p := New(Config{PathEntries: 1 << 10, SimpleEntries: 1 << 10, HistLen: 4}, 0)
 	seq := []trace.Descriptor{desc(0, 1), desc(40, 2), desc(80, 0), desc(120, 3)}
 	// Warm up: walk the sequence several times, training with the history
 	// checkpoint of each trace.
@@ -46,7 +46,7 @@ func TestPathBeatsSimpleOnContext(t *testing.T) {
 	// Sequence where the successor of B depends on what preceded it:
 	// A B C ... D B E ... — a last-trace (simple) predictor can't separate
 	// the two B contexts, the path predictor can.
-	p := New(Config{PathEntries: 1 << 12, SimpleEntries: 1 << 12, HistLen: 4})
+	p := New(Config{PathEntries: 1 << 12, SimpleEntries: 1 << 12, HistLen: 4}, 0)
 	a, bb, cc, dd, ee := desc(0, 0), desc(10, 0), desc(20, 0), desc(30, 0), desc(40, 0)
 	seq := []trace.Descriptor{a, bb, cc, dd, bb, ee}
 	for lap := 0; lap < 8; lap++ {
@@ -75,7 +75,7 @@ func TestPathBeatsSimpleOnContext(t *testing.T) {
 }
 
 func TestRewindAndReplace(t *testing.T) {
-	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4})
+	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 4}, 0)
 	p.SpecUpdate(desc(0, 0))
 	pos1 := p.SpecUpdate(desc(10, 0))
 	p.SpecUpdate(desc(20, 0))
@@ -104,7 +104,7 @@ func TestRewindAndReplace(t *testing.T) {
 }
 
 func TestHysteresisResistsNoise(t *testing.T) {
-	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
+	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2}, 0)
 	good := desc(10, 0)
 	noise := desc(20, 0)
 	// Train good strongly at empty history.
@@ -128,9 +128,9 @@ func TestHysteresisResistsNoise(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2})
+	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2}, 0)
 	p.SpecUpdate(desc(1, 0))
-	p.Reset(p.cfg)
+	p.Reset(p.cfg, 0)
 	if p.HistoryPos() != 0 {
 		t.Error("Reset must clear speculative history")
 	}
@@ -142,12 +142,12 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Error("non-power-of-two table must panic")
 		}
 	}()
-	New(Config{PathEntries: 100, SimpleEntries: 256, HistLen: 2})
+	New(Config{PathEntries: 100, SimpleEntries: 256, HistLen: 2}, 0)
 }
 
-// TestSeededHysteresis: a nonzero Seed scrambles initial confidence
+// TestSeededHysteresis: a nonzero seed scrambles initial confidence
 // counters, so first installations are dithered — the predictor may need
-// several trainings before an entry installs — while Seed 0 keeps the
+// several trainings before an entry installs — while seed 0 keeps the
 // canonical install-on-first-training reset. Seeded behaviour must be
 // deterministic per seed.
 func TestSeededHysteresis(t *testing.T) {
@@ -156,7 +156,7 @@ func TestSeededHysteresis(t *testing.T) {
 
 	// Canonical reset: one training (at the current history position, so
 	// Predict indexes the same entries) installs.
-	p0 := New(cfg)
+	p0 := New(cfg, 0)
 	p0.Train(p0.HistoryPos(), d)
 	if got, ok := p0.Predict(); !ok || got != d {
 		t.Fatalf("unseeded predictor did not install on first training: %v %v", got, ok)
@@ -164,9 +164,7 @@ func TestSeededHysteresis(t *testing.T) {
 
 	// Seeded: same-seed predictors agree with each other; the counter
 	// scramble differs from the zero reset somewhere in the tables.
-	sa, sb := cfg, cfg
-	sa.Seed, sb.Seed = 99, 99
-	a, b := New(sa), New(sb)
+	a, b := New(cfg, 99), New(cfg, 99)
 	step := func(p *Predictor) (trace.Descriptor, bool) {
 		p.Train(p.HistoryPos(), d)
 		return p.Predict()

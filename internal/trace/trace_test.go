@@ -223,7 +223,7 @@ func TestBranchPredictorDrivesConstruction(t *testing.T) {
 	b.Label("skip").Addi(3, 3, 1)
 	b.Halt()
 	prog := b.MustBuild()
-	bp := bpred.New(bpred.Config{Entries: 64, RASDepth: 4})
+	bp := bpred.New(bpred.Config{Entries: 64, RASDepth: 4}, 0)
 	bp.UpdateDirection(0, true)
 	bp.UpdateDirection(0, true)
 	c := &Constructor{Prog: prog, Sel: SelConfig{MaxLen: 32}, BP: bp}

@@ -82,9 +82,8 @@ type repKey struct {
 //
 // Raw replicates are reached through Lookup and Replicates; Cell (and Row)
 // aggregate a cell's replicates into CellStats distributions. ResultSet
-// implements internal/report's replicate-aware CellResults interface, so
-// the paper's table and figure renderers consume it directly, error bars
-// included.
+// implements internal/report's Results interface, so the paper's table and
+// figure renderers consume it directly, error bars included.
 type ResultSet struct {
 	mu      sync.RWMutex
 	byKey   map[repKey]*Result
@@ -106,18 +105,10 @@ func NewResultSet() *ResultSet {
 	}
 }
 
-// NewResultSetFor builds an empty result set with the row and column order
-// fixed up front, so concurrent writers (e.g. Sweep workers) cannot perturb
-// the ordering however their runs interleave. The seed axis builds in
-// first-Add order; use NewResultSetGrid when replicates fill in parallel.
-func NewResultSetFor(benches, models []string) *ResultSet {
-	return NewResultSetGrid(benches, models, nil)
-}
-
 // NewResultSetGrid builds an empty result set with all three axis orders —
-// benchmarks, models, seeds — fixed up front: the constructor for
-// multi-seed grids filled by concurrent writers (Sweep workers, stream
-// collectors), whose completion order must not perturb any axis.
+// benchmarks, models, seeds — fixed up front, so concurrent writers (Sweep
+// workers, stream collectors) cannot perturb any axis however their runs
+// interleave. A nil seeds axis builds in first-Add order.
 func NewResultSetGrid(benches, models []string, seeds []int64) *ResultSet {
 	r := NewResultSet()
 	for _, b := range benches {
@@ -193,9 +184,9 @@ func (r *ResultSet) Replicates(bench, model string) []*Result {
 }
 
 // Get returns the statistics of the cell's first successful replicate in
-// seed-axis order; cells with no successful replicate report false. This
-// is the report.Results point accessor — exact on single-seed sets; use
-// Cell for the aggregated distribution of a multi-seed cell.
+// seed-axis order; cells with no successful replicate report false. It is
+// exact on single-seed sets; use Cell for the aggregated distribution of a
+// multi-seed cell.
 func (r *ResultSet) Get(bench, model string) (*Stats, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

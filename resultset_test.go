@@ -21,7 +21,7 @@ func cell(bench, model string, ipc float64) *tracep.Result {
 }
 
 func TestResultSetDeterministicOrdering(t *testing.T) {
-	rs := tracep.NewResultSetFor([]string{"a", "b"}, []string{"m1", "m2"})
+	rs := tracep.NewResultSetGrid([]string{"a", "b"}, []string{"m1", "m2"}, nil)
 	// Add in scrambled completion order; registered order must win.
 	rs.Add(cell("b", "m2", 4))
 	rs.Add(cell("a", "m2", 3))
@@ -51,7 +51,7 @@ func TestResultSetDeterministicOrdering(t *testing.T) {
 }
 
 func TestResultSetJSONRoundTrip(t *testing.T) {
-	rs := tracep.NewResultSetFor([]string{"compress", "gcc"}, []string{"base", "FG"})
+	rs := tracep.NewResultSetGrid([]string{"compress", "gcc"}, []string{"base", "FG"}, nil)
 	rs.Add(cell("compress", "base", 2))
 	rs.Add(cell("gcc", "FG", 3))
 	rs.Add(&tracep.Result{Benchmark: "gcc", Model: "base", Error: "watchdog: stuck"})

@@ -219,6 +219,12 @@ func TestDiffIntervalGate(t *testing.T) {
 		t.Errorf("regression detail = %+v", reg)
 	}
 
+	// A missing cell reports the baseline's mean, not its first replicate.
+	gone := tracep.NewResultSet().Diff(baseline, tracep.Tolerances{AllowMissing: true}).Cells[0]
+	if gone.Kind != tracep.DiffMissing || math.Abs(gone.BaselineIPC-2.0) > 1e-9 {
+		t.Errorf("missing cell = %+v, want baseline mean IPC 2.0", gone)
+	}
+
 	// A set diffed against itself always passes: identical intervals overlap.
 	self := mk(1.9, 2.0, 2.1).Diff(baseline, tracep.Tolerances{})
 	if !self.OK() {
@@ -236,7 +242,7 @@ func TestDiffIntervalGate(t *testing.T) {
 // TestDiffPointVsReplicates: one replicated side against a point baseline
 // still takes the interval path — the point side is a zero-width interval.
 func TestDiffPointVsReplicates(t *testing.T) {
-	baseline := tracep.NewResultSetFor([]string{"bm"}, []string{"m"})
+	baseline := tracep.NewResultSetGrid([]string{"bm"}, []string{"m"}, nil)
 	baseline.Add(cell("bm", "m", 2.0))
 
 	cur := tracep.NewResultSetGrid([]string{"bm"}, []string{"m"}, []int64{1, 2, 3})
@@ -281,6 +287,8 @@ func TestParseTolerances(t *testing.T) {
 		{"ipc=1,allow-missing=true", tracep.Tolerances{IPCPct: 1, AllowMissing: true}},
 		{`{"ipc_pct":2,"allow_missing":true}`, tracep.Tolerances{IPCPct: 2, AllowMissing: true}},
 		{`{"trace_misp_per_1000":0.5}`, tracep.Tolerances{TraceMispPer1000: 0.5}},
+		// +Inf switches a gate off; it is a valid bound.
+		{"ipc=+Inf,miss=inf", tracep.Tolerances{IPCPct: math.Inf(1), CacheMissPer1000: math.Inf(1)}},
 	}
 	for _, c := range cases {
 		got, err := tracep.ParseTolerances(c.spec)
@@ -300,6 +308,15 @@ func TestParseTolerances(t *testing.T) {
 		"allow-missing=maybe",
 		`{"ipc_pct":2,"unknown":1}`,
 		`{"ipc_pct":`,
+		// NaN fails every comparison, so it would pass any drop; a negative
+		// bound flags an unchanged cell.
+		"ipc=NaN",
+		"tmisp=nan",
+		"ipc=-1",
+		"recoveries=-0.5",
+		"miss=-Inf",
+		`{"ipc_pct":-1}`,
+		`{"cache_miss_per_1000":-2}`,
 	} {
 		if _, err := tracep.ParseTolerances(bad); err == nil {
 			t.Errorf("ParseTolerances(%q) accepted bad spec", bad)

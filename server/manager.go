@@ -423,6 +423,12 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		}
 	}
 
+	if req.Tolerances != nil {
+		if err := req.Tolerances.Validate(); err != nil {
+			return Status{}, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
+		}
+	}
+
 	seeds := dedupeSeeds(req.Seeds)
 	rowsPerBench := float64(max(len(seeds), 1))
 	insts := float64(len(benches)*len(models)) * rowsPerBench * float64(target)

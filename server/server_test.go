@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -255,8 +256,8 @@ func TestConcurrentSweepsShareOnePool(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: unknown names are 400s with a JSON error body, and
-// unknown job IDs are 404s.
+// TestSubmitValidation: unknown names and invalid tolerances are 400s with
+// a JSON error body, and unknown job IDs are 404s.
 func TestSubmitValidation(t *testing.T) {
 	c := newTestServer(t, server.Config{Parallelism: 1})
 
@@ -268,6 +269,19 @@ func TestSubmitValidation(t *testing.T) {
 	_, err = c.Submit(context.Background(), server.SweepRequest{Models: []string{"nonesuch"}})
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown model error = %v, want 400 *server.Error", err)
+	}
+	badTol := server.SweepRequest{Benchmarks: []string{"compress"}, Models: []string{"base"}, TargetInsts: 1000,
+		Tolerances: &tracep.Tolerances{IPCPct: -1}}
+	_, err = c.Submit(context.Background(), badTol)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "non-negative") {
+		t.Errorf("negative tolerance error = %v, want 400 *server.Error", err)
+	}
+	// JSON cannot carry NaN, but an in-process submitter can.
+	mgr := server.NewManager(server.Config{Parallelism: 1})
+	defer mgr.Close()
+	badTol.Tolerances = &tracep.Tolerances{CacheMissPer1000: math.NaN()}
+	if _, err := mgr.Submit(badTol); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Errorf("NaN tolerance error = %v, want 400 *server.Error", err)
 	}
 	_, err = c.Status(context.Background(), "sw-999")
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {

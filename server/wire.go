@@ -64,7 +64,7 @@ type SweepRequest struct {
 	// submitter will diff the collected set under (tracep.ParseTolerances'
 	// JSON shape). The server echoes it in Status — advisory metadata that
 	// travels with the job so downstream gates agree on one encoding; the
-	// diff itself still runs client-side.
+	// diff itself still runs client-side. A negative bound is a 400.
 	Tolerances *tracep.Tolerances `json:"tolerances,omitempty"`
 }
 

@@ -30,9 +30,10 @@ func TestSweepMatchesSerial(t *testing.T) {
 	benches, models := sweepFixture(t)
 	const budget = 8_000
 
-	serial := tracep.NewResultSetFor(
+	serial := tracep.NewResultSetGrid(
 		[]string{"compress", "vortex"},
 		[]string{"base", "FG+MLB-RET"},
+		nil,
 	)
 	for _, bm := range benches {
 		for _, m := range models {

@@ -232,8 +232,5 @@ func Benchmarks() []Benchmark { return bench.Suite() }
 func BenchmarkByName(name string) (Benchmark, error) { return bench.ByName(name) }
 
 // Compile-time proof that the public ResultSet plugs into the paper's
-// table/figure renderers — including the replicate-aware error-bar path.
-var (
-	_ report.Results     = (*ResultSet)(nil)
-	_ report.CellResults = (*ResultSet)(nil)
-)
+// table/figure renderers.
+var _ report.Results = (*ResultSet)(nil)

@@ -78,7 +78,7 @@ func TestSweepWarmupByteIdenticalToColdWarmups(t *testing.T) {
 	for i, m := range models {
 		modelNames[i] = m.Name
 	}
-	cold := tracep.NewResultSetFor(benchNames, modelNames)
+	cold := tracep.NewResultSetGrid(benchNames, modelNames, nil)
 	for _, bm := range benches {
 		for _, m := range models {
 			res, err := tracep.NewBenchmark(bm, targetInsts,
