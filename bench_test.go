@@ -301,6 +301,40 @@ func BenchmarkSweepParallelism(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioSweep runs short, mispredict-heavy cells on one reused
+// engine: every scenario family under every model, over two predictor
+// seeds, at 10k instructions per cell — the shape of tracepbench's
+// scenario-seeds workload. Per-cell setup, trace construction and the
+// recycling of traces between cells dominate, so its allocs/op tracks what
+// a reset engine re-allocates.
+func BenchmarkScenarioSweep(b *testing.B) {
+	var benches []tracep.Benchmark
+	for _, sc := range tracep.Scenarios() {
+		benches = append(benches, sc.Benchmark(1))
+	}
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		sw := tracep.Sweep{
+			Benchmarks:  benches,
+			Models:      tracep.Models(),
+			TargetInsts: 10_000,
+			Seeds:       []int64{1, 2},
+			Parallelism: 1,
+		}
+		rs, err := sw.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rs.Err(); err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range rs.Results() {
+			insts += res.Stats.RetiredInsts
+		}
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}
+
 // BenchmarkWarmupSnapshot quantifies the checkpoint subsystem: an 8-model
 // sweep over one benchmark whose warm-up region dwarfs its measured region.
 // "shared" captures one snapshot per benchmark and forks all eight cells

@@ -206,6 +206,50 @@ func TestFreshEngineResetAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmEngineCellAllocs gates what a reused engine allocates for a cell
+// it has run before. A reset returns every trace the previous run still
+// holds to the constructor's pool, so the repeat rebuilds its trace
+// population into recycled storage: allocation follows growth of the
+// engine's peak trace population, and a repeat grows nothing. Without the
+// recycling a repeat re-allocated its whole trace cache (67 KB on compress,
+// 135 KB on gcc).
+func TestWarmEngineCellAllocs(t *testing.T) {
+	const n = 10_000
+	var benches []bench.Benchmark
+	for _, name := range []string{"compress", "gcc"} {
+		bm, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benches = append(benches, bm)
+	}
+	benches = append(benches, bench.Generated(bench.DefaultGenConfig(3)))
+	for _, bm := range benches {
+		t.Run(bm.Name, func(t *testing.T) {
+			prog := bm.Build(bm.ScaleFor(n))
+			cfg := DefaultConfig()
+			p := New(prog, ModelFGMLBRET, cfg)
+			if _, err := p.Run(n); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p.Reset(prog, ModelFGMLBRET, cfg)
+			_, err := p.Run(n)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s: the repeated cell allocated %d bytes", bm.Name, got)
+			const limit = 16 << 10
+			if got >= limit {
+				t.Fatalf("a warm engine's repeated %s cell allocated %d bytes, want under %d", bm.Name, got, limit)
+			}
+		})
+	}
+}
+
 // BenchmarkEngineReset reports what a warm engine's Reset costs between two
 // cells, unseeded and seeded, with -benchmem.
 func BenchmarkEngineReset(b *testing.B) {

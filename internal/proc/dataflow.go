@@ -126,7 +126,7 @@ func (p *Processor) complete(ev event) {
 //tracep:noalloc
 func (p *Processor) wakeLocalConsumers(st *instState) {
 	pe := st.pe
-	for _, ci := range pe.tr.LocalConsumers[st.slot] {
+	for _, ci := range pe.tr.Consumers(st.slot) {
 		if int(ci) >= len(pe.insts) {
 			continue
 		}

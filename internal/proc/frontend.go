@@ -43,6 +43,8 @@ type frontend struct {
 
 // init empties the frontend for a run that starts fetching at pc:
 // outstanding entries return to the pool, and the rings keep their storage.
+// Their traces have already gone back to the constructor's pool (see
+// Processor.recycleTraces).
 func (fe *frontend) init(numPEs int, pc uint32) {
 	// Every job entry is also a queue entry, so the queue holds them all.
 	for fe.queue.len() > 0 {

@@ -467,9 +467,9 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	pe.mapBefore = p.specMap
 	pe.dispatchedAt = p.cycle
 
-	pe.ensureSlots(len(tr.Insts))
-	pe.insts = pe.ptrs[:len(tr.Insts)]
-	for i := range tr.Insts {
+	pe.ensureSlots(tr.Len())
+	pe.insts = pe.ptrs[:tr.Len()]
+	for i := range pe.insts {
 		p.initInstState(pe.insts[i], i, tr)
 	}
 	// Live-outs: allocate destination tags for every writing instruction;
@@ -509,7 +509,7 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 //tracep:noalloc
 func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 	pe := st.pe
-	in := tr.Insts[i]
+	in := p.prog.At(tr.PCs[i])
 	st.reinit()
 	st.inst = in
 	st.cold().pc = tr.PCs[i]

@@ -104,7 +104,8 @@ type Config struct {
 	Seed int64
 
 	// Verify runs the architectural oracle against every retired
-	// instruction.
+	// instruction, and checks the Stats accounting laws at the end of each
+	// run (failing it with an error wrapping ErrStatsLaw).
 	Verify bool
 	// WatchdogCycles aborts the run if nothing retires for this many cycles
 	// (a livelock/deadlock detector for the simulator itself).
@@ -309,7 +310,7 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	}
 	// The trace cache, next-trace predictor and value predictor start from
 	// reset even on a restore: the warm-up never trains them.
-	p.tcache.Reset(cfg.TCache)
+	p.recycleTraces(&old, cfg)
 	p.tp.Reset(cfg.TPred, cfg.Seed)
 	if p.vp != nil {
 		p.vp.Reset(cfg.VPred)
@@ -363,6 +364,26 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	if old.prog != prog || old.cfg.MaxTraceLen != cfg.MaxTraceLen {
 		p.classifyBranches()
 	}
+}
+
+// recycleTraces empties the trace cache for cfg and returns every trace the
+// previous run still holds — trace-cache residents, PE-resident traces,
+// fetch-queue entries (every construction job is one) and a recovery's
+// repair trace — to the constructor's pool, so the next run builds into
+// their storage. A trace with several holders is pooled once. The pool is
+// then bounded by what cfg can keep alive at once: trace-cache lines plus
+// the in-flight bound (a trace per PE and per fetch-queue entry, a repair
+// trace and the constructor's scratch).
+func (p *Processor) recycleTraces(old *Processor, cfg Config) {
+	for _, pe := range old.pes {
+		p.ctor.Recycle(pe.tr)
+	}
+	for i := 0; i < old.fe.queue.len(); i++ {
+		p.ctor.Recycle(old.fe.queue.at(i).tr)
+	}
+	p.ctor.Recycle(old.rec.newTrace)
+	p.tcache.Reset(cfg.TCache, &p.ctor)
+	p.ctor.Reset(p.tcache.Lines() + 2*cfg.NumPEs + 2)
 }
 
 // reuse returns x, or new storage when x is nil.
@@ -448,6 +469,11 @@ func (p *Processor) RunContext(ctx context.Context, maxInsts uint64, every uint6
 	}
 	p.Stats.Cycles = uint64(p.cycle)
 	p.finalizeStats()
+	if p.cfg.Verify && p.err == nil {
+		if err := p.checkStatsLaws(); err != nil {
+			p.fail(err)
+		}
+	}
 	// The caller owns a copy: a returned pointer into the engine would keep
 	// the whole processor reachable for as long as the result is held, and
 	// would change under any further stepping.

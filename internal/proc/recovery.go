@@ -241,12 +241,12 @@ func (p *Processor) startRecovery(st *instState) {
 	}
 	forced := p.forcedScratch[:0]
 	for _, bi := range pe.tr.Branches {
-		if bi.Idx < slot {
+		if int(bi.Idx) < slot {
 			//tracep:allow forced-outcome scratch retains capacity across recoveries
 			forced = append(forced, pe.insts[bi.Idx].assumedTaken)
 			continue
 		}
-		if bi.Idx == slot {
+		if int(bi.Idx) == slot {
 			//tracep:allow forced-outcome scratch retains capacity across recoveries
 			forced = append(forced, st.assumedTaken)
 		}
@@ -405,7 +405,7 @@ func (p *Processor) installRepair() {
 
 	if !rec.isIndirect {
 		// Sanity: the repaired trace must share the prefix up to the branch.
-		if len(newTr.Insts) <= slot || newTr.PCs[slot] != pe.tr.PCs[slot] {
+		if newTr.Len() <= slot || newTr.PCs[slot] != pe.tr.PCs[slot] {
 			//tracep:allow terminal: repair prefix mismatch aborts the run
 			p.fail(fmt.Errorf("repair prefix mismatch at pc %d slot %d", pe.tr.PCs[slot], slot))
 			return
@@ -416,16 +416,16 @@ func (p *Processor) installRepair() {
 		// (their generation bump orphans any stale references to the
 		// squashed suffix). Slots beyond the new length fall off the insts
 		// prefix; their generations advance so references die with them.
-		for i := len(newTr.Insts); i < len(pe.insts); i++ {
+		for i := newTr.Len(); i < len(pe.insts); i++ {
 			pe.insts[i].invalidate()
 		}
-		pe.ensureSlots(len(newTr.Insts))
+		pe.ensureSlots(newTr.Len())
 		p.releaseTrace(pe.tr)
 		pe.tr = newTr
 		rec.newTrace = nil // the recovery's reference is now the PE's
-		pe.insts = pe.ptrs[:len(newTr.Insts)]
+		pe.insts = pe.ptrs[:newTr.Len()]
 		states := pe.insts
-		for i := slot + 1; i < len(newTr.Insts); i++ {
+		for i := slot + 1; i < newTr.Len(); i++ {
 			p.initInstState(states[i], i, newTr)
 			if states[i].destArch != 0 {
 				states[i].destTag = p.regs.Alloc()

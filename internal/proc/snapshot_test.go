@@ -3,12 +3,14 @@ package proc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"tracep/internal/asm"
 	"tracep/internal/bench"
 	"tracep/internal/isa"
+	"tracep/internal/trace"
 )
 
 // snapProgram is a warm-up-worthy workload: an LCG-driven hammock with
@@ -243,10 +245,15 @@ func TestWarmupIsObservable(t *testing.T) {
 }
 
 // TestResetMatchesNew runs a mixed sequence of cells — different programs,
-// models and window shapes, value prediction, a snapshot restore and a run
+// models and window shapes, value prediction, a snapshot restore and runs
 // abandoned part-way — on one reused engine, and requires each cell's Stats
 // to equal a freshly built processor's. Nothing of one run may leak into
-// the next through the storage Reset keeps.
+// the next through the storage Reset keeps. That storage includes every
+// trace: a reset recycles the previous run's traces, so each cell builds
+// into traces of other shapes — another trace-cache geometry, another
+// maximum trace length, another selection model — and one cell is
+// abandoned mid-recovery, so its PE, fetch-queue and repair traces are all
+// live when the engine resets.
 func TestResetMatchesNew(t *testing.T) {
 	small := testConfig()
 	small.NumPEs, small.MaxTraceLen = 6, 16
@@ -254,7 +261,16 @@ func TestResetMatchesNew(t *testing.T) {
 	vp.ValuePredict = true
 	noVerify := testConfig()
 	noVerify.Verify = false
+	tinyTC := testConfig()
+	tinyTC.TCache = trace.CacheConfig{Sets: 8, Assoc: 2}
+	len16 := testConfig()
+	len16.MaxTraceLen = 16
 	warmProg := lcgProgram(300)
+	compress, err := bench.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hammocks := compress.Build(compress.ScaleFor(5000))
 	snap, err := CaptureSnapshot(context.Background(), warmProg, testConfig(), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +281,9 @@ func TestResetMatchesNew(t *testing.T) {
 		cfg      Config
 		snap     *Snapshot
 		maxInsts uint64
+		// midRecovery abandons the run at the first cycle with a repair
+		// trace in flight, PEs in the window and fetch-queue entries.
+		midRecovery bool
 	}{
 		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: testConfig()},
 		{prog: unpredictableLoop(60), model: ModelRET, cfg: testConfig(), maxInsts: 1500}, // abandoned mid-run
@@ -273,6 +292,19 @@ func TestResetMatchesNew(t *testing.T) {
 		{prog: warmProg, model: ModelMLBRET, cfg: testConfig(), snap: snap},
 		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: noVerify},
 		{prog: warmProg, model: ModelFGMLBRET, cfg: testConfig(), snap: snap},
+		// Trace-cache geometry: down to 16 lines and back.
+		{prog: unpredictableLoop(60), model: ModelFGMLBRET, cfg: tinyTC},
+		{prog: unpredictableLoop(60), model: ModelFGMLBRET, cfg: testConfig()},
+		// Maximum trace length 32 -> 16 -> 32.
+		{prog: lcgProgram(200), model: ModelMLBRET, cfg: len16},
+		{prog: lcgProgram(200), model: ModelMLBRET, cfg: testConfig()},
+		// Selection model: fg and ntb on, then each alone.
+		{prog: unpredictableLoop(60), model: ModelBaseFGNTB, cfg: testConfig()},
+		{prog: unpredictableLoop(60), model: ModelBaseNTB, cfg: testConfig()},
+		{prog: unpredictableLoop(60), model: ModelBaseFG, cfg: testConfig()},
+		// Abandoned mid-recovery, then a cell on another program.
+		{prog: hammocks, model: ModelFG, cfg: testConfig(), midRecovery: true},
+		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: testConfig()},
 	}
 	engine := &Processor{}
 	for i, c := range cells {
@@ -286,11 +318,17 @@ func TestResetMatchesNew(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := fresh.Run(c.maxInsts)
+		run := func(p *Processor) (*Stats, error) {
+			if c.midRecovery {
+				return runToRecovery(p)
+			}
+			return p.Run(c.maxInsts)
+		}
+		want, err := run(fresh)
 		if err != nil {
 			t.Fatalf("cell %d (%s/%s) fresh: %v", i, c.prog.Name, c.model.Name, err)
 		}
-		got, err := engine.Run(c.maxInsts)
+		got, err := run(engine)
 		if err != nil {
 			t.Fatalf("cell %d (%s/%s) reused: %v", i, c.prog.Name, c.model.Name, err)
 		}
@@ -299,6 +337,24 @@ func TestResetMatchesNew(t *testing.T) {
 				i, c.prog.Name, c.model.Name, *got, *want)
 		}
 	}
+}
+
+// runToRecovery steps p to the first cycle at which a repair trace, window
+// PEs and fetch-queue entries are all live, and returns its Stats there.
+func runToRecovery(p *Processor) (*Stats, error) {
+	for !p.Halted() && p.Err() == nil {
+		p.Step()
+		if p.rec.active && p.rec.newTrace != nil && p.head >= 0 && p.fe.queue.len() > 0 {
+			p.Stats.Cycles = uint64(p.Cycle())
+			p.finalizeStats()
+			stats := p.Stats
+			return &stats, nil
+		}
+	}
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("%s halted without a recovery that leaves fetch-queue entries live", p.prog.Name)
 }
 
 // BenchmarkCaptureSnapshot measures the warm-up capture layer alone: one op

@@ -1,5 +1,15 @@
 package proc
 
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrStatsLaw is the sentinel wrapped by the error a verified run fails with
+// when its counters break an accounting identity (see checkStatsLaws); test
+// with errors.Is.
+var ErrStatsLaw = errors.New("stats law violated")
+
 // ClassStats aggregates per-class conditional branch statistics (Table 5).
 // The json tags pin the wire names (tracep.Result / ci-baseline.json); see
 // Stats.
@@ -95,6 +105,47 @@ func (p *Processor) finalizeStats() {
 	s.BITLookups, s.BITMisses = p.bit.Lookups, p.bit.Misses()
 	s.TPredictions = p.tp.Predictions
 	s.TPredTrains = p.tp.Trains
+}
+
+// checkStatsLaws checks the accounting identities between the Stats
+// counters, which hold at every cycle boundary once finalizeStats has run:
+// every recovery is of exactly one kind, retired trace lengths sum to the
+// retired instructions, at most one trace of at most MaxTraceLen
+// instructions retires per cycle, no cache misses more often than it is
+// accessed, and every dispatched trace has retired, been squashed, or is
+// still in the window. RunContext checks them at the end of a verified run.
+func (p *Processor) checkStatsLaws() error {
+	s := &p.Stats
+	if kinds := s.FGCIRecoveries + s.CGCIRecoveries + s.BaseRecoveries; s.Recoveries != kinds {
+		return fmt.Errorf("%w: Recoveries %d != FGCI %d + CGCI %d + base %d", ErrStatsLaw, s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries)
+	}
+	if s.RetiredTraceLenSum != s.RetiredInsts {
+		return fmt.Errorf("%w: RetiredTraceLenSum %d != RetiredInsts %d", ErrStatsLaw, s.RetiredTraceLenSum, s.RetiredInsts)
+	}
+	if limit := s.Cycles * uint64(p.cfg.MaxTraceLen); s.RetiredInsts > limit {
+		return fmt.Errorf("%w: RetiredInsts %d > Cycles %d x MaxTraceLen %d", ErrStatsLaw, s.RetiredInsts, s.Cycles, p.cfg.MaxTraceLen)
+	}
+	for _, c := range [...]struct {
+		name           string
+		misses, probes uint64
+	}{
+		{"TC", s.TCMisses, s.TCLookups},
+		{"IC", s.ICMisses, s.ICAccesses},
+		{"DC", s.DCMisses, s.DCAccesses},
+	} {
+		if c.misses > c.probes {
+			return fmt.Errorf("%w: %sMisses %d > %d accesses", ErrStatsLaw, c.name, c.misses, c.probes)
+		}
+	}
+	inWindow := uint64(0)
+	for id := p.head; id >= 0; id = p.pes[id].next {
+		inWindow++
+	}
+	if s.DispatchedTraces != s.RetiredTraces+s.SquashedTraces+inWindow {
+		return fmt.Errorf("%w: DispatchedTraces %d != retired %d + squashed %d + %d in the window",
+			ErrStatsLaw, s.DispatchedTraces, s.RetiredTraces, s.SquashedTraces, inWindow)
+	}
+	return nil
 }
 
 // IPC returns retired instructions per cycle.

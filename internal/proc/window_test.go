@@ -2,6 +2,7 @@ package proc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -108,46 +109,58 @@ func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 	if err := p.Err(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if err := checkStatsLaws(p); err != nil {
+	p.Stats.Cycles = uint64(p.Cycle())
+	p.finalizeStats() // the cache counters reach Stats only here
+	if err := p.checkStatsLaws(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 }
 
-// checkStatsLaws checks the accounting identities between Stats counters:
-// every recovery is of exactly one kind, retired trace lengths sum to the
-// retired instructions, no cache misses more often than it is accessed, and
-// every dispatched trace has retired, been squashed, or is still in the
-// window.
-func checkStatsLaws(p *Processor) error {
-	p.finalizeStats() // the cache counters reach Stats only here
-	s := &p.Stats
-	if kinds := s.FGCIRecoveries + s.CGCIRecoveries + s.BaseRecoveries; s.Recoveries != kinds {
-		return fmt.Errorf("Recoveries %d != FGCI %d + CGCI %d + base %d", s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries)
+// TestStatsLawsCatchCorruption: each Stats law rejects counters corrupted
+// to break it, and a verified run whose counters break a law fails with
+// ErrStatsLaw, while an unverified run does not check.
+func TestStatsLawsCatchCorruption(t *testing.T) {
+	prog := lcgProgram(200)
+	p := New(prog, ModelFGMLBRET, testConfig())
+	if _, err := p.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	if s.RetiredTraceLenSum != s.RetiredInsts {
-		return fmt.Errorf("RetiredTraceLenSum %d != RetiredInsts %d", s.RetiredTraceLenSum, s.RetiredInsts)
+	if err := p.checkStatsLaws(); err != nil {
+		t.Fatalf("uncorrupted run: %v", err)
 	}
-	for _, c := range []struct {
-		name           string
-		misses, probes uint64
+	good := p.Stats
+	for _, tc := range []struct {
+		law     string
+		corrupt func(s *Stats)
 	}{
-		{"TC", s.TCMisses, s.TCLookups},
-		{"IC", s.ICMisses, s.ICAccesses},
-		{"DC", s.DCMisses, s.DCAccesses},
+		{"recovery kinds", func(s *Stats) { s.BaseRecoveries++ }},
+		{"retired trace lengths", func(s *Stats) { s.RetiredTraceLenSum-- }},
+		{"one trace retires per cycle", func(s *Stats) { s.Cycles = 1 }},
+		{"trace-cache misses", func(s *Stats) { s.TCMisses = s.TCLookups + 1 }},
+		{"instruction-cache misses", func(s *Stats) { s.ICMisses = s.ICAccesses + 1 }},
+		{"data-cache misses", func(s *Stats) { s.DCMisses = s.DCAccesses + 1 }},
+		{"dispatched traces", func(s *Stats) { s.DispatchedTraces++ }},
 	} {
-		if c.misses > c.probes {
-			return fmt.Errorf("%sMisses %d > %d accesses", c.name, c.misses, c.probes)
+		p.Stats = good
+		tc.corrupt(&p.Stats)
+		if err := p.checkStatsLaws(); !errors.Is(err, ErrStatsLaw) {
+			t.Errorf("%s: corrupted Stats gave %v, want ErrStatsLaw", tc.law, err)
 		}
 	}
-	inWindow := uint64(0)
-	for id := p.head; id >= 0; id = p.pes[id].next {
-		inWindow++
+
+	// The retirement tap runs on the simulation goroutine, so it can
+	// corrupt a counter mid-run.
+	corrupt := func() { p.Stats.SquashedTraces++ }
+	p.Reset(prog, ModelFGMLBRET, testConfig())
+	if _, err := p.RunContext(context.Background(), 0, 100, corrupt); !errors.Is(err, ErrStatsLaw) {
+		t.Errorf("verified run with corrupted counters: err = %v, want ErrStatsLaw", err)
 	}
-	if s.DispatchedTraces != s.RetiredTraces+s.SquashedTraces+inWindow {
-		return fmt.Errorf("DispatchedTraces %d != retired %d + squashed %d + %d in the window",
-			s.DispatchedTraces, s.RetiredTraces, s.SquashedTraces, inWindow)
+	unverified := testConfig()
+	unverified.Verify = false
+	p.Reset(prog, ModelFGMLBRET, unverified)
+	if _, err := p.RunContext(context.Background(), 0, 100, corrupt); err != nil {
+		t.Errorf("unverified run: %v, want no law check", err)
 	}
-	return nil
 }
 
 // TestMachineChecksItself runs checkMachine after every cycle, and

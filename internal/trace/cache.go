@@ -24,15 +24,15 @@ type Cache struct {
 // NewCache builds a trace cache.
 func NewCache(cfg CacheConfig) *Cache {
 	c := &Cache{}
-	c.Reset(cfg)
+	c.Reset(cfg, nil)
 	return c
 }
 
 // Reset empties the trace cache and sizes it by cfg, reusing its storage.
-// The cache's references to resident traces are dropped, not released: a
-// reset starts a new run, and nothing of the old one survives to recycle
-// them.
-func (c *Cache) Reset(cfg CacheConfig) {
+// When pool is non-nil, every resident trace is recycled into it, so the
+// next run's builds reuse the residents' storage; a resident that other
+// holders share is pooled once (see Constructor.Recycle).
+func (c *Cache) Reset(cfg CacheConfig, pool *Constructor) {
 	if cfg.Sets == 0 {
 		cfg = DefaultCacheConfig()
 	}
@@ -40,8 +40,17 @@ func (c *Cache) Reset(cfg CacheConfig) {
 	if c.store == nil {
 		c.store = make(map[uint64]*Trace)
 	}
+	if pool != nil {
+		//tracep:orderinvariant pool order only decides which recycled storage a later build reuses; every build overwrites it
+		for _, tr := range c.store {
+			pool.Recycle(tr)
+		}
+	}
 	clear(c.store)
 }
+
+// Lines returns the cache's capacity in traces.
+func (c *Cache) Lines() int { return c.timing.Sets() * c.timing.Assoc() }
 
 // Lookup searches for the trace identified by d. A miss does not allocate;
 // the line is filled when the constructed trace is Inserted.

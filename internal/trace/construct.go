@@ -55,7 +55,8 @@ type Constructor struct {
 	// pool holds recycled persistent traces (Recycle) awaiting reuse as
 	// scratch, so the fetch stream's trace churn — construct, dispatch,
 	// evict, retire — reuses a bounded set of Trace structures instead of
-	// allocating one per kept build.
+	// allocating one per kept build. The pool outlives a run: Reset keeps it
+	// for the next one.
 	pool []*Trace
 }
 
@@ -74,12 +75,12 @@ func (c *Constructor) Build(startPC uint32, forced []bool) (*Trace, int) {
 
 // BuildTransient constructs like Build but returns a trace backed by the
 // constructor's reusable scratch storage: it is valid only until the next
-// Build/BuildTransient call, and only its instructions, PCs, branches,
-// descriptor and successor are filled in — the pre-renamed dataflow (Srcs,
-// DestArch, LastWriter, LiveIns, LiveOuts, LocalConsumers) is computed by
-// Keep. Callers that decide to keep the trace (dispatch it, insert it into
-// the trace cache) must call Keep first; callers that discard it (descriptor
-// formed, trace cache hit) simply drop it and the storage is reused.
+// Build/BuildTransient call, and only its PCs, branches, descriptor and
+// successor are filled in — the pre-renamed dataflow (Srcs, LastWriter,
+// LiveIns, LiveOuts, Consumers) is computed by Keep. Callers that decide to
+// keep the trace (dispatch it, insert it into the trace cache) must call
+// Keep first; callers that discard it (descriptor formed, trace cache hit)
+// simply drop it and the storage is reused.
 // Construction side effects (instruction-cache fills, BIT lookups) are
 // identical to Build's.
 //
@@ -90,6 +91,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 		if n := len(c.pool); n > 0 {
 			t = c.pool[n-1]
 			c.pool = c.pool[:n-1]
+			t.pooled = false
 		} else {
 			//tracep:allow pool miss: the steady state recycles retired traces back into the pool
 			t = &Trace{}
@@ -116,7 +118,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 			// covered by the region.
 			frozen = false
 			for _, bi := range frozenBranches {
-				t.Branches[bi].ReconvIdx = len(t.Insts)
+				t.Branches[bi].ReconvIdx = int16(len(t.PCs))
 			}
 			frozenBranches = frozenBranches[:0]
 		}
@@ -134,7 +136,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 					frozen = true
 					freezeEnd = reg.ReconvPC
 					effLen += reg.Size
-				} else if len(t.Insts) > 0 {
+				} else if len(t.PCs) > 0 {
 					// Terminate the trace before the branch; deferring the
 					// branch to the next trace ensures all potential FGCI is
 					// exposed (§3.2).
@@ -155,11 +157,9 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 		bbStart = false
 		lastFetchPC = pc
 
-		idx := len(t.Insts)
+		idx := int16(len(t.PCs))
 		//tracep:allow scratch-trace storage retains capacity across builds
 		t.PCs = append(t.PCs, pc)
-		//tracep:allow scratch-trace storage retains capacity across builds
-		t.Insts = append(t.Insts, in)
 		if !frozen {
 			effLen++
 		}
@@ -222,7 +222,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 	if !t.EndsIndirect && !t.EndsHalt {
 		t.NextPC = pc
 	}
-	t.Desc.Len = uint8(len(t.Insts))
+	t.Desc.Len = uint8(len(t.PCs))
 	t.Desc.NumBr = uint8(brCount)
 	c.frozenScratch = frozenBranches[:0]
 	return t, cycles
@@ -236,23 +236,43 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 //tracep:noalloc
 func (c *Constructor) Keep(t *Trace) *Trace {
 	if t == c.scratch {
-		t.prerename()
+		t.prerename(c.Prog)
 		c.scratch = nil
 	}
 	return t
 }
 
 // Recycle returns a dead persistent trace — one whose last reference was
-// just Released — to the constructor's pool; a future build reuses its
-// storage. The caller must guarantee nothing still reads the trace.
+// just Released, or one a finished run still holds — to the constructor's
+// pool with its reference count cleared; a future build reuses its storage.
+// The caller must guarantee nothing still reads the trace. A trace already
+// in the pool stays there once: recycling it again is a no-op, so a trace
+// with several holders can never back two builds at once.
 //
 //tracep:noalloc
 func (c *Constructor) Recycle(t *Trace) {
-	if t == nil || t == c.scratch {
+	if t == nil || t == c.scratch || t.pooled {
 		return
 	}
-	//tracep:allow pool growth is bounded by the peak number of in-flight traces
+	t.refs = 0
+	t.pooled = true
+	//tracep:allow pool growth is bounded by the peak number of live traces
 	c.pool = append(c.pool, t)
+}
+
+// Reset readies the constructor for a new run whose live traces number at
+// most limit (trace-cache lines plus those in flight). The scratch trace
+// joins the pool, and the pool keeps at most limit traces, so a run on a
+// smaller configuration does not pin a larger one's storage. Callers
+// Recycle every trace the previous run still holds first.
+func (c *Constructor) Reset(limit int) {
+	t := c.scratch
+	c.scratch = nil
+	c.Recycle(t)
+	if len(c.pool) > limit {
+		clear(c.pool[limit:])
+		c.pool = c.pool[:limit]
+	}
 }
 
 // SuffixCycles estimates the trace-buffer repair latency for re-fetching tr
@@ -264,7 +284,7 @@ func (c *Constructor) SuffixCycles(tr *Trace, from int) int {
 	cycles := 0
 	bbStart := true
 	var last uint32
-	for i := from; i < len(tr.Insts); i++ {
+	for i := from; i < len(tr.PCs); i++ {
 		pc := tr.PCs[i]
 		if c.IC != nil {
 			if bbStart || !c.IC.SameLine(last, pc) {
@@ -275,7 +295,7 @@ func (c *Constructor) SuffixCycles(tr *Trace, from int) int {
 		}
 		bbStart = false
 		last = pc
-		if tr.Insts[i].IsControl() {
+		if c.Prog.At(pc).IsControl() {
 			bbStart = true
 		}
 	}

@@ -101,7 +101,7 @@ func TestConstructorRecycleReuse(t *testing.T) {
 	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
 
 	tr, _ := c.Build(0, nil)
-	if tr == nil || len(tr.Insts) == 0 {
+	if tr == nil || tr.Len() == 0 {
 		t.Fatal("build returned an empty trace")
 	}
 	c.Recycle(nil) // must not panic or pollute the pool
@@ -111,7 +111,7 @@ func TestConstructorRecycleReuse(t *testing.T) {
 	if tr2 != tr {
 		t.Error("build after Recycle did not reuse the recycled trace's storage")
 	}
-	if int(tr2.Desc.Len) != len(tr2.Insts) || tr2.Desc.StartPC != 0 {
+	if int(tr2.Desc.Len) != tr2.Len() || tr2.Desc.StartPC != 0 {
 		t.Errorf("reused trace carries stale state: %+v", tr2.Desc)
 	}
 
@@ -132,6 +132,63 @@ func TestConstructorRecycleReuse(t *testing.T) {
 	}
 }
 
+// TestConstructorRecycleOnce: a trace can have several holders (the trace
+// cache and a PE), and a reset hands every holder's trace to Recycle. A
+// second Recycle of a pooled trace must be a no-op, or the pool would hold
+// it twice and two later builds would share one Trace's storage.
+func TestConstructorRecycleOnce(t *testing.T) {
+	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
+	tr, _ := c.Build(0, nil)
+	tr.Retain()
+	tr.Retain()
+	c.Recycle(tr)
+	c.Recycle(tr)
+	if tr.refs != 0 {
+		t.Errorf("recycled trace keeps %d references, want them cleared", tr.refs)
+	}
+	a, _ := c.Build(0, nil)
+	b, _ := c.Build(0, nil)
+	if a == b {
+		t.Fatal("two builds share one trace: a double Recycle pooled it twice")
+	}
+	if a != tr {
+		t.Error("first build after Recycle did not reuse the pooled trace")
+	}
+	// Leaving the pool ends the membership: the reused trace recycles again.
+	c.Recycle(a)
+	if d, _ := c.Build(0, nil); d != a {
+		t.Error("a trace that left the pool could not be recycled again")
+	}
+}
+
+// TestConstructorResetBoundsPool: Reset moves the scratch into the pool and
+// keeps at most limit pooled traces, so a run on a smaller configuration
+// does not pin a larger run's storage.
+func TestConstructorResetBoundsPool(t *testing.T) {
+	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
+	var kept []*Trace
+	for i := 0; i < 5; i++ {
+		tr, _ := c.Build(0, nil)
+		kept = append(kept, tr)
+	}
+	scratch, _ := c.BuildTransient(0, nil)
+	for _, tr := range kept {
+		c.Recycle(tr)
+	}
+	c.Reset(10)
+	if len(c.pool) != 6 || c.scratch != nil || !scratch.pooled {
+		t.Fatalf("after Reset(10): %d pooled, scratch %p (pooled %v); want 6 pooled including the scratch",
+			len(c.pool), c.scratch, scratch.pooled)
+	}
+	c.Reset(2)
+	if len(c.pool) != 2 {
+		t.Fatalf("after Reset(2): %d pooled, want 2", len(c.pool))
+	}
+	if got := c.pool[:cap(c.pool)][2]; got != nil {
+		t.Error("a trimmed pool slot still points at its trace")
+	}
+}
+
 // diffTrace names the first field in which a and b differ, or returns "".
 func diffTrace(a, b *Trace) string {
 	switch {
@@ -139,8 +196,6 @@ func diffTrace(a, b *Trace) string {
 		return "Desc"
 	case !slices.Equal(a.PCs, b.PCs):
 		return "PCs"
-	case !slices.Equal(a.Insts, b.Insts):
-		return "Insts"
 	case !slices.Equal(a.Branches, b.Branches):
 		return "Branches"
 	case a.NextPC != b.NextPC || a.EndsIndirect != b.EndsIndirect || a.EndsInRet != b.EndsInRet ||
@@ -148,10 +203,8 @@ func diffTrace(a, b *Trace) string {
 		return "successor"
 	case !slices.Equal(a.Srcs, b.Srcs):
 		return "Srcs"
-	case !slices.Equal(a.DestArch, b.DestArch):
-		return "DestArch"
-	case !slices.EqualFunc(a.LocalConsumers, b.LocalConsumers, slices.Equal[[]int16]):
-		return "LocalConsumers"
+	case !equalConsumers(a, b):
+		return "Consumers"
 	case a.LastWriter != b.LastWriter:
 		return "LastWriter"
 	case !slices.Equal(a.LiveIns, b.LiveIns):
@@ -160,6 +213,20 @@ func diffTrace(a, b *Trace) string {
 		return "LiveOuts"
 	}
 	return ""
+}
+
+// equalConsumers reports whether a and b list the same consumers for every
+// instruction.
+func equalConsumers(a, b *Trace) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !slices.Equal(a.Consumers(i), b.Consumers(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDeferredPrerename: BuildTransient leaves the pre-renamed dataflow to
@@ -180,7 +247,7 @@ func TestDeferredPrerename(t *testing.T) {
 	eager := func(pc uint32, forced []bool) *Trace {
 		fresh := &Constructor{Prog: prog, Sel: sel, BIT: bit}
 		tr, _ := fresh.BuildTransient(pc, forced)
-		tr.prerename()
+		tr.prerename(prog)
 		return tr
 	}
 	var forced, other []bool

@@ -81,36 +81,35 @@ type SrcRef struct {
 
 // BranchInfo describes one conditional branch embedded in a trace.
 type BranchInfo struct {
-	// Idx is the branch's instruction index within the trace.
-	Idx int
 	// PC is the branch's address.
 	PC uint32
+	// Idx is the branch's instruction index within the trace.
+	Idx int16
+	// ReconvIdx is the intra-trace index of the first control-independent
+	// instruction (the region's re-convergent point) when FGCICovered, and
+	// -1 otherwise.
+	ReconvIdx int16
 	// Taken is the embedded (predicted) outcome the trace was built with.
 	Taken bool
 	// FGCICovered reports that the branch lies inside an embeddable region
 	// wholly contained in this trace, so a misprediction of it is repairable
 	// within the PE without disturbing subsequent traces (fine-grain CI).
 	FGCICovered bool
-	// ReconvIdx is the intra-trace index of the first control-independent
-	// instruction (the region's re-convergent point) when FGCICovered.
-	ReconvIdx int
 }
 
-// Trace is a fully constructed, pre-renamed trace.
+// Trace is a fully constructed, pre-renamed trace. It stores only what the
+// program cannot supply: instruction i is the program's instruction at
+// PCs[i] (isa.Program.At), so a trace's storage is a few small slices of
+// plain values, about 20 bytes per instruction.
 type Trace struct {
-	Desc     Descriptor
+	Desc Descriptor
+	// PCs[i] is the address of instruction i; len(PCs) is the trace's
+	// physical length.
 	PCs      []uint32
-	Insts    []isa.Inst
 	Branches []BranchInfo
 
 	// Srcs[i] are the pre-renamed source operands of instruction i.
 	Srcs [][2]SrcRef
-	// DestArch[i] is the architectural register written by instruction i (0
-	// if none).
-	DestArch []isa.Reg
-	// LocalConsumers[i] lists the instruction indices whose operands are
-	// produced locally by instruction i (the intra-PE bypass fan-out).
-	LocalConsumers [][]int16
 	// LastWriter[r] is the index of the last instruction writing
 	// architectural register r, or -1; these instructions produce the
 	// trace's live-outs.
@@ -133,10 +132,11 @@ type Trace struct {
 	// loop-exit global re-convergent point at NextPC.
 	EndsNTB bool
 
-	// consumerArena backs every LocalConsumers list: prerename counts the
-	// consumer fan-out first and carves exactly-sized segments from one
-	// allocation instead of growing each list separately.
-	consumerArena []int16
+	// consumers is the arena behind Consumers: its first Len()+1 entries are
+	// offsets into the arena itself, and instruction i's consumer list is
+	// consumers[consumers[i]:consumers[i+1]]. prerename sizes it exactly
+	// and reuses it across builds.
+	consumers []int16
 
 	// refs counts the trace's holders — the trace cache and each in-flight
 	// consumer (fetch entry, PE, active recovery). A persistent trace whose
@@ -144,6 +144,9 @@ type Trace struct {
 	// storage backs a future build instead of becoming garbage. Zero also
 	// means "untracked" (a trace that was never retained is never recycled).
 	refs int32
+	// pooled marks a trace that sits in a Constructor's pool, so recycling
+	// it again is a no-op (see Constructor.Recycle).
+	pooled bool
 }
 
 // Retain adds a reference to the trace.
@@ -165,25 +168,33 @@ func (t *Trace) Release() bool {
 }
 
 // Len returns the trace's physical instruction count.
-func (t *Trace) Len() int { return len(t.Insts) }
+//
+//tracep:noalloc
+func (t *Trace) Len() int { return len(t.PCs) }
+
+// Consumers lists the intra-trace indices of the instructions whose
+// operands instruction i produces locally (the intra-PE bypass fan-out), in
+// ascending order; an instruction reading i's value through both operands
+// appears twice.
+//
+//tracep:noalloc
+func (t *Trace) Consumers(i int) []int16 {
+	return t.consumers[t.consumers[i]:t.consumers[i+1]]
+}
 
 // reset empties the trace for reuse, keeping every slice's backing storage
-// (including the per-instruction consumer lists) so a Constructor can build
-// into the same Trace repeatedly without allocating. See Constructor.Build.
+// so a Constructor can build into the same Trace repeatedly without
+// allocating. See Constructor.Build.
 //
 //tracep:noalloc
 func (t *Trace) reset() {
-	for i := range t.LocalConsumers {
-		t.LocalConsumers[i] = t.LocalConsumers[i][:0]
-	}
 	t.Desc = Descriptor{}
 	t.PCs = t.PCs[:0]
-	t.Insts = t.Insts[:0]
 	t.Branches = t.Branches[:0]
 	t.Srcs = t.Srcs[:0]
-	t.DestArch = t.DestArch[:0]
 	t.LiveIns = t.LiveIns[:0]
 	t.LiveOuts = t.LiveOuts[:0]
+	t.consumers = t.consumers[:0]
 	t.NextPC = 0
 	t.EndsIndirect = false
 	t.EndsInRet = false
@@ -202,69 +213,37 @@ func grow2(s [][2]SrcRef, n int) [][2]SrcRef {
 	return make([][2]SrcRef, n)
 }
 
-// growRegs extends s to length n, reusing its backing array when possible.
-//
-//tracep:noalloc
-func growRegs(s []isa.Reg, n int) []isa.Reg {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	//tracep:allow amortised doubling of reused trace storage
-	return make([]isa.Reg, n)
-}
-
-// growConsumers extends s to length n with every element an empty (but
-// possibly capacious) list, reusing both the outer and the inner backing
-// arrays.
-//
-//tracep:noalloc
-func growConsumers(s [][]int16, n int) [][]int16 {
-	if cap(s) >= n {
-		s = s[:n]
-	} else {
-		//tracep:allow amortised doubling of reused trace storage
-		ns := make([][]int16, n)
-		copy(ns, s)
-		s = ns
-	}
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
 // BranchAt returns the BranchInfo for the instruction at intra-trace index
 // idx, if that instruction is a conditional branch.
 //
 //tracep:noalloc
 func (t *Trace) BranchAt(idx int) (*BranchInfo, bool) {
 	for i := range t.Branches {
-		if t.Branches[i].Idx == idx {
+		if int(t.Branches[i].Idx) == idx {
 			return &t.Branches[i], true
 		}
 	}
 	return nil, false
 }
 
-// prerename computes the intra-trace dataflow: source classification
-// (local vs live-in), last writers, live-ins/live-outs and the local
-// consumer lists. Constructor.Keep calls it once per kept build, so a
-// transient build discarded on a trace-cache hit skips it; the results are
-// stored with the trace in the trace cache ("intra-trace values are
-// pre-renamed in the trace cache").
+// prerename computes the intra-trace dataflow of a trace built from prog:
+// source classification (local vs live-in), last writers,
+// live-ins/live-outs and the local consumer lists. Constructor.Keep calls
+// it once per kept build, so a transient build discarded on a trace-cache
+// hit skips it; the results are stored with the trace in the trace cache
+// ("intra-trace values are pre-renamed in the trace cache").
 //
 //tracep:noalloc
-func (t *Trace) prerename() {
-	n := len(t.Insts)
+func (t *Trace) prerename(prog *isa.Program) {
+	n := len(t.PCs)
 	t.Srcs = grow2(t.Srcs, n)
-	t.DestArch = growRegs(t.DestArch, n)
-	t.LocalConsumers = growConsumers(t.LocalConsumers, n)
 	for r := range t.LastWriter {
 		t.LastWriter[r] = -1
 	}
 	seenLiveIn := [isa.NumRegs]bool{}
 	totalConsumers := 0
-	for i, in := range t.Insts {
+	for i, pc := range t.PCs {
+		in := prog.At(pc)
 		s1, u1, s2, u2 := in.SrcRegs()
 		srcs := [2]struct {
 			r isa.Reg
@@ -288,10 +267,7 @@ func (t *Trace) prerename() {
 			}
 		}
 		if rd, ok := in.WritesReg(); ok {
-			t.DestArch[i] = rd
 			t.LastWriter[rd] = int16(i)
-		} else {
-			t.DestArch[i] = 0 // storage may be reused; clear explicitly
 		}
 	}
 	for r := 1; r < isa.NumRegs; r++ {
@@ -301,37 +277,35 @@ func (t *Trace) prerename() {
 		}
 	}
 
-	// Second pass: count each producer's consumer fan-out, carve an
-	// exactly-sized segment per producer from one arena, then fill. One
-	// allocation (amortised to zero on reused traces) replaces a grown
-	// slice per producing instruction.
-	if cap(t.consumerArena) < totalConsumers+n {
+	// Consumer lists, in one exactly-sized arena: count each producer's
+	// fan-out into its offset slot, turn the counts into list ends, then
+	// fill every list back to front, which leaves each offset at its list's
+	// start.
+	size := n + 1 + totalConsumers
+	if cap(t.consumers) < size {
 		//tracep:allow consumer arena is sized to the trace shape and reused across builds
-		t.consumerArena = make([]int16, totalConsumers+n)
+		t.consumers = make([]int16, size)
 	}
-	counts := t.consumerArena[totalConsumers : totalConsumers+n]
-	for i := range counts {
-		counts[i] = 0
-	}
+	t.consumers = t.consumers[:size]
+	off := t.consumers[:n+1]
+	clear(off)
 	for i := 0; i < n; i++ {
 		for k := 0; k < 2; k++ {
 			if sr := t.Srcs[i][k]; sr.Kind == SrcLocal {
-				counts[sr.Local]++
+				off[sr.Local]++
 			}
 		}
 	}
-	off := 0
-	for w := 0; w < n; w++ {
-		c := int(counts[w])
-		t.LocalConsumers[w] = t.consumerArena[off : off : off+c]
-		off += c
+	end := int16(n + 1)
+	for w := range off {
+		end += off[w]
+		off[w] = end
 	}
-	for i := 0; i < n; i++ {
-		for k := 0; k < 2; k++ {
+	for i := n - 1; i >= 0; i-- {
+		for k := 1; k >= 0; k-- {
 			if sr := t.Srcs[i][k]; sr.Kind == SrcLocal {
-				w := sr.Local
-				//tracep:allow fills an exactly-sized arena segment; cannot grow
-				t.LocalConsumers[w] = append(t.LocalConsumers[w], int16(i))
+				off[sr.Local]--
+				t.consumers[off[sr.Local]] = int16(i)
 			}
 		}
 	}

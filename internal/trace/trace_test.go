@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,12 +288,11 @@ func TestPrerename(t *testing.T) {
 		t.Errorf("live-outs = %v, want [1 2]", tr.LiveOuts)
 	}
 	// Local consumer lists: inst0 feeds inst1; inst1 feeds inst2 (twice);
-	// inst2 feeds inst3.
-	if len(tr.LocalConsumers[0]) != 1 || tr.LocalConsumers[0][0] != 1 {
-		t.Errorf("consumers of inst0 = %v", tr.LocalConsumers[0])
-	}
-	if len(tr.LocalConsumers[1]) != 2 {
-		t.Errorf("consumers of inst1 = %v, want two entries", tr.LocalConsumers[1])
+	// inst2 feeds inst3; the store feeds nothing.
+	for i, want := range [][]int16{{1}, {2, 2}, {3}, nil} {
+		if c := tr.Consumers(i); !slices.Equal(c, want) {
+			t.Errorf("consumers of inst%d = %v, want %v", i, c, want)
+		}
 	}
 }
 

@@ -128,6 +128,12 @@ type Snapshot = proc.Snapshot
 // configuration; test with errors.Is.
 var ErrIncompatibleSnapshot = proc.ErrIncompatibleSnapshot
 
+// ErrStatsLaw is the sentinel wrapped by the error a verified cell fails
+// with when its Stats counters break an accounting identity (recovery
+// kinds, retired trace lengths, retire bandwidth, cache misses, dispatched
+// traces); test with errors.Is.
+var ErrStatsLaw = proc.ErrStatsLaw
+
 // ErrCorruptSnapshot is the sentinel wrapped by every structural error
 // UnmarshalSnapshot reports (bad magic, CRC mismatch, truncated or
 // inconsistent sections); test with errors.Is.
