@@ -156,7 +156,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := bm.Build(bm.ScaleFor(benchBudget))
-	sim := tracep.New(prog, tracep.WithVerify(false))
+	cfg := tracep.DefaultConfig()
+	cfg.Verify = false
+	sim := tracep.New(prog, tracep.WithConfig(cfg))
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
@@ -261,7 +263,9 @@ func BenchmarkAblationOracle(b *testing.B) {
 	prog := bm.Build(bm.ScaleFor(benchBudget))
 	for _, verify := range []bool{true, false} {
 		b.Run(fmt.Sprintf("verify=%v", verify), func(b *testing.B) {
-			sim := tracep.New(prog, tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithVerify(verify))
+			cfg := tracep.DefaultConfig()
+			cfg.Verify = verify
+			sim := tracep.New(prog, tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithConfig(cfg))
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.Run(context.Background()); err != nil {
 					b.Fatal(err)
@@ -338,9 +342,10 @@ func BenchmarkScenarioSweep(b *testing.B) {
 // BenchmarkWarmupSnapshot quantifies the checkpoint subsystem: an 8-model
 // sweep over one benchmark whose warm-up region dwarfs its measured region.
 // "shared" captures one snapshot per benchmark and forks all eight cells
-// from it (Sweep.Warmup); "per-cell" simulates the same warm-up from cold
-// in every cell (WithWarmup). Both produce byte-identical ResultSets — the
-// wall-clock gap is pure snapshot-sharing win, roughly (cells-1) warm-ups.
+// from it (Sweep.Warmup); "per-cell" captures a private snapshot for every
+// cell and restores it (CaptureSnapshot, NewFromSnapshot). Both produce
+// byte-identical results — the wall-clock gap is pure snapshot-sharing
+// win, roughly (cells-1) captures.
 func BenchmarkWarmupSnapshot(b *testing.B) {
 	const targetInsts, warm = 520_000, 500_000
 	bm, err := tracep.BenchmarkByName("compress")
@@ -371,12 +376,7 @@ func BenchmarkWarmupSnapshot(b *testing.B) {
 	b.Run("per-cell", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, m := range models {
-				res, err := tracep.NewBenchmark(bm, targetInsts,
-					tracep.WithModel(m), tracep.WithWarmup(warm)).Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.WarmupInsts != warm {
+				if res := warmRun(b, bm, targetInsts, m, warm); res.Stats.WarmupInsts != warm {
 					b.Fatalf("missing warm-up metadata: %d", res.Stats.WarmupInsts)
 				}
 			}

@@ -185,7 +185,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		"comma-separated predictor seeds (e.g. 1,2,3); each (benchmark, model) cell runs once per seed and tables report mean±95% CI")
 	specFile := fs.String("spec", "", "JSON GridSpec file; fields it sets override the grid flags")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the ResultSet as JSON instead of formatted tables")
-	fs.BoolVar(&o.progress, "progress", false, "log run progress and per-run completion to stderr")
+	fs.BoolVar(&o.progress, "progress", false, "log each run's completion or failure to stderr")
 	fs.StringVar(&o.resultsFile, "results", "", "load the ResultSet from this saved JSON file instead of simulating")
 	fs.StringVar(&o.baselineFile, "baseline", "", "diff results against this saved ResultSet JSON; exit 2 on regression")
 	tolSpec := fs.String("tolerances", "ipc=2",
@@ -474,20 +474,20 @@ func (g *GridSpec) request(rows []tracep.Benchmark, models []tracep.Model) (serv
 
 // runLocal runs the sweep in-process and returns the (possibly partial)
 // set plus the context error, like Sweep.Run. A non-nil progress writer
-// receives each run's progress and completion lines.
+// receives one line per cell as it lands (see printProgress).
 func runLocal(ctx context.Context, sw tracep.Sweep, progress io.Writer) (*tracep.ResultSet, error) {
-	if progress != nil {
-		sw.Progress = func(ev tracep.ProgressEvent) {
-			if ev.Done {
-				fmt.Fprintf(progress, "done %-9s %-13s %d insts in %d cycles\n",
-					ev.Benchmark, ev.Model, ev.RetiredInsts, ev.Cycle)
-			} else {
-				fmt.Fprintf(progress, "  ... %s/%s: %d insts, %d cycles\n",
-					ev.Benchmark, ev.Model, ev.RetiredInsts, ev.Cycle)
-			}
-		}
+	benches := make([]string, len(sw.Benchmarks))
+	for i, bm := range sw.Benchmarks {
+		benches[i] = bm.Name
 	}
-	return sw.Run(ctx)
+	rs := tracep.NewResultSetGrid(benches, modelNames(sw.Models), sw.Seeds)
+	for res := range sw.Stream(ctx) {
+		if progress != nil {
+			printProgress(progress, res)
+		}
+		rs.Add(res)
+	}
+	return rs, ctx.Err()
 }
 
 // runRemote submits the grid to a tracepd instance and streams the cells
@@ -499,12 +499,7 @@ func runRemote(ctx context.Context, serverURL string, req server.SweepRequest, p
 	var fn func(*tracep.Result) error
 	if progress != nil {
 		fn = func(res *tracep.Result) error {
-			if res.Stats != nil {
-				fmt.Fprintf(progress, "done %-9s %-13s %d insts in %d cycles\n",
-					res.Benchmark, res.Model, res.Stats.RetiredInsts, res.Stats.Cycles)
-			} else {
-				fmt.Fprintf(progress, "fail %-9s %-13s %s\n", res.Benchmark, res.Model, res.Error)
-			}
+			printProgress(progress, res)
 			return nil
 		}
 	}
@@ -515,6 +510,17 @@ func runRemote(ctx context.Context, serverURL string, req server.SweepRequest, p
 		rs = tracep.NewResultSet()
 	}
 	return rs, err
+}
+
+// printProgress writes one cell's -progress line: "done" with its size,
+// or "fail" with its error. Local and remote runs print the same lines.
+func printProgress(w io.Writer, res *tracep.Result) {
+	if res.Stats != nil {
+		fmt.Fprintf(w, "done %-9s %-13s %d insts in %d cycles\n",
+			res.Benchmark, res.Model, res.Stats.RetiredInsts, res.Stats.Cycles)
+	} else {
+		fmt.Fprintf(w, "fail %-9s %-13s %s\n", res.Benchmark, res.Model, res.Error)
+	}
 }
 
 // printCells writes each successful cell's statistics block: a summary

@@ -174,3 +174,44 @@ func TestCellsBlock(t *testing.T) {
 		t.Errorf("-cells printed\n%s\nwant\n%s", got, want.String())
 	}
 }
+
+// TestProgressLines checks -progress in process: exactly one "done" line
+// per cell over a normal grid, and exactly one "fail" line per cell when
+// an impossible -warmup fails every row.
+func TestProgressLines(t *testing.T) {
+	grid := []string{"-bench", "compress,vortex", "-models", "base,FG", "-n", "2000", "-progress", "-json"}
+	cells := []string{"compress/base", "compress/FG", "vortex/base", "vortex/FG"}
+	for _, tc := range []struct {
+		name, verb string
+		extra      []string
+		code       int
+	}{
+		{"normal", "done", nil, 0},
+		{"impossible warm-up", "fail", []string{"-warmup", "1000000"}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append(append([]string{}, grid...), tc.extra...)
+		if code := run(context.Background(), args, &stdout, &stderr); code != tc.code {
+			t.Fatalf("%s: exit %d, want %d: %s", tc.name, code, tc.code, stderr.String())
+		}
+		seen := map[string]int{}
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 || (f[0] != "done" && f[0] != "fail") {
+				continue
+			}
+			if f[0] != tc.verb {
+				t.Errorf("%s: unexpected line %q", tc.name, line)
+			}
+			seen[f[1]+"/"+f[2]]++
+		}
+		for _, cell := range cells {
+			if seen[cell] != 1 {
+				t.Errorf("%s: %d %q lines for %s, want 1", tc.name, seen[cell], tc.verb, cell)
+			}
+		}
+		if len(seen) != len(cells) {
+			t.Errorf("%s: progress lines for %d cells, want %d: %v", tc.name, len(seen), len(cells), seen)
+		}
+	}
+}

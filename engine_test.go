@@ -107,8 +107,8 @@ func TestSeededByteIdentity(t *testing.T) {
 // TestPooledEngineSnapshotRestoreIdentity exercises pool reuse across the
 // snapshot boundary: a processor restored from a warm-up checkpoint builds
 // fresh pools over cloned state, so two restores from one snapshot — and a
-// session running the same warm-up itself — must agree byte for byte, run
-// after run.
+// restore from a second capture of the same warm-up — must agree byte for
+// byte, run after run.
 func TestPooledEngineSnapshotRestoreIdentity(t *testing.T) {
 	bm, err := tracep.BenchmarkByName("compress")
 	if err != nil {
@@ -144,18 +144,20 @@ func TestPooledEngineSnapshotRestoreIdentity(t *testing.T) {
 		t.Fatal("restored runs from one snapshot diverged")
 	}
 
-	warmSelf := run(tracep.NewBenchmark(bm, target,
-		tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithWarmup(warm)))
-	if !bytes.Equal(first, warmSelf) {
-		t.Fatal("snapshot restore diverged from an equivalent in-session warm-up")
+	recaptured, err := tracep.NewBenchmark(bm, target).CaptureSnapshot(ctx, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, run(tracep.NewFromSnapshot(recaptured, tracep.WithModel(tracep.ModelFGMLBRET)))) {
+		t.Fatal("restores from two captures of the same warm-up diverged")
 	}
 }
 
 // TestSweepWarmupFor checks the per-benchmark warm-up override: each row
 // warms by its own length (recorded in Stats.WarmupInsts), a missing key
 // falls back to Sweep.Warmup, an explicit zero forces a cold row, and the
-// per-row results are byte-identical to per-cell sessions using the same
-// warm-ups.
+// per-row results are byte-identical to a per-cell capture and restore of
+// the same warm-up.
 func TestSweepWarmupFor(t *testing.T) {
 	var benches []tracep.Benchmark
 	for _, name := range []string{"compress", "vortex", "perl"} {
@@ -189,11 +191,7 @@ func TestSweepWarmupFor(t *testing.T) {
 
 	// Cross-check one overridden row against a per-cell session.
 	bm, _ := tracep.BenchmarkByName("vortex")
-	solo, err := tracep.NewBenchmark(bm, target,
-		tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithWarmup(15_000)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := warmRun(t, bm, target, tracep.ModelFGMLBRET, 15_000)
 	cell, ok := rs.Lookup("vortex", tracep.ModelFGMLBRET.Name)
 	if !ok {
 		t.Fatal("vortex cell missing")
@@ -206,7 +204,7 @@ func TestSweepWarmupFor(t *testing.T) {
 }
 
 // TestSeededPredictorsAndGeneratedWorkloads covers the extended seed
-// plumbing: WithSeed now perturbs trace-predictor hysteresis and BTB
+// plumbing: Config.Seed perturbs trace-predictor hysteresis and BTB
 // indirect targets alongside branch-direction counters, and Generated
 // wraps GenConfig as a sweepable Benchmark. Seeded runs must be
 // reproducible, differ from the canonical reset, and differ between
@@ -216,7 +214,7 @@ func TestSeededPredictorsAndGeneratedWorkloads(t *testing.T) {
 	run := func(bm tracep.Benchmark, seed int64) *tracep.Stats {
 		t.Helper()
 		res, err := tracep.NewBenchmark(bm, 20_000,
-			tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithSeed(seed)).Run(ctx)
+			tracep.WithModel(tracep.ModelFGMLBRET), withSeed(seed)).Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

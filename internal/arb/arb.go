@@ -185,20 +185,6 @@ func (a *ARB) Commit(addr uint32, seq Seq, mem *isa.Memory) bool {
 	return false
 }
 
-// Versions returns the number of speculative versions buffered for addr
-// (diagnostics and tests).
-func (a *ARB) Versions(addr uint32) int { return len(a.byAddr[addr]) }
-
-// TotalVersions returns the number of buffered versions across all
-// addresses.
-func (a *ARB) TotalVersions() int {
-	n := 0
-	for _, vs := range a.byAddr { //tracep:orderinvariant summing counts
-		n += len(vs)
-	}
-	return n
-}
-
 // NeedsReissue is the load snoop predicate of §2.2.2: when a store to the
 // load's address performs with sequence number storeSeq, the load (sequence
 // loadSeq, currently holding data produced by dataSeq) must reissue iff

@@ -50,8 +50,8 @@ func TestStoreReplaceSameSeq(t *testing.T) {
 	mem := isa.NewMemory(nil)
 	a.Store(100, 1, seq(0, 0))
 	a.Store(100, 9, seq(0, 0)) // same store re-performs with a new value
-	if a.Versions(100) != 1 {
-		t.Errorf("versions = %d, want 1 (replaced)", a.Versions(100))
+	if len(a.byAddr[100]) != 1 {
+		t.Errorf("versions = %d, want 1 (replaced)", len(a.byAddr[100]))
 	}
 	val, _ := a.Load(100, seq(1, 0), simpleLess, mem)
 	if val != 9 {
@@ -86,7 +86,7 @@ func TestCommit(t *testing.T) {
 	if mem.Read(100) != 42 {
 		t.Errorf("memory = %d, want 42", mem.Read(100))
 	}
-	if a.Versions(100) != 0 {
+	if len(a.byAddr[100]) != 0 {
 		t.Error("committed version must leave the buffer")
 	}
 	if a.Commit(100, seq(0, 0), mem) {
@@ -202,15 +202,24 @@ func TestARBMatchesReference(t *testing.T) {
 	}
 }
 
+// totalVersions counts the buffered versions across all addresses.
+func totalVersions(a *ARB) int {
+	n := 0
+	for _, vs := range a.byAddr {
+		n += len(vs)
+	}
+	return n
+}
+
 func TestTotalVersions(t *testing.T) {
 	a := New()
 	a.Store(1, 1, seq(0, 0))
 	a.Store(1, 2, seq(0, 1))
 	a.Store(2, 3, seq(0, 2))
-	if a.TotalVersions() != 3 {
-		t.Errorf("total = %d, want 3", a.TotalVersions())
+	if totalVersions(a) != 3 {
+		t.Errorf("total = %d, want 3", totalVersions(a))
 	}
-	if a.Versions(1) != 2 {
-		t.Errorf("versions(1) = %d, want 2", a.Versions(1))
+	if len(a.byAddr[1]) != 2 {
+		t.Errorf("versions(1) = %d, want 2", len(a.byAddr[1]))
 	}
 }

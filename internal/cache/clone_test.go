@@ -5,7 +5,7 @@ import "testing"
 // TestSetAssocCloneIndependence: a clone carries the exact array and counter
 // state, and mutating either side never reaches the other.
 func TestSetAssocCloneIndependence(t *testing.T) {
-	c := NewSetAssoc(4, 2)
+	c := newSetAssoc(4, 2)
 	for k := uint64(0); k < 16; k++ {
 		c.Access(k)
 	}
@@ -37,7 +37,7 @@ func TestSetAssocCloneIndependence(t *testing.T) {
 }
 
 func TestSetAssocResetStats(t *testing.T) {
-	c := NewSetAssoc(4, 2)
+	c := newSetAssoc(4, 2)
 	c.Access(1)
 	c.Access(1)
 	c.ResetStats()

@@ -178,7 +178,7 @@ func BenchmarkCycleLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	if p.Halted() {
-		b.Fatalf("workload halted after %d cycles; enlarge the program", p.Cycle())
+		b.Fatalf("workload halted after %d cycles; enlarge the program", p.cycle)
 	}
 }
 

@@ -424,9 +424,6 @@ func (p *Processor) Err() error { return p.err }
 // Halted reports whether the program's halt instruction has retired.
 func (p *Processor) Halted() bool { return p.halted }
 
-// Cycle returns the current cycle number.
-func (p *Processor) Cycle() int64 { return p.cycle }
-
 // Run simulates until the program halts, maxInsts instructions have retired,
 // or an error occurs. It returns a copy of the collected statistics.
 func (p *Processor) Run(maxInsts uint64) (*Stats, error) {

@@ -413,7 +413,7 @@ func TestRunReturnsOwnedStats(t *testing.T) {
 	for i := 0; i < 500 && !p.Halted(); i++ {
 		p.Step()
 	}
-	if p.Stats.Cycles == want.Cycles && p.Cycle() == int64(want.Cycles) {
+	if p.Stats.Cycles == want.Cycles && p.cycle == int64(want.Cycles) {
 		t.Fatal("the processor did not advance; the test checks nothing")
 	}
 	if *stats != want {

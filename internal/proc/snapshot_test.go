@@ -345,7 +345,7 @@ func runToRecovery(p *Processor) (*Stats, error) {
 	for !p.Halted() && p.Err() == nil {
 		p.Step()
 		if p.rec.active && p.rec.newTrace != nil && p.head >= 0 && p.fe.queue.len() > 0 {
-			p.Stats.Cycles = uint64(p.Cycle())
+			p.Stats.Cycles = uint64(p.cycle)
 			p.finalizeStats()
 			stats := p.Stats
 			return &stats, nil

@@ -103,13 +103,13 @@ func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 	for !p.Halted() && p.Err() == nil && p.Stats.RetiredInsts < maxInsts {
 		p.Step()
 		if err := checkMachine(p); err != nil {
-			t.Fatalf("%s cycle %d: %v", label, p.Cycle(), err)
+			t.Fatalf("%s cycle %d: %v", label, p.cycle, err)
 		}
 	}
 	if err := p.Err(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	p.Stats.Cycles = uint64(p.Cycle())
+	p.Stats.Cycles = uint64(p.cycle)
 	p.finalizeStats() // the cache counters reach Stats only here
 	if err := p.checkStatsLaws(); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -349,7 +349,7 @@ func TestTagSpaceBounded(t *testing.T) {
 				p.Step()
 				if p.regs.Slots() > slots || p.regs.Cap() != slots || len(p.subTab) != rows {
 					t.Fatalf("%s/%s cycle %d: %d slots used of %d (built with %d), %d subscriber rows (built with %d)",
-						name, m.Name, p.Cycle(), p.regs.Slots(), p.regs.Cap(), slots, len(p.subTab), rows)
+						name, m.Name, p.cycle, p.regs.Slots(), p.regs.Cap(), slots, len(p.subTab), rows)
 				}
 			}
 			if err := p.Err(); err != nil {

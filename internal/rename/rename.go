@@ -85,13 +85,6 @@ type File struct {
 	Exhausted uint64
 }
 
-// NewFile builds an empty register file holding at least capacity tags.
-func NewFile(capacity int) *File {
-	f := &File{}
-	f.Reset(capacity)
-	return f
-}
-
 // Reset empties the file for a new run with room for at least capacity
 // tags, reusing its storage when the page count is unchanged. Slot
 // numbering and generations restart, so a reset file hands out exactly the
@@ -191,13 +184,6 @@ func (f *File) Write(t Tag, v int64) (changed bool) {
 	return changed
 }
 
-// Unready marks t not-ready again (its producer is being re-executed).
-func (f *File) Unready(t Tag) {
-	if pg, s := f.slot(t); pg != nil {
-		pg.ents[s].Ready = false
-	}
-}
-
 // Size returns the number of live tags.
 //
 //tracep:noalloc
@@ -264,17 +250,10 @@ func (f *File) SweepUnmarked() {
 	}
 }
 
-// InitialMap seeds a map with fresh ready tags holding zero for every
-// architectural register, matching a zeroed machine at reset.
-func InitialMap(f *File) Map {
-	var zero [isa.NumRegs]int64
-	return MapFrom(f, &zero)
-}
-
 // MapFrom seeds a map with fresh ready tags holding the supplied
-// architectural values — a machine restored from a warm-up checkpoint
-// rather than reset. InitialMap delegates here, so the reset and restored
-// paths allocate identical tag layouts by construction.
+// architectural values: zeros at reset, or a warm-up checkpoint's values on
+// restore. Both paths go through it, so they allocate identical tag layouts
+// by construction.
 func MapFrom(f *File, vals *[isa.NumRegs]int64) Map {
 	var m Map
 	for r := 1; r < isa.NumRegs; r++ {

@@ -3,10 +3,26 @@ package rename
 import (
 	"testing"
 	"testing/quick"
+
+	"tracep/internal/isa"
 )
 
+// newFile builds an empty register file holding at least capacity tags.
+func newFile(capacity int) *File {
+	f := &File{}
+	f.Reset(capacity)
+	return f
+}
+
+// unready marks t not-ready again, as if its producer were re-executing.
+func unready(f *File, t Tag) {
+	if pg, s := f.slot(t); pg != nil {
+		pg.ents[s].Ready = false
+	}
+}
+
 func TestAllocAndWrite(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	a := f.Alloc()
 	if a == 0 {
 		t.Fatal("tags must be nonzero")
@@ -30,7 +46,7 @@ func TestAllocAndWrite(t *testing.T) {
 }
 
 func TestWriteInvalidTag(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	if f.Write(999, 1) {
 		t.Error("write to unknown tag must be a no-op")
 	}
@@ -40,20 +56,20 @@ func TestWriteInvalidTag(t *testing.T) {
 }
 
 func TestUnready(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	a := f.AllocReady(7)
-	f.Unready(a)
+	unready(f, a)
 	if f.Get(a).Ready {
 		t.Error("Unready must clear readiness")
 	}
 	if changed := f.Write(a, 7); !changed {
 		t.Error("write after Unready must report a change (consumers must re-read)")
 	}
-	f.Unready(999) // no-op on unknown tags
+	unready(f, 999) // no-op on unknown tags
 }
 
 func TestAllocReady(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	a := f.AllocReady(-5)
 	e := f.Get(a)
 	if !e.Ready || e.Val != -5 {
@@ -62,7 +78,7 @@ func TestAllocReady(t *testing.T) {
 }
 
 func TestTagsAreUnique(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	seen := make(map[Tag]bool)
 	for i := 0; i < 1000; i++ {
 		tag := f.Alloc()
@@ -77,7 +93,7 @@ func TestTagsAreUnique(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	f := NewFile(1024)
+	f := newFile(1024)
 	keep := f.AllocReady(1)
 	drop := f.AllocReady(2)
 	f.Mark(keep)
@@ -97,7 +113,7 @@ func TestSweep(t *testing.T) {
 // invalid tag and counts the miss; a sweep makes room again, reusing the
 // swept slot under a new generation; Reset restores a fresh file's tags.
 func TestFixedCapacity(t *testing.T) {
-	f := NewFile(1)
+	f := newFile(1)
 	if f.Cap() != pageSize {
 		t.Fatalf("Cap = %d, want one page (%d)", f.Cap(), pageSize)
 	}
@@ -128,8 +144,8 @@ func TestFixedCapacity(t *testing.T) {
 }
 
 func TestInitialMap(t *testing.T) {
-	f := NewFile(1024)
-	m := InitialMap(f)
+	f := newFile(1024)
+	m := MapFrom(f, &[isa.NumRegs]int64{})
 	if m[0] != 0 {
 		t.Error("R0 must not be mapped")
 	}
@@ -142,8 +158,8 @@ func TestInitialMap(t *testing.T) {
 }
 
 func TestMapIsValueType(t *testing.T) {
-	f := NewFile(1024)
-	m := InitialMap(f)
+	f := newFile(1024)
+	m := MapFrom(f, &[isa.NumRegs]int64{})
 	snapshot := m // plain assignment must checkpoint
 	m[5] = f.Alloc()
 	if snapshot[5] == m[5] {
@@ -154,7 +170,7 @@ func TestMapIsValueType(t *testing.T) {
 func TestWriteChangeSemantics(t *testing.T) {
 	// Property: Write reports a change iff the entry was not ready or held a
 	// different value.
-	f := NewFile(1024)
+	f := newFile(1024)
 	tag := f.Alloc()
 	prevReady := false
 	var prevVal int64

@@ -171,7 +171,7 @@ func TestResetAndCloneReuseStorage(t *testing.T) {
 	used.Reset(cfg, 7)
 	fresh := New(cfg, 7)
 	sameContents(t, "Reset of a trained predictor", contents(used), contents(fresh))
-	if used.cfg != fresh.cfg || used.seed != fresh.seed || used.HistoryPos() != fresh.HistoryPos() || len(used.hist) != len(fresh.hist) ||
+	if used.cfg != fresh.cfg || used.seed != fresh.seed || used.pos != fresh.pos || len(used.hist) != len(fresh.hist) ||
 		used.Predictions != 0 || used.PathPredictions != 0 || used.Trains != 0 {
 		t.Error("Reset of a trained predictor left configuration, history or counters unlike New")
 	}

@@ -284,10 +284,6 @@ func (p *Predictor) SpecUpdate(d trace.Descriptor) int {
 	return pos
 }
 
-// HistoryPos returns the current speculative history length (the checkpoint
-// that a trace fetched next would receive).
-func (p *Predictor) HistoryPos() int { return p.pos }
-
 // Rewind truncates the speculative history to pos, discarding younger trace
 // IDs. Used when recovery backs the predictor up to a mispredicted trace.
 //

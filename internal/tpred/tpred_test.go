@@ -79,13 +79,13 @@ func TestRewindAndReplace(t *testing.T) {
 	p.SpecUpdate(desc(0, 0))
 	pos1 := p.SpecUpdate(desc(10, 0))
 	p.SpecUpdate(desc(20, 0))
-	if p.HistoryPos() != 3 {
-		t.Fatalf("history pos = %d, want 3", p.HistoryPos())
+	if p.pos != 3 {
+		t.Fatalf("history pos = %d, want 3", p.pos)
 	}
 	// Rewind to before trace 1: only trace 0 remains.
 	p.Rewind(pos1)
-	if p.HistoryPos() != 1 {
-		t.Errorf("after rewind pos = %d, want 1", p.HistoryPos())
+	if p.pos != 1 {
+		t.Errorf("after rewind pos = %d, want 1", p.pos)
 	}
 	// Replace in place.
 	p.SpecUpdate(desc(10, 0))
@@ -98,8 +98,8 @@ func TestRewindAndReplace(t *testing.T) {
 	p.ReplaceAt(-1, desc(1, 0))
 	p.ReplaceAt(100, desc(1, 0))
 	p.Rewind(-5)
-	if p.HistoryPos() != 0 {
-		t.Errorf("Rewind(-5) should clear history, pos = %d", p.HistoryPos())
+	if p.pos != 0 {
+		t.Errorf("Rewind(-5) should clear history, pos = %d", p.pos)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestReset(t *testing.T) {
 	p := New(Config{PathEntries: 256, SimpleEntries: 256, HistLen: 2}, 0)
 	p.SpecUpdate(desc(1, 0))
 	p.Reset(p.cfg, 0)
-	if p.HistoryPos() != 0 {
+	if p.pos != 0 {
 		t.Error("Reset must clear speculative history")
 	}
 }
@@ -157,7 +157,7 @@ func TestSeededHysteresis(t *testing.T) {
 	// Canonical reset: one training (at the current history position, so
 	// Predict indexes the same entries) installs.
 	p0 := New(cfg, 0)
-	p0.Train(p0.HistoryPos(), d)
+	p0.Train(p0.pos, d)
 	if got, ok := p0.Predict(); !ok || got != d {
 		t.Fatalf("unseeded predictor did not install on first training: %v %v", got, ok)
 	}
@@ -166,7 +166,7 @@ func TestSeededHysteresis(t *testing.T) {
 	// scramble differs from the zero reset somewhere in the tables.
 	a, b := New(cfg, 99), New(cfg, 99)
 	step := func(p *Predictor) (trace.Descriptor, bool) {
-		p.Train(p.HistoryPos(), d)
+		p.Train(p.pos, d)
 		return p.Predict()
 	}
 	for n := 1; n <= 4; n++ {

@@ -21,13 +21,6 @@ type Cache struct {
 	store  map[uint64]*Trace //tracep:nostats resident traces survive stat resets
 }
 
-// NewCache builds a trace cache.
-func NewCache(cfg CacheConfig) *Cache {
-	c := &Cache{}
-	c.Reset(cfg, nil)
-	return c
-}
-
 // Reset empties the trace cache and sizes it by cfg, reusing its storage.
 // When pool is non-nil, every resident trace is recycled into it, so the
 // next run's builds reuse the residents' storage; a resident that other
@@ -109,10 +102,4 @@ func (c *Cache) ResetStats() { c.timing.ResetStats() }
 // Stats returns lookup and miss counts.
 func (c *Cache) Stats() (lookups, misses uint64) {
 	return c.timing.Accesses, c.timing.Misses
-}
-
-// Resident reports whether the trace identified by d is currently cached
-// (no LRU update; for tests).
-func (c *Cache) Resident(d Descriptor) bool {
-	return c.timing.Probe(d.ID())
 }

@@ -21,10 +21,6 @@ type SelConfig struct {
 	FG bool
 }
 
-// DefaultSelConfig returns the paper's default selection (max length 32,
-// termination at indirect branches only).
-func DefaultSelConfig() SelConfig { return SelConfig{MaxLen: 32} }
-
 // Constructor builds traces by walking the static program, following either
 // forced branch outcomes (from a trace prediction) or the branch predictor.
 // It implements the "outstanding trace buffer" construction path of the

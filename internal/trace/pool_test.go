@@ -11,6 +11,13 @@ import (
 )
 
 // poolProgram is a short straight-line program for constructor pool tests.
+// newCache builds a trace cache sized by cfg.
+func newCache(cfg CacheConfig) *Cache {
+	c := &Cache{}
+	c.Reset(cfg, nil)
+	return c
+}
+
 func poolProgram() *isa.Program {
 	b := asm.New("pool")
 	b.Addi(1, 0, 1).Addi(2, 1, 2).Addi(3, 2, 3)
@@ -50,7 +57,7 @@ func TestTraceRefcountLifecycle(t *testing.T) {
 // TestCacheContentMissCountsOnce: a lookup whose tag hits in the timing
 // array but finds no stored trace is one access and one miss.
 func TestCacheContentMissCountsOnce(t *testing.T) {
-	c := NewCache(CacheConfig{Sets: 4, Assoc: 2})
+	c := newCache(CacheConfig{Sets: 4, Assoc: 2})
 	d := Descriptor{StartPC: 10, Len: 1}
 	c.timing.Fill(d.ID())
 	if tr, hit := c.Lookup(d); hit || tr != nil {
@@ -67,7 +74,7 @@ func TestCacheContentMissCountsOnce(t *testing.T) {
 // replacement hands back the displaced trace, and a capacity eviction hands
 // back the victim.
 func TestCacheInsertDisplacement(t *testing.T) {
-	c := NewCache(CacheConfig{Sets: 1, Assoc: 2})
+	c := newCache(CacheConfig{Sets: 1, Assoc: 2})
 	a := &Trace{Desc: Descriptor{StartPC: 10}}
 	if ev, fresh := c.Insert(a); ev != nil || !fresh {
 		t.Fatalf("first insert: evicted=%v fresh=%v, want nil/true", ev, fresh)
@@ -88,7 +95,7 @@ func TestCacheInsertDisplacement(t *testing.T) {
 	if !fresh || ev == nil || (ev != a2 && ev != b) {
 		t.Fatalf("capacity eviction: evicted=%v fresh=%v, want a displaced resident/true", ev, fresh)
 	}
-	if !c.Resident(d.Desc) {
+	if !c.timing.Probe(d.Desc.ID()) {
 		t.Error("inserted trace not resident after eviction")
 	}
 }
@@ -98,7 +105,7 @@ func TestCacheInsertDisplacement(t *testing.T) {
 // set of Trace structures instead of allocating per kept build — while nil
 // and the live scratch are rejected.
 func TestConstructorRecycleReuse(t *testing.T) {
-	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
+	c := &Constructor{Prog: poolProgram(), Sel: SelConfig{MaxLen: 32}}
 
 	tr, _ := c.Build(0, nil)
 	if tr == nil || tr.Len() == 0 {
@@ -137,7 +144,7 @@ func TestConstructorRecycleReuse(t *testing.T) {
 // second Recycle of a pooled trace must be a no-op, or the pool would hold
 // it twice and two later builds would share one Trace's storage.
 func TestConstructorRecycleOnce(t *testing.T) {
-	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
+	c := &Constructor{Prog: poolProgram(), Sel: SelConfig{MaxLen: 32}}
 	tr, _ := c.Build(0, nil)
 	tr.Retain()
 	tr.Retain()
@@ -165,7 +172,7 @@ func TestConstructorRecycleOnce(t *testing.T) {
 // keeps at most limit pooled traces, so a run on a smaller configuration
 // does not pin a larger run's storage.
 func TestConstructorResetBoundsPool(t *testing.T) {
-	c := &Constructor{Prog: poolProgram(), Sel: DefaultSelConfig()}
+	c := &Constructor{Prog: poolProgram(), Sel: SelConfig{MaxLen: 32}}
 	var kept []*Trace
 	for i := 0; i < 5; i++ {
 		tr, _ := c.Build(0, nil)

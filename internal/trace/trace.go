@@ -22,10 +22,6 @@ type Descriptor struct {
 	Outcomes uint32 // bit i = taken outcome of the i-th conditional branch
 }
 
-// Valid reports whether the descriptor denotes a real trace (zero-length
-// descriptors are used as "no prediction").
-func (d Descriptor) Valid() bool { return d.Len > 0 }
-
 // ID returns a 64-bit hash identifying the trace, used for predictor history
 // hashing and trace-cache indexing.
 //

@@ -298,12 +298,6 @@ func TestPrerename(t *testing.T) {
 
 func TestDescriptorRoundTrip(t *testing.T) {
 	d := Descriptor{StartPC: 100, Len: 32, NumBr: 3, Outcomes: 0b101}
-	if !d.Valid() {
-		t.Error("descriptor should be valid")
-	}
-	if (Descriptor{}).Valid() {
-		t.Error("zero descriptor should be invalid")
-	}
 	if d.ID() == (Descriptor{StartPC: 100, Len: 32, NumBr: 3, Outcomes: 0b100}).ID() {
 		t.Error("different outcomes must hash differently")
 	}
@@ -366,7 +360,7 @@ func TestTraceCacheInsertLookup(t *testing.T) {
 	c := fgConstructor(prog, 16)
 	tr, _ := c.Build(0, []bool{false, false})
 
-	tc := NewCache(CacheConfig{Sets: 4, Assoc: 2})
+	tc := newCache(CacheConfig{Sets: 4, Assoc: 2})
 	if _, hit := tc.Lookup(tr.Desc); hit {
 		t.Error("empty cache must miss")
 	}
@@ -382,7 +376,7 @@ func TestTraceCacheInsertLookup(t *testing.T) {
 }
 
 func TestTraceCacheEvictionSyncsStore(t *testing.T) {
-	tc := NewCache(CacheConfig{Sets: 1, Assoc: 1})
+	tc := newCache(CacheConfig{Sets: 1, Assoc: 1})
 	prog := figure7()
 	c := fgConstructor(prog, 16)
 	t1, _ := c.Build(0, []bool{false, false})

@@ -123,12 +123,3 @@ func (p *Predictor) Train(key uint64, actual int64) {
 	}
 	e.last = actual
 }
-
-// Accuracy returns the fraction of trained observations that matched the
-// prediction the table would have made.
-func (p *Predictor) Accuracy() float64 {
-	if p.Trains == 0 {
-		return 0
-	}
-	return float64(p.Correct) / float64(p.Trains)
-}

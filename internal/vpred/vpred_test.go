@@ -72,8 +72,8 @@ func TestAccuracyCounter(t *testing.T) {
 	p.Train(5, 1) // allocation, not counted correct
 	p.Train(5, 1) // correct
 	p.Train(5, 2) // wrong
-	if acc := p.Accuracy(); acc <= 0 || acc >= 1 {
-		t.Errorf("accuracy = %v, want in (0,1)", acc)
+	if p.Correct != 1 || p.Trains != 3 {
+		t.Errorf("correct/trains = %d/%d, want 1/3", p.Correct, p.Trains)
 	}
 }
 

@@ -133,28 +133,27 @@ func TestLookaheadCancelDuringCapture(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var once sync.Once
-	cancelledAt := make(chan time.Time, 1)
+	gate := tracep.NewGate(2)
 	sw := tracep.Sweep{
 		Benchmarks: []tracep.Benchmark{mustBench(t, "compress"), mustBench(t, "vortex")},
 		Models:     []tracep.Model{tracep.ModelBase, tracep.ModelFG},
 		// Row 0 runs cold and starts simulating at once; row 1's warm-up
 		// takes seconds, far longer than the test allows the stream to
 		// stay open after cancelling.
-		TargetInsts:      1_000_000_000,
-		WarmupFor:        map[string]uint64{"vortex": 900_000_000},
-		Parallelism:      2,
-		ProgressInterval: 500,
-		Progress: func(tracep.ProgressEvent) {
-			once.Do(func() {
-				time.AfterFunc(20*time.Millisecond, func() {
-					cancelledAt <- time.Now()
-					cancel()
-				})
-			})
-		},
+		TargetInsts: 1_000_000_000,
+		WarmupFor:   map[string]uint64{"vortex": 900_000_000},
+		Parallelism: 2,
+		Gate:        gate,
 	}
-	for res := range sw.Stream(ctx) {
+	stream := sw.Stream(ctx)
+	// Both slots held: row 0's first cell simulates and row 1 captures.
+	waitInUse(t, gate, 2)
+	cancelledAt := make(chan time.Time, 1)
+	time.AfterFunc(20*time.Millisecond, func() {
+		cancelledAt <- time.Now()
+		cancel()
+	})
+	for res := range stream {
 		if res.Benchmark == "vortex" {
 			t.Errorf("delivered %s/%s from the row whose capture was cancelled", res.Benchmark, res.Model)
 		}

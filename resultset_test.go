@@ -105,17 +105,25 @@ func TestResultSetRoundTripErrorSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gate := tracep.NewGate(1)
 	sw := tracep.Sweep{
 		Benchmarks:  []tracep.Benchmark{bm},
 		Models:      []tracep.Model{tracep.ModelBase},
 		TargetInsts: 50_000_000,
 		Parallelism: 1,
-		Progress: func(tracep.ProgressEvent) {
-			cancel() // cancel as soon as the run is demonstrably in flight
-		},
-		ProgressInterval: 1_000,
+		Gate:        gate,
 	}
-	rs, runErr := sw.Run(ctx)
+	var rs *tracep.ResultSet
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rs, runErr = sw.Run(ctx)
+	}()
+	waitInUse(t, gate, 1) // cancel once the run is demonstrably in flight
+	cancel()
+	<-done
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("sweep error = %v, want context.Canceled", runErr)
 	}

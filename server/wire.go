@@ -34,7 +34,7 @@ type SweepRequest struct {
 	// TargetInsts sizes each workload (like tracep.Sweep.TargetInsts);
 	// 0 = the server's default.
 	TargetInsts uint64 `json:"target_insts,omitempty"`
-	// Seed scrambles initial branch-predictor state (tracep.WithSeed). The
+	// Seed scrambles initial predictor state (tracep.Config.Seed). The
 	// single-replicate degenerate case of Seeds, exactly as on tracep.Sweep.
 	Seed int64 `json:"seed,omitempty"`
 	// Seeds, when non-empty, replicates every (benchmark, model) cell once

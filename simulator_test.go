@@ -58,35 +58,6 @@ func TestSimulatorSessionRun(t *testing.T) {
 	}
 }
 
-func TestSimulatorOptionOrderAndAccessors(t *testing.T) {
-	bm := mustBench(t, "compress")
-	cfg := tracep.DefaultConfig()
-	cfg.NumPEs = 8
-	sim := tracep.NewBenchmark(bm, 5_000,
-		tracep.WithConfig(cfg), // field options below override it
-		tracep.WithVerify(false),
-		tracep.WithSeed(7),
-		tracep.WithModel(tracep.ModelRET),
-		tracep.WithLabel("relabelled"),
-	)
-	if got := sim.Config(); got.NumPEs != 8 || got.Verify || got.Seed != 7 {
-		t.Errorf("config = NumPEs:%d Verify:%v Seed:%d, want 8/false/7", got.NumPEs, got.Verify, got.Seed)
-	}
-	if sim.Model().Name != "RET" {
-		t.Errorf("model = %q, want RET", sim.Model().Name)
-	}
-	if sim.Label() != "relabelled" {
-		t.Errorf("label = %q", sim.Label())
-	}
-	res, err := sim.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Benchmark != "relabelled" {
-		t.Errorf("result benchmark = %q, want relabelled", res.Benchmark)
-	}
-}
-
 func TestConfigValidationTypedErrors(t *testing.T) {
 	cfg := tracep.DefaultConfig()
 	cfg.NumPEs = 0
@@ -111,30 +82,6 @@ func TestConfigValidationTypedErrors(t *testing.T) {
 	prog := mustProg(t)
 	if _, err := tracep.New(prog, tracep.WithConfig(cfg)).Run(context.Background()); !errors.Is(err, tracep.ErrInvalidConfig) {
 		t.Errorf("program session must validate too, got %v", err)
-	}
-}
-
-// TestOptionOrderFieldOverridesWin pins the fix for the option-ordering
-// footgun: WithVerify/WithSeed passed BEFORE WithConfig used to be
-// silently clobbered by the full-config replacement. Field options now
-// apply on top of the configuration regardless of order.
-func TestOptionOrderFieldOverridesWin(t *testing.T) {
-	bm := mustBench(t, "compress")
-	cfg := tracep.DefaultConfig()
-	cfg.NumPEs = 8 // cfg carries Verify=true, Seed=0
-	sim := tracep.NewBenchmark(bm, 5_000,
-		tracep.WithVerify(false),
-		tracep.WithSeed(7),
-		tracep.WithConfig(cfg), // must not clobber the field options above
-	)
-	got := sim.Config()
-	if got.NumPEs != 8 || got.Verify || got.Seed != 7 {
-		t.Errorf("config = NumPEs:%d Verify:%v Seed:%d, want 8/false/7", got.NumPEs, got.Verify, got.Seed)
-	}
-	// Repeated field options: the last one wins.
-	sim2 := tracep.New(mustProg(t), tracep.WithSeed(1), tracep.WithConfig(cfg), tracep.WithSeed(2))
-	if got := sim2.Config().Seed; got != 2 {
-		t.Errorf("last WithSeed must win, got seed %d", got)
 	}
 }
 
@@ -178,42 +125,6 @@ func mustProg(t testing.TB) *tracep.Program {
 	return prog
 }
 
-func TestSimulatorProgressEvents(t *testing.T) {
-	bm := mustBench(t, "compress")
-	var events []tracep.ProgressEvent
-	sim := tracep.NewBenchmark(bm, 20_000,
-		tracep.WithProgress(func(ev tracep.ProgressEvent) { events = append(events, ev) }),
-		tracep.WithProgressInterval(2_000),
-	)
-	res, err := sim.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) < 2 {
-		t.Fatalf("got %d progress events, want several", len(events))
-	}
-	last := events[len(events)-1]
-	if !last.Done {
-		t.Error("final event must be marked Done")
-	}
-	if last.RetiredInsts != res.Stats.RetiredInsts {
-		t.Errorf("Done event insts = %d, want %d", last.RetiredInsts, res.Stats.RetiredInsts)
-	}
-	var prev uint64
-	for i, ev := range events {
-		if ev.Benchmark != "compress" || ev.Model != "base" {
-			t.Fatalf("event %d labels: %q %q", i, ev.Benchmark, ev.Model)
-		}
-		if ev.RetiredInsts < prev {
-			t.Fatalf("event %d not monotonic: %d after %d", i, ev.RetiredInsts, prev)
-		}
-		prev = ev.RetiredInsts
-		if i < len(events)-1 && ev.Done {
-			t.Fatalf("event %d marked Done before the run ended", i)
-		}
-	}
-}
-
 func TestSimulatorCancellation(t *testing.T) {
 	// A budget far beyond what can finish instantly, cancelled immediately:
 	// Run must return promptly with an error wrapping context.Canceled.
@@ -233,10 +144,18 @@ func TestSimulatorCancellation(t *testing.T) {
 	}
 }
 
+// withSeed configures a session with the default configuration under a
+// predictor seed.
+func withSeed(seed int64) tracep.Option {
+	cfg := tracep.DefaultConfig()
+	cfg.Seed = seed
+	return tracep.WithConfig(cfg)
+}
+
 func TestWithSeedIsDeterministicAndDistinct(t *testing.T) {
 	bm := mustBench(t, "compress")
 	run := func(seed int64) *tracep.Stats {
-		res, err := tracep.NewBenchmark(bm, 20_000, tracep.WithSeed(seed)).Run(context.Background())
+		res, err := tracep.NewBenchmark(bm, 20_000, withSeed(seed)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,10 +39,11 @@ type Sweep struct {
 	// DefaultConfig). It is validated once per run, like Simulator.Run.
 	Config *Config
 
-	// Seed scrambles initial branch-predictor state (see WithSeed). It is
-	// the single-replicate degenerate case of Seeds: a sweep with Seeds
-	// unset runs every cell once under Seed, exactly as before the seed
-	// axis existed.
+	// Seed, when non-zero, overrides Config.Seed for every run: it
+	// scrambles initial predictor state (see Config.Seed). It is the
+	// single-replicate degenerate case of Seeds: a sweep with Seeds unset
+	// runs every cell once under Seed, exactly as before the seed axis
+	// existed.
 	Seed int64
 
 	// Seeds, when non-empty, turns the sweep into a three-axis grid: every
@@ -56,13 +57,13 @@ type Sweep struct {
 	Seeds []int64
 
 	// Warmup fast-forwards this many instructions functionally before each
-	// cell's measured region (see WithWarmup). The warm-up is
+	// cell's measured region (see CaptureSnapshot). The warm-up is
 	// model-independent, so the sweep captures exactly one Snapshot per
-	// benchmark — extending the build-once program sharing — and forks
+	// benchmark row — extending the build-once program sharing — and forks
 	// every model cell of the row from it; an N-model sweep performs N×
-	// fewer warm-ups than per-cell WithWarmup sessions, with byte-identical
-	// results. A warm-up that fails (e.g. it runs past the program's halt)
-	// fails every cell of the row, like a failed build.
+	// fewer warm-ups than capturing a snapshot per cell, with
+	// byte-identical results. A warm-up that fails (e.g. it runs past the
+	// program's halt) fails every cell of the row, like a failed build.
 	Warmup uint64
 
 	// Snapshots provides pre-captured warm-up snapshots per benchmark row,
@@ -99,17 +100,10 @@ type Sweep struct {
 
 	// Gate, when non-nil, additionally bounds concurrency across every
 	// sweep sharing the same Gate: a worker holds a gate slot only while
-	// actually simulating a cell. Parallelism still caps this sweep's own
-	// workers; the Gate caps the machine-wide total (see NewGate).
+	// simulating a cell or capturing a row's warm-up. Parallelism still
+	// caps this sweep's own workers; the Gate caps the machine-wide total
+	// (see NewGate).
 	Gate *Gate
-
-	// Progress, when set, receives every run's ProgressEvents (including
-	// per-run Done events). Events from concurrent runs are serialised, so
-	// the hook needs no locking of its own.
-	Progress func(ProgressEvent)
-	// ProgressInterval is the retired-instruction spacing of progress
-	// events (0 = DefaultProgressInterval).
-	ProgressInterval uint64
 }
 
 // sweepRow is the state one (benchmark, seed) row shares across its model
@@ -197,8 +191,8 @@ type sweepJob struct {
 }
 
 // cellConfig resolves the one configuration every cell of a seed row runs
-// under and the row's snapshot is captured with (runOne passes it via
-// WithConfig), so capture and restore agree by construction.
+// under and the row's snapshot is captured with, so capture and restore
+// agree by construction.
 func (sw *Sweep) cellConfig(seed int64) Config {
 	cfg := DefaultConfig()
 	if sw.Config != nil {
@@ -255,17 +249,6 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 		workers = total
 	}
 
-	// Serialise the user's progress hook across workers.
-	var progress func(ProgressEvent)
-	if sw.Progress != nil {
-		var mu sync.Mutex
-		progress = func(ev ProgressEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			sw.Progress(ev)
-		}
-	}
-
 	jobCh := make(chan sweepJob)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -284,7 +267,7 @@ func (sw *Sweep) Stream(ctx context.Context) <-chan *Result {
 					job.row.snapshot(ctx, sw.Gate)
 					continue
 				}
-				if res := sw.runOne(ctx, job, progress, engine); res != nil {
+				if res := sw.runOne(ctx, job, engine); res != nil {
 					out <- res
 				}
 			}
@@ -372,7 +355,7 @@ func (sw *Sweep) Run(ctx context.Context) (*ResultSet, error) {
 
 // runOne simulates one cell on engine and returns its Result; a cell that
 // never started (sweep already cancelled) returns nil.
-func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(ProgressEvent), engine *proc.Processor) *Result {
+func (sw *Sweep) runOne(ctx context.Context, job sweepJob, engine *proc.Processor) *Result {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -409,22 +392,7 @@ func (sw *Sweep) runOne(ctx context.Context, job sweepJob, progress func(Progres
 	// Every cell runs under its row's cellConfig — the exact configuration
 	// the row snapshot is captured with, so capture and restore cannot
 	// drift.
-	opts := []Option{WithModel(job.model), WithLabel(row.bench), WithConfig(sw.cellConfig(row.seed))}
-	if snap != nil {
-		opts = append(opts, WithSnapshot(snap))
-	}
-	if progress != nil {
-		opts = append(opts, WithProgress(progress))
-		if sw.ProgressInterval > 0 {
-			opts = append(opts, WithProgressInterval(sw.ProgressInterval))
-		}
-	}
-	sim := New(row.prog, opts...)
-	// Recorded-trace rows verify against their .tptrace stream; New takes
-	// the prebuilt program, so the recording handle travels on the row.
-	sim.recorded = row.recorded
-	sim.engine = engine
-	res, err := sim.Run(ctx)
+	res, err := runCell(ctx, row.bench, row.prog, job.model, sw.cellConfig(row.seed), snap, row.recorded, engine)
 	if err != nil {
 		return fail(err)
 	}

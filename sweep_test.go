@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/metrics"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -321,69 +320,88 @@ func TestSweepCapturesPerRunErrors(t *testing.T) {
 	}
 }
 
+// waitInUse blocks until n slots of gate are held — each by a simulating
+// cell or a row capturing its warm-up — and fails the test after 30 s.
+func waitInUse(t *testing.T, gate *tracep.Gate, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for gate.InUse() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate never had %d slots in use", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// holdGate starts a one-cell sweep long enough to keep gate's only slot
+// until the returned stop is called; stop waits for the sweep to finish.
+func holdGate(t *testing.T, gate *tracep.Gate, bm tracep.Benchmark) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	long := tracep.Sweep{
+		Benchmarks:  []tracep.Benchmark{bm},
+		Models:      []tracep.Model{tracep.ModelBase},
+		TargetInsts: 50_000_000,
+		Gate:        gate,
+	}
+	done := long.Stream(ctx)
+	stop = func() {
+		cancel()
+		for range done {
+		}
+	}
+	t.Cleanup(stop)
+	waitInUse(t, gate, 1)
+	return stop
+}
+
 // TestSweepSharedGateBounds runs two sweeps concurrently against one
-// shared Gate(1) and demands that no two simulations are ever mid-run at
-// the same time, whatever each sweep's own Parallelism says. The active
-// set is tracked from progress events: a run is live from its first event
-// until its Done event (both delivered inside the gated section).
+// shared Gate(1) and demands that no cell of either simulates without the
+// gate's only slot, whatever each sweep's own Parallelism says: while
+// another sweep holds the slot neither delivers a cell, and once it lets go
+// both complete every cell.
 func TestSweepSharedGateBounds(t *testing.T) {
 	benches, models := sweepFixture(t)
 	gate := tracep.NewGate(1)
 	if gate.Cap() != 1 {
 		t.Fatalf("gate cap = %d, want 1", gate.Cap())
 	}
+	stop := holdGate(t, gate, benches[0])
 
-	var mu sync.Mutex
-	live := make(map[string]bool)
-	maxLive := 0
-	hook := func(sweepID string) func(tracep.ProgressEvent) {
-		return func(ev tracep.ProgressEvent) {
-			key := sweepID + "/" + ev.Benchmark + "/" + ev.Model
-			mu.Lock()
-			defer mu.Unlock()
-			if ev.Done {
-				delete(live, key)
-				return
-			}
-			live[key] = true
-			if len(live) > maxLive {
-				maxLive = len(live)
-			}
+	var streams []<-chan *tracep.Result
+	for range 2 {
+		sw := tracep.Sweep{
+			Benchmarks:  benches,
+			Models:      models,
+			TargetInsts: 5_000,
+			Parallelism: 4,
+			Gate:        gate,
+		}
+		streams = append(streams, sw.Stream(context.Background()))
+	}
+	// A 5k-instruction cell simulates in milliseconds, so any cell that ran
+	// without a slot would land well within this window.
+	time.Sleep(200 * time.Millisecond)
+	for i, ch := range streams {
+		select {
+		case res := <-ch:
+			t.Fatalf("sweep %d delivered %s/%s while another sweep held the gate", i, res.Benchmark, res.Model)
+		default:
 		}
 	}
 
-	var wg sync.WaitGroup
-	for _, id := range []string{"A", "B"} {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sw := tracep.Sweep{
-				Benchmarks:       benches,
-				Models:           models,
-				TargetInsts:      5_000,
-				Parallelism:      4,
-				Gate:             gate,
-				ProgressInterval: 500,
-				Progress:         hook(id),
+	stop()
+	for i, ch := range streams {
+		n := 0
+		for res := range ch {
+			if err := res.Err(); err != nil {
+				t.Errorf("sweep %d: %v", i, err)
 			}
-			rs, err := sw.Run(context.Background())
-			if err != nil {
-				t.Errorf("sweep %s: %v", id, err)
-				return
-			}
-			if err := rs.Err(); err != nil {
-				t.Errorf("sweep %s: %v", id, err)
-			}
-			if rs.Len() != len(benches)*len(models) {
-				t.Errorf("sweep %s recorded %d cells, want %d", id, rs.Len(), len(benches)*len(models))
-			}
-		}()
-	}
-	wg.Wait()
-
-	if maxLive > 1 {
-		t.Errorf("observed %d concurrent simulations across sweeps, gate allows 1", maxLive)
+			n++
+		}
+		if n != len(benches)*len(models) {
+			t.Errorf("sweep %d delivered %d cells, want %d", i, n, len(benches)*len(models))
+		}
 	}
 }
 
@@ -394,26 +412,9 @@ func TestSweepGateCancellationReleasesWaiters(t *testing.T) {
 	gate := tracep.NewGate(1)
 	benches, models := sweepFixture(t)
 
-	// Occupy the gate with a long-running sweep; wait for its first
-	// progress event, which proves it is simulating and holds the slot.
-	longCtx, stopLong := context.WithCancel(context.Background())
-	defer stopLong()
-	holding := make(chan struct{})
-	var once sync.Once
-	long := tracep.Sweep{
-		Benchmarks:       []tracep.Benchmark{benches[0]},
-		Models:           []tracep.Model{models[0]},
-		TargetInsts:      5_000_000,
-		Gate:             gate,
-		ProgressInterval: 500,
-		Progress:         func(tracep.ProgressEvent) { once.Do(func() { close(holding) }) },
-	}
-	longDone := long.Stream(longCtx)
-	select {
-	case <-holding:
-	case <-time.After(30 * time.Second):
-		t.Fatal("long sweep never started simulating")
-	}
+	// Occupy the gate with a long-running sweep, simulating and holding the
+	// slot.
+	holdGate(t, gate, benches[0])
 
 	// A second sweep now queues entirely behind the gate; cancel it and
 	// demand a prompt, empty return.
@@ -435,55 +436,6 @@ func TestSweepGateCancellationReleasesWaiters(t *testing.T) {
 	}
 	if rs.Len() != 0 {
 		t.Errorf("blocked sweep recorded %d cells, want 0 (nothing ever started)", rs.Len())
-	}
-
-	stopLong()
-	for range longDone {
-	}
-}
-
-func TestSweepProgressSerialised(t *testing.T) {
-	benches, models := sweepFixture(t)
-	var mu sync.Mutex
-	inHook := false
-	var events, doneEvents int
-	sw := tracep.Sweep{
-		Benchmarks:       benches,
-		Models:           models,
-		TargetInsts:      6_000,
-		Parallelism:      4,
-		ProgressInterval: 1_000,
-		Progress: func(ev tracep.ProgressEvent) {
-			mu.Lock()
-			if inHook {
-				mu.Unlock()
-				t.Error("progress hook entered concurrently")
-				return
-			}
-			inHook = true
-			mu.Unlock()
-
-			mu.Lock()
-			events++
-			if ev.Done {
-				doneEvents++
-			}
-			inHook = false
-			mu.Unlock()
-		},
-	}
-	rs, err := sw.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Error("no progress events delivered")
-	}
-	if doneEvents != len(benches)*len(models) {
-		t.Errorf("%d Done events, want one per run (%d)", doneEvents, len(benches)*len(models))
 	}
 }
 

@@ -9,15 +9,15 @@
 // # Sessions
 //
 // A simulation is a Simulator session built with New (for a program written
-// against the Builder API) or NewBenchmark (for a suite workload), shaped
-// by functional options, and executed with Run:
+// against the Builder API), NewBenchmark (for a suite workload) or
+// NewFromSnapshot (from a warm-up checkpoint), given a model (WithModel) and
+// a configuration (WithConfig), and executed with Run:
 //
 //	bm, _ := tracep.BenchmarkByName("compress")
+//	cfg := tracep.DefaultConfig()
+//	cfg.Seed = 7 // scramble initial predictor state
 //	sim := tracep.NewBenchmark(bm, 300_000,
-//		tracep.WithModel(tracep.ModelFGMLBRET),
-//		tracep.WithProgress(func(ev tracep.ProgressEvent) {
-//			log.Printf("%s/%s: %d insts", ev.Benchmark, ev.Model, ev.RetiredInsts)
-//		}))
+//		tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithConfig(cfg))
 //	res, err := sim.Run(ctx)
 //	fmt.Printf("IPC = %.2f\n", res.Stats.IPC())
 //
@@ -49,8 +49,8 @@
 //
 // # Streaming and regression gating
 //
-// Sweep.Stream delivers each cell's Result as it completes, so a server
-// can report progress without waiting for the full grid:
+// Sweep.Stream delivers each cell's Result as it completes, so a server or
+// a command line can report progress without waiting for the full grid:
 //
 //	for res := range sw.Stream(ctx) {
 //		log.Printf("%s/%s done", res.Benchmark, res.Model)
@@ -72,15 +72,15 @@
 //
 // # Warm-up snapshots
 //
-// The paper measures steady-state behaviour. WithWarmup(n) (or
-// Sweep.Warmup) fast-forwards the first n instructions functionally —
-// warming caches, branch predictor and BIT along the committed path —
-// and measures only the rest. The checkpoint is model-independent, so a
-// sweep captures one Snapshot per benchmark and forks every model cell
-// from it; explicit capture via Simulator.CaptureSnapshot plus
-// NewFromSnapshot/WithSnapshot does the same by hand. Restored runs are
-// byte-identical to sessions that perform the warm-up themselves, and
-// Stats.WarmupInsts travels with every result so diffs stay like-for-like.
+// The paper measures steady-state behaviour. Sweep.Warmup fast-forwards the
+// first n instructions functionally — warming caches, branch predictor and
+// BIT along the committed path — and measures only the rest. The checkpoint
+// is model-independent, so a sweep captures one Snapshot per benchmark row
+// and forks every model cell from it; Simulator.CaptureSnapshot plus
+// NewFromSnapshot does the same by hand. A run forked from a shared
+// snapshot is byte-identical to one restored from its own private capture,
+// and Stats.WarmupInsts travels with every result so diffs stay
+// like-for-like.
 //
 // # Serving sweeps
 //
@@ -119,8 +119,8 @@ type Stats = proc.Stats
 // Snapshot is an immutable warm-up checkpoint: architectural state plus the
 // model-independent microarchitectural structures after a functional
 // fast-forward. Capture one with Simulator.CaptureSnapshot (or implicitly
-// via WithWarmup / Sweep.Warmup) and fork any number of simulations from it
-// with WithSnapshot or NewFromSnapshot.
+// via Sweep.Warmup) and fork any number of simulations from it with
+// NewFromSnapshot.
 type Snapshot = proc.Snapshot
 
 // ErrIncompatibleSnapshot is the sentinel wrapped by errors reporting a
@@ -169,8 +169,8 @@ func DefaultGenConfig(seed int64) GenConfig { return bench.DefaultGenConfig(seed
 // Generated wraps a generator configuration as a Benchmark, named
 // "gen-<seed>", with its instruction-budget scaling calibrated by emulating
 // the generated program. Sweeping GenConfig.Seed varies program randomness;
-// combined with WithSeed (microarchitectural randomness) it spans both axes
-// of an error-bar study:
+// combined with Config.Seed (microarchitectural randomness, set per sweep by
+// Sweep.Seed or Sweep.Seeds) it spans both axes of an error-bar study:
 //
 //	sw := tracep.Sweep{
 //		Benchmarks: []tracep.Benchmark{

@@ -45,13 +45,30 @@ func baselineGrid(t *testing.T) ([]tracep.Benchmark, []tracep.Model) {
 	return benches, models
 }
 
-// TestSweepWarmupByteIdenticalToColdWarmups is the acceptance gate for
+// warmRun runs one cell from a private warm-up snapshot: it captures the
+// first warm instructions of bm's program and restores the capture under m.
+func warmRun(t testing.TB, bm tracep.Benchmark, targetInsts uint64, m tracep.Model, warm uint64) *tracep.Result {
+	t.Helper()
+	ctx := context.Background()
+	snap, err := tracep.NewBenchmark(bm, targetInsts).CaptureSnapshot(ctx, warm)
+	if err != nil {
+		t.Fatalf("%s: capture: %v", bm.Name, err)
+	}
+	res, err := tracep.NewFromSnapshot(snap, tracep.WithModel(m)).Run(ctx)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", bm.Name, m.Name, err)
+	}
+	return res
+}
+
+// TestSweepSharedSnapshotMatchesPerCellSnapshots is the acceptance gate for
 // snapshot sharing: over the CI baseline grid, a sweep that captures one
-// warm-up snapshot per benchmark and forks every model cell from it must
-// produce ResultSet JSON byte-identical to per-cell sessions that each
-// simulate the same warm-up from cold. Any state aliased between restored
-// cells, any capture nondeterminism, or any restore drift breaks the bytes.
-func TestSweepWarmupByteIdenticalToColdWarmups(t *testing.T) {
+// warm-up snapshot per benchmark row and forks every model cell from it
+// must produce ResultSet JSON byte-identical to cells that each capture and
+// restore a private snapshot of the same warm-up. Any state aliased between
+// restored cells or any capture nondeterminism breaks the bytes. Restore
+// against a cold run is checked in internal/proc.
+func TestSweepSharedSnapshotMatchesPerCellSnapshots(t *testing.T) {
 	const targetInsts, warm = 5000, 1500
 	ctx := context.Background()
 	benches, models := baselineGrid(t)
@@ -78,15 +95,10 @@ func TestSweepWarmupByteIdenticalToColdWarmups(t *testing.T) {
 	for i, m := range models {
 		modelNames[i] = m.Name
 	}
-	cold := tracep.NewResultSetGrid(benchNames, modelNames, nil)
+	perCell := tracep.NewResultSetGrid(benchNames, modelNames, nil)
 	for _, bm := range benches {
 		for _, m := range models {
-			res, err := tracep.NewBenchmark(bm, targetInsts,
-				tracep.WithModel(m), tracep.WithWarmup(warm)).Run(ctx)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", bm.Name, m.Name, err)
-			}
-			cold.Add(res)
+			perCell.Add(warmRun(t, bm, targetInsts, m, warm))
 		}
 	}
 
@@ -94,12 +106,12 @@ func TestSweepWarmupByteIdenticalToColdWarmups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(cold)
+	b, err := json.Marshal(perCell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("snapshot-shared sweep and per-cell cold warm-ups disagree\nshared: %s\ncold:   %s", a, b)
+		t.Fatalf("row-shared snapshots and per-cell snapshots disagree\nshared:   %s\nper-cell: %s", a, b)
 	}
 
 	// Every cell carries the warm-up metadata.
@@ -110,9 +122,10 @@ func TestSweepWarmupByteIdenticalToColdWarmups(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharedAcrossModels: one explicit capture seeds restored runs
-// under several models, each identical to the session that warms up itself.
-func TestSnapshotSharedAcrossModels(t *testing.T) {
+// TestSharedSnapshotMatchesPrivateSnapshots: one explicit capture seeds
+// restored runs under several models, each identical to a run restored from
+// its own private capture of the same warm-up.
+func TestSharedSnapshotMatchesPrivateSnapshots(t *testing.T) {
 	const targetInsts, warm = 4000, 1000
 	ctx := context.Background()
 	bm, err := tracep.BenchmarkByName("compress")
@@ -128,21 +141,34 @@ func TestSnapshotSharedAcrossModels(t *testing.T) {
 	}
 
 	for _, m := range []tracep.Model{tracep.ModelBase, tracep.ModelBaseNTB, tracep.ModelFG, tracep.ModelFGMLBRET} {
-		restored, err := tracep.NewFromSnapshot(snap, tracep.WithModel(m), tracep.WithLabel(bm.Name)).Run(ctx)
+		shared, err := tracep.NewFromSnapshot(snap, tracep.WithModel(m)).Run(ctx)
 		if err != nil {
-			t.Fatalf("restored %s: %v", m.Name, err)
+			t.Fatalf("shared %s: %v", m.Name, err)
 		}
-		cold, err := tracep.NewBenchmark(bm, targetInsts,
-			tracep.WithModel(m), tracep.WithWarmup(warm)).Run(ctx)
-		if err != nil {
-			t.Fatalf("cold %s: %v", m.Name, err)
-		}
-		a, _ := json.Marshal(restored.Stats)
-		b, _ := json.Marshal(cold.Stats)
+		private := warmRun(t, bm, targetInsts, m, warm)
+		a, _ := json.Marshal(shared.Stats)
+		b, _ := json.Marshal(private.Stats)
 		if !bytes.Equal(a, b) {
-			t.Errorf("%s: restored stats differ from cold warm-up\nrestored: %s\ncold:     %s", m.Name, a, b)
+			t.Errorf("%s: shared-snapshot stats differ from a private snapshot's\nshared:  %s\nprivate: %s", m.Name, a, b)
 		}
 	}
+}
+
+// snapshotSweep runs a one-row sweep over bm whose row is forked from the
+// provided snapshot.
+func snapshotSweep(t *testing.T, bm tracep.Benchmark, snap *tracep.Snapshot) *tracep.ResultSet {
+	t.Helper()
+	sw := tracep.Sweep{
+		Benchmarks:  []tracep.Benchmark{bm},
+		Models:      []tracep.Model{tracep.ModelBase},
+		TargetInsts: 3000,
+		Snapshots:   map[string]*tracep.Snapshot{bm.Name: snap},
+	}
+	rs, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
 }
 
 // TestWithSnapshotProgramMismatch: a snapshot only restores over the exact
@@ -160,8 +186,7 @@ func TestWithSnapshotProgramMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tracep.NewBenchmark(other, 3000, tracep.WithSnapshot(snap)).Run(context.Background())
-	if !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
+	if err := snapshotSweep(t, other, snap).Err(); !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
 		t.Fatalf("want ErrIncompatibleSnapshot for a foreign program, got %v", err)
 	}
 }
@@ -173,21 +198,19 @@ func TestZeroValueSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tracep.NewBenchmark(bm, 2000, tracep.WithSnapshot(&tracep.Snapshot{})).Run(context.Background())
-	if !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
+	if err := snapshotSweep(t, bm, &tracep.Snapshot{}).Err(); !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
 		t.Fatalf("zero-value snapshot: want ErrIncompatibleSnapshot, got %v", err)
 	}
 }
 
 // TestWarmupPastHaltFailsCell: a warm-up longer than the program fails the
-// run (and, under Sweep, the whole row) with a clear error.
+// capture (and, under Sweep, the whole row) with a clear error.
 func TestWarmupPastHaltFailsCell(t *testing.T) {
 	bm, err := tracep.BenchmarkByName("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tracep.NewBenchmark(bm, 2000, tracep.WithWarmup(1_000_000)).Run(context.Background())
-	if err == nil {
+	if _, err := tracep.NewBenchmark(bm, 2000).CaptureSnapshot(context.Background(), 1_000_000); err == nil {
 		t.Fatal("warm-up past halt: want error, got nil")
 	}
 
