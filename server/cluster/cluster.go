@@ -34,8 +34,10 @@
 // the key, PUTs only on miss, and names the key in the worker's
 // SweepRequest — workers restore instead of re-running the functional
 // warm-up, and restored rows are byte-identical to warmed-up ones.
-// Recorded-trace (corpus) rows never move — their .tptrace recordings live
-// on the coordinator — and run locally by construction.
+// Recorded-trace (corpus) rows — those whose Bench.Recorded is set — never
+// move: their .tptrace recordings live on the coordinator, so they run
+// locally by construction. A suite row is placed even when the corpus
+// holds a recording of the same name.
 package cluster
 
 import (
@@ -286,7 +288,7 @@ func (st *rowState) unclaim(slot string) {
 // clusters.
 func (c *Coordinator) runRow(ctx context.Context, idx int, row server.RowSpec, out chan<- *tracep.Result) {
 	st := newRowState(row)
-	if row.Corpus || len(c.workers) == 0 {
+	if row.Bench.Recorded != nil || len(c.workers) == 0 {
 		c.rowsLocal.Add(1)
 		c.runLocal(ctx, row, st, out)
 		return

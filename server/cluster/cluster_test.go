@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +55,12 @@ func newWorkers(t *testing.T, n int) []*clustertest.Worker {
 // manager's /metrics map. Returns the manager and the coordinator.
 func newCoordinator(t *testing.T, workers []*clustertest.Worker, tune func(*cluster.Config)) (*server.Manager, *cluster.Coordinator) {
 	t.Helper()
+	return newCorpusCoordinator(t, workers, nil, tune)
+}
+
+// newCorpusCoordinator is newCoordinator over a manager serving corpus.
+func newCorpusCoordinator(t *testing.T, workers []*clustertest.Worker, corpus []tracep.Benchmark, tune func(*cluster.Config)) (*server.Manager, *cluster.Coordinator) {
+	t.Helper()
 	urls := make([]string, len(workers))
 	for i, w := range workers {
 		urls[i] = w.URL()
@@ -71,7 +78,7 @@ func newCoordinator(t *testing.T, workers []*clustertest.Worker, tune func(*clus
 		tune(&ccfg)
 	}
 	coord := cluster.New(ccfg)
-	mgr := server.NewManager(server.Config{Parallelism: 2, Gate: gate, Runner: coord})
+	mgr := server.NewManager(server.Config{Parallelism: 2, Gate: gate, Runner: coord, Corpus: corpus})
 	coord.PublishMetrics(mgr.Metrics())
 	t.Cleanup(func() {
 		closed := make(chan struct{})
@@ -189,6 +196,57 @@ func TestClusterByteIdentity(t *testing.T) {
 	}
 	if local := metricInt(t, mgr, "cluster_rows_local_total"); local != 0 {
 		t.Errorf("rows local = %d, want 0", local)
+	}
+}
+
+// TestClusterCorpusRowsByRecording: a corpus row is one that replays a
+// recording, not one whose name the corpus holds. tracerec keeps a
+// workload's name, so a coordinator serving a compress recording must still
+// place a suite compress row on a worker and keep only the corpus compress
+// row local; both sets match their in-process sweeps.
+func TestClusterCorpusRowsByRecording(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "compress"+tracep.TraceExt)
+	if _, err := tracep.CaptureTraceFile(context.Background(), mustBench(t, "compress"), target, path); err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := tracep.Corpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, _ := newCorpusCoordinator(t, newWorkers(t, 1), corpus, nil)
+	models := []tracep.Model{tracep.ModelBase, tracep.ModelFG}
+
+	got := submitAndCollect(t, mgr, server.SweepRequest{
+		Benchmarks:  []string{"compress"},
+		Models:      modelNames(models),
+		TargetInsts: target,
+	})
+	if want := inProcessJSON(t, []string{"compress"}, models, target, 0); !bytes.Equal(got, want) {
+		t.Errorf("suite row differs from in-process sweep:\n%s\n%s", got, want)
+	}
+	if local := metricInt(t, mgr, "cluster_rows_local_total"); local != 0 {
+		t.Errorf("rows local after a suite request = %d, want 0", local)
+	}
+
+	got = submitAndCollect(t, mgr, server.SweepRequest{
+		Corpus:      []string{"compress"},
+		Models:      modelNames(models),
+		TargetInsts: target,
+	})
+	rs, err := (&tracep.Sweep{Benchmarks: corpus, Models: models, TargetInsts: target}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("corpus row differs from in-process sweep:\n%s\n%s", got, want)
+	}
+	if local := metricInt(t, mgr, "cluster_rows_local_total"); local != 1 {
+		t.Errorf("rows local after a corpus request = %d, want 1", local)
 	}
 }
 

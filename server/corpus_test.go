@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tracep"
 	"tracep/server"
@@ -141,6 +142,93 @@ func TestCorpusUnknownName(t *testing.T) {
 	_, err = bare.Submit(context.Background(), server.SweepRequest{Corpus: []string{"compress"}})
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("corpus request against corpus-less server = %v, want 404", err)
+	}
+}
+
+// TestStoreResumeMixedJob resumes a job whose grid holds a suite row and a
+// corpus row. Reopened with its corpus, the job re-simulates only its
+// missing cells and ends byte-identical to an in-process sweep over the
+// same rows. Reopened without it, the job can no longer resolve its grid
+// and ends cancelled, while a finished corpus job still replays from the
+// journal with zero simulation.
+func TestStoreResumeMixedJob(t *testing.T) {
+	const target = 20_000
+	corpus := captureTestCorpus(t, target)
+	dir, image := t.TempDir(), t.TempDir()
+	finishedReq := server.SweepRequest{Corpus: []string{"compress"}, Models: []string{"base"}, TargetInsts: target}
+	mixedReq := server.SweepRequest{
+		Benchmarks:  []string{"vortex"},
+		Corpus:      []string{"compress"},
+		Models:      []string{"base", "FG", "RET", "FG+MLB-RET"},
+		TargetInsts: target,
+	}
+
+	m1, err := server.OpenManager(server.Config{Parallelism: 1, StoreDir: dir, Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished, err := m1.Submit(finishedReq)
+	if err != nil {
+		m1.Close()
+		t.Fatal(err)
+	}
+	waitTerminal(t, m1, finished.ID)
+	mixed, err := m1.Submit(mixedReq)
+	if err != nil {
+		m1.Close()
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		cur, _ := m1.Status(mixed.ID, false)
+		if cur.State.Terminal() {
+			m1.Close()
+			t.Fatalf("mixed job finished before Close: %+v", cur)
+		}
+		if cur.Completed >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			m1.Close()
+			t.Fatal("no cell completed in time")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	m1.Close()
+	copyDir(t, dir, image)
+
+	m2, err := server.OpenManager(server.Config{Parallelism: 2, StoreDir: dir, Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, m2, mixed.ID); st.State != server.StateDone {
+		m2.Close()
+		t.Fatalf("resumed mixed job finished %s, want done", st.State)
+	}
+	if got, want := resultsJSON(t, m2, mixed.ID), sweepJSON(t, mixedReq, corpus); !bytes.Equal(got, want) {
+		t.Errorf("resumed mixed job differs from in-process sweep:\n%s\n%s", got, want)
+	}
+	if n := metricInt(t, m2, "cells_completed_total"); n >= int64(mixed.Total) {
+		t.Errorf("resume simulated %d cells, want fewer than the job's %d", n, mixed.Total)
+	}
+	m2.Close()
+
+	m3, err := server.OpenManager(server.Config{Parallelism: 2, StoreDir: image})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if st := waitTerminal(t, m3, mixed.ID); st.State != server.StateCancelled {
+		t.Errorf("mixed job reopened without its corpus finished %s, want cancelled", st.State)
+	}
+	if st, _ := m3.Status(finished.ID, false); st.State != server.StateDone {
+		t.Errorf("finished corpus job replayed as %s, want done", st.State)
+	}
+	if got, want := resultsJSON(t, m3, finished.ID), sweepJSON(t, finishedReq, corpus); !bytes.Equal(got, want) {
+		t.Errorf("replayed corpus job differs from in-process sweep:\n%s\n%s", got, want)
+	}
+	if n := metricInt(t, m3, "cells_completed_total"); n != 0 {
+		t.Errorf("reopening without the corpus simulated %d cells, want 0", n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tracep"
@@ -80,11 +81,8 @@ func sweepJSON(t *testing.T, req server.SweepRequest, corpus []tracep.Benchmark)
 		sw.Benchmarks = append(sw.Benchmarks, mustBench(t, name))
 	}
 	for _, name := range req.Corpus {
-		i := 0
-		for i < len(corpus) && corpus[i].Name != name {
-			i++
-		}
-		if i == len(corpus) {
+		i := slices.IndexFunc(corpus, func(bm tracep.Benchmark) bool { return bm.Name == name })
+		if i < 0 {
 			t.Fatalf("corpus has no %s", name)
 		}
 		sw.Benchmarks = append(sw.Benchmarks, corpus[i])

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,32 +161,18 @@ func (m *Manager) Corpus() []CorpusEntry {
 	return out
 }
 
-// job is one submitted sweep: its resolved grid, the append-only cell log
-// that streams replay from, the growing ResultSet, and the lifecycle
+// job is one submitted sweep: its journaled record, the append-only cell
+// log that streams replay from, the growing ResultSet, and the lifecycle
 // state. changed is closed and replaced on every append or state change —
 // the broadcast streams block on.
 type job struct {
-	id          string
-	benches     []string
-	corpus      []string
-	models      []string
-	targetInsts uint64
-	seed        int64
-	// seeds is the job's replicate axis (deduped SweepRequest.Seeds); nil
-	// for single-replicate jobs, whose one implicit seed is seed.
-	seeds     []int64
-	warmup    uint64
-	warmupFor map[string]uint64
-	// tol echoes the request's advisory gate tolerances (may be nil).
-	tol *tracep.Tolerances
-	// snapKeys maps benchmark rows to content-addressed snapshot keys
-	// (SweepRequest.Snapshots): journaled with the job so a resume can
-	// re-fetch the same snapshots from the durable snapshot store.
-	snapKeys  map[string]string
-	total     int
-	createdAt time.Time
-	cancel    context.CancelFunc
-	finished  chan struct{}
+	id string
+	// rec is the job's only description of its grid: the KindJob journal
+	// payload, and the axes and options Status echoes.
+	rec      jobRecord
+	total    int
+	cancel   context.CancelFunc
+	finished chan struct{}
 
 	mu      sync.Mutex
 	cells   []*tracep.Result
@@ -195,20 +182,26 @@ type job struct {
 	changed chan struct{}
 }
 
+// newJob builds a running job over rec, the one constructor Submit and
+// resume share: it sizes the grid once, and creates the job's context
+// before the job becomes visible to Cancel or Close. The caller sets id.
+func newJob(rec jobRecord) (*job, context.Context) {
+	axis := rec.seedAxis()
+	ctx, cancel := context.WithCancel(context.Background())
+	return &job{
+		rec:      rec,
+		total:    len(rec.Benchmarks) * len(rec.Models) * len(axis),
+		rs:       tracep.NewResultSetGrid(rec.Benchmarks, rec.Models, axis),
+		cancel:   cancel,
+		finished: make(chan struct{}),
+		state:    StateRunning,
+		changed:  make(chan struct{}),
+	}, ctx
+}
+
 func (j *job) broadcastLocked() {
 	close(j.changed)
 	j.changed = make(chan struct{})
-}
-
-// seedAxis returns the job's effective replicate axis: the request's seeds
-// when it had one, else the single implicit {seed} — mirroring
-// tracep.Sweep's Seeds/Seed resolution so remotely collected sets stay
-// byte-identical to in-process ones.
-func (j *job) seedAxis() []int64 {
-	if len(j.seeds) > 0 {
-		return j.seeds
-	}
-	return []int64{j.seed}
 }
 
 // dedupeSeeds resolves a request's replicate axis: order-preserving
@@ -233,22 +226,23 @@ func dedupeSeeds(seeds []int64) []int64 {
 func (j *job) snapshot(withResults bool) Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	rec := &j.rec
 	st := Status{
 		ID:          j.id,
 		State:       j.state,
-		Benchmarks:  j.benches,
-		Corpus:      j.corpus,
-		Models:      j.models,
-		Seeds:       j.seeds,
-		TargetInsts: j.targetInsts,
-		Seed:        j.seed,
-		Warmup:      j.warmup,
-		WarmupFor:   j.warmupFor,
-		Tolerances:  j.tol,
+		Benchmarks:  rec.Benchmarks,
+		Corpus:      rec.Corpus,
+		Models:      rec.Models,
+		Seeds:       rec.Seeds,
+		TargetInsts: rec.TargetInsts,
+		Seed:        rec.Seed,
+		Warmup:      rec.Warmup,
+		WarmupFor:   rec.WarmupFor,
+		Tolerances:  rec.Tolerances,
 		Total:       j.total,
 		Completed:   len(j.cells),
 		Failed:      j.failed,
-		CreatedAt:   j.createdAt,
+		CreatedAt:   rec.CreatedAt,
 	}
 	if withResults {
 		st.Results = j.rs
@@ -321,94 +315,96 @@ func (m *Manager) isClosed() bool {
 	return m.closed
 }
 
-// resolveRequest maps a wire request onto suite benchmarks, the server's
-// recorded-trace corpus, and paper models. Unknown suite/model names are
-// 400s; an unknown corpus name is a 404 (the resource — a recording on this
-// server — does not exist). Corpus rows follow suite rows; with only Corpus
-// set the grid is corpus-only, and with neither it is the full suite.
-func (m *Manager) resolveRequest(req SweepRequest) ([]tracep.Benchmark, []tracep.Model, error) {
-	var benches []tracep.Benchmark
-	if len(req.Benchmarks) == 0 && len(req.Corpus) == 0 {
-		benches = tracep.Benchmarks()
-	} else {
-		for _, name := range req.Benchmarks {
+// resolve maps a job record's axes onto workloads and models: the one
+// resolver Submit and resume share. A benchmark name listed in rec.Corpus
+// resolves against the server's recorded-trace corpus, any other against
+// the suite. An unknown suite or model name is a 400; an unknown corpus
+// name is a 404 (the resource — a recording on this server — does not
+// exist); a workload twice in the grid is a 400.
+func (m *Manager) resolve(rec *jobRecord) ([]tracep.Benchmark, []tracep.Model, error) {
+	benches := make([]tracep.Benchmark, 0, len(rec.Benchmarks))
+	for _, name := range rec.Benchmarks {
+		if !slices.Contains(rec.Corpus, name) {
 			bm, err := tracep.BenchmarkByName(name)
 			if err != nil {
 				return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
 			}
 			benches = append(benches, bm)
+			continue
 		}
-		for _, name := range req.Corpus {
-			bm, ok := m.corpus[name]
-			if !ok {
-				return nil, nil, &Error{StatusCode: http.StatusNotFound,
-					Message: fmt.Sprintf("no such corpus trace: %q (GET /v1/corpus lists available recordings)", name)}
-			}
-			benches = append(benches, bm)
+		bm, ok := m.corpus[name]
+		if !ok {
+			return nil, nil, &Error{StatusCode: http.StatusNotFound,
+				Message: fmt.Sprintf("no such corpus trace: %q (GET /v1/corpus lists available recordings)", name)}
 		}
-		seen := make(map[string]bool, len(benches))
-		for _, bm := range benches {
-			if seen[bm.Name] {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest,
-					Message: fmt.Sprintf("workload %q appears twice in the requested grid", bm.Name)}
-			}
-			seen[bm.Name] = true
-		}
+		benches = append(benches, bm)
 	}
-	var models []tracep.Model
-	if len(req.Models) == 0 {
-		models = tracep.Models()
-	} else {
-		for _, name := range req.Models {
-			m, ok := tracep.ModelByName(name)
-			if !ok {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: fmt.Sprintf("unknown model %q", name)}
-			}
-			models = append(models, m)
+	seen := make(map[string]bool, len(benches))
+	for _, bm := range benches {
+		if seen[bm.Name] {
+			return nil, nil, &Error{StatusCode: http.StatusBadRequest,
+				Message: fmt.Sprintf("workload %q appears twice in the requested grid", bm.Name)}
 		}
+		seen[bm.Name] = true
+	}
+	models := make([]tracep.Model, 0, len(rec.Models))
+	for _, name := range rec.Models {
+		md, ok := tracep.ModelByName(name)
+		if !ok {
+			return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: fmt.Sprintf("unknown model %q", name)}
+		}
+		models = append(models, md)
 	}
 	return benches, models, nil
 }
 
-// Submit validates req, starts its sweep on the shared pool, and returns
-// the new job's status. The sweep runs until its grid completes, Cancel is
-// called, or the manager closes.
+// Submit validates req, journals its record, starts its sweep on the shared
+// pool, and returns the new job's status. The sweep runs until its grid
+// completes, Cancel is called, or the manager closes. Corpus rows follow
+// suite rows; with only Corpus set the grid is corpus-only, and with
+// neither it is the full suite.
 func (m *Manager) Submit(req SweepRequest) (Status, error) {
-	benches, models, err := m.resolveRequest(req)
+	rec := jobRecord{
+		Benchmarks:  append(slices.Clone(req.Benchmarks), req.Corpus...),
+		Corpus:      slices.Clone(req.Corpus),
+		Models:      slices.Clone(req.Models),
+		TargetInsts: req.TargetInsts,
+		Seed:        req.Seed,
+		Seeds:       dedupeSeeds(req.Seeds),
+		Warmup:      req.Warmup,
+		WarmupFor:   req.WarmupFor,
+		Snapshots:   req.Snapshots,
+		Tolerances:  req.Tolerances,
+		CreatedAt:   time.Now().UTC(),
+	}
+	if len(rec.Benchmarks) == 0 {
+		for _, bm := range tracep.Benchmarks() {
+			rec.Benchmarks = append(rec.Benchmarks, bm.Name)
+		}
+	}
+	if len(rec.Models) == 0 {
+		for _, md := range tracep.Models() {
+			rec.Models = append(rec.Models, md.Name)
+		}
+	}
+	if rec.TargetInsts == 0 {
+		rec.TargetInsts = m.cfg.DefaultTargetInsts
+	}
+	benches, models, err := m.resolve(&rec)
 	if err != nil {
 		return Status{}, err
 	}
-	target := req.TargetInsts
-	if target == 0 {
-		target = m.cfg.DefaultTargetInsts
-	}
 
-	benchNames := make([]string, len(benches))
-	for i, bm := range benches {
-		benchNames[i] = bm.Name
-	}
-	modelNames := make([]string, len(models))
-	for i, md := range models {
-		modelNames[i] = md.Name
-	}
 	// Validate name-keyed maps in sorted order so the reported name is
 	// deterministic when several are bad (map iteration order is not).
-	inGrid := func(name string) bool {
-		for _, bn := range benchNames {
-			if bn == name {
-				return true
-			}
-		}
-		return false
-	}
 	for _, name := range sortedKeys(req.WarmupFor) {
-		if !inGrid(name) {
+		if !slices.Contains(rec.Benchmarks, name) {
 			return Status{}, &Error{StatusCode: http.StatusBadRequest,
 				Message: fmt.Sprintf("warmup_for names %q, which is not in the requested grid", name)}
 		}
 	}
 	for _, name := range sortedKeys(req.Snapshots) {
-		if !inGrid(name) {
+		if !slices.Contains(rec.Benchmarks, name) {
 			return Status{}, &Error{StatusCode: http.StatusBadRequest,
 				Message: fmt.Sprintf("snapshots names %q, which is not in the requested grid", name)}
 		}
@@ -429,15 +425,10 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		}
 	}
 
-	seeds := dedupeSeeds(req.Seeds)
-	rowsPerBench := float64(max(len(seeds), 1))
-	insts := float64(len(benches)*len(models)) * rowsPerBench * float64(target)
-	for _, name := range benchNames {
-		warmup := req.Warmup
-		if n, ok := req.WarmupFor[name]; ok {
-			warmup = n
-		}
-		insts += rowsPerBench * float64(warmup)
+	rowsPerBench := float64(len(rec.seedAxis()))
+	insts := float64(len(rec.Benchmarks)*len(rec.Models)) * rowsPerBench * float64(rec.TargetInsts)
+	for _, name := range rec.Benchmarks {
+		insts += rowsPerBench * float64(rec.warmupOf(name))
 	}
 	if insts > maxSweepInsts {
 		return Status{}, &Error{StatusCode: http.StatusBadRequest,
@@ -445,41 +436,11 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 				insts, float64(maxSweepInsts))}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		benches:     benchNames,
-		corpus:      append([]string(nil), req.Corpus...),
-		models:      modelNames,
-		targetInsts: target,
-		seed:        req.Seed,
-		seeds:       seeds,
-		warmup:      req.Warmup,
-		warmupFor:   req.WarmupFor,
-		snapKeys:    req.Snapshots,
-		tol:         req.Tolerances,
-		createdAt:   time.Now().UTC(),
-		cancel:      cancel,
-		finished:    make(chan struct{}),
-		state:       StateRunning,
-		changed:     make(chan struct{}),
-	}
-	axis := j.seedAxis()
-	j.total = len(benches) * len(models) * len(axis)
-	j.rs = tracep.NewResultSetGrid(benchNames, modelNames, axis)
-
-	// One row per (benchmark, seed): the row is the placement unit because
-	// its warm-up snapshot embeds seed-dependent predictor state.
-	rows := make([]RowSpec, 0, len(benches)*len(axis))
-	for _, bm := range benches {
-		for _, seed := range axis {
-			rows = append(rows, m.rowSpec(bm, models, j, seed))
-		}
-	}
-
+	j, ctx := newJob(rec)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		cancel()
+		j.cancel()
 		return Status{}, &Error{StatusCode: http.StatusServiceUnavailable, Message: "server is shutting down"}
 	}
 	m.nextID++
@@ -491,8 +452,61 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 
 	m.persistJob(j)
 	m.jobsSubmitted.Add(1)
-	go j.collect(m, m.runner.Run(ctx, rows))
+	m.start(ctx, j, benches, models)
 	return j.snapshot(false), nil
+}
+
+// start is the one path from a job to the Runner, shared by Submit and
+// resume: a fresh job is a resumed job whose journal holds no cells yet.
+// It builds a RowSpec for every (benchmark, seed) row with a model j.rs
+// lacks — every row of a fresh job, only the missing cells of a resumed
+// one — and collects the stream on its own goroutine. An empty row set (a
+// job that crashed after its last cell, before its terminal record) flows
+// through collect too, which finalises the state.
+func (m *Manager) start(ctx context.Context, j *job, benches []tracep.Benchmark, models []tracep.Model) {
+	var rows []RowSpec
+	for _, bm := range benches {
+		// One row per (benchmark, seed): the row is the placement unit
+		// because its warm-up snapshot embeds seed-dependent predictor state.
+		for _, seed := range j.rec.seedAxis() {
+			missing := make([]tracep.Model, 0, len(models))
+			for _, md := range models {
+				if !j.rs.HasReplicate(bm.Name, md.Name, seed) {
+					missing = append(missing, md)
+				}
+			}
+			if len(missing) > 0 {
+				rows = append(rows, m.rowSpec(&j.rec, bm, missing, seed))
+			}
+		}
+	}
+	go j.collect(m, m.runner.Run(ctx, rows))
+}
+
+// rowSpec builds one (benchmark, seed) row's spec from a job record,
+// resolving its snapshot key against the snapshot store. A key the store
+// no longer holds degrades to the row's functional warm-up — byte-identical
+// by the snapshot round-trip guarantee, just slower.
+func (m *Manager) rowSpec(rec *jobRecord, bm tracep.Benchmark, models []tracep.Model, seed int64) RowSpec {
+	row := RowSpec{
+		Bench:       bm,
+		Models:      models,
+		TargetInsts: rec.TargetInsts,
+		Seed:        seed,
+		Warmup:      rec.warmupOf(bm.Name),
+	}
+	// Snapshot keys are benchmark-scoped but a warmed-up snapshot embeds
+	// seed-dependent predictor state, so a provided key can only serve the
+	// single-replicate axis (the coordinator's per-row shipping path, whose
+	// worker requests carry one seed and no seeds axis). Multi-seed jobs
+	// fall back to per-row functional warm-up — byte-identical, just not
+	// pre-captured.
+	if key, ok := rec.Snapshots[bm.Name]; ok && len(rec.Seeds) == 0 {
+		if snap := m.snaps.Get(key); snap != nil {
+			row.Snapshot, row.SnapshotKey = snap, key
+		}
+	}
+	return row
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention bound.
@@ -518,13 +532,6 @@ func (m *Manager) evictLocked() {
 		kept = append(kept, id)
 	}
 	m.order = kept
-}
-
-// inCorpus reports whether name is one of the server's recorded-trace
-// workloads.
-func (m *Manager) inCorpus(name string) bool {
-	_, ok := m.corpus[name]
-	return ok
 }
 
 // Snapshots exposes the manager's content-addressed snapshot store (durable

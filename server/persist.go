@@ -26,13 +26,23 @@ import (
 // byte-identical to the one the crash destroyed, so a client collecting a
 // resumed job sees the same bytes as one that never crashed.
 //
+// The KindJob payload, jobRecord, is also the job's in-memory description
+// of its grid, and a fresh job is a resumed job whose journal holds no
+// cells yet: Submit and resume build the job with newJob, resolve the
+// record with resolve, and reach the Runner through start. A corpus row is
+// one whose RowSpec.Bench.Recorded is set.
+//
 // Shutdown via Close deliberately writes no terminal record for running
 // jobs: a drained-but-unfinished sweep is "unfinished" on disk and resumes
 // on restart. Only client cancellation persists StateCancelled.
 
 // jobRecord is the KindJob payload: everything needed to rebuild and, if
-// necessary, resume the job. Snapshot content travels separately (the
-// content-addressed snapshot store); the record carries only keys.
+// necessary, resume the job, and the job's only description of its grid.
+// Benchmarks is the full row axis (suite rows, then corpus rows); Corpus
+// names the rows that replay one of the server's recordings. Snapshot
+// content travels separately (the content-addressed snapshot store); the
+// record carries only keys. Its JSON must not change: journals written by
+// earlier servers replay through it (server/testdata/journal).
 type jobRecord struct {
 	Benchmarks  []string           `json:"benchmarks"`
 	Corpus      []string           `json:"corpus,omitempty"`
@@ -47,20 +57,24 @@ type jobRecord struct {
 	CreatedAt   time.Time          `json:"created_at"`
 }
 
-func (j *job) record() jobRecord {
-	return jobRecord{
-		Benchmarks:  j.benches,
-		Corpus:      j.corpus,
-		Models:      j.models,
-		TargetInsts: j.targetInsts,
-		Seed:        j.seed,
-		Seeds:       j.seeds,
-		Warmup:      j.warmup,
-		WarmupFor:   j.warmupFor,
-		Snapshots:   j.snapKeys,
-		Tolerances:  j.tol,
-		CreatedAt:   j.createdAt,
+// seedAxis returns the job's effective replicate axis: the request's seeds
+// when it had one, else the single implicit {Seed} — mirroring
+// tracep.Sweep's Seeds/Seed resolution so remotely collected sets stay
+// byte-identical to in-process ones.
+func (r *jobRecord) seedAxis() []int64 {
+	if len(r.Seeds) > 0 {
+		return r.Seeds
 	}
+	return []int64{r.Seed}
+}
+
+// warmupOf returns a row's effective warm-up: its WarmupFor entry when
+// present (an explicit zero runs the row cold), else Warmup.
+func (r *jobRecord) warmupOf(bench string) uint64 {
+	if n, ok := r.WarmupFor[bench]; ok {
+		return n
+	}
+	return r.Warmup
 }
 
 // persist appends rec to the job log (no-op on a store-less manager). A
@@ -77,7 +91,7 @@ func (m *Manager) persist(rec store.Record) {
 }
 
 func (m *Manager) persistJob(j *job) {
-	payload, err := json.Marshal(j.record())
+	payload, err := json.Marshal(&j.rec)
 	if err != nil {
 		m.storeErrors.Add(1)
 		return
@@ -212,30 +226,15 @@ func OpenManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// adoptRecovered installs one journaled job into the manager: terminal
-// jobs as replayable history, non-terminal jobs as live jobs whose missing
-// cells go back through the Runner.
+// adoptRecovered installs one journaled job into the manager. A terminal
+// job becomes replayable history without resolving a single name, so a
+// recording that has since left the corpus does not matter to it. A
+// non-terminal job goes back through start, exactly like a Submit whose
+// journal already holds some cells; one whose grid no longer resolves is
+// journaled as cancelled.
 func (m *Manager) adoptRecovered(r *recovered) {
-	meta := r.meta
-	j := &job{
-		id:          r.id,
-		benches:     meta.Benchmarks,
-		corpus:      meta.Corpus,
-		models:      meta.Models,
-		targetInsts: meta.TargetInsts,
-		seed:        meta.Seed,
-		seeds:       meta.Seeds,
-		warmup:      meta.Warmup,
-		warmupFor:   meta.WarmupFor,
-		snapKeys:    meta.Snapshots,
-		tol:         meta.Tolerances,
-		createdAt:   meta.CreatedAt,
-		finished:    make(chan struct{}),
-		changed:     make(chan struct{}),
-	}
-	axis := j.seedAxis()
-	j.total = len(meta.Benchmarks) * len(meta.Models) * len(axis)
-	j.rs = tracep.NewResultSetGrid(meta.Benchmarks, meta.Models, axis)
+	j, ctx := newJob(r.meta)
+	j.id = r.id
 	for _, res := range r.cells {
 		// Dedupe defensively: a cell journaled twice (possible only through
 		// log surgery, never through collect) must not inflate the count.
@@ -257,113 +256,24 @@ func (m *Manager) adoptRecovered(r *recovered) {
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()
 
-	if r.state.Terminal() {
-		j.state = r.state
-		j.cancel = func() {}
-		close(j.finished)
-		m.jobsRecovered.Add(1)
-		return
-	}
-
-	// Resume: send exactly the missing cells back through the Runner. An
-	// empty missing set (crashed after the last cell, before the terminal
-	// record) flows through collect too, which finalises the state.
-	j.state = StateRunning
-	rows, err := m.resumeRows(j)
-	ctx, cancel := context.WithCancel(context.Background())
-	j.cancel = cancel
-	if err != nil {
+	state := r.state
+	if !state.Terminal() {
+		benches, models, err := m.resolve(&j.rec)
+		if err == nil {
+			m.jobsResumed.Add(1)
+			m.start(ctx, j, benches, models)
+			return
+		}
 		// The grid no longer resolves (e.g. a corpus recording disappeared
 		// from this server). The job cannot continue; finalise it as
 		// cancelled rather than dropping history.
-		j.state = StateCancelled
-		m.persistState(j.id, StateCancelled)
-		close(j.finished)
-		m.jobsRecovered.Add(1)
-		return
+		state = StateCancelled
+		m.persistState(j.id, state)
 	}
-	m.jobsResumed.Add(1)
-	go j.collect(m, m.runner.Run(ctx, rows))
-}
-
-// resumeRows rebuilds the RowSpecs for a recovered job's missing cells.
-func (m *Manager) resumeRows(j *job) ([]RowSpec, error) {
-	benches, models, err := m.resolveRequest(SweepRequest{
-		Benchmarks: suiteNames(j.benches, j.corpus),
-		Corpus:     j.corpus,
-		Models:     j.models,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []RowSpec
-	for _, bm := range benches {
-		for _, seed := range j.seedAxis() {
-			var missing []tracep.Model
-			for _, md := range models {
-				if !j.rs.HasReplicate(bm.Name, md.Name, seed) {
-					missing = append(missing, md)
-				}
-			}
-			if len(missing) == 0 {
-				continue
-			}
-			rows = append(rows, m.rowSpec(bm, missing, j, seed))
-		}
-	}
-	return rows, nil
-}
-
-// rowSpec builds one (benchmark, seed) row's spec from a job, resolving
-// its snapshot key against the snapshot store. A key the store no longer
-// holds degrades to the row's functional warm-up — byte-identical by the
-// snapshot round-trip guarantee, just slower.
-func (m *Manager) rowSpec(bm tracep.Benchmark, models []tracep.Model, j *job, seed int64) RowSpec {
-	row := RowSpec{
-		Bench:       bm,
-		Models:      models,
-		TargetInsts: j.targetInsts,
-		Seed:        seed,
-		Warmup:      j.warmup,
-		Corpus:      m.inCorpus(bm.Name),
-	}
-	if n, ok := j.warmupFor[bm.Name]; ok {
-		row.Warmup = n
-	}
-	// Snapshot keys are benchmark-scoped but a warmed-up snapshot embeds
-	// seed-dependent predictor state, so a provided key can only serve the
-	// single-replicate axis (the coordinator's per-row shipping path, whose
-	// worker requests carry one seed and no seeds axis). Multi-seed jobs
-	// fall back to per-row functional warm-up — byte-identical, just not
-	// pre-captured.
-	if key, ok := j.snapKeys[bm.Name]; ok && len(j.seeds) == 0 {
-		if snap := m.snaps.Get(key); snap != nil {
-			row.Snapshot, row.SnapshotKey = snap, key
-		}
-	}
-	return row
-}
-
-// suiteNames filters a job's full bench axis down to the suite workloads
-// (the axis carries corpus rows too; resolveRequest takes them separately).
-func suiteNames(benches, corpus []string) []string {
-	if len(corpus) == 0 {
-		if len(benches) == 0 {
-			return nil
-		}
-		return benches
-	}
-	isCorpus := make(map[string]bool, len(corpus))
-	for _, name := range corpus {
-		isCorpus[name] = true
-	}
-	var suite []string
-	for _, name := range benches {
-		if !isCorpus[name] {
-			suite = append(suite, name)
-		}
-	}
-	return suite
+	j.state = state
+	j.cancel()
+	close(j.finished)
+	m.jobsRecovered.Add(1)
 }
 
 // jobSeq extracts N from a "sw-N" job ID (0 if the ID has another shape),

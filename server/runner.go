@@ -13,12 +13,16 @@ import (
 // warm-up snapshot captured (or shipped) once, shared by every model cell —
 // so the Runner decides placement per row, never per cell.
 type RowSpec struct {
-	// Bench is the resolved workload (suite or corpus).
+	// Bench is the resolved workload. A corpus row is one whose
+	// Bench.Recorded is set: it replays (and verifies against) a .tptrace
+	// recording that only this server holds, so a coordinator never moves
+	// it to a worker. A suite row never has Recorded set, even when a
+	// recording of the same name is in the corpus.
 	Bench tracep.Benchmark
-	// Models lists the cells to simulate for this row. On a fresh job this
-	// is the full model axis; on crash recovery it is only the models whose
-	// cells were not yet durable, so a resumed job re-simulates exactly the
-	// missing cells.
+	// Models lists the cells to simulate for this row: those the job does
+	// not hold yet. Submit is a resume whose journal holds no cells, so a
+	// fresh job sends the full model axis and a resumed one only the
+	// models whose cells were not yet durable.
 	Models      []tracep.Model
 	TargetInsts uint64
 	Seed        int64
@@ -34,10 +38,6 @@ type RowSpec struct {
 	// snapshot store ("" = none): what a coordinator ships to workers
 	// instead of re-serialising the snapshot per placement.
 	SnapshotKey string
-	// Corpus marks a recorded-trace row (replay-verified against its
-	// .tptrace stream). Corpus rows cannot move to workers that do not hold
-	// the recording, so a coordinator runs them locally.
-	Corpus bool
 }
 
 // Cells returns the number of cells the spec will deliver.
@@ -48,7 +48,8 @@ func (r RowSpec) Cells() int { return len(r.Models) }
 // retention) and where simulation actually happens. The local runner
 // simulates on this process's pool; the cluster coordinator
 // (server/cluster) shards rows across worker tracepds. The Manager is
-// indifferent: either way it collects a Sweep.Stream-shaped channel.
+// indifferent: either way it collects a Sweep.Stream-shaped channel, and
+// a fresh job and a resumed one reach Run through the same function.
 //
 // The returned channel must deliver every cell of every row exactly once
 // and close after the last delivery; cancelling ctx must stop work promptly
