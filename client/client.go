@@ -146,49 +146,6 @@ func (c *Client) Corpus(ctx context.Context) ([]server.CorpusEntry, error) {
 	return entries, nil
 }
 
-func (c *Client) snapshotURL(key string) string {
-	return strings.TrimRight(c.BaseURL, "/") + "/v1/snapshots/" + url.PathEscape(key)
-}
-
-// HasSnapshot reports whether the server's content-addressed snapshot
-// store holds key (HEAD /v1/snapshots/{key}) — the check a sender runs
-// before shipping, so an already-cached snapshot is never re-uploaded.
-func (c *Client) HasSnapshot(ctx context.Context, key string) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.snapshotURL(key), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	}
-	return false, &server.Error{StatusCode: resp.StatusCode, Message: "HEAD snapshot"}
-}
-
-// PutSnapshot uploads a serialised snapshot (Snapshot.MarshalBinary) under
-// its content-addressed key. The server validates the image decodes before
-// accepting it.
-func (c *Client) PutSnapshot(ctx context.Context, key string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.snapshotURL(key), bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return checkStatus(resp)
-}
-
 // Cancel stops a job (the server cancels the sweep's context) and returns
 // its terminal status.
 func (c *Client) Cancel(ctx context.Context, id string) (*server.Status, error) {

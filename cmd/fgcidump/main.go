@@ -50,7 +50,6 @@ func dump(bm tracep.Benchmark, maxLen int) {
 	fmt.Printf("%-6s %-28s %-6s %-9s %-8s %-8s %-7s %s\n",
 		"pc", "instruction", "found", "dyn size", "reconv", "static", "#cond", "class")
 
-	acfg := core.AnalyzeConfig{MaxSize: 4 * maxLen, MaxEdges: 8, MaxScan: 2048}
 	var total, embeddable, big int
 	for pc := uint32(0); int(pc) < prog.Len(); pc++ {
 		in := prog.At(pc)
@@ -58,20 +57,21 @@ func dump(bm tracep.Benchmark, maxLen int) {
 			continue
 		}
 		total++
-		if in.IsBackwardBranch(pc) {
+		kind, reg := core.ClassifyBranch(prog, pc, maxLen)
+		var class string
+		switch kind {
+		case core.ClassBackward:
 			fmt.Printf("%-6d %-28s %-6s %-9s %-8s %-8s %-7s backward\n",
 				pc, in.String(), "-", "-", "-", "-", "-")
 			continue
-		}
-		reg := core.AnalyzeRegion(prog, pc, acfg)
-		class := "other forward"
-		switch {
-		case reg.Found && reg.Size <= maxLen:
+		case core.ClassFGCISmall:
 			class = fmt.Sprintf("FGCI (<=%d)", maxLen)
 			embeddable++
-		case reg.Found:
+		case core.ClassFGCIBig:
 			class = fmt.Sprintf("FGCI (>%d)", maxLen)
 			big++
+		default:
+			class = "other forward"
 		}
 		if reg.Found {
 			fmt.Printf("%-6d %-28s %-6v %-9d %-8d %-8d %-7d %s\n",

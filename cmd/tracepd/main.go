@@ -52,7 +52,7 @@ func main() {
 	targetInsts := flag.Uint64("target-insts", server.DefaultTargetInsts,
 		"default dynamic instruction target for requests that omit target_insts")
 	corpusDir := flag.String("corpus", "", "directory of .tptrace recordings served as corpus workloads")
-	storeDir := flag.String("store", "", "durable job-store directory (journal + snapshots); empty = memory-only")
+	storeDir := flag.String("store", "", "durable job-store directory (the job journal); empty = memory-only")
 	coordinator := flag.Bool("coordinator", false, "shard benchmark rows across -worker tracepds instead of simulating locally")
 	workerList := flag.String("worker", "", "comma-separated worker tracepd base URLs (with -coordinator)")
 	stealAfter := flag.Duration("steal-after", cluster.DefaultStealAfter, "re-place a row still running after this long (with -coordinator)")
@@ -118,7 +118,6 @@ func main() {
 		mgr = server.NewManager(scfg)
 	}
 	if coord != nil {
-		coord.UseSnapshots(mgr.Snapshots())
 		coord.PublishMetrics(mgr.Metrics())
 	}
 	srv := &http.Server{Addr: *addr, Handler: logRequests(mgr.Handler())}

@@ -66,7 +66,7 @@ func TestDocsCoverCluster(t *testing.T) {
 			"-store",
 			"-coordinator",
 			"-worker",
-			"/v1/snapshots/{key}",
+			"-steal-after",
 			"cluster_rows_stolen_total",
 			"jobs_resumed_total",
 		},

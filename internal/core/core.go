@@ -211,6 +211,36 @@ func AnalyzeRegion(prog *isa.Program, branchPC uint32, cfg AnalyzeConfig) Region
 	}
 }
 
+// BranchClass is Table 5's static class of a conditional branch. The
+// values index Stats.BranchClasses.
+type BranchClass uint8
+
+const (
+	ClassFGCISmall    BranchClass = iota // region found, embeddable in a trace
+	ClassFGCIBig                         // region found but larger than a trace
+	ClassOtherForward                    // forward branch with no region
+	ClassBackward                        // backward branch
+)
+
+// ClassifyBranch classifies the conditional branch at pc for Table 5 against
+// a maximum trace length of maxLen. It runs the FGCI-algorithm with a bound
+// of 4×maxLen, so that regions larger than a trace are still found, and
+// returns the region too (not Found for backward and other-forward
+// branches; a backward branch is not scanned at all).
+func ClassifyBranch(prog *isa.Program, pc uint32, maxLen int) (BranchClass, Region) {
+	if prog.At(pc).IsBackwardBranch(pc) {
+		return ClassBackward, Region{BranchPC: pc}
+	}
+	reg := AnalyzeRegion(prog, pc, AnalyzeConfig{MaxSize: 4 * maxLen, MaxEdges: 8, MaxScan: 2048})
+	switch {
+	case reg.Embeddable(maxLen):
+		return ClassFGCISmall, reg
+	case reg.Found:
+		return ClassFGCIBig, reg
+	}
+	return ClassOtherForward, reg
+}
+
 // BITConfig sizes the branch information table.
 type BITConfig struct {
 	Entries int // Table 1: 8K

@@ -73,6 +73,36 @@ func TestFigure7Region(t *testing.T) {
 	}
 }
 
+// TestClassifyBranch: Table 5's four classes. Figure 7's size-10 region is
+// FGCI<=len for a 16-instruction trace, FGCI>len for a 9-instruction one
+// (the 4×len bound still finds it), and other forward once even 4×len is
+// below its size; a loop's closing branch is backward.
+func TestClassifyBranch(t *testing.T) {
+	prog, brPC := figure7(t)
+	for _, tc := range []struct {
+		maxLen int
+		want   BranchClass
+		found  bool
+	}{
+		{16, ClassFGCISmall, true},
+		{9, ClassFGCIBig, true},
+		{2, ClassOtherForward, false},
+	} {
+		got, reg := ClassifyBranch(prog, brPC, tc.maxLen)
+		if got != tc.want || reg.Found != tc.found {
+			t.Errorf("maxLen %d: class %d (found %v), want %d (found %v)", tc.maxLen, got, reg.Found, tc.want, tc.found)
+		}
+	}
+
+	b := asm.New("loop")
+	b.Label("L").Addi(1, 1, -1)
+	b.Bne(1, 0, "L") // pc 1
+	b.Halt()
+	if got, reg := ClassifyBranch(b.MustBuild(), 1, 32); got != ClassBackward || reg.Found {
+		t.Errorf("loop branch: class %d (found %v), want backward", got, reg.Found)
+	}
+}
+
 func TestFigure7InnerBranches(t *testing.T) {
 	prog, _ := figure7(t)
 	// Branch in B (pc 5): region is {branch, C, D} re-converging at F (14).

@@ -514,52 +514,28 @@ func (p *Processor) fail(err error) {
 	p.done = true
 }
 
-// branchClass statically classifies a conditional branch per Table 5.
+// branchClass is a conditional branch's static Table 5 class and its
+// region's sizes, which only the FGCI classes account.
 type branchClass struct {
-	kind       branchKind
+	kind       core.BranchClass
 	dynSize    int
 	staticSize int
 	numCondBr  int
 }
 
-type branchKind uint8
-
-const (
-	classFGCISmall branchKind = iota // embeddable region fits in a trace
-	classFGCIBig                     // region found but larger than a trace
-	classOtherForward
-	classBackward
-)
-
-// classifyBranches statically analyses every conditional branch in the
-// program with a large-bound FGCI analysis, for Table 5 accounting.
+// classifyBranches classifies every conditional branch in the program for
+// Table 5 accounting (core.ClassifyBranch).
 func (p *Processor) classifyBranches() {
 	p.branchClasses = slices.Grow(p.branchClasses[:0], p.prog.Len())[:p.prog.Len()]
 	clear(p.branchClasses)
-	acfg := core.AnalyzeConfig{MaxSize: 4 * p.cfg.MaxTraceLen, MaxEdges: 8, MaxScan: 2048}
 	for pc := uint32(0); int(pc) < p.prog.Len(); pc++ {
-		in := p.prog.At(pc)
-		if !in.IsCondBranch() {
+		if !p.prog.At(pc).IsCondBranch() {
 			continue
 		}
-		if in.IsBackwardBranch(pc) {
-			p.branchClasses[pc] = branchClass{kind: classBackward}
-			continue
-		}
-		reg := core.AnalyzeRegion(p.prog, pc, acfg)
-		switch {
-		case reg.Found && reg.Size <= p.cfg.MaxTraceLen:
-			p.branchClasses[pc] = branchClass{
-				kind: classFGCISmall, dynSize: reg.Size,
-				staticSize: reg.StaticSize, numCondBr: reg.NumCondBr,
-			}
-		case reg.Found:
-			p.branchClasses[pc] = branchClass{
-				kind: classFGCIBig, dynSize: reg.Size,
-				staticSize: reg.StaticSize, numCondBr: reg.NumCondBr,
-			}
-		default:
-			p.branchClasses[pc] = branchClass{kind: classOtherForward}
+		kind, reg := core.ClassifyBranch(p.prog, pc, p.cfg.MaxTraceLen)
+		p.branchClasses[pc] = branchClass{
+			kind: kind, dynSize: reg.Size,
+			staticSize: reg.StaticSize, numCondBr: reg.NumCondBr,
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tracep/internal/asm"
+	"tracep/internal/core"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
 )
@@ -409,7 +410,7 @@ func TestRunReturnsOwnedStats(t *testing.T) {
 		t.Fatal("Run returned a pointer into the processor")
 	}
 	p.Stats.RetiredInsts += 1000
-	p.Stats.BranchClasses[classBackward].Dynamic++
+	p.Stats.BranchClasses[core.ClassBackward].Dynamic++
 	for i := 0; i < 500 && !p.Halted(); i++ {
 		p.Step()
 	}

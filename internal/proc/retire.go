@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tracep/internal/arb"
+	"tracep/internal/core"
 )
 
 // retireGate reports whether the head trace pe may retire given the current
@@ -139,7 +140,7 @@ func (p *Processor) accountRetired(st *instState) {
 		if st.cold().fetchPredTaken != st.resolvedTaken {
 			cs.Mispredicted++
 		}
-		if cls.kind == classFGCISmall || cls.kind == classFGCIBig {
+		if cls.kind == core.ClassFGCISmall || cls.kind == core.ClassFGCIBig {
 			cs.DynSizeSum += uint64(cls.dynSize)
 			cs.StaticSizeSum += uint64(cls.staticSize)
 			cs.CondBrSum += uint64(cls.numCondBr)

@@ -4,9 +4,8 @@ package proc
 // checkpoint, with the same framing discipline as internal/tracefile — a
 // magic string, a length-prefixed payload, and a trailing CRC32-C over the
 // payload, so truncation and bit rot are detected before any field is
-// trusted. The format is what lets a sweep cluster capture a row's warm-up
-// once and ship it to whichever node runs the row (server/cluster), and
-// what a content-addressed snapshot store persists (server/store).
+// trusted. The format is what lets a warm-up captured in one process be
+// restored in another (tracep.UnmarshalSnapshot).
 //
 // Layout (all integers varint-encoded unless noted):
 //

@@ -3,6 +3,8 @@ package proc
 import (
 	"errors"
 	"fmt"
+
+	"tracep/internal/core"
 )
 
 // ErrStatsLaw is the sentinel wrapped by the error a verified run fails with
@@ -92,7 +94,7 @@ type Stats struct {
 	TPredictions uint64 `json:"TPredictions"`
 	TPredTrains  uint64 `json:"TPredTrains"`
 
-	// BranchClasses indexes by branchKind: FGCI<=32, FGCI>32, other
+	// BranchClasses indexes by core.BranchClass: FGCI<=32, FGCI>32, other
 	// forward, backward.
 	BranchClasses [4]ClassStats `json:"BranchClasses"`
 }
@@ -257,13 +259,13 @@ func (s *Stats) BranchMispPer1000() float64 {
 // Class accessors by paper name.
 
 // FGCISmall returns stats for FGCI branches whose region fits in a trace.
-func (s *Stats) FGCISmall() ClassStats { return s.BranchClasses[classFGCISmall] }
+func (s *Stats) FGCISmall() ClassStats { return s.BranchClasses[core.ClassFGCISmall] }
 
 // FGCIBig returns stats for FGCI branches with regions larger than a trace.
-func (s *Stats) FGCIBig() ClassStats { return s.BranchClasses[classFGCIBig] }
+func (s *Stats) FGCIBig() ClassStats { return s.BranchClasses[core.ClassFGCIBig] }
 
 // OtherForward returns stats for non-FGCI forward branches.
-func (s *Stats) OtherForward() ClassStats { return s.BranchClasses[classOtherForward] }
+func (s *Stats) OtherForward() ClassStats { return s.BranchClasses[core.ClassOtherForward] }
 
 // Backward returns stats for backward branches.
-func (s *Stats) Backward() ClassStats { return s.BranchClasses[classBackward] }
+func (s *Stats) Backward() ClassStats { return s.BranchClasses[core.ClassBackward] }

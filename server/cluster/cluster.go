@@ -8,11 +8,11 @@
 //
 // # Placement and failure model
 //
-// The benchmark row is the placement unit (its program is built once and
-// its warm-up snapshot captured once, shared by the row's cells — see
-// server.RowSpec). Rows round-robin across workers; each placement submits
-// a single-row sweep to the worker and follows its NDJSON stream. Around
-// that sit three defences, outermost first:
+// The benchmark row is the placement unit (the node that runs it builds its
+// program once and captures its warm-up snapshot once, shared by the row's
+// cells — see server.RowSpec). Rows round-robin across workers; each
+// placement submits a single-row sweep to the worker and follows its NDJSON
+// stream. Around that sit three defences, outermost first:
 //
 //   - Work-stealing: if a placed row has not completed within
 //     Config.StealAfter, a second attempt launches elsewhere — a worker no
@@ -29,14 +29,12 @@
 //     coordinator's own pool. A cluster with every worker down degrades to
 //     exactly the single-node server, just slower.
 //
-// Warm-up snapshots ship content-addressed: the coordinator captures (or
-// pulls from its store) one snapshot per row recipe, HEADs each worker for
-// the key, PUTs only on miss, and names the key in the worker's
-// SweepRequest — workers restore instead of re-running the functional
-// warm-up, and restored rows are byte-identical to warmed-up ones.
-// Recorded-trace (corpus) rows — those whose Bench.Recorded is set — never
-// move: their .tptrace recordings live on the coordinator, so they run
-// locally by construction. A suite row is placed even when the corpus
+// A placed row warms up on the worker that runs it, exactly like any other
+// row of a sweep: the coordinator simulates only through its local pool
+// (corpus rows and fallback), so its Gate bounds warm jobs as it bounds
+// cold ones. Recorded-trace (corpus) rows — those whose Bench.Recorded is
+// set — never move: their .tptrace recordings live on the coordinator, so
+// they run locally by construction. A suite row is placed even when the corpus
 // holds a recording of the same name.
 package cluster
 
@@ -45,7 +43,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -53,7 +50,6 @@ import (
 	"tracep"
 	"tracep/client"
 	"tracep/server"
-	"tracep/server/store"
 )
 
 // Defaults for Config fields left zero.
@@ -72,10 +68,6 @@ type Config struct {
 	// Manager's values so local rows share the server-wide bound.
 	Parallelism int
 	Gate        *tracep.Gate
-	// Snapshots is the content-addressed snapshot cache (usually the
-	// owning Manager's, so HTTP-PUT snapshots and coordinator-captured
-	// ones share storage). Nil = a private memory-only cache.
-	Snapshots *store.SnapshotStore
 	// StealAfter is how long a placed row may run before a second attempt
 	// launches elsewhere (<= 0 = DefaultStealAfter).
 	StealAfter time.Duration
@@ -86,10 +78,6 @@ type Config struct {
 	// RetryBackoff is the first retry's delay, doubling per retry
 	// (<= 0 = DefaultRetryBackoff).
 	RetryBackoff time.Duration
-	// HTTPClient overrides the client used to reach workers (nil =
-	// http.DefaultClient). Streaming needs a client without an overall
-	// timeout.
-	HTTPClient *http.Client
 }
 
 type worker struct {
@@ -103,15 +91,13 @@ type Coordinator struct {
 	cfg     Config
 	workers []*worker
 	local   server.Runner
-	snaps   *store.SnapshotStore
 
 	// Counters, exposed via PublishMetrics:
-	rowsPlaced   *expvar.Int // rows placed on workers (first attempts)
-	rowsStolen   *expvar.Int // steal attempts launched on stalled rows
-	rowsLocal    *expvar.Int // rows run on the local pool (corpus, no workers, or fallback)
-	retries      *expvar.Int // attempt retries (same worker, after backoff)
-	failures     *expvar.Int // workers given up on for a row (retries exhausted)
-	snapsShipped *expvar.Int // snapshot images PUT to workers
+	rowsPlaced *expvar.Int // rows placed on workers (first attempts)
+	rowsStolen *expvar.Int // steal attempts launched on stalled rows
+	rowsLocal  *expvar.Int // rows run on the local pool (corpus, no workers, or fallback)
+	retries    *expvar.Int // attempt retries (same worker, after backoff)
+	failures   *expvar.Int // workers given up on for a row (retries exhausted)
 }
 
 // New builds a coordinator over cfg.Workers.
@@ -129,35 +115,18 @@ func New(cfg Config) *Coordinator {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
 	c := &Coordinator{
-		cfg:          cfg,
-		local:        server.LocalRunner(cfg.Parallelism, cfg.Gate),
-		snaps:        cfg.Snapshots,
-		rowsPlaced:   new(expvar.Int),
-		rowsStolen:   new(expvar.Int),
-		rowsLocal:    new(expvar.Int),
-		retries:      new(expvar.Int),
-		failures:     new(expvar.Int),
-		snapsShipped: new(expvar.Int),
-	}
-	if c.snaps == nil {
-		c.snaps, _ = store.NewSnapshotStore("")
+		cfg:        cfg,
+		local:      server.LocalRunner(cfg.Parallelism, cfg.Gate),
+		rowsPlaced: new(expvar.Int),
+		rowsStolen: new(expvar.Int),
+		rowsLocal:  new(expvar.Int),
+		retries:    new(expvar.Int),
+		failures:   new(expvar.Int),
 	}
 	for _, u := range cfg.Workers {
-		cl := client.New(u)
-		cl.HTTPClient = cfg.HTTPClient
-		c.workers = append(c.workers, &worker{url: strings.TrimRight(u, "/"), c: cl})
+		c.workers = append(c.workers, &worker{url: strings.TrimRight(u, "/"), c: client.New(u)})
 	}
 	return c
-}
-
-// UseSnapshots points the coordinator at a shared snapshot store — the
-// owning Manager's, so client-PUT images, coordinator captures and durable
-// storage all coincide. Call before the first sweep runs; construction
-// order usually forces this to happen after server.NewManager/OpenManager.
-func (c *Coordinator) UseSnapshots(s *store.SnapshotStore) {
-	if s != nil {
-		c.snaps = s
-	}
 }
 
 // PublishMetrics registers the coordinator's counters in dst (typically
@@ -170,7 +139,6 @@ func (c *Coordinator) PublishMetrics(dst *expvar.Map) {
 	dst.Set("cluster_rows_local_total", c.rowsLocal)
 	dst.Set("cluster_worker_retries_total", c.retries)
 	dst.Set("cluster_worker_failures_total", c.failures)
-	dst.Set("cluster_snapshots_shipped_total", c.snapsShipped)
 }
 
 // Run implements server.Runner: every cell of every row exactly once,
@@ -293,8 +261,6 @@ func (c *Coordinator) runRow(ctx context.Context, idx int, row server.RowSpec, o
 		c.runLocal(ctx, row, st, out)
 		return
 	}
-	c.ensureRowSnapshot(ctx, &row)
-
 	rowCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -334,38 +300,6 @@ func (c *Coordinator) runRow(ctx context.Context, idx int, row server.RowSpec, o
 	// Every worker exhausted: degrade to local execution.
 	c.rowsLocal.Add(1)
 	c.runLocal(rowCtx, row, st, out)
-}
-
-// ensureRowSnapshot gives a warm-up row its content-addressed snapshot:
-// captured once here (under the exact configuration the worker's sweep
-// will run, so capture and restore agree) and cached in the coordinator's
-// store for shipping. Best-effort — on capture failure the row ships
-// without a key and workers run the functional warm-up themselves, which
-// is byte-identical, just slower.
-func (c *Coordinator) ensureRowSnapshot(ctx context.Context, row *server.RowSpec) {
-	if row.Warmup == 0 || row.SnapshotKey != "" || row.Snapshot != nil {
-		return
-	}
-	cfg := tracep.DefaultConfig()
-	if row.Seed != 0 {
-		cfg.Seed = row.Seed
-	}
-	key := store.Key(row.Bench.Name, row.TargetInsts, cfg, row.Warmup)
-	if !c.snaps.Has(key) {
-		snap, err := tracep.NewBenchmark(row.Bench, row.TargetInsts, tracep.WithConfig(cfg)).
-			CaptureSnapshot(ctx, row.Warmup)
-		if err != nil {
-			return
-		}
-		data, err := snap.MarshalBinary()
-		if err != nil {
-			return
-		}
-		if err := c.snaps.Put(key, data); err != nil {
-			return
-		}
-	}
-	row.SnapshotKey = key
 }
 
 // tryWorkers walks the worker list starting at offset start, giving each
@@ -413,8 +347,8 @@ func (c *Coordinator) tryWorkers(ctx context.Context, start int, row server.RowS
 	return st.complete()
 }
 
-// attemptOn runs the row's outstanding cells on one worker: ship the
-// snapshot if the row carries one, submit a single-row sweep, follow its
+// attemptOn runs the row's outstanding cells on one worker: submit a
+// single-row sweep (the worker warms the row up itself), follow its
 // stream, emit each cell through the dedupe gate. Any transport or
 // validation failure is an error for the retry ladder; cells that landed
 // before the failure stay delivered (the dedupe gate absorbs the overlap
@@ -442,12 +376,6 @@ func (c *Coordinator) attemptOn(ctx context.Context, w *worker, row server.RowSp
 		TargetInsts: row.TargetInsts,
 		Seed:        row.Seed,
 		Warmup:      row.Warmup,
-	}
-	if row.SnapshotKey != "" {
-		if err := c.shipSnapshot(attemptCtx, w, row); err != nil {
-			return fmt.Errorf("ship snapshot to %s: %w", w.url, err)
-		}
-		req.Snapshots = map[string]string{row.Bench.Name: row.SnapshotKey}
 	}
 	sub, err := w.c.Submit(attemptCtx, req)
 	if err != nil {
@@ -487,33 +415,6 @@ func (c *Coordinator) attemptOn(ctx context.Context, w *worker, row server.RowSp
 	if final.State != server.StateDone {
 		return fmt.Errorf("worker %s finished sweep %s in state %s", w.url, sub.ID, final.State)
 	}
-	return nil
-}
-
-// shipSnapshot makes sure w holds the row's snapshot: HEAD first, PUT only
-// on miss. The image comes from the coordinator's cache, or is serialised
-// from the row's already-resolved snapshot (a client-supplied key the
-// Manager loaded before placement) and cached for the next placement.
-func (c *Coordinator) shipSnapshot(ctx context.Context, w *worker, row server.RowSpec) error {
-	key := row.SnapshotKey
-	has, err := w.c.HasSnapshot(ctx, key)
-	if err != nil || has {
-		return err
-	}
-	data := c.snaps.GetBytes(key)
-	if data == nil && row.Snapshot != nil {
-		if data, err = row.Snapshot.MarshalBinary(); err != nil {
-			return err
-		}
-		_ = c.snaps.Put(key, data)
-	}
-	if data == nil {
-		return fmt.Errorf("snapshot %s not in coordinator store", key[:12])
-	}
-	if err := w.c.PutSnapshot(ctx, key, data); err != nil {
-		return err
-	}
-	c.snapsShipped.Add(1)
 	return nil
 }
 

@@ -250,28 +250,53 @@ func TestClusterCorpusRowsByRecording(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotShipping: a warm-up grid makes the coordinator
-// capture each row's snapshot once and ship it to the placed worker;
-// results stay byte-identical to an in-process sweep that warms up the
-// ordinary way, and the shipped images land in the workers' stores.
-func TestClusterSnapshotShipping(t *testing.T) {
+// TestClusterWarmRowsOnWorkers: warm grids, with and without a seed axis,
+// run every (benchmark, seed) row on a worker, which warms the row up
+// itself; each grid is byte-identical to an in-process sweep, and the
+// coordinator runs no row on its own pool.
+func TestClusterWarmRowsOnWorkers(t *testing.T) {
 	workers := newWorkers(t, 2)
 	mgr, _ := newCoordinator(t, workers, nil)
 
 	const warmup = 2_000
 	models := []tracep.Model{tracep.ModelBase, tracep.ModelFGMLBRET}
-	got := submitAndCollect(t, mgr, server.SweepRequest{
-		Benchmarks:  benchNames(),
-		Models:      modelNames(models),
-		TargetInsts: target,
-		Warmup:      warmup,
-	})
-	want := inProcessJSON(t, benchNames(), models, target, warmup)
-	if !bytes.Equal(got, want) {
-		t.Errorf("snapshot-shipped grid differs from warm-up grid:\n%s\n%s", got, want)
+	var bms []tracep.Benchmark
+	for _, name := range benchNames() {
+		bms = append(bms, mustBench(t, name))
 	}
-	if shipped := metricInt(t, mgr, "cluster_snapshots_shipped_total"); shipped != 2 {
-		t.Errorf("snapshots shipped = %d, want 2 (one per row)", shipped)
+	rows := 0
+	for _, seeds := range [][]int64{nil, {1, 2}} {
+		got := submitAndCollect(t, mgr, server.SweepRequest{
+			Benchmarks:  benchNames(),
+			Models:      modelNames(models),
+			TargetInsts: target,
+			Seeds:       seeds,
+			Warmup:      warmup,
+		})
+		rs, err := (&tracep.Sweep{
+			Benchmarks:  bms,
+			Models:      models,
+			TargetInsts: target,
+			Seeds:       seeds,
+			Warmup:      warmup,
+		}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("warm grid (seeds %v) differs from in-process sweep:\n%s\n%s", seeds, got, want)
+		}
+		rows += len(bms) * max(len(seeds), 1)
+	}
+	if placed := metricInt(t, mgr, "cluster_rows_placed_total"); placed != int64(rows) {
+		t.Errorf("rows placed = %d, want %d (every warm row)", placed, rows)
+	}
+	if local := metricInt(t, mgr, "cluster_rows_local_total"); local != 0 {
+		t.Errorf("rows local = %d, want 0", local)
 	}
 }
 
@@ -442,8 +467,8 @@ func TestClusterAllWorkersDown(t *testing.T) {
 
 // TestClusterSharedGateAndCancel is the race-enabled e2e: a coordinator
 // and its local fallback share one tracep.Gate with the workers' managers,
-// two sweeps run concurrently, and the gate's bound holds cluster-wide the
-// whole time. Cancelling one sweep propagates: the coordinator job goes
+// a cold and a warm sweep run concurrently, and the gate's bound holds
+// cluster-wide the whole time, warm-up captures included. Cancelling one sweep propagates: the coordinator job goes
 // cancelled and the workers' remote jobs terminate instead of simulating
 // to completion.
 func TestClusterSharedGateAndCancel(t *testing.T) {
@@ -484,7 +509,10 @@ func TestClusterSharedGateAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := mgr.Submit(req)
+	const warmup = 2_000
+	warm := req
+	warm.Warmup = warmup
+	st2, err := mgr.Submit(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,10 +526,12 @@ func TestClusterSharedGateAndCancel(t *testing.T) {
 	if overshoot != 0 {
 		t.Errorf("gate in-use reached %d, cap %d — cluster-wide bound violated", overshoot, gate.Cap())
 	}
-	want := inProcessJSON(t, benchNames(), models, target, 0)
-	for _, id := range []string{st1.ID, st2.ID} {
-		if got := resultsJSON(t, mgr, id); !bytes.Equal(got, want) {
-			t.Errorf("concurrent cluster sweep %s differs from in-process grid", id)
+	for _, sw := range []struct {
+		id     string
+		warmup uint64
+	}{{st1.ID, 0}, {st2.ID, warmup}} {
+		if got, want := resultsJSON(t, mgr, sw.id), inProcessJSON(t, benchNames(), models, target, sw.warmup); !bytes.Equal(got, want) {
+			t.Errorf("concurrent cluster sweep %s differs from in-process grid", sw.id)
 		}
 	}
 
@@ -558,7 +588,7 @@ func TestClusterMetricsExposed(t *testing.T) {
 	for _, name := range []string{
 		"cluster_workers", "cluster_rows_placed_total", "cluster_rows_stolen_total",
 		"cluster_rows_local_total", "cluster_worker_retries_total",
-		"cluster_worker_failures_total", "cluster_snapshots_shipped_total",
+		"cluster_worker_failures_total",
 	} {
 		if !strings.Contains(doc, name) {
 			t.Errorf("metrics document missing %s", name)

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"tracep"
@@ -212,5 +215,109 @@ func TestJournalGoldenSubmitPayload(t *testing.T) {
 		if g, w := withoutCreated(got[i]), withoutCreated(want[i]); g != w {
 			t.Errorf("KindJob payload %d = %s, want %s", i, g, w)
 		}
+	}
+}
+
+// TestJournalResumesSnapshotKeys: servers that shipped warm-up snapshots
+// between nodes journaled a "snapshots" map of row names to snapshot keys
+// in the KindJob payload. Such a journal still resumes: the key is ignored,
+// the interrupted warm job's rows warm up themselves, and the set is
+// byte-identical to an in-process warm sweep, and the store's old
+// snapshots/ directory is left alone.
+func TestJournalResumesSnapshotKeys(t *testing.T) {
+	req := server.SweepRequest{
+		Benchmarks:  []string{"compress", "vortex"},
+		Models:      []string{"base", "FG+MLB-RET"},
+		TargetInsts: 5_000,
+		Warmup:      2_000,
+	}
+	want := sweepJSON(t, req, nil)
+	var ref tracep.ResultSet
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	durable, ok := ref.Lookup("compress", "base")
+	if !ok {
+		t.Fatal("reference sweep has no compress/base cell")
+	}
+	cell, err := json.Marshal(durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := `{"benchmarks":["compress","vortex"],"models":["base","FG+MLB-RET"],"target_insts":5000,"warmup":2000,` +
+		`"snapshots":{"compress":"` + strings.Repeat("5e", 32) + `"},"created_at":"2026-01-02T03:04:05Z"}`
+	for _, rec := range []store.Record{
+		{Kind: store.KindJob, JobID: "sw-1", Payload: []byte(job)},
+		{Kind: store.KindCell, JobID: "sw-1", Payload: cell},
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Those servers also kept snapshot images beside the journal.
+	image := filepath.Join(dir, "snapshots", strings.Repeat("5e", 32)+".tpsnap")
+	if err := os.MkdirAll(filepath.Dir(image), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(image, []byte("TPSNAP1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := server.OpenManager(server.Config{Parallelism: 2, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if final := waitTerminal(t, m, "sw-1"); final.State != server.StateDone {
+		t.Fatalf("resumed job finished %s, want done", final.State)
+	}
+	if n := metricInt(t, m, "jobs_resumed_total"); n != 1 {
+		t.Errorf("jobs_resumed_total = %d, want 1", n)
+	}
+	if n := metricInt(t, m, "cells_completed_total"); n != 3 {
+		t.Errorf("cells_completed_total = %d, want 3 (4 cells, 1 durable)", n)
+	}
+	if got := resultsJSON(t, m, "sw-1"); !bytes.Equal(got, want) {
+		t.Errorf("resumed job differs from its in-process warm sweep:\n%s\n%s", got, want)
+	}
+	if _, err := os.Stat(image); err != nil {
+		t.Errorf("snapshot image under the store was not left alone: %v", err)
+	}
+}
+
+// TestSubmitIgnoresSnapshotKeys: a request body that still carries the
+// retired "snapshots" field is admitted, and its rows warm up themselves
+// with results byte-identical to an in-process warm sweep.
+func TestSubmitIgnoresSnapshotKeys(t *testing.T) {
+	m := server.NewManager(server.Config{Parallelism: 2})
+	defer m.Close()
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+
+	body := `{"benchmarks":["compress"],"models":["base","FG"],"target_insts":5000,"warmup":2000,` +
+		`"snapshots":{"compress":"` + strings.Repeat("5e", 32) + `"}}`
+	if code, apiErr := postRaw(t, ts.URL, []byte(body)); code != http.StatusCreated {
+		t.Fatalf("status %d, error %+v; want 201", code, apiErr)
+	}
+	if final := waitTerminal(t, m, "sw-1"); final.State != server.StateDone {
+		t.Fatalf("job finished %s, want done", final.State)
+	}
+	want := sweepJSON(t, server.SweepRequest{
+		Benchmarks:  []string{"compress"},
+		Models:      []string{"base", "FG"},
+		TargetInsts: 5_000,
+		Warmup:      2_000,
+	}, nil)
+	if got := resultsJSON(t, m, "sw-1"); !bytes.Equal(got, want) {
+		t.Errorf("job differs from its in-process warm sweep:\n%s\n%s", got, want)
 	}
 }

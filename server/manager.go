@@ -76,12 +76,8 @@ type Manager struct {
 	gate   *tracep.Gate
 	runner Runner
 
-	// store is the durable job journal (nil on a store-less manager); snaps
-	// is the content-addressed snapshot store — durable under StoreDir,
-	// memory-only otherwise, but always present so PUT /v1/snapshots works
-	// on diskless workers.
+	// store is the durable job journal (nil on a store-less manager).
 	store *store.Store
-	snaps *store.SnapshotStore
 
 	// corpus indexes Config.Corpus by workload name; corpusNames keeps the
 	// configured order for GET /v1/corpus.
@@ -98,7 +94,6 @@ type Manager struct {
 	jobsResumed    *expvar.Int
 	storeErrors    *expvar.Int
 	storeTruncated *expvar.Int
-	snapsStored    *expvar.Int
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -130,8 +125,6 @@ func NewManager(cfg Config) *Manager {
 	if m.runner == nil {
 		m.runner = &localRunner{parallelism: cfg.Parallelism, gate: gate}
 	}
-	// Memory-only snapshot store; OpenManager swaps in a durable one.
-	m.snaps, _ = store.NewSnapshotStore("")
 	m.corpus = make(map[string]tracep.Benchmark, len(cfg.Corpus))
 	for _, bm := range cfg.Corpus {
 		if bm.Recorded == nil {
@@ -373,7 +366,6 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		Seeds:       dedupeSeeds(req.Seeds),
 		Warmup:      req.Warmup,
 		WarmupFor:   req.WarmupFor,
-		Snapshots:   req.Snapshots,
 		Tolerances:  req.Tolerances,
 		CreatedAt:   time.Now().UTC(),
 	}
@@ -401,21 +393,6 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		if !slices.Contains(rec.Benchmarks, name) {
 			return Status{}, &Error{StatusCode: http.StatusBadRequest,
 				Message: fmt.Sprintf("warmup_for names %q, which is not in the requested grid", name)}
-		}
-	}
-	for _, name := range sortedKeys(req.Snapshots) {
-		if !slices.Contains(rec.Benchmarks, name) {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("snapshots names %q, which is not in the requested grid", name)}
-		}
-		key := req.Snapshots[name]
-		if !store.ValidKey(key) {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("snapshots[%q]: malformed snapshot key %q", name, key)}
-		}
-		if !m.snaps.Has(key) {
-			return Status{}, &Error{StatusCode: http.StatusNotFound,
-				Message: fmt.Sprintf("no such snapshot: %s (PUT /v1/snapshots/{key} first)", key)}
 		}
 	}
 
@@ -476,37 +453,17 @@ func (m *Manager) start(ctx context.Context, j *job, benches []tracep.Benchmark,
 				}
 			}
 			if len(missing) > 0 {
-				rows = append(rows, m.rowSpec(&j.rec, bm, missing, seed))
+				rows = append(rows, RowSpec{
+					Bench:       bm,
+					Models:      missing,
+					TargetInsts: j.rec.TargetInsts,
+					Seed:        seed,
+					Warmup:      j.rec.warmupOf(bm.Name),
+				})
 			}
 		}
 	}
 	go j.collect(m, m.runner.Run(ctx, rows))
-}
-
-// rowSpec builds one (benchmark, seed) row's spec from a job record,
-// resolving its snapshot key against the snapshot store. A key the store
-// no longer holds degrades to the row's functional warm-up — byte-identical
-// by the snapshot round-trip guarantee, just slower.
-func (m *Manager) rowSpec(rec *jobRecord, bm tracep.Benchmark, models []tracep.Model, seed int64) RowSpec {
-	row := RowSpec{
-		Bench:       bm,
-		Models:      models,
-		TargetInsts: rec.TargetInsts,
-		Seed:        seed,
-		Warmup:      rec.warmupOf(bm.Name),
-	}
-	// Snapshot keys are benchmark-scoped but a warmed-up snapshot embeds
-	// seed-dependent predictor state, so a provided key can only serve the
-	// single-replicate axis (the coordinator's per-row shipping path, whose
-	// worker requests carry one seed and no seeds axis). Multi-seed jobs
-	// fall back to per-row functional warm-up — byte-identical, just not
-	// pre-captured.
-	if key, ok := rec.Snapshots[bm.Name]; ok && len(rec.Seeds) == 0 {
-		if snap := m.snaps.Get(key); snap != nil {
-			row.Snapshot, row.SnapshotKey = snap, key
-		}
-	}
-	return row
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention bound.
@@ -533,12 +490,6 @@ func (m *Manager) evictLocked() {
 	}
 	m.order = kept
 }
-
-// Snapshots exposes the manager's content-addressed snapshot store (durable
-// under Config.StoreDir via OpenManager, memory-only otherwise) — what the
-// HTTP snapshot endpoints and the cluster coordinator's shipping layer
-// read and write.
-func (m *Manager) Snapshots() *store.SnapshotStore { return m.snaps }
 
 // Gate returns the manager's shared simulation gate.
 func (m *Manager) Gate() *tracep.Gate { return m.gate }

@@ -27,7 +27,6 @@ import (
 //	stream_cells_sent_total cells written to /v1/sweeps/{id}/stream clients
 //	jobs_recovered_total    terminal jobs rebuilt from the journal at open
 //	jobs_resumed_total      interrupted jobs resumed from the journal
-//	snapshots_stored_total  snapshots accepted via PUT /v1/snapshots
 //	store_errors_total      journal appends/encodes that failed
 //	store_truncated_bytes   torn-tail bytes discarded at journal open
 //
@@ -49,14 +48,12 @@ func (m *Manager) initMetrics() {
 	m.jobsResumed = new(expvar.Int)
 	m.storeErrors = new(expvar.Int)
 	m.storeTruncated = new(expvar.Int)
-	m.snapsStored = new(expvar.Int)
 	m.metrics.Set("jobs_submitted_total", m.jobsSubmitted)
 	m.metrics.Set("cells_completed_total", m.cellsCompleted)
 	m.metrics.Set("cells_failed_total", m.cellsFailed)
 	m.metrics.Set("stream_cells_sent_total", m.streamCells)
 	m.metrics.Set("jobs_recovered_total", m.jobsRecovered)
 	m.metrics.Set("jobs_resumed_total", m.jobsResumed)
-	m.metrics.Set("snapshots_stored_total", m.snapsStored)
 	m.metrics.Set("store_errors_total", m.storeErrors)
 	m.metrics.Set("store_truncated_bytes", m.storeTruncated)
 	counts := func(pick func(State) bool) expvar.Func {

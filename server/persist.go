@@ -39,10 +39,11 @@ import (
 // jobRecord is the KindJob payload: everything needed to rebuild and, if
 // necessary, resume the job, and the job's only description of its grid.
 // Benchmarks is the full row axis (suite rows, then corpus rows); Corpus
-// names the rows that replay one of the server's recordings. Snapshot
-// content travels separately (the content-addressed snapshot store); the
-// record carries only keys. Its JSON must not change: journals written by
-// earlier servers replay through it (server/testdata/journal).
+// names the rows that replay one of the server's recordings. Its JSON must
+// not change: journals written by earlier servers replay through it
+// (server/testdata/journal). Fields those servers wrote that no longer
+// exist, such as a "snapshots" map of warm-up keys, are ignored on decode
+// and kept byte for byte by compaction.
 type jobRecord struct {
 	Benchmarks  []string           `json:"benchmarks"`
 	Corpus      []string           `json:"corpus,omitempty"`
@@ -52,7 +53,6 @@ type jobRecord struct {
 	Seeds       []int64            `json:"seeds,omitempty"`
 	Warmup      uint64             `json:"warmup,omitempty"`
 	WarmupFor   map[string]uint64  `json:"warmup_for,omitempty"`
-	Snapshots   map[string]string  `json:"snapshots,omitempty"`
 	Tolerances  *tracep.Tolerances `json:"tolerances,omitempty"`
 	CreatedAt   time.Time          `json:"created_at"`
 }
@@ -204,12 +204,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	snaps, err := store.NewSnapshotStore(store.SnapshotDir(cfg.StoreDir))
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	m.store, m.snaps = st, snaps
+	m.store = st
 	if rec.TruncatedBytes > 0 {
 		m.storeTruncated.Add(int64(rec.TruncatedBytes))
 	}

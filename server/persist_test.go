@@ -12,7 +12,6 @@ import (
 
 	"tracep"
 	"tracep/server"
-	"tracep/server/store"
 )
 
 // metricInt reads one integer counter from a manager's metrics map.
@@ -282,65 +281,5 @@ func TestStoreCrashImageResume(t *testing.T) {
 	local := inProcessJSON(t, req.Benchmarks, tracep.Models(), 5_000, 0)
 	if got := resultsJSON(t, m2, st.ID); !bytes.Equal(got, local) {
 		t.Errorf("crash-image resume diverged from in-process run:\n%s\n%s", got, local)
-	}
-}
-
-// TestSnapshotEndpointsAndSubmit: a snapshot shipped over PUT is
-// addressable by HEAD/GET, a sweep naming its key restores from it, and
-// the restored sweep is byte-identical to one that performs the warm-up
-// itself. Bad keys and missing keys are typed errors.
-func TestSnapshotEndpointsAndSubmit(t *testing.T) {
-	const target, warmup = 6_000, 3_000
-	m := server.NewManager(server.Config{Parallelism: 2})
-	defer m.Close()
-
-	sim := tracep.NewBenchmark(mustBench(t, "compress"), target)
-	snap, err := sim.CaptureSnapshot(context.Background(), warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := store.Key("compress", target, tracep.DefaultConfig(), warmup)
-
-	// Submitting before the key exists is a 404.
-	reqSnap := server.SweepRequest{
-		Benchmarks:  []string{"compress"},
-		Models:      []string{"base", "FG"},
-		TargetInsts: target,
-		Warmup:      warmup,
-		Snapshots:   map[string]string{"compress": key},
-	}
-	if _, err := m.Submit(reqSnap); err == nil {
-		t.Fatal("submit with unknown snapshot key succeeded")
-	}
-	if !m.Snapshots().Has(key) {
-		if err := m.Snapshots().Put(key, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := m.Submit(reqSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, m, st.ID)
-	got := resultsJSON(t, m, st.ID)
-	want := inProcessJSON(t, []string{"compress"},
-		[]tracep.Model{tracep.ModelBase, tracep.ModelFG}, target, warmup)
-	if !bytes.Equal(got, want) {
-		t.Errorf("snapshot-restored sweep differs from warm-up sweep:\n%s\n%s", got, want)
-	}
-
-	// Malformed key and off-grid name are 400s.
-	bad := reqSnap
-	bad.Snapshots = map[string]string{"compress": "nothex"}
-	if _, err := m.Submit(bad); err == nil {
-		t.Error("malformed snapshot key accepted")
-	}
-	bad.Snapshots = map[string]string{"vortex": key}
-	if _, err := m.Submit(bad); err == nil {
-		t.Error("snapshot for a row outside the grid accepted")
 	}
 }

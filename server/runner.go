@@ -9,9 +9,9 @@ import (
 
 // RowSpec is one benchmark row of a job's grid, resolved and self-contained:
 // everything a node needs to simulate the row's cells. The row is the
-// placement unit of a distributed sweep — its program is built once and its
-// warm-up snapshot captured (or shipped) once, shared by every model cell —
-// so the Runner decides placement per row, never per cell.
+// placement unit of a distributed sweep — the node that runs it builds its
+// program once and captures its warm-up snapshot once, shared by every model
+// cell — so the Runner decides placement per row, never per cell.
 type RowSpec struct {
 	// Bench is the resolved workload. A corpus row is one whose
 	// Bench.Recorded is set: it replays (and verifies against) a .tptrace
@@ -29,15 +29,6 @@ type RowSpec struct {
 	// Warmup is the row's effective warm-up length (the job's WarmupFor
 	// override already applied).
 	Warmup uint64
-	// Snapshot, when non-nil, is the row's pre-captured warm-up checkpoint:
-	// the row restores from it instead of re-running the functional warm-up
-	// (tracep.Sweep.Snapshots). Restored rows are byte-identical to rows
-	// that warm up themselves.
-	Snapshot *tracep.Snapshot
-	// SnapshotKey is the content address of Snapshot in the server's
-	// snapshot store ("" = none): what a coordinator ships to workers
-	// instead of re-serialising the snapshot per placement.
-	SnapshotKey string
 }
 
 // Cells returns the number of cells the spec will deliver.
@@ -85,7 +76,7 @@ type localRunner struct {
 // Sweep semantics, which is what keeps cluster and in-process results
 // byte-identical.
 func sweepForRow(row RowSpec, parallelism int, gate *tracep.Gate) *tracep.Sweep {
-	sw := &tracep.Sweep{
+	return &tracep.Sweep{
 		Benchmarks:  []tracep.Benchmark{row.Bench},
 		Models:      row.Models,
 		TargetInsts: row.TargetInsts,
@@ -94,10 +85,6 @@ func sweepForRow(row RowSpec, parallelism int, gate *tracep.Gate) *tracep.Sweep 
 		Parallelism: parallelism,
 		Gate:        gate,
 	}
-	if row.Snapshot != nil {
-		sw.Snapshots = map[string]*tracep.Snapshot{row.Bench.Name: row.Snapshot}
-	}
-	return sw
 }
 
 func (r *localRunner) Run(ctx context.Context, rows []RowSpec) <-chan *tracep.Result {

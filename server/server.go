@@ -40,20 +40,12 @@ package server
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
-
-	"tracep/server/store"
 )
 
-// maxSnapshotBytes bounds PUT /v1/snapshots bodies: far above any real
-// snapshot (whose dominant term is the warm-up's touched memory), far
-// below a memory-exhaustion request.
-const maxSnapshotBytes = 1 << 30
-
 // maxSweepRequestBytes bounds POST /v1/sweeps bodies. A request names
-// benchmarks, models, seeds and snapshot keys, so a mebibyte is far above
-// any real grid.
+// benchmarks, models, seeds and per-row warm-ups, so a mebibyte is far
+// above any real grid.
 const maxSweepRequestBytes = 1 << 20
 
 // Handler returns the tracepd HTTP API over m, routed with Go 1.22 method
@@ -67,9 +59,6 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", m.handleStream)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", m.handleCancel)
 	mux.HandleFunc("GET /v1/corpus", m.handleCorpus)
-	mux.HandleFunc("PUT /v1/snapshots/{key}", m.handleSnapshotPut)
-	mux.HandleFunc("HEAD /v1/snapshots/{key}", m.handleSnapshotHead)
-	mux.HandleFunc("GET /v1/snapshots/{key}", m.handleSnapshotGet)
 	mux.HandleFunc("GET /metrics", m.handleMetrics)
 	return mux
 }
@@ -140,52 +129,6 @@ func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// Snapshot endpoints move serialised warm-up checkpoints between nodes:
-// the coordinator captures a row's snapshot once, PUTs it to whichever
-// worker the row lands on under its content-addressed key, and names the
-// key in the SweepRequest. HEAD lets a sender skip the upload when the
-// receiver already holds the key (the usual case after the first sweep
-// over a grid); GET serves the stored bytes back, so any node can act as
-// the cache another node fills from.
-
-func (m *Manager) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		writeError(w, &Error{StatusCode: http.StatusBadRequest, Message: "malformed snapshot key: " + key})
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
-	if err != nil {
-		writeError(w, &Error{StatusCode: http.StatusRequestEntityTooLarge, Message: "snapshot body: " + err.Error()})
-		return
-	}
-	if err := m.snaps.Put(key, data); err != nil {
-		writeError(w, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()})
-		return
-	}
-	m.snapsStored.Add(1)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (m *Manager) handleSnapshotHead(w http.ResponseWriter, r *http.Request) {
-	if !m.snaps.Has(r.PathValue("key")) {
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (m *Manager) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	data := m.snaps.GetBytes(r.PathValue("key"))
-	if data == nil {
-		writeError(w, &Error{StatusCode: http.StatusNotFound, Message: "no such snapshot: " + r.PathValue("key")})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 // handleStream writes NDJSON StreamEvents: the job's full cell log from

@@ -1,10 +1,9 @@
 // Package store is tracepd's durability layer: an fsync'd, CRC-framed,
-// append-only job log plus a content-addressed snapshot store, both under
-// one directory. It is what makes tracepd restart-safe — jobs, their
-// append-only cell logs and their terminal states survive a SIGKILL, so a
-// restarted server re-opens the directory, replays finished sweeps to
-// reconnecting clients byte-identically, and resumes unfinished ones from
-// their last durable cell.
+// append-only job log in one directory. It is what makes tracepd
+// restart-safe — jobs, their append-only cell logs and their terminal
+// states survive a SIGKILL, so a restarted server re-opens the directory,
+// replays finished sweeps to reconnecting clients byte-identically, and
+// resumes unfinished ones from their last durable cell.
 //
 // # Log format
 //
@@ -54,10 +53,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // keeps malformed input from provoking huge allocations before the CRC can
 // reject it.
 const (
-	maxJobIDLen  = 1 << 10
-	maxPayload   = 1 << 28
-	logFileName  = "jobs.log"
-	snapshotsDir = "snapshots"
+	maxJobIDLen = 1 << 10
+	maxPayload  = 1 << 28
+	logFileName = "jobs.log"
 )
 
 // Kind tags one log record.
@@ -263,9 +261,6 @@ func Open(dir string) (*Store, Recovery, error) {
 	}
 	return s, rec, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Append frames rec, writes it, and fsyncs before returning: once Append
 // returns nil the record survives a crash.

@@ -2,13 +2,10 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"tracep"
 )
 
 func sampleRecords() []Record {
@@ -217,91 +214,5 @@ func TestDecodeAllStrict(t *testing.T) {
 		} else if !errors.Is(err, ErrCorruptStore) {
 			t.Errorf("bit flip at %d: %v, want ErrCorruptStore", off, err)
 		}
-	}
-}
-
-// TestSnapshotStore: content addressing round-trips a real captured
-// snapshot through the durable store, validates keys, and rejects bytes
-// that do not decode.
-func TestSnapshotStore(t *testing.T) {
-	bm, err := tracep.BenchmarkByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := tracep.NewBenchmark(bm, 5000)
-	snap, err := sim.CaptureSnapshot(context.Background(), 2000)
-	if err != nil {
-		t.Fatalf("CaptureSnapshot: %v", err)
-	}
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := tracep.DefaultConfig()
-	key := Key("compress", 5000, cfg, 2000)
-	if !ValidKey(key) {
-		t.Fatalf("Key produced invalid key %q", key)
-	}
-	if key2 := Key("compress", 5000, cfg, 2000); key2 != key {
-		t.Fatal("Key is not deterministic")
-	}
-	if Key("vortex", 5000, cfg, 2000) == key {
-		t.Fatal("different benchmarks share a key")
-	}
-	for _, bad := range []string{"", "abc", key[:63], key + "0", "../" + key[3:], key[:63] + "G"} {
-		if ValidKey(bad) {
-			t.Errorf("ValidKey(%q) = true", bad)
-		}
-	}
-
-	dir := t.TempDir()
-	ss, err := NewSnapshotStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Has(key) {
-		t.Fatal("empty store has key")
-	}
-	if err := ss.Put(key, []byte("garbage")); err == nil {
-		t.Fatal("Put accepted undecodable bytes")
-	}
-	if err := ss.Put(key, data); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if !ss.Has(key) {
-		t.Fatal("store missing key after Put")
-	}
-	if got := ss.GetBytes(key); !bytes.Equal(got, data) {
-		t.Fatal("GetBytes returned different bytes")
-	}
-
-	// A second store over the same directory sees the snapshot (durability),
-	// and Get decodes to a usable snapshot.
-	ss2, err := NewSnapshotStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ss2.Has(key) {
-		t.Fatal("fresh store over same dir missing key")
-	}
-	restored := ss2.Get(key)
-	if restored == nil {
-		t.Fatal("Get returned nil for stored snapshot")
-	}
-	if restored.WarmupInsts() != snap.WarmupInsts() || restored.PC() != snap.PC() {
-		t.Fatal("restored snapshot header drifted")
-	}
-
-	// Memory-only store: Put/Get work, nothing touches disk.
-	mem, err := NewSnapshotStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Put(key, data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mem.GetBytes(key), data) {
-		t.Fatal("memory store round trip failed")
 	}
 }

@@ -52,14 +52,6 @@ type SweepRequest struct {
 	// an explicit zero forces that row to run cold. Names must resolve
 	// against the requested grid.
 	WarmupFor map[string]uint64 `json:"warmup_for,omitempty"`
-	// Snapshots maps benchmark rows to content-addressed snapshot keys in
-	// the server's snapshot store (PUT /v1/snapshots/{key} first; the
-	// coordinator ships row snapshots to workers this way). A named row
-	// restores from its snapshot instead of running the functional warm-up
-	// — byte-identical, but captured once per cluster rather than once per
-	// placement. Names must resolve against the requested grid; a key the
-	// server does not hold is a 404.
-	Snapshots map[string]string `json:"snapshots,omitempty"`
 	// Tolerances optionally records the regression-gate tolerances the
 	// submitter will diff the collected set under (tracep.ParseTolerances'
 	// JSON shape). The server echoes it in Status — advisory metadata that

@@ -68,22 +68,17 @@ type Sweep struct {
 
 	// Snapshots provides pre-captured warm-up snapshots per benchmark row,
 	// keyed by Benchmark.Name. A row with an entry forks every model cell
-	// from the provided snapshot instead of capturing its own — the
-	// row-level placement hook the sweep cluster uses: a coordinator
-	// captures (or fetches from its content-addressed store) one snapshot
-	// per row and ships it to whichever node runs the row, and the
-	// receiving node's Sweep restores from it without re-running the
-	// functional warm-up. The snapshot must have been captured from the
-	// same benchmark program and a compatible configuration (see
-	// Snapshot.CompatibleWith); mismatches fail the row's cells with errors
-	// wrapping ErrIncompatibleSnapshot. Rows without an entry fall back to
-	// Warmup/WarmupFor capture as usual.
+	// from the provided snapshot instead of capturing its own, without
+	// re-running the functional warm-up. The snapshot must have been
+	// captured from the same benchmark program and a compatible
+	// configuration (see Snapshot.CompatibleWith); mismatches fail the
+	// row's cells with errors wrapping ErrIncompatibleSnapshot. Rows without
+	// an entry fall back to Warmup/WarmupFor capture as usual.
 	//
 	// Snapshots are keyed by benchmark only, but a warmed-up snapshot
 	// embeds seed-dependent predictor state: under a multi-seed Seeds axis
 	// a provided snapshot can only match one seed row's configuration, and
-	// the other rows fail compatibility. The cluster therefore places work
-	// per (benchmark, seed) row, each shipped as its own single-seed sweep.
+	// the other rows fail compatibility.
 	Snapshots map[string]*Snapshot
 
 	// WarmupFor overrides Warmup per benchmark row, keyed by Benchmark.Name:

@@ -141,10 +141,8 @@ var ErrCorruptSnapshot = proc.ErrCorruptSnapshot
 
 // UnmarshalSnapshot decodes a snapshot serialised with
 // Snapshot.MarshalBinary. The binary form is what lets a warm-up captured
-// on one node be restored on another (the sweep cluster ships row
-// snapshots this way) and what the server's content-addressed snapshot
-// store persists; a run restored from a decoded snapshot is byte-identical
-// to one restored from the original.
+// in one process be restored in another; a run restored from a decoded
+// snapshot is byte-identical to one restored from the original.
 func UnmarshalSnapshot(data []byte) (*Snapshot, error) { return proc.UnmarshalSnapshot(data) }
 
 // Program is an executable image for the simulator's ISA.
