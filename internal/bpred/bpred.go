@@ -7,10 +7,7 @@
 // trace.
 package bpred
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Config sizes the predictor.
 type Config struct {
@@ -147,47 +144,6 @@ func (p *Predictor) Clone(dst *Predictor) *Predictor {
 
 // ResetStats zeroes the lookup counter, keeping the trained state.
 func (p *Predictor) ResetStats() { p.Lookups = 0 }
-
-// ExportState returns copies of the direction counters, BTB targets and
-// return-address stack for serialisation, with the pristine value of every
-// entry the current generation has not written. It leaves the predictor
-// untouched, so a snapshot's predictor can be exported while simulations
-// restore from it.
-func (p *Predictor) ExportState() (ctr []uint8, target, ras []uint32) {
-	ctr, target = slices.Clone(p.ctr), slices.Clone(p.target)
-	for i := range ctr {
-		if p.stamp[i] != p.gen {
-			ctr[i], target[i] = p.pristine(uint32(i))
-		}
-	}
-	return ctr, target, slices.Clone(p.ras)
-}
-
-// ImportState overwrites the predictor's trained state with previously
-// exported arrays (copying, not aliasing). Counter and target table lengths
-// must match the configured entry count; the RAS must fit the configured
-// depth; counters are 2-bit saturating, so values beyond 3 are invalid.
-func (p *Predictor) ImportState(ctr []uint8, target, ras []uint32) error {
-	if len(ctr) != len(p.ctr) || len(target) != len(p.target) {
-		return fmt.Errorf("bpred: state tables are %d/%d entries, configuration needs %d",
-			len(ctr), len(target), len(p.ctr))
-	}
-	if len(ras) > p.cfg.RASDepth {
-		return fmt.Errorf("bpred: RAS of %d entries exceeds configured depth %d", len(ras), p.cfg.RASDepth)
-	}
-	for i, c := range ctr {
-		if c > 3 {
-			return fmt.Errorf("bpred: entry %d has counter value %d beyond the 2-bit range", i, c)
-		}
-	}
-	copy(p.ctr, ctr)
-	copy(p.target, target)
-	for i := range p.stamp {
-		p.stamp[i] = p.gen
-	}
-	p.ras = append(p.ras[:0], ras...)
-	return nil
-}
 
 // PredictDirection predicts a conditional branch at pc: taken when the 2-bit
 // counter's high bit is set.

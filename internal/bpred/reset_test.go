@@ -2,7 +2,6 @@ package bpred
 
 import (
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -72,8 +71,8 @@ func train(p *Predictor, n int) {
 }
 
 // TestLazyResetMatchesEager: after Reset — of a fresh predictor or of a
-// trained one — every entry reads, and exports, as the eager reset loop
-// left it, for several seeds and table sizes.
+// trained one — every entry reads as the eager reset loop left it, for
+// several seeds and table sizes.
 func TestLazyResetMatchesEager(t *testing.T) {
 	for _, entries := range []int{64, 1 << 12} {
 		for _, seed := range []int64{0, 1, 7, -3, math.MaxInt64} {
@@ -87,8 +86,6 @@ func TestLazyResetMatchesEager(t *testing.T) {
 			used.Reset(cfg, seed)
 			ctr, target = logicalState(used)
 			sameState(t, "Reset of a trained predictor", ctr, target, wantCtr, wantTarget)
-			ctr, target, _ = used.ExportState()
-			sameState(t, "ExportState after Reset", ctr, target, wantCtr, wantTarget)
 		}
 	}
 }
@@ -106,29 +103,4 @@ func TestResetGenerationWrap(t *testing.T) {
 	ctr, target := logicalState(p)
 	wantCtr, wantTarget := eagerReset(cfg, 7)
 	sameState(t, "Reset across the wrap", ctr, target, wantCtr, wantTarget)
-}
-
-// TestExportImportRoundTrip: the state a trained, seeded predictor exports
-// imports into a predictor of another generation and seed as the same
-// logical contents, and exports again unchanged.
-func TestExportImportRoundTrip(t *testing.T) {
-	cfg := Config{Entries: 256, RASDepth: 4}
-	src := New(cfg, 7)
-	train(src, 60)
-	src.PushRAS(42)
-	ctr, target, ras := src.ExportState()
-
-	dst := New(cfg, 3)
-	train(dst, 30)
-	dst.Reset(cfg, 3)
-	if err := dst.ImportState(ctr, target, ras); err != nil {
-		t.Fatal(err)
-	}
-	gotCtr, gotTarget := logicalState(dst)
-	sameState(t, "imported", gotCtr, gotTarget, ctr, target)
-	gotCtr, gotTarget, gotRAS := dst.ExportState()
-	sameState(t, "re-exported", gotCtr, gotTarget, ctr, target)
-	if !slices.Equal(gotRAS, ras) {
-		t.Errorf("re-exported RAS %v, want %v", gotRAS, ras)
-	}
 }

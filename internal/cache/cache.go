@@ -4,10 +4,7 @@
 // only; data contents live elsewhere (memory, ARB, trace store).
 package cache
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // SetAssoc is a set-associative cache with true-LRU replacement, keyed by an
 // opaque uint64 line key (callers shift addresses to line granularity or hash
@@ -74,35 +71,6 @@ func (c *SetAssoc) Clone(dst *SetAssoc) *SetAssoc {
 // when a snapshot is frozen: the warmed lines stay, but the measured region
 // starts counting from zero.
 func (c *SetAssoc) ResetStats() { c.Accesses, c.Misses = 0, 0 }
-
-// ExportState exposes the cache's tag, valid and LRU arrays (flat
-// sets*assoc, indexed by set*assoc+way) for serialisation. The returned
-// slices are the live arrays, not copies: callers must treat them as
-// read-only and must not hold them across cache operations.
-func (c *SetAssoc) ExportState() (tags []uint64, valid []bool, lru []uint8) {
-	return c.tags, c.valid, c.lru
-}
-
-// ImportState overwrites the cache's arrays with previously exported state
-// (copying, not aliasing). The geometry must match: all three slices must be
-// exactly Sets()*Assoc() long, and every LRU rank must be a valid way index,
-// otherwise the cache's replacement walk would misbehave on the first fill.
-func (c *SetAssoc) ImportState(tags []uint64, valid []bool, lru []uint8) error {
-	n := c.sets * c.assoc
-	if len(tags) != n || len(valid) != n || len(lru) != n {
-		return fmt.Errorf("cache: state arrays are %d/%d/%d entries, geometry needs %d",
-			len(tags), len(valid), len(lru), n)
-	}
-	for i, r := range lru {
-		if int(r) >= c.assoc {
-			return fmt.Errorf("cache: entry %d has LRU rank %d beyond associativity %d", i, r, c.assoc)
-		}
-	}
-	copy(c.tags, tags)
-	copy(c.valid, valid)
-	copy(c.lru, lru)
-	return nil
-}
 
 // Sets returns the number of sets.
 func (c *SetAssoc) Sets() int { return c.sets }
@@ -304,9 +272,6 @@ func (ic *ICache) SameLine(a, b uint32) bool {
 // Stats returns accesses and misses.
 func (ic *ICache) Stats() (accesses, misses uint64) { return ic.c.Accesses, ic.c.Misses }
 
-// State exposes the underlying set-associative array for serialisation.
-func (ic *ICache) State() *SetAssoc { return &ic.c }
-
 // Clone copies the instruction cache into dst, reusing dst's arrays, and
 // returns dst; a nil dst gets fresh ones.
 func (ic *ICache) Clone(dst *ICache) *ICache {
@@ -377,9 +342,6 @@ func (dc *DCache) Access(addr uint32) int {
 
 // Stats returns accesses and misses.
 func (dc *DCache) Stats() (accesses, misses uint64) { return dc.c.Accesses, dc.c.Misses }
-
-// State exposes the underlying set-associative array for serialisation.
-func (dc *DCache) State() *SetAssoc { return &dc.c }
 
 // Clone copies the data cache into dst, reusing dst's arrays, and returns
 // dst; a nil dst gets fresh ones.

@@ -342,13 +342,6 @@ func (b *BIT) Clone(dst *BIT) *BIT {
 	return dst
 }
 
-// Timing exposes the BIT's set-associative residency array for
-// serialisation. The memoised analyses are deliberately not part of a BIT's
-// serialised state: AnalyzeRegion is a pure function of the program, so a
-// deserialised BIT with an empty memo recomputes identical Regions on
-// demand, and the timing behaviour depends only on the residency array.
-func (b *BIT) Timing() *cache.SetAssoc { return &b.timing }
-
 // ResetStats zeroes the lookup and miss-cycle counters (including the timing
 // array's), keeping the warmed entries and memoised analyses.
 func (b *BIT) ResetStats() {

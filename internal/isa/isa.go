@@ -336,35 +336,6 @@ func (p *Program) At(pc uint32) Inst {
 // Len returns the static instruction count.
 func (p *Program) Len() int { return len(p.Insts) }
 
-// Equal reports whether two programs are the same executable image: same
-// name, entry point, instruction stream and initial data memory. Program
-// builds are deterministic, so a program decoded from a serialised
-// snapshot compares Equal to a fresh build of the same benchmark at the
-// same scale — which is what lets a session restore from a snapshot
-// captured by another process.
-func (p *Program) Equal(q *Program) bool {
-	if p == q {
-		return true
-	}
-	if p == nil || q == nil {
-		return false
-	}
-	if p.Name != q.Name || p.Entry != q.Entry || len(p.Insts) != len(q.Insts) || len(p.Data) != len(q.Data) {
-		return false
-	}
-	for i := range p.Insts {
-		if p.Insts[i] != q.Insts[i] {
-			return false
-		}
-	}
-	for addr, val := range p.Data { //tracep:orderinvariant pure membership test
-		if qv, ok := q.Data[addr]; !ok || qv != val {
-			return false
-		}
-	}
-	return true
-}
-
 // String formats the instruction for disassembly listings.
 func (in Inst) String() string {
 	switch in.Op {

@@ -1,7 +1,5 @@
 package isa
 
-import "sort"
-
 // Memory is a sparse, word-addressed data memory. Pages are allocated on
 // first touch; reads of untouched words return zero, so speculative
 // wrong-path loads are always safe.
@@ -68,30 +66,6 @@ func (m *Memory) Write(addr uint32, v int64) {
 		m.pages[idx] = p
 	}
 	p[addr&pageMask] = v
-}
-
-// DumpWords returns every nonzero word as parallel address/value slices in
-// ascending address order. The deterministic ordering makes the dump
-// suitable for serialisation (snapshot encoding hashes and CRCs it); a
-// memory rebuilt by Writing the dumped words back reads identically to the
-// original, because unwritten words read as zero.
-func (m *Memory) DumpWords() (addrs []uint32, vals []int64) {
-	idxs := make([]uint32, 0, len(m.pages))
-	for idx := range m.pages { //tracep:orderinvariant sorted below
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		p := m.pages[idx]
-		base := idx << pageShift
-		for off, v := range p {
-			if v != 0 {
-				addrs = append(addrs, base|uint32(off))
-				vals = append(vals, v)
-			}
-		}
-	}
-	return addrs, vals
 }
 
 // Clone copies m into dst, reusing dst's pages, and returns dst; a nil dst

@@ -10,9 +10,10 @@ import (
 )
 
 // CloneComplete returns the analyzer that keeps Clone methods in sync with
-// their structs: warm-up snapshots (proc.Snapshot) deep-clone nine
-// state-bearing packages, and a struct field added without a corresponding
-// line in Clone silently forks shared state between snapshot-restored runs —
+// their structs: a warm-up snapshot restore (proc.Snapshot) deep-clones
+// state through the Clone methods of five packages (cache, isa, emu, core
+// and bpred), and a struct field added without a corresponding line in
+// Clone silently forks shared state between snapshot-restored runs —
 // historically only caught when byte-identity broke. The method must mention
 // every field of the receiver struct (a whole-struct copy such as `out := *c`
 // mentions all of them); fields that are deliberately not cloned (recycling

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tracep/internal/asm"
@@ -136,6 +137,44 @@ func TestRestoreIsolation(t *testing.T) {
 					t.Fatalf("round %d: base-model run diverged from the first restore — snapshot state was mutated", round)
 				}
 			}
+		}
+	}
+}
+
+// TestSnapshotSharedAcrossGoroutines: runs restored concurrently from one
+// seeded snapshot — as a sweep row's model cells fork from it on several
+// workers — all agree. Under -race it also proves that restore never writes
+// to the shared snapshot.
+func TestSnapshotSharedAcrossGoroutines(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	snap, err := CaptureSnapshot(context.Background(), snapProgram(4000), cfg, 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	var (
+		wg    sync.WaitGroup
+		stats [n]*Stats
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := NewFromSnapshot(snap, ModelFGMLBRET, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if stats[i], err = p.Run(20_000); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if !reflect.DeepEqual(stats[i], stats[0]) {
+			t.Fatal("concurrent restores of one snapshot disagree")
 		}
 	}
 }

@@ -262,24 +262,6 @@ func decodeProgram(br *byteReader, name string) (*isa.Program, error) {
 	return prog, nil
 }
 
-// AppendProgram appends prog's image to buf in the .tptrace header encoding
-// (entry, instructions, sorted initial-data deltas). It is exported for the
-// snapshot codec (internal/proc), which embeds program images with the same
-// layout so the two formats cannot drift.
-func AppendProgram(buf []byte, prog *isa.Program) []byte { return encodeProgram(buf, prog) }
-
-// ReadProgram decodes a program image produced by AppendProgram from the
-// front of data, returning the program and the unconsumed remainder.
-// Structural errors wrap ErrCorruptTrace.
-func ReadProgram(data []byte, name string) (prog *isa.Program, rest []byte, err error) {
-	br := &byteReader{buf: data}
-	prog, err = decodeProgram(br, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, data[br.pos:], nil
-}
-
 func firstErr(errs ...error) error {
 	for _, err := range errs {
 		if err != nil {

@@ -554,14 +554,7 @@ func TestClusterSharedGateAndCancel(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		live := 0
-		for _, w := range workers {
-			for _, ws := range w.Manager.List() {
-				if !ws.State.Terminal() {
-					live++
-				}
-			}
-		}
+		live := liveJobs(workers)
 		if live == 0 {
 			break
 		}
@@ -577,6 +570,80 @@ func TestClusterSharedGateAndCancel(t *testing.T) {
 			t.Errorf("gate in-use = %d after cancellation, want 0", n)
 		}
 	}
+
+	// A warm-up capture takes a gate slot like a cell does, which polling
+	// InUse cannot show: a capture that skipped the gate would never count.
+	// So fill the gate with an in-process sweep whose cells outlast the
+	// check, one long cell per slot, and submit a warm job whose warm-up
+	// runs past the program's halt. Its cells can only fail once a capture
+	// has run, so none may arrive while the gate is full.
+	bctx, cancelBlocker := context.WithCancel(context.Background())
+	defer cancelBlocker()
+	blocker := tracep.Sweep{
+		Benchmarks:  []tracep.Benchmark{mustBench(t, "compress")},
+		Models:      models,
+		TargetInsts: 50_000_000,
+		Parallelism: gate.Cap(),
+		Gate:        gate,
+	}
+	if len(blocker.Models) != gate.Cap() {
+		t.Fatalf("blocker has %d cells for %d gate slots", len(blocker.Models), gate.Cap())
+	}
+	blocked := blocker.Stream(bctx)
+	for deadline := time.Now().Add(30 * time.Second); gate.InUse() < gate.Cap(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker holds %d of %d gate slots after 30s", gate.InUse(), gate.Cap())
+		}
+	}
+	st4, err := mgr.Submit(server.SweepRequest{
+		Benchmarks:  benchNames(),
+		Models:      modelNames(models),
+		TargetInsts: target,
+		Warmup:      1_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once both rows sit on workers, a capture that skipped the gate would
+	// fail within milliseconds; give it a while to show.
+	for deadline := time.Now().Add(30 * time.Second); liveJobs(workers) < len(benchNames()); time.Sleep(time.Millisecond) {
+		if st, _ := mgr.Status(st4.ID, false); st.Completed != 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	time.Sleep(200 * time.Millisecond)
+	if st, _ := mgr.Status(st4.ID, false); st.Completed != 0 {
+		t.Errorf("warm job delivered %d cells while the blocker held every gate slot, want 0", st.Completed)
+	}
+	cancelBlocker()
+	for range blocked {
+	}
+	if final := waitTerminal(t, mgr, st4.ID); final.State != server.StateDone || final.Failed != final.Total {
+		t.Fatalf("warm job finished %s with %d of %d cells failed, want done with all failed",
+			final.State, final.Failed, final.Total)
+	}
+	st, _ := mgr.Status(st4.ID, true)
+	if st.Results.Len() != st.Total {
+		t.Fatalf("warm job holds %d results, want %d", st.Results.Len(), st.Total)
+	}
+	for _, res := range st.Results.Results() {
+		if !strings.Contains(res.Error, "runs past the program's halt") {
+			t.Errorf("%s/%s: error %q, want the warm-up error", res.Benchmark, res.Model, res.Error)
+		}
+	}
+}
+
+// liveJobs counts the jobs not yet terminal across workers.
+func liveJobs(workers []*clustertest.Worker) int {
+	live := 0
+	for _, w := range workers {
+		for _, ws := range w.Manager.List() {
+			if !ws.State.Terminal() {
+				live++
+			}
+		}
+	}
+	return live
 }
 
 // TestClusterMetricsExposed: the coordinator's counters surface on the

@@ -163,6 +163,8 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 // runCell is the one path every simulation takes, from Simulator.Run and
 // from a Sweep worker: it validates cfg, resets engine for prog under m —
 // restored from snap when non-nil, cold otherwise — and runs it to halt.
+// Both callers hand it a snapshot of prog itself: a sweep row captures from
+// its own build, and NewFromSnapshot takes its program from the snapshot.
 // Results never point into engine, so the caller may reset it for its next
 // cell. A recorded-trace workload (rec non-nil) verifies retirement against
 // its .tptrace stream instead of an in-process emulator; each run opens its
@@ -173,17 +175,6 @@ func runCell(ctx context.Context, label string, prog *Program, m Model, cfg Conf
 		return nil, fmt.Errorf("tracep: %s: %w", label, err)
 	}
 	if snap != nil {
-		if snap.Program() == nil {
-			return nil, fmt.Errorf("tracep: %s: %w: snapshot has no program (zero-value Snapshot?)", label, ErrIncompatibleSnapshot)
-		}
-		// Pointer equality is the fast path (a sweep row shares one build);
-		// structural equality admits snapshots decoded from their binary
-		// form, whose program was rebuilt in another process. Deterministic
-		// builds make the two indistinguishable at run time.
-		if !prog.Equal(snap.Program()) {
-			return nil, fmt.Errorf("tracep: %s: %w: snapshot was captured from a different program (%q, session has %q)",
-				label, ErrIncompatibleSnapshot, snap.Program().Name, prog.Name)
-		}
 		if err := engine.ResetFromSnapshot(snap, m, cfg); err != nil {
 			return nil, fmt.Errorf("tracep: %s: %w", label, err)
 		}

@@ -59,27 +59,12 @@ type Sweep struct {
 	// Warmup fast-forwards this many instructions functionally before each
 	// cell's measured region (see CaptureSnapshot). The warm-up is
 	// model-independent, so the sweep captures exactly one Snapshot per
-	// benchmark row — extending the build-once program sharing — and forks
-	// every model cell of the row from it; an N-model sweep performs N×
-	// fewer warm-ups than capturing a snapshot per cell, with
+	// (benchmark, seed) row — extending the build-once program sharing —
+	// and forks every model cell of the row from it; an N-model sweep
+	// performs N× fewer warm-ups than capturing a snapshot per cell, with
 	// byte-identical results. A warm-up that fails (e.g. it runs past the
 	// program's halt) fails every cell of the row, like a failed build.
 	Warmup uint64
-
-	// Snapshots provides pre-captured warm-up snapshots per benchmark row,
-	// keyed by Benchmark.Name. A row with an entry forks every model cell
-	// from the provided snapshot instead of capturing its own, without
-	// re-running the functional warm-up. The snapshot must have been
-	// captured from the same benchmark program and a compatible
-	// configuration (see Snapshot.CompatibleWith); mismatches fail the
-	// row's cells with errors wrapping ErrIncompatibleSnapshot. Rows without
-	// an entry fall back to Warmup/WarmupFor capture as usual.
-	//
-	// Snapshots are keyed by benchmark only, but a warmed-up snapshot
-	// embeds seed-dependent predictor state: under a multi-seed Seeds axis
-	// a provided snapshot can only match one seed row's configuration, and
-	// the other rows fail compatibility.
-	Snapshots map[string]*Snapshot
 
 	// WarmupFor overrides Warmup per benchmark row, keyed by Benchmark.Name:
 	// workloads reach steady state at different depths (a tight kernel warms
@@ -103,16 +88,15 @@ type Sweep struct {
 
 // sweepRow is the state one (benchmark, seed) row shares across its model
 // cells: the immutable program (built once per benchmark, in the feeder,
-// and shared read-only by every seed row) and, when the sweep warms up,
-// the row's snapshot, captured once on a worker goroutine by whichever job
-// reaches it first. The feeder queues a capture-only job for each row right
-// after the previous row's first cell, so the capture usually runs on a
-// worker that would otherwise wait for it, while the previous row
-// simulates. The seed travels on the row because warm-up snapshots carry
-// predictor state: replicates under different seeds warm up to different
-// machine states, so the row — the cluster's placement unit — is
-// benchmark × seed, not benchmark alone. A failed build or warm-up fails
-// every cell of the row.
+// and shared read-only by every seed row) and, when the row warms up, the
+// row's snapshot, captured from that program once on a worker goroutine by
+// whichever job reaches it first. After each row's first cell the feeder
+// queues a capture-only job for the next row when that row captures (see
+// captures), so the capture usually runs on a worker that would otherwise
+// wait for it, while the current row simulates. The seed travels on the
+// row because warm-up snapshots carry predictor state: replicates under
+// different seeds warm up to different machine states, so each seed needs
+// its own capture. A failed build or warm-up fails every cell of the row.
 type sweepRow struct {
 	sw       *Sweep
 	bench    string
@@ -125,16 +109,13 @@ type sweepRow struct {
 	// warmup is the row's effective warm-up length (WarmupFor override or
 	// the sweep-wide Warmup), resolved once at feed time.
 	warmup uint64
-	// provided is the row's pre-captured snapshot (Sweep.Snapshots), which
-	// supersedes capture entirely.
-	provided *Snapshot
 
 	capture sync.Once
 	snap    *Snapshot
 	snapErr error
 }
 
-// snapshot returns the row's shared warm-up snapshot (nil when the sweep
+// snapshot returns the row's shared warm-up snapshot (nil when the row
 // does not warm up), capturing it on first call. The capturing goroutine
 // holds a Gate slot only for the capture itself — warm-up CPU work is
 // bounded exactly like simulation work. A cell that arrives while the
@@ -144,9 +125,6 @@ type sweepRow struct {
 // is immutable and restore-side state is always cloned, so handing it to
 // every cell is race-free.
 func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) {
-	if r.provided != nil {
-		return r.provided, nil
-	}
 	if r.warmup == 0 {
 		return nil, nil
 	}
@@ -161,10 +139,10 @@ func (r *sweepRow) snapshot(ctx context.Context, gate *Gate) (*Snapshot, error) 
 	return r.snap, r.snapErr
 }
 
-// captures reports whether the row's snapshot is captured in this sweep:
-// the row warms up, has no provided snapshot and its program built.
+// captures reports whether the row has a snapshot to capture: it warms up
+// and its program built.
 func (r *sweepRow) captures() bool {
-	return r.warmup > 0 && r.provided == nil && r.buildErr == nil
+	return r.warmup > 0 && r.buildErr == nil
 }
 
 // warmupFor resolves the effective warm-up length for a benchmark row: the
@@ -305,8 +283,7 @@ func (sw *Sweep) feed(seeds []int64, send func(sweepJob) bool) {
 			prog, err = buildProgram(bm, sw.TargetInsts)
 		}
 		return &sweepRow{sw: sw, bench: bm.Name, seed: seeds[r%len(seeds)], prog: prog,
-			buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name),
-			provided: sw.Snapshots[bm.Name]}
+			buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name)}
 	}
 	rows := len(sw.Benchmarks) * len(seeds)
 	cur := row(0)

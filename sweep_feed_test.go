@@ -97,8 +97,6 @@ func TestFeedCapturesOneRowAhead(t *testing.T) {
 	}
 	for name, edit := range map[string]func(*Sweep){
 		"cold": func(sw *Sweep) { sw.Warmup = 0 },
-		// The feeder never looks inside a provided snapshot.
-		"provided": func(sw *Sweep) { sw.Snapshots = map[string]*Snapshot{"compress": {}, "vortex": {}} },
 		"cold rows": func(sw *Sweep) {
 			sw.WarmupFor = map[string]uint64{"compress": 0, "vortex": 0}
 		},

@@ -124,8 +124,8 @@ type Stats = proc.Stats
 type Snapshot = proc.Snapshot
 
 // ErrIncompatibleSnapshot is the sentinel wrapped by errors reporting a
-// snapshot that cannot be restored under the session's program or
-// configuration; test with errors.Is.
+// snapshot that cannot be restored under the session's configuration; test
+// with errors.Is.
 var ErrIncompatibleSnapshot = proc.ErrIncompatibleSnapshot
 
 // ErrStatsLaw is the sentinel wrapped by the error a verified cell fails
@@ -133,17 +133,6 @@ var ErrIncompatibleSnapshot = proc.ErrIncompatibleSnapshot
 // kinds, retired trace lengths, retire bandwidth, cache misses, dispatched
 // traces); test with errors.Is.
 var ErrStatsLaw = proc.ErrStatsLaw
-
-// ErrCorruptSnapshot is the sentinel wrapped by every structural error
-// UnmarshalSnapshot reports (bad magic, CRC mismatch, truncated or
-// inconsistent sections); test with errors.Is.
-var ErrCorruptSnapshot = proc.ErrCorruptSnapshot
-
-// UnmarshalSnapshot decodes a snapshot serialised with
-// Snapshot.MarshalBinary. The binary form is what lets a warm-up captured
-// in one process be restored in another; a run restored from a decoded
-// snapshot is byte-identical to one restored from the original.
-func UnmarshalSnapshot(data []byte) (*Snapshot, error) { return proc.UnmarshalSnapshot(data) }
 
 // Program is an executable image for the simulator's ISA.
 type Program = isa.Program

