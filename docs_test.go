@@ -12,7 +12,7 @@ import (
 
 // TestEveryPackageHasDoc is the repo's doc-presence gate (run by CI): every
 // package in the module — the root API, server, client, every internal
-// package, every command and example — must carry a package-level godoc
+// package and every command — must carry a package-level godoc
 // comment on at least one of its non-test files.
 func TestEveryPackageHasDoc(t *testing.T) {
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

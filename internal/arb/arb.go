@@ -11,7 +11,15 @@
 // applies them to its load records.
 package arb
 
-import "tracep/internal/isa"
+import (
+	"math"
+
+	"tracep/internal/isa"
+)
+
+// MaxPEs is the most processing elements a Seq can name: Seq.PE is an
+// int16 holding PE numbers 0..MaxPEs-1, and -1 is MemSeq's.
+const MaxPEs = math.MaxInt16
 
 // Seq identifies a memory operation's position in the window: the
 // processing element that holds it and the instruction slot within the PE's

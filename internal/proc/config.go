@@ -3,6 +3,9 @@ package proc
 import (
 	"errors"
 	"fmt"
+
+	"tracep/internal/arb"
+	"tracep/internal/trace"
 )
 
 // ErrInvalidConfig is the sentinel all configuration validation errors wrap;
@@ -36,14 +39,14 @@ func (c *Config) Validate() error {
 		errs = append(errs, &ConfigError{Field: field, Value: value, Reason: reason})
 	}
 
-	if c.NumPEs < 1 {
-		bad("NumPEs", c.NumPEs, "need at least one processing element")
+	if c.NumPEs < 1 || c.NumPEs > arb.MaxPEs {
+		bad("NumPEs", c.NumPEs, fmt.Sprintf("must be in [1, %d]", arb.MaxPEs))
 	}
 	if c.PEIssueWidth < 1 {
 		bad("PEIssueWidth", c.PEIssueWidth, "need at least 1-way issue")
 	}
-	if c.MaxTraceLen < 1 {
-		bad("MaxTraceLen", c.MaxTraceLen, "traces must hold at least one instruction")
+	if c.MaxTraceLen < 1 || c.MaxTraceLen > trace.MaxLen {
+		bad("MaxTraceLen", c.MaxTraceLen, fmt.Sprintf("must be in [1, %d]", trace.MaxLen))
 	}
 	if c.GlobalBuses < 1 {
 		bad("GlobalBuses", c.GlobalBuses, "need at least one global result bus")

@@ -39,16 +39,8 @@ func TestDebugLCG(t *testing.T) {
 	prog := lcgProgram(300)
 	cfg := testConfig()
 	p := New(prog, ModelFGMLBRET, cfg)
-	p.debugLog = make([]string, 0, 4096)
 	_, err := p.Run(0)
 	if err != nil {
-		n := len(p.debugLog)
-		if n > 4000 {
-			p.debugLog = p.debugLog[n-4000:]
-		}
-		for _, l := range p.debugLog {
-			t.Log(l)
-		}
 		t.Log(p.dumpState())
 		t.Fatal(err)
 	}
@@ -69,16 +61,8 @@ func TestDebugCalls(t *testing.T) {
 	b.Label("inc").Addi(1, 1, 1).Ret()
 	prog := b.MustBuild()
 	p := New(prog, ModelMLBRET, testConfig())
-	p.debugLog = make([]string, 0, 4096)
 	_, err := p.Run(0)
 	if err != nil {
-		n := len(p.debugLog)
-		if n > 120 {
-			p.debugLog = p.debugLog[n-120:]
-		}
-		for _, l := range p.debugLog {
-			t.Log(l)
-		}
 		t.Log(p.dumpState())
 		t.Fatal(err)
 	}
@@ -92,20 +76,8 @@ func TestDebugLiRET(t *testing.T) {
 	prog := bm.Build(4000)
 	cfg := testConfig()
 	p := New(prog, ModelRET, cfg)
-	p.debugLog = make([]string, 0, 4096)
 	_, err = p.Run(0)
 	if err != nil {
-		keep := []string{}
-		for _, l := range p.debugLog {
-			keep = append(keep, l)
-		}
-		n := len(keep)
-		if n > 70 {
-			keep = keep[n-70:]
-		}
-		for _, l := range keep {
-			t.Log(l)
-		}
 		t.Log(p.dumpState())
 		t.Fatal(err)
 	}
@@ -119,16 +91,8 @@ func TestDebugGoRET(t *testing.T) {
 	prog := bm.Build(1000)
 	cfg := testConfig()
 	p := New(prog, ModelRET, cfg)
-	p.debugLog = make([]string, 0, 4096)
 	_, err = p.Run(0)
 	if err != nil {
-		n := len(p.debugLog)
-		if n > 40 {
-			p.debugLog = p.debugLog[n-40:]
-		}
-		for _, l := range p.debugLog {
-			t.Log(l)
-		}
 		t.Log(p.dumpState())
 		t.Fatal(err)
 	}

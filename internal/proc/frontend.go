@@ -278,10 +278,6 @@ func (p *Processor) fetchStep() {
 	// releases it.
 	entry.tr.Retain()
 	fe.queue.push(entry)
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("fetch: desc=%v nextPC=%d pred=%v constructing=%v qlen=%d", entry.desc, entry.tr.NextPC, entry.predicted, entry.constructing, fe.queue.len())
-	}
 	fe.expectedPC = entry.tr.NextPC
 	fe.waitIndirect = entry.tr.EndsIndirect
 	fe.stopped = entry.tr.EndsHalt
@@ -367,10 +363,6 @@ func (p *Processor) insertingDispatchTarget(insertAfter *int, entry *fetchEntry)
 		return true
 	}
 	if entry.desc.StartPC == ci.tr.Desc.StartPC {
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("reconvergence: ci=%d(%v) inserted=%d", ci.id, ci.tr.Desc, rec.inserted)
-		}
 		// Re-convergence: the next trace prediction matches the first
 		// control-independent trace (§2.1). The resident CI traces are
 		// preserved; refetch continues after the current window tail.

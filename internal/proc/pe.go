@@ -488,17 +488,6 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	}
 	pe.mapAfter = p.specMap
 	p.Stats.DispatchedTraces++
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("dispatch: pe=%d after=%d desc=%v nextPC=%d", pe.id, prevID, tr.Desc, tr.NextPC)
-	}
-	if p.debugLog != nil && prevID >= 0 {
-		prev := p.pes[prevID]
-		if prev.tr != nil && !prev.tr.EndsIndirect && !prev.tr.EndsHalt && prev.tr.NextPC != tr.Desc.StartPC {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("ORDER VIOLATION: prev pe=%d nextPC=%d but dispatched start=%d", prevID, prev.tr.NextPC, tr.Desc.StartPC)
-		}
-	}
 	return pe
 }
 

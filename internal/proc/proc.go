@@ -224,16 +224,6 @@ type Processor struct {
 	halted     bool
 	done       bool
 	err        error
-
-	// debugLog, when non-nil, records recovery decisions for test
-	// diagnostics.
-	debugLog []string
-}
-
-func (p *Processor) debugf(format string, args ...interface{}) {
-	if p.debugLog != nil {
-		p.debugLog = append(p.debugLog, fmt.Sprintf("[%d] ", p.cycle)+fmt.Sprintf(format, args...))
-	}
 }
 
 // effectiveBITConfig is the BIT configuration a run actually uses: the FGCI

@@ -171,18 +171,9 @@ func (p *Processor) startRecovery(st *instState) {
 			mode = recCGCI
 			rec.ciPE = ci
 			rec.ciGen = ci.gen
-			if p.debugLog != nil {
-				//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-				p.debugf("CI point: pe=%d(log %d) desc=%v", ci.id, ci.logical, ci.tr.Desc)
-			}
 		}
 	}
 	rec.mode = mode
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("recovery start: mode=%d pe=%d(log %d) slot=%d pc=%d isBr=%v resolved=%v indirect=%v oldDesc=%v oldNextPC=%d tail=%d fetchQ=%d",
-			mode, pe.id, pe.logical, slot, st.cold().pc, st.isBr, st.resolvedTaken, st.isIndirect, pe.tr.Desc, pe.tr.NextPC, p.tail, p.fe.queue.len())
-	}
 	switch mode {
 	case recFGCI:
 		p.Stats.FGCIRecoveries++
@@ -203,10 +194,6 @@ func (p *Processor) startRecovery(st *instState) {
 		rec.isIndirect = true
 		rec.correctedTarget = st.cold().actualTarget
 		st.cold().checkedTarget = true
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("indirect misp: correctedTarget=%d", rec.correctedTarget)
-		}
 	}
 
 	// Squash the incorrect control-dependent instructions in this PE (the
@@ -322,10 +309,6 @@ func (p *Processor) squashSuffix(pe *peState, from int) {
 //
 //tracep:noalloc
 func (p *Processor) squashTrace(pe *peState) {
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("squash: pe=%d(log %d) desc=%v", pe.id, pe.logical, pe.tr.Desc)
-	}
 	p.squashSuffix(pe, 0)
 	p.Stats.SquashedTraces++
 	p.unlinkPE(pe)
@@ -392,10 +375,6 @@ func (p *Processor) installRepair() {
 		// cannot happen for well-formed embeddable regions; degrade to a
 		// full squash to stay correct.
 		p.Stats.FGCIBoundaryViolations++
-		if p.debugLog != nil {
-			//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-			p.debugf("FGCI boundary violation: pe=%d old nextPC=%d new nextPC=%d", pe.id, rec.oldNextPC, newTr.NextPC)
-		}
 		for pe.next >= 0 {
 			p.squashTrace(p.pes[pe.next])
 		}
@@ -460,11 +439,6 @@ func (p *Processor) installRepair() {
 			}
 		}
 		p.insertTrace(newTr)
-	}
-
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("install: pe=%d newDesc=%v nextPC=%d mode=%d", pe.id, pe.tr.Desc, pe.tr.NextPC, rec.mode)
 	}
 
 	// Rebuild the rename-map frontier: map before the trace plus the
@@ -630,10 +604,6 @@ func (p *Processor) retargetIndirectRecovery(st *instState) {
 	if st.cold().actualTarget == rec.correctedTarget {
 		st.cold().checkedTarget = true
 		return
-	}
-	if p.debugLog != nil {
-		//tracep:allow debug-only: the argument boxing happens only with tracing enabled
-		p.debugf("retarget indirect recovery: %d -> %d (phase %d)", rec.correctedTarget, st.cold().actualTarget, rec.phase)
 	}
 	switch rec.phase {
 	case recRepairing:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -76,15 +77,23 @@ func checkList(p *Processor) error {
 }
 
 // checkMachine checks the structural laws that must hold between cycles:
-// the PE list is sound (checkList), and every instruction that can issue —
-// resident, not cancelled, waiting, both operands ready — has its bit set
-// in its PE's candidate set, which is all issueAll looks at.
+// the PE list is sound (checkList); outside a recovery, each trace starts
+// at its predecessor's successor PC unless the predecessor ends in an
+// indirect jump or a halt (a recovery repairs the window one trace at a
+// time, so the chain is broken while it runs); and every instruction that
+// can issue — resident, not cancelled, waiting, both operands ready — has
+// its bit set in its PE's candidate set, which is all issueAll looks at.
 func checkMachine(p *Processor) error {
 	if err := checkList(p); err != nil {
 		return err
 	}
 	for id := p.head; id >= 0; id = p.pes[id].next {
 		pe := p.pes[id]
+		if next := pe.next; next >= 0 && !p.rec.active && !pe.tr.EndsIndirect && !pe.tr.EndsHalt &&
+			pe.tr.NextPC != p.pes[next].tr.Desc.StartPC {
+			return fmt.Errorf("PE %d's trace continues at pc %d, but the next PE %d's trace starts at pc %d",
+				id, pe.tr.NextPC, next, p.pes[next].tr.Desc.StartPC)
+		}
 		for slot, st := range pe.insts {
 			issuable := !st.cancelled && st.status == stWaiting && st.src[0].ready && st.src[1].ready
 			if issuable && pe.cand[slot>>6]&(1<<(slot&63)) == 0 {
@@ -222,6 +231,42 @@ func TestMachineChecksItself(t *testing.T) {
 			runChecked(t, "snapshot/"+m.Name, p, n)
 		}
 	})
+}
+
+// TestEventRingGrowsMidRun: initEventRing sizes the event ring from
+// BusLatency alone, so a data-cache miss penalty past the ring's end makes
+// schedule grow it mid-run. The run that grows it passes the oracle,
+// checkMachine and the Stats laws, and a Reset engine, whose ring is
+// already large, gives identical Stats.
+func TestEventRingGrowsMidRun(t *testing.T) {
+	const n = 5000
+	bm, err := bench.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(n))
+	cfg := testConfig()
+	cfg.DCache.MissPenalty = 100
+
+	p := New(prog, ModelFGMLBRET, cfg)
+	if len(p.evBuckets) > cfg.DCache.MissPenalty+cfg.DCache.HitLatency {
+		t.Fatalf("a new engine's ring already has %d buckets", len(p.evBuckets))
+	}
+	runChecked(t, "cold", p, n)
+	grown := len(p.evBuckets)
+	if grown <= cfg.DCache.MissPenalty {
+		t.Fatalf("ring has %d buckets after the run, want it grown past the miss penalty", grown)
+	}
+	cold := p.Stats
+
+	p.Reset(prog, ModelFGMLBRET, cfg)
+	runChecked(t, "reset", p, n)
+	if len(p.evBuckets) != grown {
+		t.Errorf("reset run resized the ring from %d to %d buckets", grown, len(p.evBuckets))
+	}
+	if !reflect.DeepEqual(cold, p.Stats) {
+		t.Errorf("reset engine's Stats differ from the cold run's:\n cold  %+v\n reset %+v", cold, p.Stats)
+	}
 }
 
 // TestSeqLessFollowsLogicalOrder checks that the sequence-number ordering

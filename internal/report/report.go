@@ -106,27 +106,40 @@ func Table3(w io.Writer, r Results, models []string) {
 }
 
 // Table4 renders the impact of trace selection on trace length, trace
-// mispredictions and trace cache misses.
+// mispredictions and trace cache misses. The benchmark columns keep the
+// paper's width of 10 unless a cell such as "15.4(29.4%)" needs more, so
+// every cell stays its own field.
 func Table4(w io.Writer, r Results, models []string) {
+	rows := []struct {
+		name string
+		get  func(*proc.Stats) string
+	}{
+		{"avg. trace length", func(s *proc.Stats) string { return fmt.Sprintf("%.1f", s.AvgTraceLen()) }},
+		{"trace misp. rate", func(s *proc.Stats) string {
+			return fmt.Sprintf("%.1f(%.1f%%)", s.TraceMispPer1000(), 100*s.TraceMispRate())
+		}},
+		{"trace $ miss rate", func(s *proc.Stats) string {
+			return fmt.Sprintf("%.1f(%.1f%%)", s.TCMissPer1000(), 100*s.TCMissRate())
+		}},
+	}
+	cw := 10
+	for _, m := range models {
+		for _, b := range r.Benches() {
+			if s, ok := r.Get(b, m); ok {
+				for _, row := range rows {
+					cw = max(cw, len(row.get(s))+1)
+				}
+			}
+		}
+	}
+
 	fmt.Fprintln(w, "TABLE 4: Impact of trace selection on trace length, trace mispredictions, and trace cache misses.")
 	fmt.Fprintf(w, "%-14s %-22s", "model", "metric")
 	for _, b := range r.Benches() {
-		fmt.Fprintf(w, "%10s", trunc(b, 9))
+		fmt.Fprintf(w, "%*s", cw, trunc(b, cw-1))
 	}
 	fmt.Fprintln(w)
 	for _, m := range models {
-		rows := []struct {
-			name string
-			get  func(*proc.Stats) string
-		}{
-			{"avg. trace length", func(s *proc.Stats) string { return fmt.Sprintf("%.1f", s.AvgTraceLen()) }},
-			{"trace misp. rate", func(s *proc.Stats) string {
-				return fmt.Sprintf("%.1f(%.1f%%)", s.TraceMispPer1000(), 100*s.TraceMispRate())
-			}},
-			{"trace $ miss rate", func(s *proc.Stats) string {
-				return fmt.Sprintf("%.1f(%.1f%%)", s.TCMissPer1000(), 100*s.TCMissRate())
-			}},
-		}
 		for i, row := range rows {
 			label := ""
 			if i == 0 {
@@ -135,9 +148,9 @@ func Table4(w io.Writer, r Results, models []string) {
 			fmt.Fprintf(w, "%-14s %-22s", label, row.name)
 			for _, b := range r.Benches() {
 				if s, ok := r.Get(b, m); ok {
-					fmt.Fprintf(w, "%10s", row.get(s))
+					fmt.Fprintf(w, "%*s", cw, row.get(s))
 				} else {
-					fmt.Fprintf(w, "%10s", "-")
+					fmt.Fprintf(w, "%*s", cw, "-")
 				}
 			}
 			fmt.Fprintln(w)

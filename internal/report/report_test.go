@@ -139,6 +139,40 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTable4WideCells: a merged cell wider than the paper's 10-column
+// width, such as "15.4(29.4%)", widens every benchmark column, so each
+// row still splits into its label and one field per benchmark.
+func TestTable4WideCells(t *testing.T) {
+	rs := newGrid()
+	wide := fakeStats(2)
+	wide.RetiredInsts, wide.RetiredTraces, wide.Recoveries = 10_000, 524, 154
+	for _, b := range []string{"compress", "gcc", "li"} {
+		rs.Add(b, "base", wide)
+	}
+	rs.Add("compress", "base(ntb)", fakeStats(3)) // gcc and li render "-"
+	var sb strings.Builder
+	Table4(&sb, rs, []string{"base", "base(ntb)"})
+	out := sb.String()
+	if !strings.Contains(out, " 15.4(29.4%)") {
+		t.Fatalf("want the cell 15.4(29.4%%) in its own field:\n%s", out)
+	}
+	// Drop the title; the model and metric columns are 14+1+22 wide.
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[1:]
+	const labelWidth = 14 + 1 + 22
+	for _, line := range lines {
+		if len(line) < labelWidth {
+			t.Fatalf("row %q is shorter than its label columns", line)
+		}
+		label, values := strings.TrimSpace(line[:labelWidth]), strings.Fields(line[labelWidth:])
+		if label == "" || len(values) != len(rs.Benches()) {
+			t.Errorf("row %q splits into label %q and %d values, want %d values", line, label, len(values), len(rs.Benches()))
+		}
+	}
+	if len(lines) != 1+2*3 {
+		t.Errorf("got %d rows, want a header and 3 per model:\n%s", len(lines), out)
+	}
+}
+
 func TestMissingCellsRenderDashes(t *testing.T) {
 	rs := newGrid()
 	rs.Add("compress", "base", fakeStats(2))

@@ -51,16 +51,15 @@ type page [1 << pageShift]entry
 
 // Predictor is the hybrid next-trace predictor.
 type Predictor struct {
-	cfg     Config  //tracep:nostats configuration
-	seed    int64   //tracep:nostats configuration: see New
-	path    []*page //tracep:nostats model state
-	simple  []*page //tracep:nostats model state
-	histLen int     //tracep:nostats model state
+	cfg     Config
+	seed    int64 // see New
+	path    []*page
+	simple  []*page
+	histLen int
 
 	// gen is the current Reset generation. Reset increments it instead of
 	// clearing the tables, so every entry stamped by an older generation
 	// reads as pristine. Stamps never exceed gen.
-	//tracep:nostats model state
 	gen uint32
 
 	// hist is the speculative history of trace IDs, stored as a power-of-two
@@ -70,10 +69,8 @@ type Predictor struct {
 	// live checkpoints reach back at most the machine's in-flight trace
 	// count — so a small fixed arena replaces the old grow-forever slice.
 	// EnsureHistoryCapacity sizes the ring for deep windows.
-	//tracep:nostats model state
 	hist []uint64
 	// pos is the absolute history length: the next position SpecUpdate fills.
-	//tracep:nostats model state
 	pos int
 
 	// Stats.
@@ -212,9 +209,6 @@ func (p *Predictor) EnsureHistoryCapacity(depth int) {
 	}
 	p.hist = ring
 }
-
-// ResetStats zeroes the prediction/training counters, keeping the tables.
-func (p *Predictor) ResetStats() { p.Predictions, p.PathPredictions, p.Trains = 0, 0, 0 }
 
 // hashPathAt folds the histLen trace IDs preceding absolute position pos
 // into a path index, weighting recent traces with more bits (a DOLC-style

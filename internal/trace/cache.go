@@ -18,7 +18,7 @@ func DefaultCacheConfig() CacheConfig { return CacheConfig{Sets: 256, Assoc: 4} 
 // timing array.
 type Cache struct {
 	timing cache.SetAssoc
-	store  map[uint64]*Trace //tracep:nostats resident traces survive stat resets
+	store  map[uint64]*Trace // resident traces by descriptor ID
 }
 
 // Reset empties the trace cache and sizes it by cfg, reusing its storage.
@@ -95,9 +95,6 @@ func (c *Cache) Insert(tr *Trace) (evicted *Trace, fresh bool) {
 	c.store[key] = tr
 	return evicted, true
 }
-
-// ResetStats zeroes the lookup/miss counters, keeping resident traces.
-func (c *Cache) ResetStats() { c.timing.ResetStats() }
 
 // Stats returns lookup and miss counts.
 func (c *Cache) Stats() (lookups, misses uint64) {

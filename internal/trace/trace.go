@@ -6,10 +6,18 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tracep/internal/isa"
 )
+
+// MaxLen is the longest trace the int16 instruction indices can hold. The
+// tightest of them is the consumer arena: a trace of n instructions keeps
+// n+1 list offsets and at most 2n consumer entries (two source operands per
+// instruction), and prerename writes offsets up to n+1+2n = 3n+1 as int16.
+// 3n+1 <= math.MaxInt16 gives n <= (math.MaxInt16-1)/3.
+const MaxLen = (math.MaxInt16 - 1) / 3
 
 // Descriptor identifies a trace: its start PC, its physical length, and the
 // embedded outcomes of its conditional branches. Together with the static

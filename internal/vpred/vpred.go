@@ -39,9 +39,9 @@ type entry struct {
 // Predictor predicts live-in values keyed by an opaque 64-bit context
 // (the processor uses trace start PC and architectural register).
 type Predictor struct {
-	cfg   Config  //tracep:nostats configuration
-	table []entry //tracep:nostats model state
-	mask  uint64  //tracep:nostats configuration
+	cfg   Config
+	table []entry
+	mask  uint64
 
 	Predictions uint64
 	Correct     uint64
@@ -68,9 +68,6 @@ func (p *Predictor) Reset(cfg Config) {
 	clear(table)
 	*p = Predictor{cfg: cfg, table: table, mask: uint64(cfg.Entries - 1)}
 }
-
-// ResetStats zeroes the prediction/training counters, keeping the table.
-func (p *Predictor) ResetStats() { p.Predictions, p.Correct, p.Trains = 0, 0, 0 }
 
 //tracep:noalloc
 func (p *Predictor) slot(key uint64) *entry {

@@ -99,13 +99,3 @@ func TestBadConfigPanics(t *testing.T) {
 	}()
 	New(Config{Entries: 100})
 }
-
-func TestCloneResetStats(t *testing.T) {
-	p := New(Config{Entries: 64, ConfidenceThreshold: 0})
-	p.Train(1, 5)
-	p.Predict(1)
-	p.ResetStats()
-	if p.Trains != 0 || p.Predictions != 0 || p.Correct != 0 {
-		t.Errorf("counters not reset: %d/%d/%d", p.Trains, p.Predictions, p.Correct)
-	}
-}

@@ -243,19 +243,6 @@ func (r *ResultSet) Seeds() []int64 {
 	return append([]int64(nil), r.seeds...)
 }
 
-// Has reports whether the (bench, model) cell has at least one recorded
-// replicate (successful or failed).
-func (r *ResultSet) Has(bench, model string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, s := range r.seeds {
-		if _, ok := r.byKey[repKey{bench, model, s}]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // HasReplicate reports whether the exact (bench, model, seed) replicate has
 // a recorded result (successful or failed). It is the replicate-level
 // presence test the cluster's placement layer dedupes on: a stolen or

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"tracep"
+	"tracep/internal/arb"
+	"tracep/internal/trace"
 )
 
 func mustBench(t testing.TB, name string) tracep.Benchmark {
@@ -82,6 +84,60 @@ func TestConfigValidationTypedErrors(t *testing.T) {
 	prog := mustProg(t)
 	if _, err := tracep.New(prog, tracep.WithConfig(cfg)).Run(context.Background()); !errors.Is(err, tracep.ErrInvalidConfig) {
 		t.Errorf("program session must validate too, got %v", err)
+	}
+}
+
+// TestConfigLimits: a Config that Validate accepts runs without a panic up
+// to the engine's representation limits, and one past them is a
+// ConfigError. The program is straight-line code in which every
+// instruction after the first reads two values produced earlier in its
+// trace, so an n-instruction trace fills its int16 consumer arena to
+// 3n-1 entries: at trace.MaxLen it fits and passes the oracle, one
+// instruction longer it would wrap, and Run must return ErrInvalidConfig
+// instead of simulating. The NumPEs bound is checked through Validate
+// alone: a processor that size is not worth building.
+func TestConfigLimits(t *testing.T) {
+	rejects := func(err error, field string) bool {
+		var ce *tracep.ConfigError
+		return errors.Is(err, tracep.ErrInvalidConfig) && errors.As(err, &ce) && ce.Field == field
+	}
+	b := tracep.NewProgram("fan-in")
+	b.Li(1, 3).Add(2, 1, 1)
+	for i := 0; i < trace.MaxLen; i++ {
+		b.Add(1, 1, 2).Add(2, 2, 1)
+	}
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxLen int
+		valid  bool
+	}{{trace.MaxLen, true}, {trace.MaxLen + 1, false}} {
+		cfg := tracep.DefaultConfig()
+		cfg.NumPEs, cfg.MaxTraceLen = 2, tc.maxLen
+		res, err := tracep.New(prog, tracep.WithModel(tracep.ModelFGMLBRET), tracep.WithConfig(cfg)).Run(context.Background())
+		switch {
+		case !tc.valid:
+			if !rejects(err, "MaxTraceLen") {
+				t.Errorf("MaxTraceLen %d: err = %v, want a MaxTraceLen ConfigError", tc.maxLen, err)
+			}
+		case err != nil:
+			t.Fatalf("MaxTraceLen %d: %v", tc.maxLen, err)
+		case res.Stats.AvgTraceLen() < trace.MaxLen/2:
+			t.Errorf("MaxTraceLen %d: average trace length %.1f, want traces near the limit", tc.maxLen, res.Stats.AvgTraceLen())
+		}
+	}
+
+	cfg := tracep.DefaultConfig()
+	cfg.NumPEs = arb.MaxPEs
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("NumPEs %d: %v", cfg.NumPEs, err)
+	}
+	cfg.NumPEs++
+	if err := cfg.Validate(); !rejects(err, "NumPEs") {
+		t.Errorf("NumPEs %d: err = %v, want a NumPEs ConfigError", cfg.NumPEs, err)
 	}
 }
 
