@@ -171,33 +171,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
-// BenchmarkAblationValuePrediction measures the effect of the optional
-// live-in value predictor (Figure 2's box; DESIGN.md §1) on top of full
-// control independence.
-func BenchmarkAblationValuePrediction(b *testing.B) {
-	bm, err := tracep.BenchmarkByName("go")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := bm.Build(bm.ScaleFor(benchBudget))
-	for _, vp := range []bool{false, true} {
-		b.Run(fmt.Sprintf("vpred=%v", vp), func(b *testing.B) {
-			cfg := tracep.DefaultConfig()
-			cfg.ValuePredict = vp
-			sim := tracep.New(prog, tracep.WithConfig(cfg), tracep.WithModel(tracep.ModelFGMLBRET))
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = res.Stats.IPC()
-			}
-			b.ReportMetric(ipc, "IPC")
-		})
-	}
-}
-
 // BenchmarkAblationPEs sweeps the processing-element count — the paper
 // simulates 16 PEs "in anticipation of future large instruction windows",
 // where control independence matters more.

@@ -102,9 +102,6 @@ func (c *Config) Validate() error {
 	if c.BIT.Entries < 1 || c.BIT.Assoc < 1 {
 		bad("BIT", fmt.Sprintf("%+v", c.BIT), "entries and associativity must be positive")
 	}
-	if c.ValuePredict && !powerOfTwo(c.VPred.Entries) {
-		bad("VPred.Entries", c.VPred.Entries, "must be a power of two when ValuePredict is enabled")
-	}
 
 	return errors.Join(errs...)
 }

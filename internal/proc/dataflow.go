@@ -276,15 +276,6 @@ func (p *Processor) deliverGlobal(tag rename.Tag) {
 		if !e.Ready {
 			continue
 		}
-		if p.vp != nil && op.kind == trace.SrcLiveIn {
-			p.vp.Train(vpKey(st, op.arch), e.Val)
-		}
-		if op.predicted {
-			op.predicted = false
-			if op.val != e.Val {
-				p.Stats.ValueMispredictions++
-			}
-		}
 		if op.ready && op.val == e.Val {
 			continue
 		}

@@ -91,17 +91,15 @@ func (fe *frontend) outcomesOf(d trace.Descriptor) []bool {
 	return out
 }
 
-// entryRing is a fixed-capacity FIFO of fetch entries (growable only if a
-// configuration outruns its initial sizing).
+// entryRing is a fixed-capacity FIFO of fetch entries. NumPEs entries
+// always fit: fetchStep stops at NumPEs queued entries, and every job is
+// also a queue entry.
 type entryRing struct {
 	buf     []*fetchEntry
 	head, n int
 }
 
 func (r *entryRing) init(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
 	if cap(r.buf) < capacity {
 		r.buf = make([]*fetchEntry, capacity)
 	}
@@ -118,14 +116,6 @@ func (r *entryRing) at(i int) *fetchEntry { return r.buf[(r.head+i)%len(r.buf)] 
 
 //tracep:noalloc
 func (r *entryRing) push(e *fetchEntry) {
-	if r.n == len(r.buf) {
-		//tracep:allow ring doubling is amortised; the entries themselves are pooled
-		buf := make([]*fetchEntry, 2*len(r.buf))
-		for i := 0; i < r.n; i++ {
-			buf[i] = r.at(i)
-		}
-		r.buf, r.head = buf, 0
-	}
 	r.buf[(r.head+r.n)%len(r.buf)] = e
 	r.n++
 }
@@ -158,12 +148,6 @@ func (p *Processor) constructionStep() {
 		return
 	}
 	job := p.fe.jobs.at(0)
-	if !job.constructing {
-		// Entry was cancelled (queue dropped): discard.
-		p.fe.jobs.pop()
-		p.fe.jobDoneAt = 0
-		return
-	}
 	if p.fe.jobDoneAt == 0 {
 		p.fe.jobDoneAt = p.cycle + int64(job.constructCycles)
 	}
@@ -424,7 +408,6 @@ func (p *Processor) resumeFetchAfter(q *peState) {
 func (p *Processor) dropFetchQueue(pos int) {
 	for p.fe.queue.len() > 0 {
 		e := p.fe.queue.pop()
-		e.constructing = false
 		p.releaseTrace(e.tr)
 		e.tr = nil
 		p.fe.putEntry(e)

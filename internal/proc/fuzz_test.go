@@ -5,9 +5,49 @@ import (
 	"testing/quick"
 
 	"tracep/internal/asm"
+	"tracep/internal/bench"
 	"tracep/internal/emu"
 	"tracep/internal/isa"
+	"tracep/internal/trace"
 )
+
+// FuzzSimulate runs a generated program of about 5,000 instructions under
+// one of the eight models on a perturbed window: NumPEs in [1, 32],
+// MaxTraceLen in [1, trace.MaxLen] with NumPEs × MaxTraceLen at most 65,536,
+// and PEIssueWidth in [1, 8]. No run may panic; each must pass the oracle,
+// hold checkMachine after every Step and the Stats laws at the end. The
+// committed corpus (testdata/fuzz/FuzzSimulate) includes the Table 1
+// machine and both ends of the trace-length range.
+//
+// checkMachine visits every window slot each cycle, and a window of
+// thousand-instruction traces can take 100,000s of cycles to retire 5,000
+// instructions, so a run stops after fuzzSlotCycles / (NumPEs ×
+// MaxTraceLen) cycles, checked as far as it got: every input then costs at
+// most about a second.
+func FuzzSimulate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, model, pes uint8, maxLen uint16, width uint8) {
+		cfg := DefaultConfig()
+		cfg.NumPEs = 1 + int(pes)%32
+		cfg.MaxTraceLen = min(1+int(maxLen)%trace.MaxLen, 65536/cfg.NumPEs)
+		cfg.PEIssueWidth = 1 + int(width)%8
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		m := allModels[int(model)%len(allModels)]
+		bm := bench.Generated(bench.DefaultGenConfig(seed))
+		prog := bm.Build(bm.ScaleFor(5000))
+		p := New(prog, m, cfg)
+		maxCycles := int64(fuzzSlotCycles / (cfg.NumPEs * cfg.MaxTraceLen))
+		for !p.Halted() && p.Err() == nil && p.cycle < maxCycles {
+			stepChecked(t, m.Name, p)
+		}
+		endChecked(t, m.Name, p)
+	})
+}
+
+// fuzzSlotCycles bounds one FuzzSimulate input's checking work: window slots
+// times cycles.
+const fuzzSlotCycles = 1 << 29
 
 // TestRandomProgramsAllModels is the heavyweight correctness property: for
 // randomly generated programs full of data-dependent hammocks, unpredictable

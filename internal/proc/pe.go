@@ -28,9 +28,6 @@ type operand struct {
 	tag   rename.Tag // bound tag (SrcLiveIn)
 	val   int64
 	ready bool
-	// predicted marks a speculatively supplied live-in value awaiting its
-	// real arrival.
-	predicted bool
 }
 
 // instState is a dynamic instruction resident in a PE.
@@ -189,7 +186,10 @@ func (pe *peState) reset(id int) {
 }
 
 // initPool sizes the PE's instruction arena for traces up to maxLen
-// instructions and wires the permanent slot pointers.
+// instructions and wires the permanent slot pointers. The arena never
+// grows: construction stops at Sel.MaxLen, and an embedded FGCI region
+// counts its whole Size (at most MaxLen) up front, so no trace — a repair
+// trace included — is longer than Config.MaxTraceLen.
 func (pe *peState) initPool(maxLen int) {
 	pe.pool = make([]instState, maxLen)
 	pe.ptrs = make([]*instState, maxLen)
@@ -201,27 +201,6 @@ func (pe *peState) initPool(maxLen int) {
 		pe.ptrs[i] = &pe.pool[i]
 	}
 	pe.insts = pe.ptrs[:0]
-}
-
-// ensureSlots guarantees the arena holds at least n slots. Traces are
-// bounded by Config.MaxTraceLen, so this only ever grows on configurations
-// whose trace selection admits longer traces than the arena was sized for;
-// growth allocates individual slots so existing slot pointers stay valid.
-//
-//tracep:noalloc
-func (pe *peState) ensureSlots(n int) {
-	for len(pe.ptrs) < n {
-		if len(pe.ptrs) == 64*len(pe.cand) {
-			//tracep:allow candidate-set word grows once per 64 PE slots, then is reused
-			pe.cand = append(pe.cand, 0)
-		}
-		//tracep:allow slot-pool growth: instruction state is allocated once per PE slot, then reinitialised in place
-		st := &instState{pe: pe, slot: len(pe.ptrs)}
-		//tracep:allow slot-pointer list grows once per PE slot, then is reused
-		pe.ptrs = append(pe.ptrs, st)
-		//tracep:allow cold-bank list grows once per PE slot, then is reused
-		pe.cold = append(pe.cold, instCold{})
-	}
 }
 
 // reinit prepares the slot for a new dynamic instruction: the generation
@@ -467,7 +446,6 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	pe.mapBefore = p.specMap
 	pe.dispatchedAt = p.cycle
 
-	pe.ensureSlots(tr.Len())
 	pe.insts = pe.ptrs[:tr.Len()]
 	for i := range pe.insts {
 		p.initInstState(pe.insts[i], i, tr)
@@ -543,41 +521,17 @@ func (p *Processor) bindOperands(st *instState, tr *trace.Trace, mapBefore *rena
 	}
 }
 
-// vpKey builds the value-predictor context for a live-in: the consuming
-// trace's start PC and the architectural register.
-//
-//tracep:noalloc
-func vpKey(st *instState, arch isa.Reg) uint64 {
-	return uint64(st.pe.tr.Desc.StartPC)<<6 | uint64(arch)
-}
-
 // bindLiveIn points operand k of st at tag, reading it if ready and
-// subscribing for (re)broadcasts. When the value predictor is enabled, a
-// not-yet-ready live-in may be supplied speculatively; the arrival of the
-// real value repairs it through the normal reissue path.
+// subscribing for (re)broadcasts.
 //
 //tracep:noalloc
 func (p *Processor) bindLiveIn(st *instState, k int, tag rename.Tag) {
 	op := &st.src[k]
 	op.tag = tag
-	e := p.regs.Get(tag)
-	switch {
-	case e != nil && e.Ready:
+	if e := p.regs.Get(tag); e != nil && e.Ready {
 		op.val = e.Val
 		op.ready = true
-		if p.vp != nil {
-			p.vp.Train(vpKey(st, op.arch), e.Val)
-		}
-	case p.vp != nil:
-		if v, ok := p.vp.Predict(vpKey(st, op.arch)); ok {
-			op.val = v
-			op.ready = true
-			op.predicted = true
-			p.Stats.ValuePredictions++
-		} else {
-			op.ready = false
-		}
-	default:
+	} else {
 		op.ready = false
 	}
 	p.addSub(tag, subRef{st: st, gen: st.gen, src: k})

@@ -26,7 +26,6 @@ import (
 	"tracep/internal/rename"
 	"tracep/internal/tpred"
 	"tracep/internal/trace"
-	"tracep/internal/vpred"
 )
 
 // CGCIMode selects the coarse-grain control-independence heuristic (§4.2).
@@ -88,12 +87,6 @@ type Config struct {
 	TPred  tpred.Config
 	BIT    core.BITConfig
 
-	// ValuePredict enables the live-in value predictor of Figure 2
-	// (off by default — the paper's evaluation does not parameterise it);
-	// mispredicted values are repaired by the normal selective-reissue path.
-	ValuePredict bool
-	VPred        vpred.Config
-
 	// Seed, when nonzero, scrambles initial predictor state with a
 	// deterministic PRNG instead of the paper's canonical reset: the branch
 	// predictor's direction counters and (sparsely) its BTB indirect
@@ -129,7 +122,6 @@ func DefaultConfig() Config {
 		BPred:          bpred.DefaultConfig(),
 		TPred:          tpred.DefaultConfig(),
 		BIT:            core.DefaultBITConfig(),
-		VPred:          vpred.DefaultConfig(),
 		Verify:         true,
 		WatchdogCycles: 200000,
 	}
@@ -161,7 +153,6 @@ type Processor struct {
 	bp     bpred.Predictor
 	tp     tpred.Predictor
 	bit    core.BIT
-	vp     *vpred.Predictor
 	ctor   trace.Constructor
 
 	pes  []*peState
@@ -295,16 +286,12 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	if cfg.Verify {
 		p.oracle = reuse(old.oracle)
 	}
-	if cfg.ValuePredict {
-		p.vp = reuse(old.vp)
-	}
-	// The trace cache, next-trace predictor and value predictor start from
-	// reset even on a restore: the warm-up never trains them.
+	// The trace cache and next-trace predictor start from reset even on a
+	// restore: the warm-up never trains them. Checkpoints into the
+	// predictor's history reach back at most one window plus one fetch queue
+	// of in-flight traces; the ring is sized for twice that.
 	p.recycleTraces(&old, cfg)
-	p.tp.Reset(cfg.TPred, cfg.Seed)
-	if p.vp != nil {
-		p.vp.Reset(cfg.VPred)
-	}
+	p.tp.Reset(cfg.TPred, cfg.Seed, 4*cfg.NumPEs)
 	if snap == nil {
 		p.mem.Reset(prog)
 		p.dcache.Reset(cfg.DCache)
@@ -329,10 +316,6 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 		p.fe.init(cfg.NumPEs, snap.emu.PC)
 		p.Stats.WarmupInsts = snap.warmupInsts
 	}
-	// Checkpoints into the next-trace predictor's history ring reach back at
-	// most one window plus one fetch queue of in-flight traces; size the ring
-	// generously for deep-window configurations.
-	p.tp.EnsureHistoryCapacity(4 * cfg.NumPEs)
 	p.ctor.Prog = prog
 	p.ctor.Sel = trace.SelConfig{MaxLen: cfg.MaxTraceLen, NTB: model.NTB, FG: model.FG}
 	p.ctor.BIT, p.ctor.BP, p.ctor.IC = &p.bit, &p.bp, &p.icache

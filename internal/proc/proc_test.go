@@ -356,29 +356,6 @@ func TestRecursion(t *testing.T) {
 	}
 }
 
-func TestValuePredictionCorrectness(t *testing.T) {
-	// With the live-in value predictor on, every retired instruction must
-	// still match the oracle: wrong predictions are repaired by selective
-	// reissue before retirement.
-	for _, prog := range []*isa.Program{lcgProgram(300), unpredictableLoop(100)} {
-		for _, m := range []Model{ModelBase, ModelFGMLBRET} {
-			cfg := testConfig()
-			cfg.ValuePredict = true
-			p := New(prog, m, cfg)
-			stats, err := p.Run(0)
-			if err != nil {
-				t.Fatalf("%s/%s with value prediction: %v", prog.Name, m.Name, err)
-			}
-			if !p.Halted() {
-				t.Fatalf("%s/%s: did not halt", prog.Name, m.Name)
-			}
-			if stats.ValuePredictions == 0 {
-				t.Errorf("%s/%s: value predictor never fired", prog.Name, m.Name)
-			}
-		}
-	}
-}
-
 func TestStatsSanity(t *testing.T) {
 	prog := lcgProgram(300)
 	stats := runProgram(t, prog, ModelBase)

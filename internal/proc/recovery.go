@@ -398,7 +398,6 @@ func (p *Processor) installRepair() {
 		for i := newTr.Len(); i < len(pe.insts); i++ {
 			pe.insts[i].invalidate()
 		}
-		pe.ensureSlots(newTr.Len())
 		p.releaseTrace(pe.tr)
 		pe.tr = newTr
 		rec.newTrace = nil // the recovery's reference is now the PE's
@@ -574,7 +573,6 @@ func (p *Processor) redispatchTrace(q *peState) {
 func (p *Processor) rebindOperand(st *instState, k int, newTag rename.Tag) {
 	op := &st.src[k]
 	op.tag = newTag
-	op.predicted = false
 	p.addSub(newTag, subRef{st: st, gen: st.gen, src: k})
 	e := p.regs.Get(newTag)
 	if e != nil && e.Ready {

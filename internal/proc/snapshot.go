@@ -24,10 +24,10 @@ var ErrIncompatibleSnapshot = errors.New("snapshot incompatible with configurati
 // path — instruction and data cache arrays, branch-predictor counters,
 // indirect targets and return-address stack, and the BIT's memoised FGCI
 // analyses. Structures whose contents depend on the trace-selection model
-// (trace cache, next-trace predictor, value predictor) are not captured: a
-// restore resets them exactly as a cold start does, which is what makes one
-// snapshot restorable under every model: the warm-up region is simulated
-// once per program, not once per (program, model) cell.
+// (trace cache, next-trace predictor) are not captured: a restore resets
+// them exactly as a cold start does, which is what makes one snapshot
+// restorable under every model: the warm-up region is simulated once per
+// program, not once per (program, model) cell.
 //
 // A Snapshot is never mutated after capture and every restore copies out of
 // it into the processor's own storage (see the Clone methods across
@@ -171,11 +171,10 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 // CompatibleWith reports whether a processor configured with cfg can be
 // restored from the snapshot: every field that sizes or seeds a cache or a
 // predictor must match the capture-time configuration, including those of
-// the trace cache and the next-trace and value predictors, which a restore
-// resets rather than copies. Fields that only
-// shape the measured simulation — PE count, issue width, bus counts and
-// latencies, verification, watchdog — may differ freely, so a
-// window-sizing sweep can share one warm-up.
+// the trace cache and the next-trace predictor, which a restore resets
+// rather than copies. Fields that only shape the measured simulation — PE
+// count, issue width, bus counts and latencies, verification, watchdog —
+// may differ freely, so a window-sizing sweep can share one warm-up.
 func (s *Snapshot) CompatibleWith(cfg Config) error {
 	mismatch := func(field string, capture, restore any) error {
 		return fmt.Errorf("%w: %s was %+v at capture, %+v at restore",
@@ -198,10 +197,6 @@ func (s *Snapshot) CompatibleWith(cfg Config) error {
 		return mismatch("MaxTraceLen", s.cfg.MaxTraceLen, cfg.MaxTraceLen)
 	case cfg.Seed != s.cfg.Seed:
 		return mismatch("Seed", s.cfg.Seed, cfg.Seed)
-	case cfg.ValuePredict != s.cfg.ValuePredict:
-		return mismatch("ValuePredict", s.cfg.ValuePredict, cfg.ValuePredict)
-	case cfg.ValuePredict && cfg.VPred != s.cfg.VPred:
-		return mismatch("VPred", s.cfg.VPred, cfg.VPred)
 	}
 	return nil
 }

@@ -240,7 +240,6 @@ func TestSnapshotCompatibility(t *testing.T) {
 		{"BIT", func(c *Config) { c.BIT.Entries = 4096 }},
 		{"MaxTraceLen", func(c *Config) { c.MaxTraceLen = 16 }},
 		{"Seed", func(c *Config) { c.Seed = 42 }},
-		{"ValuePredict", func(c *Config) { c.ValuePredict = true }},
 	}
 	for _, tc := range reject {
 		bad := cfg
@@ -284,9 +283,9 @@ func TestWarmupIsObservable(t *testing.T) {
 }
 
 // TestResetMatchesNew runs a mixed sequence of cells — different programs,
-// models and window shapes, value prediction, a snapshot restore and runs
-// abandoned part-way — on one reused engine, and requires each cell's Stats
-// to equal a freshly built processor's. Nothing of one run may leak into
+// models and window shapes, a snapshot restore and runs abandoned part-way —
+// on one reused engine, and requires each cell's Stats to equal a freshly
+// built processor's. Nothing of one run may leak into
 // the next through the storage Reset keeps. That storage includes every
 // trace: a reset recycles the previous run's traces, so each cell builds
 // into traces of other shapes — another trace-cache geometry, another
@@ -296,8 +295,6 @@ func TestWarmupIsObservable(t *testing.T) {
 func TestResetMatchesNew(t *testing.T) {
 	small := testConfig()
 	small.NumPEs, small.MaxTraceLen = 6, 16
-	vp := testConfig()
-	vp.ValuePredict = true
 	noVerify := testConfig()
 	noVerify.Verify = false
 	tinyTC := testConfig()
@@ -327,7 +324,6 @@ func TestResetMatchesNew(t *testing.T) {
 		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: testConfig()},
 		{prog: unpredictableLoop(60), model: ModelRET, cfg: testConfig(), maxInsts: 1500}, // abandoned mid-run
 		{prog: unpredictableLoop(60), model: ModelBase, cfg: small},
-		{prog: lcgProgram(200), model: ModelFG, cfg: vp},
 		{prog: warmProg, model: ModelMLBRET, cfg: testConfig(), snap: snap},
 		{prog: lcgProgram(200), model: ModelFGMLBRET, cfg: noVerify},
 		{prog: warmProg, model: ModelFGMLBRET, cfg: testConfig(), snap: snap},

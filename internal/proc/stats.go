@@ -79,6 +79,11 @@ type Stats struct {
 	Loads             uint64 `json:"Loads"`
 	Stores            uint64 `json:"Stores"`
 
+	// ValuePredictions and ValueMispredictions are always 0: the engine
+	// does not model Figure 2's live-in value predictor, which the paper's
+	// evaluation never enables. They are kept because they are part of the
+	// Result JSON, and committed baselines, journals and digests pin those
+	// bytes.
 	ValuePredictions    uint64 `json:"ValuePredictions"`
 	ValueMispredictions uint64 `json:"ValueMispredictions"`
 

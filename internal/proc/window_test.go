@@ -77,18 +77,36 @@ func checkList(p *Processor) error {
 }
 
 // checkMachine checks the structural laws that must hold between cycles:
-// the PE list is sound (checkList); outside a recovery, each trace starts
-// at its predecessor's successor PC unless the predecessor ends in an
-// indirect jump or a halt (a recovery repairs the window one trace at a
-// time, so the chain is broken while it runs); and every instruction that
-// can issue — resident, not cancelled, waiting, both operands ready — has
-// its bit set in its PE's candidate set, which is all issueAll looks at.
+// the PE list is sound (checkList); the fetch rings fit their fixed
+// capacity, every job being a queue entry (jobs ≤ queue ≤ NumPEs), and
+// every job is still under construction (completing one pops it); every
+// PE-resident trace and the repair trace fit a PE's arena (Len ≤
+// MaxTraceLen); outside a recovery, each trace starts at its predecessor's
+// successor PC unless the predecessor ends in an indirect jump or a halt (a
+// recovery repairs the window one trace at a time, so the chain is broken
+// while it runs); and every instruction that can issue — resident, not
+// cancelled, waiting, both operands ready — has its bit set in its PE's
+// candidate set, which is all issueAll looks at.
 func checkMachine(p *Processor) error {
 	if err := checkList(p); err != nil {
 		return err
 	}
+	if jobs, queue := p.fe.jobs.len(), p.fe.queue.len(); jobs > queue || queue > p.cfg.NumPEs {
+		return fmt.Errorf("fetch rings hold %d jobs and %d queue entries, want jobs ≤ queue ≤ NumPEs %d", jobs, queue, p.cfg.NumPEs)
+	}
+	for i := 0; i < p.fe.jobs.len(); i++ {
+		if !p.fe.jobs.at(i).constructing {
+			return fmt.Errorf("fetch job %d of %d is not under construction", i, p.fe.jobs.len())
+		}
+	}
+	if tr := p.rec.newTrace; tr != nil && tr.Len() > p.cfg.MaxTraceLen {
+		return fmt.Errorf("repair trace at pc %d has %d instructions, more than MaxTraceLen %d", tr.Desc.StartPC, tr.Len(), p.cfg.MaxTraceLen)
+	}
 	for id := p.head; id >= 0; id = p.pes[id].next {
 		pe := p.pes[id]
+		if pe.tr.Len() > p.cfg.MaxTraceLen {
+			return fmt.Errorf("PE %d's trace at pc %d has %d instructions, more than MaxTraceLen %d", id, pe.tr.Desc.StartPC, pe.tr.Len(), p.cfg.MaxTraceLen)
+		}
 		if next := pe.next; next >= 0 && !p.rec.active && !pe.tr.EndsIndirect && !pe.tr.EndsHalt &&
 			pe.tr.NextPC != p.pes[next].tr.Desc.StartPC {
 			return fmt.Errorf("PE %d's trace continues at pc %d, but the next PE %d's trace starts at pc %d",
@@ -110,11 +128,24 @@ func checkMachine(p *Processor) error {
 func runChecked(t *testing.T, label string, p *Processor, maxInsts uint64) {
 	t.Helper()
 	for !p.Halted() && p.Err() == nil && p.Stats.RetiredInsts < maxInsts {
-		p.Step()
-		if err := checkMachine(p); err != nil {
-			t.Fatalf("%s cycle %d: %v", label, p.cycle, err)
-		}
+		stepChecked(t, label, p)
 	}
+	endChecked(t, label, p)
+}
+
+// stepChecked advances p one cycle and checks the machine.
+func stepChecked(t *testing.T, label string, p *Processor) {
+	t.Helper()
+	p.Step()
+	if err := checkMachine(p); err != nil {
+		t.Fatalf("%s cycle %d: %v", label, p.cycle, err)
+	}
+}
+
+// endChecked fails on p's error, such as an oracle mismatch, and checks the
+// Stats laws over the cycles run so far.
+func endChecked(t *testing.T, label string, p *Processor) {
+	t.Helper()
 	if err := p.Err(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -175,8 +206,7 @@ func TestStatsLawsCatchCorruption(t *testing.T) {
 // TestMachineChecksItself runs checkMachine after every cycle, and
 // checkStatsLaws at the end of every cell, of the CI baseline grid (every
 // model), of a scenario grid of narrow and multi-word windows with one
-// cache bus, of value-predicted runs, and of runs restored from a warm-up
-// snapshot.
+// cache bus, and of runs restored from a warm-up snapshot.
 func TestMachineChecksItself(t *testing.T) {
 	const n = 5000
 	var progs []*isa.Program
@@ -206,15 +236,6 @@ func TestMachineChecksItself(t *testing.T) {
 						runChecked(t, label, New(prog, m, cfg), n)
 					}
 				}
-			}
-		}
-	})
-	t.Run("value-prediction", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.ValuePredict = true
-		for _, prog := range append(progs, lcgProgram(300)) {
-			for _, m := range []Model{ModelBase, ModelFGMLBRET} {
-				runChecked(t, prog.Name+"/"+m.Name, New(prog, m, cfg), n)
 			}
 		}
 	})

@@ -105,7 +105,7 @@ func TestLazyResetMatchesEager(t *testing.T) {
 
 			used := New(Config{PathEntries: 1 << 12, SimpleEntries: 1 << 12, HistLen: 2}, 5)
 			trainSome(used, 500)
-			used.Reset(cfg, seed)
+			used.Reset(cfg, seed, 0)
 			sameContents(t, "Reset of a trained predictor", contents(used), want)
 			sameContents(t, "materialised after Reset", materialised(used), want)
 		}
@@ -121,7 +121,7 @@ func TestResetGenerationWrap(t *testing.T) {
 	trainSome(p, 100) // stamped with generation 1
 	p.gen = math.MaxUint32
 	trainSome(p, 100)
-	p.Reset(cfg, 7)
+	p.Reset(cfg, 7, 0)
 	sameContents(t, "Reset across the wrap", contents(p), eagerReset(cfg, 7))
 	trainSome(p, 10)
 	if p.Trains != 10 {
@@ -168,7 +168,7 @@ func TestResetAndCloneReuseStorage(t *testing.T) {
 			break
 		}
 	}
-	used.Reset(cfg, 7)
+	used.Reset(cfg, 7, 0)
 	fresh := New(cfg, 7)
 	sameContents(t, "Reset of a trained predictor", contents(used), contents(fresh))
 	if used.cfg != fresh.cfg || used.seed != fresh.seed || used.pos != fresh.pos || len(used.hist) != len(fresh.hist) ||

@@ -68,7 +68,7 @@ type Predictor struct {
 	// only ever reads the histLen positions preceding a live checkpoint, and
 	// live checkpoints reach back at most the machine's in-flight trace
 	// count — so a small fixed arena replaces the old grow-forever slice.
-	// EnsureHistoryCapacity sizes the ring for deep windows.
+	// Reset sizes the ring for the caller's checkpoint depth.
 	hist []uint64
 	// pos is the absolute history length: the next position SpecUpdate fills.
 	pos int
@@ -87,16 +87,17 @@ type Predictor struct {
 // the canonical reset, where every entry installs on first training.
 func New(cfg Config, seed int64) *Predictor {
 	p := &Predictor{}
-	p.Reset(cfg, seed)
+	p.Reset(cfg, seed, 0)
 	return p
 }
 
 // Reset returns the predictor to the state New(cfg, seed) builds — pristine
 // tables, empty speculative history, zero counters — in time independent of
 // the table sizes: it starts a new generation rather than clearing entries,
-// and keeps every page already allocated. A history ring grown by
-// EnsureHistoryCapacity keeps its size.
-func (p *Predictor) Reset(cfg Config, seed int64) {
+// and keeps every page already allocated. The history ring keeps readable
+// every checkpoint up to depth positions behind the frontier, plus the
+// hash's histLen lookback; a ring already that large keeps its size.
+func (p *Predictor) Reset(cfg Config, seed int64, depth int) {
 	if cfg.PathEntries == 0 {
 		cfg = DefaultConfig()
 	}
@@ -112,9 +113,13 @@ func (p *Predictor) Reset(cfg Config, seed int64) {
 	}
 	path := slices.Grow(p.path[:0], pages(cfg.PathEntries))[:pages(cfg.PathEntries)]
 	simple := slices.Grow(p.simple[:0], pages(cfg.SimpleEntries))[:pages(cfg.SimpleEntries)]
+	n := defaultHistRing
+	for n < depth+cfg.HistLen+1 {
+		n *= 2
+	}
 	hist := p.hist
-	if len(hist) < defaultHistRing {
-		hist = make([]uint64, defaultHistRing)
+	if len(hist) < n {
+		hist = make([]uint64, n)
 	}
 	clear(hist)
 	*p = Predictor{cfg: cfg, seed: seed, path: path, simple: simple, histLen: cfg.HistLen, hist: hist, gen: gen}
@@ -181,34 +186,9 @@ func (p *Predictor) at(t []*page, i, draw0 int) *entry {
 	return e
 }
 
-// defaultHistRing is the speculative-history ring capacity at construction:
-// ample for the default machine (in-flight traces are bounded by twice the
-// PE count). Must be a power of two.
+// defaultHistRing is the smallest speculative-history ring: ample for the
+// default machine. Must be a power of two.
 const defaultHistRing = 256
-
-// EnsureHistoryCapacity grows the history ring so that checkpoints up to
-// depth positions behind the frontier (plus the hash's histLen lookback)
-// remain readable. Called once at processor construction; deep-window
-// configurations get a proportionally larger arena.
-func (p *Predictor) EnsureHistoryCapacity(depth int) {
-	need := depth + p.histLen + 1
-	n := len(p.hist)
-	for n < need {
-		n *= 2
-	}
-	if n == len(p.hist) {
-		return
-	}
-	ring := make([]uint64, n)
-	lo := p.pos - len(p.hist)
-	if lo < 0 {
-		lo = 0
-	}
-	for i := lo; i < p.pos; i++ {
-		ring[i&(n-1)] = p.hist[i&(len(p.hist)-1)]
-	}
-	p.hist = ring
-}
 
 // hashPathAt folds the histLen trace IDs preceding absolute position pos
 // into a path index, weighting recent traces with more bits (a DOLC-style

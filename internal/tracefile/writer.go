@@ -204,9 +204,6 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
-// Records returns the number of committed records written so far.
-func (w *Writer) Records() uint64 { return w.total }
-
 // Capture emulates prog from its entry to the architectural halt, streaming
 // every committed record into a trace written to w, and returns the record
 // count. maxInsts bounds runaway programs (0 means unbounded); reaching the
