@@ -43,13 +43,16 @@
 //	                                   # run the sweep on a remote tracepd, stream
 //	                                   # cells back, render the same tables
 //
-// The grid's rows are the -scenarios instances (named family-seed), then
-// the -bench workloads, then the -corpus recordings. The full eight-workload
-// suite is the default only when none of the three is given. The model
-// columns are -models, or by default the models the requested tables and
-// figures need (all eight for -json or -cells alone). A -spec file is the
-// JSON form of the grid flags (see GridSpec); a field it sets overrides its
-// flag, and a field it leaves out keeps the flag's value:
+// The flags and -spec describe one server.SweepRequest, the same grid
+// tracepd accepts, and server.Resolve turns it into rows and models in both
+// modes. The rows are the -scenarios instances (named family-seed, which
+// tracep.BenchmarkByName resolves), then the -bench workloads, then the
+// -corpus recordings. The full eight-workload suite is the default only
+// when none of the three is given. The model columns are -models, or by
+// default the models the requested tables and figures need (all eight for
+// -json or -cells alone). A -spec file is the JSON form of the grid flags
+// (see GridSpec); a field it sets overrides its flag, and a field it leaves
+// out keeps the flag's value:
 //
 //	{
 //	  "scenarios": ["ptr-chase", "mixed"],
@@ -60,16 +63,16 @@
 //	  "target_insts": 200000
 //	}
 //
-// With -server the grid is submitted to a tracepd instance (see
-// cmd/tracepd) and cells stream back over NDJSON as they complete; the
-// collected ResultSet is byte-identical to a local run, so -json, -baseline
-// and the tables behave the same either way. -j then has no effect — the
-// server's own pool bounds parallelism. Ctrl-C cancels the remote sweep.
-// Combining -server with -corpus submits the recordings by name
-// (SweepRequest.Corpus): the server resolves them against its own corpus
-// directory (tracepd -corpus), so it must hold recordings with the same
-// names — GET /v1/corpus lists what it serves. A SweepRequest has no
-// scenario axis, so -scenarios cannot run on a server.
+// With -server the request is submitted to a tracepd instance (see
+// cmd/tracepd), which resolves it, and cells stream back over NDJSON as
+// they complete; the collected ResultSet is byte-identical to a local run,
+// scenario rows included, so -json, -baseline and the tables behave the
+// same either way. -j then has no effect — the server's own pool bounds
+// parallelism. Ctrl-C cancels the remote sweep. Combining -server with
+// -corpus submits the recordings by name (SweepRequest.Corpus): the server
+// resolves them against its own corpus directory (tracepd -corpus), so it
+// must hold recordings with the same names — GET /v1/corpus lists what it
+// serves.
 //
 // The -baseline gate checks IPC (percent drop), trace mispredictions
 // (rise per 1000 insts), recovery counts (percent rise) and I-/D-cache
@@ -98,7 +101,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -115,19 +117,21 @@ func main() {
 	os.Exit(code)
 }
 
-// GridSpec is the declarative form of the sweep grid, read by -spec: which
+// GridSpec is the declarative form of the grid flags, read by -spec: which
 // workloads (scenario family instances, suite benchmarks), which models,
-// which predictor seeds replicate each cell, and the run size.
+// which predictor seeds replicate each cell, and the run size. It becomes a
+// server.SweepRequest (request), which is what both modes run.
 type GridSpec struct {
 	// Scenarios names workload families from tracep.Scenarios(); each is
 	// instantiated once per ScenarioSeeds entry as a row named family-seed.
+	// An unknown family fails as an unknown row name.
 	Scenarios []string `json:"scenarios,omitempty"`
 	// ScenarioSeeds are the generator seeds of the scenario rows; empty =
 	// {1}.
 	ScenarioSeeds []int64 `json:"scenario_seeds,omitempty"`
-	// Benchmarks names suite workloads (tracep.BenchmarkByName), appended
-	// after the scenario rows; empty = all eight, unless scenario or
-	// corpus rows fill the grid.
+	// Benchmarks names suite workloads or scenario instances
+	// (tracep.BenchmarkByName), appended after the scenario rows; empty =
+	// all eight, unless scenario or corpus rows fill the grid.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Models names the model columns (tracep.ModelByName); empty = the
 	// models the requested displays need.
@@ -246,17 +250,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		rows, models, err := g.resolve(o.displayModels())
-		if err != nil {
+		var corpus []tracep.Benchmark
+		if req, corpus, err = g.request(o.displayModels()); err != nil {
 			return fail(err)
 		}
-		if o.serverURL != "" {
-			if req, err = g.request(rows, models); err != nil {
+		if o.serverURL == "" {
+			// In process, the request resolves here exactly as tracepd
+			// resolves it; -server leaves that to the server.
+			rows, models, err := server.Resolve(req, corpus)
+			if err != nil {
 				return fail(err)
 			}
-		} else {
-			sw = g.sweep(rows, models)
-			sw.Parallelism = o.j
+			sw = tracep.Sweep{
+				Benchmarks:  rows,
+				Models:      models,
+				TargetInsts: req.TargetInsts,
+				Warmup:      req.Warmup,
+				WarmupFor:   req.WarmupFor,
+				Seeds:       req.Seeds,
+				Parallelism: o.j,
+			}
 		}
 	}
 
@@ -276,6 +289,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var ctxErr error
 	switch {
 	case rs != nil:
+	case len(req.Models) == 0:
+		rs = tracep.NewResultSet() // the requested displays need no cells
 	case o.serverURL != "":
 		rs, ctxErr = runRemote(ctx, o.serverURL, req, progress)
 	default:
@@ -376,100 +391,43 @@ func (o *options) displayModels() []tracep.Model {
 	return models
 }
 
-// resolve materialises the grid's rows — scenario instances, then suite
-// benchmarks, then corpus recordings — and its model columns; need is the
-// model axis used when Models is empty.
-func (g *GridSpec) resolve(need []tracep.Model) ([]tracep.Benchmark, []tracep.Model, error) {
+// request turns the grid into the one SweepRequest both modes run: the
+// -scenarios instances, named family-seed as tracep.BenchmarkByName reads
+// them, ahead of the -bench names; the -corpus recordings by name; and
+// need's models when -models is empty. It also returns the loaded
+// recordings, which an in-process run resolves the request against.
+func (g *GridSpec) request(need []tracep.Model) (server.SweepRequest, []tracep.Benchmark, error) {
+	req := server.SweepRequest{
+		Models:      g.Models,
+		TargetInsts: g.TargetInsts,
+		Warmup:      g.Warmup,
+		WarmupFor:   g.warmupFor,
+		Seeds:       g.Seeds,
+	}
+	if len(req.Models) == 0 {
+		req.Models = modelNames(need)
+	}
 	scSeeds := g.ScenarioSeeds
 	if len(scSeeds) == 0 {
 		scSeeds = []int64{1}
 	}
-	var rows []tracep.Benchmark
-	for _, name := range g.Scenarios {
-		sc, err := tracep.ScenarioByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, sc.Benchmarks(scSeeds...)...)
-	}
-	// Scenario or corpus rows without -bench sweep those rows alone —
-	// mirroring the server's "empty Benchmarks + Corpus = corpus only"
-	// request semantics.
-	if len(g.Benchmarks) > 0 || (len(g.Scenarios) == 0 && g.corpusDir == "") {
-		suite, err := selectBenchmarks(g.Benchmarks)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, suite...)
-	}
-	if g.corpusDir != "" {
-		corpus, err := tracep.Corpus(g.corpusDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading -corpus: %w", err)
-		}
-		rows = append(rows, corpus...)
-	}
-	// Match the server's contract: an override naming a benchmark outside
-	// the requested grid is an error, not a silent no-op. Sorted so the
-	// reported name is deterministic when several overrides are bad.
-	overrideNames := make([]string, 0, len(g.warmupFor))
-	for name := range g.warmupFor { //tracep:orderinvariant sorted below
-		overrideNames = append(overrideNames, name)
-	}
-	sort.Strings(overrideNames)
-	for _, name := range overrideNames {
-		if !containsBench(rows, name) {
-			return nil, nil, fmt.Errorf("-warmup-for names %q, which is not in the requested grid", name)
+	for _, family := range g.Scenarios {
+		for _, seed := range scSeeds {
+			req.Benchmarks = append(req.Benchmarks, fmt.Sprintf("%s-%d", family, seed))
 		}
 	}
-
-	models := need
-	if len(g.Models) > 0 {
-		models = nil
-		for _, name := range g.Models {
-			m, ok := tracep.ModelByName(name)
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown model %q", name)
-			}
-			models = append(models, m)
-		}
+	req.Benchmarks = append(req.Benchmarks, g.Benchmarks...)
+	if g.corpusDir == "" {
+		return req, nil, nil
 	}
-	return rows, models, nil
-}
-
-// sweep builds the in-process sweep of the resolved grid.
-func (g *GridSpec) sweep(rows []tracep.Benchmark, models []tracep.Model) tracep.Sweep {
-	return tracep.Sweep{
-		Benchmarks:  rows,
-		Models:      models,
-		TargetInsts: g.TargetInsts,
-		Warmup:      g.Warmup,
-		WarmupFor:   g.warmupFor,
-		Seeds:       g.Seeds,
+	corpus, err := tracep.Corpus(g.corpusDir)
+	if err != nil {
+		return server.SweepRequest{}, nil, fmt.Errorf("loading -corpus: %w", err)
 	}
-}
-
-// request builds the tracepd request for the resolved grid. Corpus rows
-// travel by name only — the server replays its own recordings.
-func (g *GridSpec) request(rows []tracep.Benchmark, models []tracep.Model) (server.SweepRequest, error) {
-	if len(g.Scenarios) > 0 {
-		return server.SweepRequest{}, errors.New("-scenarios cannot run on -server: a SweepRequest has no scenario axis")
+	for _, bm := range corpus {
+		req.Corpus = append(req.Corpus, bm.Name)
 	}
-	req := server.SweepRequest{
-		Models:      modelNames(models),
-		TargetInsts: g.TargetInsts,
-		Warmup:      g.Warmup,
-		WarmupFor:   g.warmupFor,
-		Seeds:       g.Seeds,
-	}
-	for _, bm := range rows {
-		if bm.Recorded != nil {
-			req.Corpus = append(req.Corpus, bm.Name)
-		} else {
-			req.Benchmarks = append(req.Benchmarks, bm.Name)
-		}
-	}
-	return req, nil
+	return req, corpus, nil
 }
 
 // runLocal runs the sweep in-process and returns the (possibly partial)
@@ -493,9 +451,6 @@ func runLocal(ctx context.Context, sw tracep.Sweep, progress io.Writer) (*tracep
 // runRemote submits the grid to a tracepd instance and streams the cells
 // back; the collected ResultSet is byte-identical to a local run.
 func runRemote(ctx context.Context, serverURL string, req server.SweepRequest, progress io.Writer) (*tracep.ResultSet, error) {
-	if (len(req.Benchmarks) == 0 && len(req.Corpus) == 0) || len(req.Models) == 0 {
-		return tracep.NewResultSet(), nil
-	}
 	var fn func(*tracep.Result) error
 	if progress != nil {
 		fn = func(res *tracep.Result) error {
@@ -591,7 +546,7 @@ func parseSeeds(flagName, spec string) ([]int64, error) {
 }
 
 // parseWarmupFor parses -warmup-for's name=insts[,name=insts...] syntax.
-// resolve checks the names against the grid's rows.
+// server.Resolve checks the names against the grid's rows.
 func parseWarmupFor(spec string) (map[string]uint64, error) {
 	if spec == "" {
 		return nil, nil
@@ -609,31 +564,6 @@ func parseWarmupFor(spec string) (map[string]uint64, error) {
 		out[strings.TrimSpace(name)] = n
 	}
 	return out, nil
-}
-
-// selectBenchmarks resolves suite benchmark names; none means all eight.
-func selectBenchmarks(names []string) ([]tracep.Benchmark, error) {
-	if len(names) == 0 {
-		return tracep.Benchmarks(), nil
-	}
-	out := make([]tracep.Benchmark, 0, len(names))
-	for _, name := range names {
-		bm, err := tracep.BenchmarkByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, bm)
-	}
-	return out, nil
-}
-
-func containsBench(rows []tracep.Benchmark, name string) bool {
-	for _, bm := range rows {
-		if bm.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // splitList splits a comma-separated flag value into trimmed items; an
@@ -693,7 +623,7 @@ func printTable1(w io.Writer) {
 }
 
 func printTable2(w io.Writer, n uint64) {
-	fmt.Fprintln(w, "TABLE 2: Benchmarks (synthetic SPEC95int analogues; see DESIGN.md).")
+	fmt.Fprintln(w, "TABLE 2: Benchmarks (synthetic SPEC95int analogues; see internal/bench).")
 	for _, bm := range tracep.Benchmarks() {
 		fmt.Fprintf(w, "  %-10s ~ %-13s scale=%-7d ~%d dynamic instructions\n",
 			bm.Name, bm.Analogue, bm.ScaleFor(n), n)

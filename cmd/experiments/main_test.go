@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"tracep"
+	"tracep/server"
 )
 
 // resolved is what a command line asks to sweep: its rows, models, seeds
@@ -28,11 +30,15 @@ func resolveArgs(t *testing.T, args ...string) resolved {
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
-	rows, models, err := o.grid.resolve(o.displayModels())
+	req, corpus, err := o.grid.request(o.displayModels())
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
-	r := resolved{Models: modelNames(models), Seeds: o.grid.Seeds, TargetInsts: o.grid.TargetInsts, Warmup: o.grid.Warmup}
+	rows, models, err := server.Resolve(req, corpus)
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	r := resolved{Models: modelNames(models), Seeds: req.Seeds, TargetInsts: req.TargetInsts, Warmup: req.Warmup}
 	for _, bm := range rows {
 		r.Rows = append(r.Rows, bm.Name)
 	}
@@ -121,20 +127,40 @@ func TestGridErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
-		if _, _, err := o.grid.resolve(o.displayModels()); err == nil || !strings.Contains(err.Error(), "no-such") {
+		req, corpus, err := o.grid.request(o.displayModels())
+		if err == nil {
+			_, _, err = server.Resolve(req, corpus)
+		}
+		if err == nil || !strings.Contains(err.Error(), "no-such") {
 			t.Errorf("%v: err = %v, want an error naming the unknown entry", args, err)
 		}
 	}
 }
 
-// TestScenariosRejectedOnServer checks that -scenarios with -server exits
-// 1 before printing anything or contacting the server: a SweepRequest has
-// no scenario axis.
-func TestScenariosRejectedOnServer(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-scenarios", "mixed", "-server", "http://127.0.0.1:1"}, &stdout, &stderr)
-	if code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "no scenario axis") {
-		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no output and a scenario-axis message", code, stdout.String(), stderr.String())
+// TestScenarioGridOnServer checks that a scenario grid runs the same in
+// process and on a tracepd: the command line becomes one SweepRequest, and
+// the server resolves its family-seed rows as the local run does, so the
+// two -json outputs are equal byte for byte.
+func TestScenarioGridOnServer(t *testing.T) {
+	mgr := server.NewManager(server.Config{Parallelism: 2})
+	ts := httptest.NewServer(mgr.Handler())
+	defer mgr.Close()
+	defer ts.Close()
+
+	grid := []string{"-scenarios", "mixed", "-scenario-seeds", "1,2", "-seeds", "1,2", "-n", "5000", "-json"}
+	var outputs [2][]byte
+	for i, extra := range [][]string{nil, {"-server", ts.URL}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), append(append([]string{}, grid...), extra...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", extra, code, stderr.String())
+		}
+		outputs[i] = stdout.Bytes()
+	}
+	if !bytes.Equal(outputs[0], outputs[1]) {
+		t.Errorf("in-process and tracepd ResultSets differ:\n%s\n---\n%s", outputs[0], outputs[1])
+	}
+	if !bytes.Contains(outputs[0], []byte(`"mixed-2"`)) {
+		t.Errorf("ResultSet has no mixed-2 row:\n%s", outputs[0])
 	}
 }
 

@@ -223,12 +223,12 @@ func ExampleSweep_Stream() {
 // — they return the first replicate — so single-seed callers are
 // unaffected.
 func ExampleSweep_seeds() {
-	mixed, err := tracep.ScenarioByName("mixed")
+	mixed1, err := tracep.BenchmarkByName("mixed-1") // the mixed scenario's seed-1 instance
 	if err != nil {
 		log.Fatal(err)
 	}
 	sw := tracep.Sweep{
-		Benchmarks:  []tracep.Benchmark{mixed.Benchmark(1)},
+		Benchmarks:  []tracep.Benchmark{mixed1},
 		Models:      []tracep.Model{tracep.ModelBase},
 		TargetInsts: 20_000,
 		Seeds:       []int64{1, 2, 3},

@@ -7,9 +7,13 @@
 // linear congruential generators so conditions are genuinely data-dependent
 // and opaque to the 2-bit predictor.
 //
-// The suite substitutes for SPEC95 binaries, which need a compiler and ISA
-// this reproduction does not depend on; see DESIGN.md §1 for the
-// substitution argument.
+// The suite substitutes for SPEC95 binaries, which would need a compiler
+// targeting this reproduction's ISA and the original inputs. The paper's
+// mechanisms respond to control-flow shape — where mispredicted branches
+// fall relative to FGCI regions, loops and calls — and Table 5 gives that
+// shape per benchmark, so each analogue is written to match it. Absolute
+// IPCs are therefore not comparable with the paper's; the models'
+// relative effects are what the reproduction compares.
 package bench
 
 import (

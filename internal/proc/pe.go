@@ -450,6 +450,7 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	for i := range pe.insts {
 		p.initInstState(pe.insts[i], i, tr)
 	}
+	embedOutcomes(pe.insts, tr, 0)
 	// Live-outs: allocate destination tags for every writing instruction;
 	// only last-writers are marked liveOut (broadcast on completion) and
 	// installed in the map.
@@ -487,14 +488,24 @@ func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 	st.isIndirect = in.IsIndirect()
 	st.isLoad = in.IsLoad()
 	st.isStore = in.IsStore()
-	if st.isBr {
-		if bi, ok := tr.BranchAt(i); ok {
+	p.bindOperands(st, tr, &pe.mapBefore)
+	st.markIssuable()
+}
+
+// embedOutcomes gives each conditional branch in insts[from:] the outcome
+// its trace embeds, as its fetch prediction and its assumed direction. One
+// pass over tr.Branches serves the whole trace, where a lookup per branch
+// slot would cost O(length × branches) on a long trace.
+//
+//tracep:noalloc
+func embedOutcomes(insts []*instState, tr *trace.Trace, from int) {
+	for _, bi := range tr.Branches {
+		if int(bi.Idx) >= from {
+			st := insts[bi.Idx]
 			st.cold().fetchPredTaken = bi.Taken
 			st.assumedTaken = bi.Taken
 		}
 	}
-	p.bindOperands(st, tr, &pe.mapBefore)
-	st.markIssuable()
 }
 
 // bindOperands binds st's sources per the trace's pre-renaming: local

@@ -371,9 +371,14 @@ func (p *Processor) installRepair() {
 
 	if rec.mode == recFGCI &&
 		(newTr.NextPC != rec.oldNextPC || newTr.EndsIndirect != rec.oldIndir || newTr.EndsHalt != rec.oldHalt) {
-		// The FGCI guarantee (identical trace boundary) was violated —
-		// cannot happen for well-formed embeddable regions; degrade to a
-		// full squash to stay correct.
+		// The FGCI guarantee (identical trace boundary) was violated. It
+		// does happen: startRecovery forces outcomes only up to the
+		// mispredicted branch, so the rebuild predicts the branches after
+		// the region again, with a predictor that has trained since the
+		// trace was first built. If one now goes the other way, the
+		// repaired trace leaves by another path and ends elsewhere (the
+		// compress/FG cell of testdata/ci-baseline.json records 2).
+		// Degrade to a full squash to stay correct.
 		p.Stats.FGCIBoundaryViolations++
 		for pe.next >= 0 {
 			p.squashTrace(p.pes[pe.next])
@@ -422,6 +427,7 @@ func (p *Processor) installRepair() {
 				}
 			}
 		}
+		embedOutcomes(states, newTr, slot+1)
 
 		// Recompute live-out status; promoted prefix values publish their
 		// completed results to the register file.

@@ -218,14 +218,23 @@ func grow2(s [][2]SrcRef, n int) [][2]SrcRef {
 }
 
 // BranchAt returns the BranchInfo for the instruction at intra-trace index
-// idx, if that instruction is a conditional branch.
+// idx, if that instruction is a conditional branch. Construction appends
+// Branches in index order, so this is a binary search: a trace near MaxLen
+// holds thousands of branches.
 //
 //tracep:noalloc
 func (t *Trace) BranchAt(idx int) (*BranchInfo, bool) {
-	for i := range t.Branches {
-		if int(t.Branches[i].Idx) == idx {
-			return &t.Branches[i], true
+	lo, hi := 0, len(t.Branches)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(t.Branches[mid].Idx) < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	if lo < len(t.Branches) && int(t.Branches[lo].Idx) == idx {
+		return &t.Branches[lo], true
 	}
 	return nil, false
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -400,6 +401,40 @@ func TestBranchAt(t *testing.T) {
 	}
 	if _, ok := tr.BranchAt(1); ok {
 		t.Error("BranchAt(1) is not a branch")
+	}
+}
+
+// TestBranchAtLongTrace checks BranchAt's binary search against a linear
+// scan over every index of a MaxLen trace holding thousands of branches,
+// including the indices just outside the trace.
+func TestBranchAtLongTrace(t *testing.T) {
+	b := asm.New("branchy")
+	for i := 0; i < MaxLen+8; i++ {
+		// Branches at irregular spacing, each falling through to the next
+		// instruction whichever way it goes.
+		if i%3 == 0 || i%7 == 0 {
+			b.Label(fmt.Sprintf("b%d", i)).Beq(1, 0, fmt.Sprintf("b%d", i+1))
+		} else {
+			b.Label(fmt.Sprintf("b%d", i)).Addi(2, 2, 1)
+		}
+	}
+	b.Label(fmt.Sprintf("b%d", MaxLen+8)).Halt()
+	c := &Constructor{Prog: b.MustBuild(), Sel: SelConfig{MaxLen: MaxLen}}
+	tr, _ := c.Build(0, nil)
+	if tr.Len() != MaxLen || len(tr.Branches) < MaxLen/3 {
+		t.Fatalf("trace holds %d instructions and %d branches, want %d and at least %d", tr.Len(), len(tr.Branches), MaxLen, MaxLen/3)
+	}
+	for idx := -1; idx <= tr.Len(); idx++ {
+		var want *BranchInfo
+		for i := range tr.Branches {
+			if int(tr.Branches[i].Idx) == idx {
+				want = &tr.Branches[i]
+			}
+		}
+		got, ok := tr.BranchAt(idx)
+		if got != want || ok != (want != nil) {
+			t.Fatalf("BranchAt(%d) = %p, %v; linear scan finds %p", idx, got, ok, want)
+		}
 	}
 }
 

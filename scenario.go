@@ -27,21 +27,12 @@ type Scenario struct {
 func (sc Scenario) GenConfig(seed int64) GenConfig { return sc.gen(seed) }
 
 // Benchmark returns the family's workload instance for one seed, named
-// "<family>-<seed>" so grid rows read as scenario coordinates.
+// "<family>-<seed>" so grid rows read as scenario coordinates;
+// BenchmarkByName resolves that name back to the same instance.
 func (sc Scenario) Benchmark(seed int64) Benchmark {
 	bm := Generated(sc.gen(seed))
 	bm.Name = fmt.Sprintf("%s-%d", sc.Name, seed)
 	return bm
-}
-
-// Benchmarks returns one instance per seed, in order — a ready-made
-// Sweep.Benchmarks axis for the family.
-func (sc Scenario) Benchmarks(seeds ...int64) []Benchmark {
-	out := make([]Benchmark, len(seeds))
-	for i, s := range seeds {
-		out[i] = sc.Benchmark(s)
-	}
-	return out
 }
 
 // Scenarios returns the calibrated workload families the statistical
@@ -58,7 +49,8 @@ func (sc Scenario) Benchmarks(seeds ...int64) []Benchmark {
 //     middle of the spectrum.
 //
 // The list and each family's shape are fixed: cmd/experiments -scenarios,
-// its -spec grid files and saved baselines reference families by name.
+// its -spec grid files, saved baselines, tracepd requests and job journals
+// reference families and their instances by name.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{

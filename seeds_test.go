@@ -357,9 +357,17 @@ func TestScenarios(t *testing.T) {
 		t.Errorf("ScenarioByName(nope) err = %v", err)
 	}
 
-	bms := fams[0].Benchmarks(1, 2)
-	if len(bms) != 2 || bms[0].Name != "ptr-chase-1" || bms[1].Name != "ptr-chase-2" {
-		t.Errorf("Benchmarks(1,2) = %v", bms)
+	// BenchmarkByName resolves an instance by its name, and only by the
+	// canonical spelling of its seed.
+	for _, name := range []string{"ptr-chase-1", "dense-branch-2", "long-dep--3", "mixed-0"} {
+		if bm, err := tracep.BenchmarkByName(name); err != nil || bm.Name != name {
+			t.Errorf("BenchmarkByName(%q) = %q, %v", name, bm.Name, err)
+		}
+	}
+	for _, name := range []string{"mixed-01", "mixed-+1", "mixed-", "mixed-1x", "nope-1", "mixed"} {
+		if _, err := tracep.BenchmarkByName(name); err == nil {
+			t.Errorf("BenchmarkByName(%q) resolved, want an error", name)
+		}
 	}
 }
 

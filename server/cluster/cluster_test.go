@@ -171,9 +171,10 @@ func submitAndCollect(t *testing.T, mgr *server.Manager, req server.SweepRequest
 }
 
 // TestClusterByteIdentity is the tentpole guarantee at full scale: the
-// entire CI-baseline grid (both suite benchmarks x all eight models)
-// sharded over three workers marshals byte-identically to the same grid
-// simulated in-process — placement is invisible in the results.
+// entire CI-baseline grid (both suite benchmarks x all eight models) plus a
+// scenario row, sharded over three workers, marshals byte-identically to
+// the same grid simulated in-process — placement is invisible in the
+// results, and a worker resolves a scenario row by name like a suite row.
 func TestClusterByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid cluster sweep in -short mode")
@@ -181,18 +182,19 @@ func TestClusterByteIdentity(t *testing.T) {
 	workers := newWorkers(t, 3)
 	mgr, _ := newCoordinator(t, workers, nil)
 
+	grid := append(benchNames(), "dense-branch-2")
 	got := submitAndCollect(t, mgr, server.SweepRequest{
-		Benchmarks:  benchNames(),
+		Benchmarks:  grid,
 		Models:      modelNames(tracep.Models()),
 		TargetInsts: target,
 	})
-	want := inProcessJSON(t, benchNames(), tracep.Models(), target, 0)
+	want := inProcessJSON(t, grid, tracep.Models(), target, 0)
 	if !bytes.Equal(got, want) {
 		t.Errorf("cluster grid differs from in-process grid:\n%s\n%s", got, want)
 	}
 	// Every row went to a worker; none fell back.
-	if placed := metricInt(t, mgr, "cluster_rows_placed_total"); placed != 2 {
-		t.Errorf("rows placed = %d, want 2", placed)
+	if placed := metricInt(t, mgr, "cluster_rows_placed_total"); placed != 3 {
+		t.Errorf("rows placed = %d, want 3", placed)
 	}
 	if local := metricInt(t, mgr, "cluster_rows_local_total"); local != 0 {
 		t.Errorf("rows local = %d, want 0", local)

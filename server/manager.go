@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -79,10 +80,9 @@ type Manager struct {
 	// store is the durable job journal (nil on a store-less manager).
 	store *store.Store
 
-	// corpus indexes Config.Corpus by workload name; corpusNames keeps the
-	// configured order for GET /v1/corpus.
-	corpus      map[string]tracep.Benchmark
-	corpusNames []string
+	// corpus is Config.Corpus in configured order, less entries without a
+	// recording and repeated names.
+	corpus []tracep.Benchmark
 
 	// metrics and the counters beneath it back GET /metrics; see metrics.go.
 	metrics        *expvar.Map
@@ -125,16 +125,11 @@ func NewManager(cfg Config) *Manager {
 	if m.runner == nil {
 		m.runner = &localRunner{parallelism: cfg.Parallelism, gate: gate}
 	}
-	m.corpus = make(map[string]tracep.Benchmark, len(cfg.Corpus))
 	for _, bm := range cfg.Corpus {
-		if bm.Recorded == nil {
-			continue
+		// tracep.Corpus rejects duplicates; be safe under hand-built configs.
+		if bm.Recorded != nil && !slices.ContainsFunc(m.corpus, func(b tracep.Benchmark) bool { return b.Name == bm.Name }) {
+			m.corpus = append(m.corpus, bm)
 		}
-		if _, dup := m.corpus[bm.Name]; dup {
-			continue // tracep.Corpus rejects duplicates; be safe under hand-built configs
-		}
-		m.corpus[bm.Name] = bm
-		m.corpusNames = append(m.corpusNames, bm.Name)
 	}
 	m.initMetrics()
 	return m
@@ -142,11 +137,10 @@ func NewManager(cfg Config) *Manager {
 
 // Corpus lists the server's recorded-trace workloads in configured order.
 func (m *Manager) Corpus() []CorpusEntry {
-	out := make([]CorpusEntry, 0, len(m.corpusNames))
-	for _, name := range m.corpusNames {
-		bm := m.corpus[name]
+	out := make([]CorpusEntry, 0, len(m.corpus))
+	for _, bm := range m.corpus {
 		out = append(out, CorpusEntry{
-			Name:    name,
+			Name:    bm.Name,
 			Records: bm.Recorded.Records(),
 			File:    filepath.Base(bm.Recorded.Path()),
 		})
@@ -308,59 +302,86 @@ func (m *Manager) isClosed() bool {
 	return m.closed
 }
 
-// resolve maps a job record's axes onto workloads and models: the one
-// resolver Submit and resume share. A benchmark name listed in rec.Corpus
-// resolves against the server's recorded-trace corpus, any other against
-// the suite. An unknown suite or model name is a 400; an unknown corpus
-// name is a 404 (the resource — a recording on this server — does not
-// exist); a workload twice in the grid is a 400.
-func (m *Manager) resolve(rec *jobRecord) ([]tracep.Benchmark, []tracep.Model, error) {
-	benches := make([]tracep.Benchmark, 0, len(rec.Benchmarks))
-	for _, name := range rec.Benchmarks {
-		if !slices.Contains(rec.Corpus, name) {
-			bm, err := tracep.BenchmarkByName(name)
-			if err != nil {
-				return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
-			}
-			benches = append(benches, bm)
-			continue
-		}
-		bm, ok := m.corpus[name]
-		if !ok {
-			return nil, nil, &Error{StatusCode: http.StatusNotFound,
-				Message: fmt.Sprintf("no such corpus trace: %q (GET /v1/corpus lists available recordings)", name)}
+// errNoCorpus marks Resolve's unknown-corpus-name error, which Submit
+// answers with a 404 (the resource, a recording on this server, does not
+// exist) where every other grid error is a 400.
+var errNoCorpus = errors.New("no such corpus trace")
+
+// Resolve maps a request's names onto the grid it describes: the one
+// resolver behind Submit, journal resume and cmd/experiments' in-process
+// runs. The rows are req.Benchmarks (suite workloads and scenario
+// instances, tracep.BenchmarkByName), then req.Corpus, resolved against
+// corpus by name. Empty Benchmarks means the eight-workload suite unless
+// Corpus is set (a corpus-only grid), and empty Models means all eight
+// models. A workload twice in the grid, and a WarmupFor key naming no row,
+// are errors.
+func Resolve(req SweepRequest, corpus []tracep.Benchmark) ([]tracep.Benchmark, []tracep.Model, error) {
+	var benches []tracep.Benchmark
+	if len(req.Benchmarks) == 0 && len(req.Corpus) == 0 {
+		benches = tracep.Benchmarks()
+	}
+	for _, name := range req.Benchmarks {
+		bm, err := tracep.BenchmarkByName(name)
+		if err != nil {
+			return nil, nil, err
 		}
 		benches = append(benches, bm)
+	}
+	for _, name := range req.Corpus {
+		i := slices.IndexFunc(corpus, func(bm tracep.Benchmark) bool { return bm.Name == name })
+		if i < 0 {
+			return nil, nil, fmt.Errorf("%w: %q (GET /v1/corpus lists available recordings)", errNoCorpus, name)
+		}
+		benches = append(benches, corpus[i])
 	}
 	seen := make(map[string]bool, len(benches))
 	for _, bm := range benches {
 		if seen[bm.Name] {
-			return nil, nil, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("workload %q appears twice in the requested grid", bm.Name)}
+			return nil, nil, fmt.Errorf("workload %q appears twice in the requested grid", bm.Name)
 		}
 		seen[bm.Name] = true
 	}
-	models := make([]tracep.Model, 0, len(rec.Models))
-	for _, name := range rec.Models {
-		md, ok := tracep.ModelByName(name)
-		if !ok {
-			return nil, nil, &Error{StatusCode: http.StatusBadRequest, Message: fmt.Sprintf("unknown model %q", name)}
+	// Sorted, so the reported name is deterministic when several are bad.
+	for _, name := range sortedKeys(req.WarmupFor) {
+		if !seen[name] {
+			return nil, nil, fmt.Errorf("warmup_for names %q, which is not in the requested grid", name)
 		}
-		models = append(models, md)
+	}
+	models := tracep.Models()
+	if len(req.Models) > 0 {
+		models = make([]tracep.Model, 0, len(req.Models))
+		for _, name := range req.Models {
+			md, ok := tracep.ModelByName(name)
+			if !ok {
+				return nil, nil, fmt.Errorf("unknown model %q", name)
+			}
+			models = append(models, md)
+		}
 	}
 	return benches, models, nil
 }
 
-// Submit validates req, journals its record, starts its sweep on the shared
-// pool, and returns the new job's status. The sweep runs until its grid
-// completes, Cancel is called, or the manager closes. Corpus rows follow
-// suite rows; with only Corpus set the grid is corpus-only, and with
-// neither it is the full suite.
+// Submit resolves req's grid (Resolve) and checks its tolerances (an
+// unknown corpus name is a 404, any other error a 400), admits it, journals
+// its record, starts its sweep on the shared pool, and returns the new
+// job's status. The sweep runs until its grid completes, Cancel is called,
+// or the manager closes.
 func (m *Manager) Submit(req SweepRequest) (Status, error) {
+	benches, models, err := Resolve(req, m.corpus)
+	if err == nil && req.Tolerances != nil {
+		err = req.Tolerances.Validate()
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, errNoCorpus) {
+			code = http.StatusNotFound
+		}
+		return Status{}, &Error{StatusCode: code, Message: err.Error()}
+	}
 	rec := jobRecord{
-		Benchmarks:  append(slices.Clone(req.Benchmarks), req.Corpus...),
+		Benchmarks:  make([]string, len(benches)),
 		Corpus:      slices.Clone(req.Corpus),
-		Models:      slices.Clone(req.Models),
+		Models:      make([]string, len(models)),
 		TargetInsts: req.TargetInsts,
 		Seed:        req.Seed,
 		Seeds:       dedupeSeeds(req.Seeds),
@@ -369,37 +390,14 @@ func (m *Manager) Submit(req SweepRequest) (Status, error) {
 		Tolerances:  req.Tolerances,
 		CreatedAt:   time.Now().UTC(),
 	}
-	if len(rec.Benchmarks) == 0 {
-		for _, bm := range tracep.Benchmarks() {
-			rec.Benchmarks = append(rec.Benchmarks, bm.Name)
-		}
+	for i, bm := range benches {
+		rec.Benchmarks[i] = bm.Name
 	}
-	if len(rec.Models) == 0 {
-		for _, md := range tracep.Models() {
-			rec.Models = append(rec.Models, md.Name)
-		}
+	for i, md := range models {
+		rec.Models[i] = md.Name
 	}
 	if rec.TargetInsts == 0 {
 		rec.TargetInsts = m.cfg.DefaultTargetInsts
-	}
-	benches, models, err := m.resolve(&rec)
-	if err != nil {
-		return Status{}, err
-	}
-
-	// Validate name-keyed maps in sorted order so the reported name is
-	// deterministic when several are bad (map iteration order is not).
-	for _, name := range sortedKeys(req.WarmupFor) {
-		if !slices.Contains(rec.Benchmarks, name) {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest,
-				Message: fmt.Sprintf("warmup_for names %q, which is not in the requested grid", name)}
-		}
-	}
-
-	if req.Tolerances != nil {
-		if err := req.Tolerances.Validate(); err != nil {
-			return Status{}, &Error{StatusCode: http.StatusBadRequest, Message: err.Error()}
-		}
 	}
 
 	rowsPerBench := float64(len(rec.seedAxis()))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,8 +29,8 @@ import (
 //
 // The KindJob payload, jobRecord, is also the job's in-memory description
 // of its grid, and a fresh job is a resumed job whose journal holds no
-// cells yet: Submit and resume build the job with newJob, resolve the
-// record with resolve, and reach the Runner through start. A corpus row is
+// cells yet: Submit and resume build the job with newJob, resolve its grid
+// with Resolve, and reach the Runner through start. A corpus row is
 // one whose RowSpec.Bench.Recorded is set.
 //
 // Shutdown via Close deliberately writes no terminal record for running
@@ -66,6 +67,19 @@ func (r *jobRecord) seedAxis() []int64 {
 		return r.Seeds
 	}
 	return []int64{r.Seed}
+}
+
+// request is the SweepRequest the record resolves as on resume: its
+// recordings as Corpus and its other rows as Benchmarks. Submit writes
+// corpus rows last, so Resolve returns the rows in the record's order.
+func (r *jobRecord) request() SweepRequest {
+	req := SweepRequest{Corpus: r.Corpus, Models: r.Models, WarmupFor: r.WarmupFor}
+	for _, name := range r.Benchmarks {
+		if !slices.Contains(r.Corpus, name) {
+			req.Benchmarks = append(req.Benchmarks, name)
+		}
+	}
+	return req
 }
 
 // warmupOf returns a row's effective warm-up: its WarmupFor entry when
@@ -253,7 +267,7 @@ func (m *Manager) adoptRecovered(r *recovered) {
 
 	state := r.state
 	if !state.Terminal() {
-		benches, models, err := m.resolve(&j.rec)
+		benches, models, err := Resolve(j.rec.request(), m.corpus)
 		if err == nil {
 			m.jobsResumed.Add(1)
 			m.start(ctx, j, benches, models)

@@ -256,23 +256,33 @@ func TestConcurrentSweepsShareOnePool(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: unknown names and invalid tolerances are 400s with
-// a JSON error body, and unknown job IDs are 404s.
+// TestSubmitValidation: unknown names, scenario instances not in canonical
+// spelling and invalid tolerances are 400s with a JSON error body, and
+// unknown job IDs are 404s.
 func TestSubmitValidation(t *testing.T) {
 	c := newTestServer(t, server.Config{Parallelism: 1})
 
-	_, err := c.Submit(context.Background(), server.SweepRequest{Benchmarks: []string{"nonesuch"}})
 	var apiErr *server.Error
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown benchmark error = %v, want 400 *server.Error", err)
-	}
-	_, err = c.Submit(context.Background(), server.SweepRequest{Models: []string{"nonesuch"}})
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown model error = %v, want 400 *server.Error", err)
+	for _, tc := range []struct {
+		what string
+		req  server.SweepRequest
+	}{
+		{"unknown benchmark", server.SweepRequest{Benchmarks: []string{"nonesuch"}}},
+		{"unknown model", server.SweepRequest{Models: []string{"nonesuch"}}},
+		// mixed-01 would resolve to the instance named mixed-1, whose cells
+		// would then key a row the grid does not have.
+		{"zero-padded scenario seed", server.SweepRequest{Benchmarks: []string{"mixed-01"}}},
+		{"signed scenario seed", server.SweepRequest{Benchmarks: []string{"mixed-+1"}}},
+		{"unknown scenario family", server.SweepRequest{Benchmarks: []string{"no-such-family-1"}}},
+	} {
+		_, err := c.Submit(context.Background(), tc.req)
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: error = %v, want 400 *server.Error", tc.what, err)
+		}
 	}
 	badTol := server.SweepRequest{Benchmarks: []string{"compress"}, Models: []string{"base"}, TargetInsts: 1000,
 		Tolerances: &tracep.Tolerances{IPCPct: -1}}
-	_, err = c.Submit(context.Background(), badTol)
+	_, err := c.Submit(context.Background(), badTol)
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "non-negative") {
 		t.Errorf("negative tolerance error = %v, want 400 *server.Error", err)
 	}

@@ -14,14 +14,16 @@ import (
 // channel contract (Sweep.Stream) and its JSON shape are the single source
 // of truth for both.
 
-// SweepRequest is the body of POST /v1/sweeps: a (benchmark × model) grid
-// by name, resolved server-side against the suite and the paper's eight
-// models. Empty Benchmarks or Models mean "all eight" — the paper's full
-// §6 cross-product.
+// SweepRequest is the body of POST /v1/sweeps and the one description of a
+// (benchmark × model) grid by name: tracepd, its journal resume and
+// cmd/experiments all turn it into rows and models with Resolve. Empty
+// Benchmarks or Models mean "all eight" — the paper's full §6
+// cross-product.
 type SweepRequest struct {
-	// Benchmarks names suite workloads (tracep.BenchmarkByName); empty =
-	// the full eight-workload suite — unless Corpus selects recorded
-	// workloads, in which case empty Benchmarks means "corpus only".
+	// Benchmarks names suite workloads and scenario instances such as
+	// "mixed-2" (tracep.BenchmarkByName); empty = the full eight-workload
+	// suite — unless Corpus selects recorded workloads, in which case empty
+	// Benchmarks means "corpus only".
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Corpus names recorded-trace workloads from the server's corpus
 	// directory (tracepd -corpus; GET /v1/corpus lists them). Corpus rows

@@ -98,6 +98,10 @@
 package tracep
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"tracep/internal/asm"
 	"tracep/internal/bench"
 	"tracep/internal/isa"
@@ -220,9 +224,33 @@ func NewProgram(name string) *Builder { return asm.New(name) }
 // Benchmarks returns the eight-workload suite in the paper's order.
 func Benchmarks() []Benchmark { return bench.Suite() }
 
-// BenchmarkByName returns the named workload (compress, gcc, go, jpeg, li,
-// m88ksim, perl, vortex).
-func BenchmarkByName(name string) (Benchmark, error) { return bench.ByName(name) }
+// BenchmarkByName returns the named workload: a suite benchmark (compress,
+// gcc, go, jpeg, li, m88ksim, perl, vortex) or a scenario instance under the
+// name Scenario.Benchmark gives it, "<family>-<seed>" (e.g. dense-branch-2).
+// Only that canonical spelling resolves — "mixed-01" and "mixed-+1" are
+// errors — so the returned workload's Name always equals name, and a grid
+// built from names keys its cells by the names it was given.
+func BenchmarkByName(name string) (Benchmark, error) {
+	bm, err := bench.ByName(name)
+	if err == nil {
+		return bm, nil
+	}
+	for _, sc := range Scenarios() {
+		rest, ok := strings.CutPrefix(name, sc.Name+"-")
+		if !ok {
+			continue
+		}
+		seed, perr := strconv.ParseInt(rest, 10, 64)
+		if perr != nil {
+			continue
+		}
+		if canon := fmt.Sprintf("%s-%d", sc.Name, seed); canon != name {
+			return Benchmark{}, fmt.Errorf("tracep: %q is not a scenario instance name (the canonical spelling is %q)", name, canon)
+		}
+		return sc.Benchmark(seed), nil
+	}
+	return Benchmark{}, err
+}
 
 // Compile-time proof that the public ResultSet plugs into the paper's
 // table/figure renderers.
