@@ -105,56 +105,62 @@ type Inst struct {
 	Target uint32
 }
 
+// Class is the set of static properties the machine reads from an opcode,
+// one bit each. Every Op value has one, undefined opcodes the empty class,
+// so decode is one index into a 256-entry table with no bounds check.
+type Class uint8
+
+const (
+	ClassWritesRd   Class = 1 << iota // writes Rd (a write to R0 is discarded)
+	ClassWritesLink                   // writes RLink: call, callr
+	ClassCondBranch                   // conditional branch
+	ClassIndirect                     // indirect jump, call or return
+	ClassControl                      // redirects control flow at all
+	ClassLoad                         // reads memory
+	ClassStore                        // writes memory
+)
+
+var opClass = [256]Class{
+	OpAdd: ClassWritesRd, OpSub: ClassWritesRd, OpAnd: ClassWritesRd, OpOr: ClassWritesRd,
+	OpXor: ClassWritesRd, OpShl: ClassWritesRd, OpShr: ClassWritesRd, OpMul: ClassWritesRd,
+	OpDiv: ClassWritesRd, OpSlt: ClassWritesRd,
+	OpAddi: ClassWritesRd, OpAndi: ClassWritesRd, OpOri: ClassWritesRd, OpXori: ClassWritesRd,
+	OpShli: ClassWritesRd, OpShri: ClassWritesRd, OpSlti: ClassWritesRd, OpLui: ClassWritesRd,
+	OpLoad: ClassWritesRd | ClassLoad, OpStore: ClassStore,
+	OpBeq: ClassCondBranch | ClassControl, OpBne: ClassCondBranch | ClassControl,
+	OpBlt: ClassCondBranch | ClassControl, OpBge: ClassCondBranch | ClassControl,
+	OpJump: ClassControl, OpCall: ClassWritesLink | ClassControl,
+	OpJr: ClassIndirect | ClassControl, OpCallR: ClassWritesLink | ClassIndirect | ClassControl,
+	OpRet: ClassIndirect | ClassControl, OpHalt: ClassControl,
+}
+
+// Class returns the opcode's static class.
+//
+//tracep:noalloc
+func (o Op) Class() Class { return opClass[o] }
+
 // IsCondBranch reports whether the instruction is a conditional branch.
 //
 //tracep:noalloc
-func (in Inst) IsCondBranch() bool {
-	switch in.Op {
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return true
-	}
-	return false
-}
+func (in Inst) IsCondBranch() bool { return opClass[in.Op]&ClassCondBranch != 0 }
 
 // IsIndirect reports whether the instruction is an indirect control transfer
 // (jump indirect, call indirect, or return) — the class that terminates
 // traces under the paper's default trace selection.
 //
 //tracep:noalloc
-func (in Inst) IsIndirect() bool {
-	switch in.Op {
-	case OpJr, OpCallR, OpRet:
-		return true
-	}
-	return false
-}
+func (in Inst) IsIndirect() bool { return opClass[in.Op]&ClassIndirect != 0 }
 
 // IsControl reports whether the instruction redirects control flow at all.
 //
 //tracep:noalloc
-func (in Inst) IsControl() bool {
-	switch in.Op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpJump, OpCall, OpJr, OpCallR, OpRet, OpHalt:
-		return true
-	}
-	return false
-}
+func (in Inst) IsControl() bool { return opClass[in.Op]&ClassControl != 0 }
 
 // IsCall reports whether the instruction is a (direct or indirect) call.
-func (in Inst) IsCall() bool { return in.Op == OpCall || in.Op == OpCallR }
-
-// IsLoad reports whether the instruction reads memory.
-//
-//tracep:noalloc
-func (in Inst) IsLoad() bool { return in.Op == OpLoad }
-
-// IsStore reports whether the instruction writes memory.
-//
-//tracep:noalloc
-func (in Inst) IsStore() bool { return in.Op == OpStore }
+func (in Inst) IsCall() bool { return opClass[in.Op]&ClassWritesLink != 0 }
 
 // IsMem reports whether the instruction accesses memory.
-func (in Inst) IsMem() bool { return in.Op == OpLoad || in.Op == OpStore }
+func (in Inst) IsMem() bool { return opClass[in.Op]&(ClassLoad|ClassStore) != 0 }
 
 // IsForwardBranch reports whether the instruction at pc is a conditional
 // branch whose taken target lies forward in the static program.
@@ -177,20 +183,14 @@ func (in Inst) IsBackwardBranch(pc uint32) bool {
 //
 //tracep:noalloc
 func (in Inst) WritesReg() (Reg, bool) {
-	var r Reg
-	switch in.Op {
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv, OpSlt,
-		OpAddi, OpAndi, OpOri, OpXori, OpShli, OpShri, OpSlti, OpLui, OpLoad:
-		r = in.Rd
-	case OpCall, OpCallR:
+	r := in.Rd
+	switch c := opClass[in.Op]; {
+	case c&ClassWritesLink != 0:
 		r = RLink
-	default:
+	case c&ClassWritesRd == 0:
 		return 0, false
 	}
-	if r == 0 {
-		return 0, false
-	}
-	return r, true
+	return r, r != 0
 }
 
 // SrcRegs returns the architectural source registers the instruction reads.
@@ -322,15 +322,26 @@ type Program struct {
 	Data map[uint32]int64
 }
 
+// halt stands in for every PC past the end of a program image.
+var halt = Inst{Op: OpHalt}
+
 // At returns the instruction at pc. Out-of-range PCs decode as Halt, so a
 // wrong-path walk off the end of the image stops harmlessly.
 //
 //tracep:noalloc
-func (p *Program) At(pc uint32) Inst {
+func (p *Program) At(pc uint32) Inst { return *p.Ref(pc) }
+
+// Ref returns a pointer to the instruction at pc, which callers must not
+// modify: into the program's Insts, or to a shared halt for out-of-range
+// PCs (as At). A dispatched instruction points at its static copy this way
+// instead of copying it.
+//
+//tracep:noalloc
+func (p *Program) Ref(pc uint32) *Inst {
 	if int(pc) >= len(p.Insts) {
-		return Inst{Op: OpHalt}
+		return &halt
 	}
-	return p.Insts[pc]
+	return &p.Insts[pc]
 }
 
 // Len returns the static instruction count.

@@ -99,6 +99,69 @@ func TestInstClassification(t *testing.T) {
 	}
 }
 
+// TestOpClassTable checks all 256 Op values, defined or not, against a
+// class table written out here from the ISA's definition: the class bits,
+// every predicate that reads them, and WritesReg with Rd r5 and with Rd r0
+// (a write to R0 is no write, but call and callr write RLink whatever Rd
+// holds).
+func TestOpClassTable(t *testing.T) {
+	type row struct{ rd, link, cond, ind, ctl, load, store bool }
+	alu := row{rd: true}
+	want := map[Op]row{
+		OpNop: {},
+		OpAdd: alu, OpSub: alu, OpAnd: alu, OpOr: alu, OpXor: alu,
+		OpShl: alu, OpShr: alu, OpMul: alu, OpDiv: alu, OpSlt: alu,
+		OpAddi: alu, OpAndi: alu, OpOri: alu, OpXori: alu,
+		OpShli: alu, OpShri: alu, OpSlti: alu, OpLui: alu,
+		OpLoad:  {rd: true, load: true},
+		OpStore: {store: true},
+		OpBeq:   {cond: true, ctl: true},
+		OpBne:   {cond: true, ctl: true},
+		OpBlt:   {cond: true, ctl: true},
+		OpBge:   {cond: true, ctl: true},
+		OpJump:  {ctl: true},
+		OpCall:  {link: true, ctl: true},
+		OpJr:    {ind: true, ctl: true},
+		OpCallR: {link: true, ind: true, ctl: true},
+		OpRet:   {ind: true, ctl: true},
+		OpHalt:  {ctl: true},
+	}
+	if len(want) != int(numOps) {
+		t.Fatalf("table covers %d opcodes, the ISA defines %d", len(want), numOps)
+	}
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		w := want[op] // an undefined opcode has the empty class
+		c := op.Class()
+		got := row{
+			rd: c&ClassWritesRd != 0, link: c&ClassWritesLink != 0,
+			cond: c&ClassCondBranch != 0, ind: c&ClassIndirect != 0, ctl: c&ClassControl != 0,
+			load: c&ClassLoad != 0, store: c&ClassStore != 0,
+		}
+		if got != w {
+			t.Errorf("%v: class %+v, want %+v", op, got, w)
+		}
+		in := Inst{Op: op}
+		if in.IsCondBranch() != w.cond || in.IsIndirect() != w.ind || in.IsControl() != w.ctl ||
+			in.IsCall() != w.link || in.IsMem() != (w.load || w.store) {
+			t.Errorf("%v: a predicate disagrees with %+v", op, w)
+		}
+		for _, rd := range []Reg{5, 0} {
+			in.Rd = rd
+			wantReg, wantOK := Reg(0), false
+			switch {
+			case w.link:
+				wantReg, wantOK = RLink, true
+			case w.rd && rd != 0:
+				wantReg, wantOK = rd, true
+			}
+			if r, ok := in.WritesReg(); r != wantReg || ok != wantOK {
+				t.Errorf("%v with rd r%d: WritesReg = (r%d, %v), want (r%d, %v)", op, rd, r, ok, wantReg, wantOK)
+			}
+		}
+	}
+}
+
 func TestWritesRegAndSrcRegs(t *testing.T) {
 	add := Inst{Op: OpAdd, Rd: 3, Rs1: 1, Rs2: 2}
 	if r, ok := add.WritesReg(); !ok || r != 3 {
@@ -145,6 +208,12 @@ func TestProgramAtOutOfRange(t *testing.T) {
 	}
 	if p.At(99).Op != OpHalt {
 		t.Error("out-of-range PCs must decode as halt")
+	}
+	if p.Ref(0) != &p.Insts[0] {
+		t.Error("Ref(0) should point into the program's Insts")
+	}
+	if p.Ref(99).Op != OpHalt || p.Ref(99) != p.Ref(1000) {
+		t.Error("out-of-range PCs must share the halt")
 	}
 }
 

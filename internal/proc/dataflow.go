@@ -94,7 +94,7 @@ func (p *Processor) complete(ev event) {
 		}
 	}
 
-	if st.isBr {
+	if st.isBr() {
 		taken := ev.val != 0
 		st.resolved = true
 		st.resolvedTaken = taken
@@ -103,7 +103,7 @@ func (p *Processor) complete(ev event) {
 		}
 	}
 
-	if st.isIndirect {
+	if st.isIndirect() {
 		target := uint32(ev.val)
 		if !st.cold().targetKnown || st.cold().actualTarget != target {
 			st.cold().checkedTarget = false
@@ -126,17 +126,17 @@ func (p *Processor) complete(ev event) {
 //tracep:noalloc
 func (p *Processor) wakeLocalConsumers(st *instState) {
 	pe := st.pe
-	for _, ci := range pe.tr.Consumers(st.slot) {
+	for _, ci := range pe.tr.Consumers(int(st.slot)) {
 		if int(ci) >= len(pe.insts) {
 			continue
 		}
-		c := pe.insts[ci]
+		c := &pe.insts[ci]
 		if c.cancelled {
 			continue
 		}
 		for k := 0; k < 2; k++ {
 			op := &c.src[k]
-			if op.kind != trace.SrcLocal || op.local != int16(st.slot) {
+			if op.kind != trace.SrcLocal || op.local != st.slot {
 				continue
 			}
 			if op.ready && op.val == st.localVal {
@@ -443,7 +443,8 @@ func (p *Processor) collectGarbage() {
 		for _, t := range pe.mapAfter {
 			p.regs.Mark(t)
 		}
-		for _, st := range pe.insts {
+		for i := range pe.insts {
+			st := &pe.insts[i]
 			p.regs.Mark(st.destTag)
 			p.regs.Mark(st.src[0].tag)
 			p.regs.Mark(st.src[1].tag)

@@ -17,9 +17,10 @@ func (p *Processor) dumpState() string {
 	for id := p.head; id >= 0; id = p.pes[id].next {
 		pe := p.pes[id]
 		s += fmt.Sprintf("  PE%d logical=%d trace=%v inFlight=%d\n", id, pe.logical, pe.tr.Desc, pe.inFlight)
-		for i, st := range pe.insts {
+		for i := range pe.insts {
+			st := &pe.insts[i]
 			s += fmt.Sprintf("    [%2d] pc=%-3d %-20v status=%d ready=%v,%v final=%v", i, st.cold().pc, st.inst, st.status, st.src[0].ready, st.src[1].ready, st.final())
-			if st.isBr {
+			if st.isBr() {
 				s += fmt.Sprintf(" br(assumed=%v resolved=%v/%v)", st.assumedTaken, st.resolved, st.resolvedTaken)
 			}
 			for k := 0; k < 2; k++ {

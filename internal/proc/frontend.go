@@ -317,7 +317,7 @@ func (p *Processor) dispatchStep() {
 	if pe.prev >= 0 {
 		prev := p.pes[pe.prev]
 		if prev.tr != nil && prev.tr.EndsIndirect && len(prev.insts) > 0 {
-			last := prev.insts[len(prev.insts)-1]
+			last := &prev.insts[len(prev.insts)-1]
 			if last.cold().targetKnown {
 				if last.cold().actualTarget == pe.tr.Desc.StartPC {
 					last.cold().checkedTarget = true
@@ -391,7 +391,7 @@ func (p *Processor) resumeFetchAfter(q *peState) {
 	p.fe.waitIndirect = q.tr.EndsIndirect
 	p.fe.expectedPC = q.tr.NextPC
 	if q.tr.EndsIndirect && len(q.insts) > 0 {
-		last := q.insts[len(q.insts)-1]
+		last := &q.insts[len(q.insts)-1]
 		if last.cold().targetKnown {
 			p.fe.expectedPC = last.cold().actualTarget
 			p.fe.waitIndirect = false
@@ -441,7 +441,7 @@ func (p *Processor) checkIndirectTarget(st *instState) {
 		return
 	}
 	pe := st.pe
-	if !pe.active || st.slot != len(pe.insts)-1 {
+	if !pe.active || int(st.slot) != len(pe.insts)-1 {
 		return
 	}
 	// The indirect currently under recovery may re-execute with a different
@@ -449,7 +449,7 @@ func (p *Processor) checkIndirectTarget(st *instState) {
 	// recovery instead of comparing against the window, whose shape the
 	// recovery owns.
 	rec := &p.rec
-	if rec.active && rec.isIndirect && rec.pe == pe && rec.gen == pe.gen && rec.slot == st.slot {
+	if rec.active && rec.isIndirect && rec.pe == pe && rec.gen == pe.gen && rec.slot == int(st.slot) {
 		p.retargetIndirectRecovery(st)
 		return
 	}

@@ -63,22 +63,22 @@ func (p *Processor) verifyRetired(st *instState) error {
 				st.cold().pc, st.inst, st.localVal, rec.Value)
 		}
 	}
-	if st.isStore {
+	if st.isStore() {
 		if st.lastAddr != rec.Addr || st.cold().lastStoreVal != rec.StoreVal {
 			//tracep:allow verification mismatch is terminal: the run aborts
 			return fmt.Errorf("pc %d: retired store [%d]=%d, oracle [%d]=%d",
 				st.cold().pc, st.lastAddr, st.cold().lastStoreVal, rec.Addr, rec.StoreVal)
 		}
 	}
-	if st.isLoad && st.lastAddr != rec.Addr {
+	if st.isLoad() && st.lastAddr != rec.Addr {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired load addr %d, oracle %d", st.cold().pc, st.lastAddr, rec.Addr)
 	}
-	if st.isBr && st.resolvedTaken != rec.Taken {
+	if st.isBr() && st.resolvedTaken != rec.Taken {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired branch taken=%v, oracle %v", st.cold().pc, st.resolvedTaken, rec.Taken)
 	}
-	if st.isIndirect && st.cold().actualTarget != rec.NextPC {
+	if st.isIndirect() && st.cold().actualTarget != rec.NextPC {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired indirect target %d, oracle %d", st.cold().pc, st.cold().actualTarget, rec.NextPC)
 	}
@@ -109,15 +109,15 @@ func (p *Processor) verifyRecorded(st *instState) error {
 		return fmt.Errorf("recorded-trace divergence at cycle %d: retired pc %d, trace pc %d",
 			p.cycle, st.cold().pc, rec.PC)
 	}
-	if (st.isLoad || st.isStore) && st.lastAddr != rec.Addr {
+	if (st.isLoad() || st.isStore()) && st.lastAddr != rec.Addr {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired %v addr %d, trace %d", st.cold().pc, st.inst.Op, st.lastAddr, rec.Addr)
 	}
-	if st.isBr && st.resolvedTaken != rec.Taken {
+	if st.isBr() && st.resolvedTaken != rec.Taken {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired branch taken=%v, trace %v", st.cold().pc, st.resolvedTaken, rec.Taken)
 	}
-	if st.isIndirect && st.cold().actualTarget != rec.NextPC {
+	if st.isIndirect() && st.cold().actualTarget != rec.NextPC {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired indirect target %d, trace %d", st.cold().pc, st.cold().actualTarget, rec.NextPC)
 	}

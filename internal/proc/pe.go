@@ -20,13 +20,14 @@ const (
 )
 
 // operand is a bound source operand: a copy of the value plus enough
-// identity to rebind and re-read when dependences are repaired.
+// identity to rebind and re-read when dependences are repaired. The fields
+// are ordered widest first, so an operand is 24 bytes.
 type operand struct {
-	kind  trace.SrcKind
-	local int16      // producer slot (SrcLocal)
-	arch  isa.Reg    // architectural register (SrcLiveIn)
 	tag   rename.Tag // bound tag (SrcLiveIn)
 	val   int64
+	local int16 // producer slot (SrcLocal)
+	kind  trace.SrcKind
+	arch  isa.Reg // architectural register (SrcLiveIn)
 	ready bool
 }
 
@@ -41,60 +42,82 @@ type operand struct {
 // subscriptions, completion events, broadcast and misprediction queue
 // entries, load records) can detect that its instruction is gone and the
 // slot now holds an unrelated one.
+//
+// Dispatch decodes nothing: inst points at the static instruction in the
+// program image (shared and read-only), and cls is its opcode's class from
+// isa's table.
 type instState struct {
 	pe   *peState
-	slot int
-	gen  uint64
-	inst isa.Inst
+	inst *isa.Inst
+	instDyn
+}
 
-	src      [2]operand
+// instDyn is the pointer-free part of a slot, which initInstState clears for
+// every new instruction. With no pointers in it, the clear is a plain
+// memory clear even while the garbage collector is marking, when clearing
+// a pointer field would go through a write barrier.
+type instDyn struct {
+	gen uint64
+
+	src     [2]operand
+	destTag rename.Tag
+
+	localVal int64
+	bcastVal int64
+
+	execCount uint32
+	lastAddr  uint32
+	dataSeq   arb.Seq // producer of the load's current data
+	slot      int16
+
 	destArch isa.Reg
-	destTag  rename.Tag
+	cls      isa.Class
 	// liveOut marks the instruction as the last writer of destArch in the
 	// current trace version: its completions broadcast on the result buses.
 	liveOut bool
 
 	status         instStatus
 	pendingReissue bool
-	execCount      uint64
 	cancelled      bool
+	localReady     bool
 
-	localVal   int64
-	localReady bool
-
-	// Branch bookkeeping.
-	isBr bool
-	// assumedTaken is the outcome the current window contents were built
-	// with; updated when recovery repairs the branch.
+	// Branch bookkeeping. assumedTaken is the outcome the current window
+	// contents were built with; updated when recovery repairs the branch.
 	assumedTaken  bool
 	resolved      bool
 	resolvedTaken bool
 	inMispQueue   bool
 
-	// Indirect (trace-ending jr/callr/ret) bookkeeping.
-	isIndirect bool
-
 	// Memory bookkeeping.
-	isLoad, isStore bool
-	performed       bool // store version installed in ARB / load queried
-	lastAddr        uint32
-	dataSeq         arb.Seq // producer of the load's current data
-	inLoadRecs      bool
+	performed  bool // store version installed in ARB / load queried
+	inLoadRecs bool
 
 	bcastPending bool
-	bcastVal     int64
-
 	// wakePending marks the instruction as already enqueued in the cycle's
 	// wake batch (queueWake/drainWakes), deduplicating multi-operand wakeups.
 	wakePending bool
 }
+
+//tracep:noalloc
+func (st *instState) isBr() bool { return st.cls&isa.ClassCondBranch != 0 }
+
+// isIndirect reports a trace-ending jr, callr or ret.
+//
+//tracep:noalloc
+func (st *instState) isIndirect() bool { return st.cls&isa.ClassIndirect != 0 }
+
+//tracep:noalloc
+func (st *instState) isLoad() bool { return st.cls&isa.ClassLoad != 0 }
+
+//tracep:noalloc
+func (st *instState) isStore() bool { return st.cls&isa.ClassStore != 0 }
 
 // instCold is the cold bank of a pooled instruction slot: state the per-cycle
 // scan in Step() never reads — it is touched at dispatch, on the rare
 // indirect/verify paths, and at retirement. Splitting it out of instState
 // keeps the hot issue/wakeup scan walking densely packed state. The bank
 // lives in a per-PE parallel arena indexed by slot (see peState.cold) and is
-// cleared by reinit alongside the hot struct.
+// cleared by initInstState alongside the hot struct.
 type instCold struct {
 	// pc is the instruction's fetch PC (dispatch-time copy of tr.PCs[slot]).
 	pc uint32
@@ -119,7 +142,7 @@ func (st *instState) cold() *instCold { return &st.pe.cold[st.slot] }
 
 //tracep:noalloc
 func (st *instState) seq() arb.Seq {
-	return arb.Seq{PE: int16(st.pe.id), Slot: int16(st.slot)}
+	return arb.Seq{PE: int16(st.pe.id), Slot: st.slot}
 }
 
 // final reports whether the instruction's execution is complete with no
@@ -133,31 +156,38 @@ func (st *instState) final() bool {
 // peState is one processing element: a trace-sized window with dedicated
 // issue bandwidth, linked into the logical PE list.
 type peState struct {
-	id     int
-	active bool
-	gen    uint64
-
-	tr *trace.Trace
-	// insts is the resident trace's dynamic instructions: a prefix of ptrs,
-	// whose entries point permanently into the pool arena. Dispatch
-	// re-slices and reinitialises rather than allocating.
-	insts []*instState
-	pool  []instState
-	ptrs  []*instState
-	// cold is the parallel cold bank: cold[i] belongs to slot i (see
-	// instCold). Kept out of pool so the hot scan's stride stays small.
-	cold []instCold
+	// The fields issueAll reads for every PE, every cycle, come first, so
+	// they share a cache line.
+	//
+	// next links the PE list (§2.1) by physical PE number, and prev (below)
+	// links it backwards.
+	next         int
+	dispatchedAt int64
 	// cand is the issue candidate set, one bit per slot: every instruction
 	// that can issue (resident, not cancelled, waiting, operands ready) has
 	// its bit set. Extra bits are harmless; issueAll clears them as it
 	// finds them (see markIssuable).
 	cand []uint64
+	// insts is the resident trace's dynamic instructions: a prefix of the
+	// pool arena. Dispatch re-slices and reinitialises rather than
+	// allocating.
+	insts []instState
+	pool  []instState
 
-	// Linked-list control structure (§2.1): logical order plus prev/next
-	// physical PE numbers.
+	id     int
+	active bool
+	gen    uint64
+
+	tr *trace.Trace
+	// cold is the parallel cold bank: cold[i] belongs to slot i (see
+	// instCold). Kept out of pool so the hot scan's stride stays small.
+	cold []instCold
+
+	prev int
+	// logical is the PE's place in program order: it strictly increases
+	// along the list but is not dense, since only relative order is ever
+	// read (see allocPE).
 	logical int
-	next    int
-	prev    int
 
 	// mapBefore/mapAfter checkpoint the global rename maps around this
 	// trace.
@@ -172,8 +202,6 @@ type peState struct {
 
 	// inFlight counts scheduled completion events targeting this PE.
 	inFlight int
-
-	dispatchedAt int64
 }
 
 // reset empties the PE for a new run as PE id, keeping its instruction
@@ -181,36 +209,24 @@ type peState struct {
 // can match a slot of this one.
 func (pe *peState) reset(id int) {
 	*pe = peState{id: id, next: -1, prev: -1, gen: pe.gen,
-		insts: pe.ptrs[:0], pool: pe.pool, ptrs: pe.ptrs, cold: pe.cold, cand: pe.cand}
+		insts: pe.pool[:0], pool: pe.pool, cold: pe.cold, cand: pe.cand}
 	clear(pe.cand)
 }
 
 // initPool sizes the PE's instruction arena for traces up to maxLen
-// instructions and wires the permanent slot pointers. The arena never
+// instructions and gives each slot its PE and slot number. The arena never
 // grows: construction stops at Sel.MaxLen, and an embedded FGCI region
 // counts its whole Size (at most MaxLen) up front, so no trace — a repair
 // trace included — is longer than Config.MaxTraceLen.
 func (pe *peState) initPool(maxLen int) {
 	pe.pool = make([]instState, maxLen)
-	pe.ptrs = make([]*instState, maxLen)
 	pe.cold = make([]instCold, maxLen)
 	pe.cand = make([]uint64, (maxLen+63)/64)
 	for i := range pe.pool {
 		pe.pool[i].pe = pe
-		pe.pool[i].slot = i
-		pe.ptrs[i] = &pe.pool[i]
+		pe.pool[i].slot = int16(i)
 	}
-	pe.insts = pe.ptrs[:0]
-}
-
-// reinit prepares the slot for a new dynamic instruction: the generation
-// advances (invalidating every stale reference to the previous occupant)
-// and all per-instruction state clears.
-//
-//tracep:noalloc
-func (st *instState) reinit() {
-	*st = instState{pe: st.pe, slot: st.slot, gen: st.gen + 1}
-	st.pe.cold[st.slot] = instCold{}
+	pe.insts = pe.pool[:0]
 }
 
 // markIssuable adds the slot to its PE's issue candidate set. Every
@@ -244,13 +260,15 @@ const (
 	evGlobalArrive
 )
 
+// event is one scheduled delivery, its fields ordered widest first so an
+// event is 40 bytes.
 type event struct {
-	kind evKind
 	st   *instState
 	gen  uint64
 	val  int64
-	data arb.Seq
 	tag  rename.Tag
+	data arb.Seq
+	kind evKind
 }
 
 // initEventRing sizes and empties the per-cycle event buckets. Event deltas
@@ -316,7 +334,9 @@ func (p *Processor) schedule(at int64, ev event) {
 
 // allocPE takes a free PE and links it after prevID (or at the head when
 // prevID is -1 and the list is empty, or strictly as the new tail when
-// prevID is the tail).
+// prevID is the tail). Its logical position continues the list's order: a
+// tail append takes its predecessor's plus one, a head insert its
+// successor's minus one; only a middle insertion (CGCI refill) renumbers.
 //
 //tracep:noalloc
 func (p *Processor) allocPE(prevID int) *peState {
@@ -329,7 +349,7 @@ func (p *Processor) allocPE(prevID int) *peState {
 	}
 	pe.active = true
 	pe.gen++
-	pe.insts = pe.ptrs[:0]
+	pe.insts = pe.pool[:0]
 	pe.tr = nil
 	pe.inFlight = 0
 
@@ -337,25 +357,28 @@ func (p *Processor) allocPE(prevID int) *peState {
 		// Insert at head.
 		pe.prev = -1
 		pe.next = p.head
+		pe.logical = 0
 		if p.head >= 0 {
-			p.pes[p.head].prev = id
+			head := p.pes[p.head]
+			head.prev = id
+			pe.logical = head.logical - 1
 		}
 		p.head = id
 		if p.tail < 0 {
 			p.tail = id
 		}
-	} else {
-		prev := p.pes[prevID]
-		pe.prev = prevID
-		pe.next = prev.next
-		if prev.next >= 0 {
-			p.pes[prev.next].prev = id
-		}
-		prev.next = id
-		if p.tail == prevID {
-			p.tail = id
-		}
+		return pe
 	}
+	prev := p.pes[prevID]
+	pe.prev = prevID
+	pe.next = prev.next
+	prev.next = id
+	if pe.next < 0 {
+		p.tail = id
+		pe.logical = prev.logical + 1
+		return pe
+	}
+	p.pes[pe.next].prev = id
 	p.renumber()
 	return pe
 }
@@ -385,18 +408,19 @@ func (p *Processor) unlinkPE(pe *peState) {
 	pe.next, pe.prev = -1, -1
 	pe.active = false
 	pe.gen++
-	for _, st := range pe.insts {
-		st.invalidate()
+	for i := range pe.insts {
+		pe.insts[i].invalidate()
 	}
 	p.releaseTrace(pe.tr)
 	pe.tr = nil
 	//tracep:allow free-list capacity is fixed at NumPEs
 	p.free = append(p.free, pe.id)
-	p.renumber()
 }
 
 // renumber recomputes logical positions from the list (the physical→logical
-// translation of §2.2.2).
+// translation of §2.2.2), densely from 0. Only a middle insertion needs it:
+// seqLess and olderThan read relative order alone, which appends, head
+// inserts and unlinks keep by themselves.
 //
 //tracep:noalloc
 func (p *Processor) renumber() {
@@ -423,7 +447,7 @@ func (p *Processor) seqLess(a, b arb.Seq) bool {
 // olderThan orders two window locations (PE, slot) in program order.
 //
 //tracep:noalloc
-func (p *Processor) olderThan(aPE *peState, aSlot int, bPE *peState, bSlot int) bool {
+func (p *Processor) olderThan(aPE *peState, aSlot int16, bPE *peState, bSlot int16) bool {
 	if aPE.logical != bPE.logical {
 		return aPE.logical < bPE.logical
 	}
@@ -446,22 +470,16 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 	pe.mapBefore = p.specMap
 	pe.dispatchedAt = p.cycle
 
-	pe.insts = pe.ptrs[:tr.Len()]
+	pe.insts = pe.pool[:tr.Len()]
 	for i := range pe.insts {
-		p.initInstState(pe.insts[i], i, tr)
+		st := &pe.insts[i]
+		p.initInstState(st, i, tr)
+		// Only last-writers are live-outs (broadcast on completion and
+		// installed in the map).
+		st.liveOut = st.destArch != 0 && tr.LastWriter[st.destArch] == int16(i)
+		st.markIssuable()
 	}
 	embedOutcomes(pe.insts, tr, 0)
-	// Live-outs: allocate destination tags for every writing instruction;
-	// only last-writers are marked liveOut (broadcast on completion) and
-	// installed in the map.
-	for i, st := range pe.insts {
-		if st.destArch != 0 {
-			st.destTag = p.regs.Alloc()
-			if tr.LastWriter[st.destArch] == int16(i) {
-				st.liveOut = true
-			}
-		}
-	}
 	for _, r := range tr.LiveOuts {
 		p.specMap[r] = pe.insts[tr.LastWriter[r]].destTag
 	}
@@ -471,25 +489,47 @@ func (p *Processor) dispatchTrace(tr *trace.Trace, prevID int, histPos int, pred
 }
 
 // initInstState reinitialises st (a pooled slot) as the dynamic instruction
-// for slot i of tr, binding its live-in operands through the map before the
-// trace.
+// for slot i of tr. The generation advances, invalidating every stale
+// reference to the previous occupant; everything else clears, and nothing
+// is decoded: the slot points at the static instruction and copies its
+// op class. The sources bind per the trace's pre-renaming: a local operand
+// waits on its intra-trace producer, and a live-in reads the map before the
+// trace and subscribes to its tag for (re)broadcasts. A writing
+// instruction gets a fresh destination tag. The caller adds the slot to the
+// issue candidates (markIssuable).
 //
 //tracep:noalloc
 func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
-	pe := st.pe
-	in := p.prog.At(tr.PCs[i])
-	st.reinit()
+	pc := tr.PCs[i]
+	in := p.prog.Ref(pc)
+	pe, gen, slot := st.pe, st.gen+1, st.slot
+	rd, _ := in.WritesReg()
+	st.instDyn = instDyn{}
+	st.gen, st.slot, st.cls, st.destArch = gen, slot, in.Op.Class(), rd
 	st.inst = in
-	st.cold().pc = tr.PCs[i]
-	if rd, ok := in.WritesReg(); ok {
-		st.destArch = rd
+	pe.cold[i] = instCold{pc: pc}
+	srcs := &tr.Srcs[i]
+	for k := range srcs {
+		sr := srcs[k]
+		op := &st.src[k]
+		op.kind = sr.Kind
+		switch sr.Kind {
+		case trace.SrcNone:
+			op.ready = true
+		case trace.SrcLocal:
+			op.local = sr.Local
+		case trace.SrcLiveIn:
+			tag := pe.mapBefore[sr.Arch]
+			op.arch, op.tag = sr.Arch, tag
+			if e := p.regs.Get(tag); e != nil && e.Ready {
+				op.val, op.ready = e.Val, true
+			}
+			p.addSub(tag, subRef{st: st, gen: gen, src: k})
+		}
 	}
-	st.isBr = in.IsCondBranch()
-	st.isIndirect = in.IsIndirect()
-	st.isLoad = in.IsLoad()
-	st.isStore = in.IsStore()
-	p.bindOperands(st, tr, &pe.mapBefore)
-	st.markIssuable()
+	if rd != 0 {
+		st.destTag = p.regs.Alloc()
+	}
 }
 
 // embedOutcomes gives each conditional branch in insts[from:] the outcome
@@ -498,54 +538,14 @@ func (p *Processor) initInstState(st *instState, i int, tr *trace.Trace) {
 // slot would cost O(length × branches) on a long trace.
 //
 //tracep:noalloc
-func embedOutcomes(insts []*instState, tr *trace.Trace, from int) {
+func embedOutcomes(insts []instState, tr *trace.Trace, from int) {
 	for _, bi := range tr.Branches {
 		if int(bi.Idx) >= from {
-			st := insts[bi.Idx]
+			st := &insts[bi.Idx]
 			st.cold().fetchPredTaken = bi.Taken
 			st.assumedTaken = bi.Taken
 		}
 	}
-}
-
-// bindOperands binds st's sources per the trace's pre-renaming: local
-// operands wait on their intra-trace producer, live-ins read the supplied
-// map (subscribing to not-yet-ready tags).
-//
-//tracep:noalloc
-func (p *Processor) bindOperands(st *instState, tr *trace.Trace, mapBefore *rename.Map) {
-	for k := 0; k < 2; k++ {
-		sr := tr.Srcs[st.slot][k]
-		op := &st.src[k]
-		op.kind = sr.Kind
-		switch sr.Kind {
-		case trace.SrcNone:
-			op.ready = true
-			op.val = 0
-		case trace.SrcLocal:
-			op.local = sr.Local
-			op.ready = false
-		case trace.SrcLiveIn:
-			op.arch = sr.Arch
-			p.bindLiveIn(st, k, mapBefore[sr.Arch])
-		}
-	}
-}
-
-// bindLiveIn points operand k of st at tag, reading it if ready and
-// subscribing for (re)broadcasts.
-//
-//tracep:noalloc
-func (p *Processor) bindLiveIn(st *instState, k int, tag rename.Tag) {
-	op := &st.src[k]
-	op.tag = tag
-	if e := p.regs.Get(tag); e != nil && e.Ready {
-		op.val = e.Val
-		op.ready = true
-	} else {
-		op.ready = false
-	}
-	p.addSub(tag, subRef{st: st, gen: st.gen, src: k})
 }
 
 // ---- issue and execution ----
@@ -577,12 +577,16 @@ func (p *Processor) issueAll() {
 				bit := uint64(1) << b
 				seen |= bit
 				slot := w<<6 | b
-				st := pe.ptrs[slot]
-				if slot >= len(pe.insts) || st.cancelled || st.status != stWaiting || !st.src[0].ready || !st.src[1].ready {
+				if slot >= len(pe.insts) {
 					pe.cand[w] &^= bit
 					continue
 				}
-				if st.isLoad || st.isStore {
+				st := &pe.insts[slot]
+				if st.cancelled || st.status != stWaiting || !st.src[0].ready || !st.src[1].ready {
+					pe.cand[w] &^= bit
+					continue
+				}
+				if st.cls&(isa.ClassLoad|isa.ClassStore) != 0 {
 					if cacheBusesUsed >= p.cfg.CacheBuses || peCacheBuses >= p.cfg.MaxCachePerPE {
 						continue // deferred: the bit stays for a later cycle
 					}
@@ -620,7 +624,7 @@ func (p *Processor) execute(st *instState) {
 	case in.Op == isa.OpNop || in.Op == isa.OpHalt || in.Op == isa.OpJump:
 		p.schedule(p.cycle+1, event{kind: evComplete, st: st, gen: st.gen})
 
-	case in.IsCondBranch():
+	case st.isBr():
 		taken := isa.BranchTaken(in.Op, a, b)
 		v := int64(0)
 		if taken {

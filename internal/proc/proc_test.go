@@ -398,3 +398,22 @@ func TestRunReturnsOwnedStats(t *testing.T) {
 		t.Errorf("returned Stats changed after the run:\n got %+v\nwant %+v", *stats, want)
 	}
 }
+
+// TestOracleValueMismatchNamesInstruction: a retired value the oracle
+// disagrees with fails with an error that prints the instruction itself,
+// disassembled, although the slot holds only a pointer to it.
+func TestOracleValueMismatchNamesInstruction(t *testing.T) {
+	prog := asm.New("t").Addi(1, 0, 5).Halt().MustBuild()
+	p := New(prog, ModelBase, testConfig())
+	st := &p.pes[0].pool[0]
+	st.inst = prog.Ref(0)
+	st.destArch = 1
+	st.localVal = 6
+	err := p.verifyRetired(st)
+	if err == nil {
+		t.Fatal("a wrong retired value passed the oracle")
+	}
+	if want := "pc 0 (addi r1, r0, 5): retired value 6, oracle 5"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+}

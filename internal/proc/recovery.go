@@ -80,15 +80,15 @@ func (p *Processor) mispValid(st *instState) bool {
 	if st.cancelled || !st.pe.active {
 		return false
 	}
-	if st.isBr {
+	if st.isBr() {
 		return st.resolved && st.resolvedTaken != st.assumedTaken
 	}
-	if st.isIndirect {
+	if st.isIndirect() {
 		if !st.cold().targetKnown || st.cold().checkedTarget {
 			return false
 		}
 		pe := st.pe
-		if st.slot != len(pe.insts)-1 || pe.next < 0 {
+		if int(st.slot) != len(pe.insts)-1 || pe.next < 0 {
 			return false
 		}
 		return p.pes[pe.next].tr.Desc.StartPC != st.cold().actualTarget
@@ -144,7 +144,7 @@ func (p *Processor) processMispredictions() {
 //tracep:noalloc
 func (p *Processor) startRecovery(st *instState) {
 	pe := st.pe
-	slot := st.slot
+	slot := int(st.slot)
 	rec := &p.rec
 	red, gens := rec.redispatch[:0], rec.redispatchGens[:0]
 	*rec = recovery{
@@ -161,7 +161,7 @@ func (p *Processor) startRecovery(st *instState) {
 
 	// Classify.
 	mode := recBase
-	if st.isBr {
+	if st.isBr() {
 		if bi, ok := pe.tr.BranchAt(slot); ok && p.model.FGCI && bi.FGCICovered && bi.ReconvIdx >= 0 {
 			mode = recFGCI
 		}
@@ -188,7 +188,7 @@ func (p *Processor) startRecovery(st *instState) {
 	rec.oldHalt = pe.tr.EndsHalt
 
 	// Correct the assumed outcome; the repaired trace embeds it.
-	if st.isBr {
+	if st.isBr() {
 		st.assumedTaken = st.resolvedTaken
 	} else {
 		rec.isIndirect = true
@@ -274,7 +274,7 @@ func (p *Processor) findCIPoint(st *instState) *peState {
 	case CGCIRET:
 		ci, ok = core.FindRET(views, 0)
 	case CGCIMLBRET:
-		isBackward := st.isBr && st.inst.IsBackwardBranch(st.cold().pc)
+		isBackward := st.isBr() && st.inst.IsBackwardBranch(st.cold().pc)
 		ci, ok = core.FindMLBRET(views, 0, isBackward, st.cold().pc+1)
 	}
 	if !ok {
@@ -289,7 +289,7 @@ func (p *Processor) findCIPoint(st *instState) *peState {
 //tracep:noalloc
 func (p *Processor) squashSuffix(pe *peState, from int) {
 	for i := from; i < len(pe.insts); i++ {
-		st := pe.insts[i]
+		st := &pe.insts[i]
 		if st.cancelled {
 			continue
 		}
@@ -298,7 +298,7 @@ func (p *Processor) squashSuffix(pe *peState, from int) {
 		if st.inLoadRecs {
 			p.removeLoadRec(st)
 		}
-		if st.isStore && st.performed {
+		if st.isStore() && st.performed {
 			p.arbuf.Undo(st.lastAddr, st.seq())
 			p.snoopUndo(st.lastAddr, st.seq())
 		}
@@ -406,13 +406,10 @@ func (p *Processor) installRepair() {
 		p.releaseTrace(pe.tr)
 		pe.tr = newTr
 		rec.newTrace = nil // the recovery's reference is now the PE's
-		pe.insts = pe.ptrs[:newTr.Len()]
+		pe.insts = pe.pool[:newTr.Len()]
 		states := pe.insts
 		for i := slot + 1; i < newTr.Len(); i++ {
-			p.initInstState(states[i], i, newTr)
-			if states[i].destArch != 0 {
-				states[i].destTag = p.regs.Alloc()
-			}
+			p.initInstState(&states[i], i, newTr)
 			// Local operands whose producers (in the kept prefix or the new
 			// suffix) already executed pick their values up immediately —
 			// the intra-PE bypass network holds them.
@@ -421,17 +418,19 @@ func (p *Processor) installRepair() {
 				if op.kind != trace.SrcLocal {
 					continue
 				}
-				if prod := states[op.local]; prod.localReady {
+				if prod := &states[op.local]; prod.localReady {
 					op.val = prod.localVal
 					op.ready = true
 				}
 			}
+			states[i].markIssuable()
 		}
 		embedOutcomes(states, newTr, slot+1)
 
 		// Recompute live-out status; promoted prefix values publish their
 		// completed results to the register file.
-		for i, st := range pe.insts {
+		for i := range pe.insts {
+			st := &pe.insts[i]
 			if st.destArch == 0 {
 				continue
 			}
@@ -548,7 +547,8 @@ func (p *Processor) redispatchStep() {
 //tracep:noalloc
 func (p *Processor) redispatchTrace(q *peState) {
 	q.mapBefore = p.specMap
-	for _, st := range q.insts {
+	for i := range q.insts {
+		st := &q.insts[i]
 		if st.cancelled {
 			continue
 		}

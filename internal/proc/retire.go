@@ -52,7 +52,8 @@ func (p *Processor) retireStep() {
 	if !p.retireGate(pe) {
 		return
 	}
-	for _, st := range pe.insts {
+	for i := range pe.insts {
+		st := &pe.insts[i]
 		if st.cancelled {
 			//tracep:allow terminal: retirement invariant failure aborts the run
 			p.fail(fmt.Errorf("cancelled instruction at pc %d reached retirement", st.cold().pc))
@@ -61,10 +62,10 @@ func (p *Processor) retireStep() {
 		if !st.final() {
 			return
 		}
-		if st.isBr && st.resolvedTaken != st.assumedTaken {
+		if st.isBr() && st.resolvedTaken != st.assumedTaken {
 			return // a misprediction event is about to fire
 		}
-		if st.isIndirect && !st.cold().checkedTarget {
+		if st.isIndirect() && !st.cold().checkedTarget {
 			// Re-attempt validation: a recovery that completed with this
 			// target unresolved leaves no event behind, so the check is
 			// re-driven from here (it enqueues a misprediction or steers
@@ -74,7 +75,8 @@ func (p *Processor) retireStep() {
 		}
 	}
 
-	for _, st := range pe.insts {
+	for i := range pe.insts {
+		st := &pe.insts[i]
 		if p.cfg.Verify {
 			if err := p.verifyRetired(st); err != nil {
 				p.fail(err)
@@ -82,7 +84,7 @@ func (p *Processor) retireStep() {
 			}
 		}
 		p.accountRetired(st)
-		if st.isStore {
+		if st.isStore() {
 			if !p.arbuf.Commit(st.lastAddr, st.seq(), &p.mem) {
 				//tracep:allow terminal: a missing ARB version aborts the run
 				p.fail(fmt.Errorf("store at pc %d has no ARB version to commit", st.cold().pc))
@@ -125,7 +127,7 @@ func (p *Processor) retireStep() {
 //
 //tracep:noalloc
 func (p *Processor) accountRetired(st *instState) {
-	if st.isBr {
+	if st.isBr() {
 		p.bp.UpdateDirection(st.cold().pc, st.resolvedTaken)
 		var cls branchClass
 		if int(st.cold().pc) < len(p.branchClasses) {
@@ -143,7 +145,7 @@ func (p *Processor) accountRetired(st *instState) {
 		}
 		return
 	}
-	if st.isIndirect {
+	if st.isIndirect() {
 		p.bp.UpdateIndirect(st.cold().pc, st.cold().actualTarget)
 	}
 }

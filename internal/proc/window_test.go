@@ -15,8 +15,9 @@ import (
 )
 
 // TestLinkedListInvariants drives random alloc/unlink sequences against the
-// PE linked-list control structure and checks: logical numbering is dense
-// and ordered, prev/next are mutually consistent, and free+live = all PEs.
+// PE linked-list control structure and checks: logical numbering strictly
+// increases along the list, prev/next are mutually consistent, and
+// free+live = all PEs.
 func TestLinkedListInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		prog := asm.New("t").Halt().MustBuild()
@@ -51,8 +52,9 @@ func TestLinkedListInvariants(t *testing.T) {
 }
 
 // checkList checks the PE list's structure: it is acyclic, logical
-// positions are dense from 0 along it, prev links mirror next links, tail is
-// its last PE, and free PEs plus window PEs account for all NumPEs.
+// positions strictly increase along it (only their relative order is read,
+// so they need not be dense), prev links mirror next links, tail is its last
+// PE, and free PEs plus window PEs account for all NumPEs.
 func checkList(p *Processor) error {
 	n := 0
 	prev := -1
@@ -61,7 +63,7 @@ func checkList(p *Processor) error {
 			return fmt.Errorf("PE list from head %d is cyclic", p.head)
 		}
 		pe := p.pes[id]
-		if pe.logical != n || pe.prev != prev || !pe.active {
+		if pe.prev != prev || !pe.active || (prev >= 0 && pe.logical <= p.pes[prev].logical) {
 			return fmt.Errorf("PE %d at position %d: logical=%d prev=%d (want %d) active=%v", id, n, pe.logical, pe.prev, prev, pe.active)
 		}
 		prev = id
@@ -112,7 +114,8 @@ func checkMachine(p *Processor) error {
 			return fmt.Errorf("PE %d's trace continues at pc %d, but the next PE %d's trace starts at pc %d",
 				id, pe.tr.NextPC, next, p.pes[next].tr.Desc.StartPC)
 		}
-		for slot, st := range pe.insts {
+		for slot := range pe.insts {
+			st := &pe.insts[slot]
 			issuable := !st.cancelled && st.status == stWaiting && st.src[0].ready && st.src[1].ready
 			if issuable && pe.cand[slot>>6]&(1<<(slot&63)) == 0 {
 				return fmt.Errorf("PE %d slot %d (pc %d) can issue but is not an issue candidate", id, slot, st.cold().pc)
@@ -291,33 +294,68 @@ func TestEventRingGrowsMidRun(t *testing.T) {
 }
 
 // TestSeqLessFollowsLogicalOrder checks that the sequence-number ordering
-// consults the linked-list structure, not physical PE numbers (§2.2.2).
+// consults the linked-list structure, not physical PE numbers (§2.2.2),
+// across every way the window changes: tail appends, a head insert, a CGCI
+// middle insertion, retirement at the head and squashes at the tail. After
+// each step seqLess must order every pair of window PEs by list position.
 func TestSeqLessFollowsLogicalOrder(t *testing.T) {
 	prog := asm.New("t").Halt().MustBuild()
 	p := New(prog, ModelBase, testConfig())
-	a := p.allocPE(-1)   // head
-	b := p.allocPE(a.id) // second
-	c := p.allocPE(a.id) // inserted BETWEEN a and b
-	_ = c
-
-	sa := arb.Seq{PE: int16(a.id), Slot: 0}
-	sb := arb.Seq{PE: int16(b.id), Slot: 0}
-	sc := arb.Seq{PE: int16(c.id), Slot: 0}
-
-	if !p.seqLess(sa, sc) || !p.seqLess(sc, sb) {
-		t.Error("logical order must be a < c < b after middle insertion")
+	seq := func(pe *peState, slot int) arb.Seq { return arb.Seq{PE: int16(pe.id), Slot: int16(slot)} }
+	check := func(step string) {
+		t.Helper()
+		if err := checkList(p); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		var list []*peState
+		for id := p.head; id >= 0; id = p.pes[id].next {
+			list = append(list, p.pes[id])
+		}
+		for i, a := range list {
+			for j, b := range list {
+				if got := p.seqLess(seq(a, 3), seq(b, 0)); got != (i < j) {
+					t.Errorf("%s: seqLess(PE %d at %d, PE %d at %d) = %v", step, a.id, i, b.id, j, got)
+				}
+				if got := p.olderThan(a, 3, b, 0); got != (i < j) {
+					t.Errorf("%s: olderThan(PE %d at %d, PE %d at %d) = %v", step, a.id, i, b.id, j, got)
+				}
+			}
+		}
 	}
+
+	a := p.allocPE(-1) // head of an empty list
+	check("first PE")
+	b := p.allocPE(a.id) // tail append
+	d := p.allocPE(b.id) // tail append
+	check("tail appends")
+	c := p.allocPE(a.id) // CGCI refill: BETWEEN a and b
+	check("middle insertion")
 	// Physical id order would put c (allocated last) after b: verify we do
 	// NOT follow it.
-	if p.seqLess(sb, sc) {
+	if p.seqLess(seq(b, 0), seq(c, 0)) {
 		t.Error("ordering must not follow physical allocation order")
 	}
+	h := p.allocPE(-1) // head insert before a
+	check("head insert")
+	p.unlinkPE(h) // retire the head
+	p.unlinkPE(a)
+	check("retire unlinks")
+	p.unlinkPE(d) // squash the tail
+	check("squash unlink")
+	e := p.allocPE(b.id) // tail append after an unlinked tail
+	check("tail append after squash")
+	p.unlinkPE(c) // squash in the middle
+	check("middle unlink")
+	if !p.seqLess(seq(b, 0), seq(e, 0)) {
+		t.Error("b must stay older than e")
+	}
+
 	// Memory sentinel is older than everything.
-	if !p.seqLess(arb.MemSeq, sa) || p.seqLess(sa, arb.MemSeq) {
+	if !p.seqLess(arb.MemSeq, seq(b, 0)) || p.seqLess(seq(b, 0), arb.MemSeq) {
 		t.Error("MemSeq must order before all window sequence numbers")
 	}
 	// Same PE: slot order.
-	if !p.seqLess(arb.Seq{PE: int16(a.id), Slot: 1}, arb.Seq{PE: int16(a.id), Slot: 2}) {
+	if !p.seqLess(seq(b, 1), seq(b, 2)) || p.seqLess(seq(b, 2), seq(b, 1)) {
 		t.Error("slot order within a PE")
 	}
 }

@@ -40,10 +40,16 @@ func SlotIndex(t Tag) int {
 	return int(uint32(t)) - 1
 }
 
-// Entry is a global register file cell.
+// Entry is a global register file cell: the value, and the slot metadata
+// that every lookup checks, in one 16-byte cell, so an operation on a tag
+// touches one cache line.
 type Entry struct {
 	Val   int64
+	gen   uint32 // generation; tags of earlier generations are stale
 	Ready bool
+	live  bool
+	// marked flags the slot as reachable during a mark/sweep.
+	marked bool
 }
 
 // Map translates architectural registers to tags.
@@ -56,15 +62,9 @@ const (
 	pageMask = pageSize - 1
 )
 
-// page is one fixed-size block of register file slots with their parallel
-// metadata lanes. Entries (read on every operand lookup) and metadata
-// (generation checks, liveness, GC marks) sit in separate arrays so the hot
-// Get path touches densely packed cache lines.
+// page is one fixed-size block of register file slots.
 type page struct {
-	ents   [pageSize]Entry
-	gen    [pageSize]uint32
-	live   [pageSize]bool
-	marked [pageSize]bool
+	ents [pageSize]Entry
 }
 
 // File is the global register file: tag -> value storage, laid out as pages
@@ -114,7 +114,7 @@ func (f *File) slot(t Tag) (*page, uint32) {
 	idx := lo - 1
 	pg := &f.pages[idx>>pageBits]
 	s := idx & pageMask
-	if !pg.live[s] || pg.gen[s] != uint32(t>>32) {
+	if e := &pg.ents[s]; !e.live || e.gen != uint32(t>>32) {
 		return nil, 0
 	}
 	return pg, s
@@ -137,14 +137,11 @@ func (f *File) Alloc() Tag {
 		idx = uint32(f.frontier)
 		f.frontier++
 	}
-	pg := &f.pages[idx>>pageBits]
-	s := idx & pageMask
-	pg.ents[s] = Entry{}
-	pg.live[s] = true
-	pg.marked[s] = false
+	e := &f.pages[idx>>pageBits].ents[idx&pageMask]
+	*e = Entry{gen: e.gen, live: true}
 	f.used++
 	f.Allocated++
-	return makeTag(idx, pg.gen[s])
+	return makeTag(idx, e.gen)
 }
 
 // AllocReady creates a new tag holding v, already ready. Used to seed the
@@ -210,9 +207,9 @@ func (f *File) Free() int { return f.Cap() - f.used }
 // stale, and the index joins the freelist for reuse.
 //
 //tracep:noalloc
-func (f *File) freeSlot(pg *page, s, idx uint32) {
-	pg.live[s] = false
-	pg.gen[s]++
+func (f *File) freeSlot(e *Entry, idx uint32) {
+	e.live = false
+	e.gen++
 	//tracep:allow the freelist is preallocated to the file's capacity
 	f.free = append(f.free, idx)
 	f.used--
@@ -226,7 +223,7 @@ func (f *File) freeSlot(pg *page, s, idx uint32) {
 //tracep:noalloc
 func (f *File) Mark(t Tag) {
 	if pg, s := f.slot(t); pg != nil {
-		pg.marked[s] = true
+		pg.ents[s].marked = true
 	}
 }
 
@@ -237,16 +234,15 @@ func (f *File) Mark(t Tag) {
 //tracep:noalloc
 func (f *File) SweepUnmarked() {
 	for i := 0; i < f.frontier; i++ {
-		pg := &f.pages[i>>pageBits]
-		s := uint32(i) & pageMask
-		if !pg.live[s] {
+		e := &f.pages[i>>pageBits].ents[i&pageMask]
+		if !e.live {
 			continue
 		}
-		if pg.marked[s] {
-			pg.marked[s] = false
+		if e.marked {
+			e.marked = false
 			continue
 		}
-		f.freeSlot(pg, s, uint32(i))
+		f.freeSlot(e, uint32(i))
 	}
 }
 

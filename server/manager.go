@@ -28,6 +28,13 @@ const (
 // ten seeds is 6.4G.
 const maxSweepInsts = 1e12
 
+// maxSweepRows bounds the rows (benchmark and corpus names) one request may
+// name. Submit checks it before resolving any name, since resolving a
+// scenario instance builds and calibrates its program (two emulator runs,
+// ~80 µs): a 1 MiB body of distinct names would otherwise hold the handler
+// for seconds. The paper's grid has 8 rows.
+const maxSweepRows = 256
+
 // Config shapes a Manager.
 type Config struct {
 	// Parallelism is the size of the shared simulation pool: the maximum
@@ -268,8 +275,12 @@ func (j *job) await(ctx context.Context, i int) (cell *tracep.Result, terminal b
 // completion and client cancellation, but not for shutdown: a job drained
 // by Close stays "running" on disk so a restart resumes it.
 func (j *job) collect(m *Manager, stream <-chan *tracep.Result) {
+	cancelled := 0
 	for res := range stream {
 		m.persistCell(j.id, res)
+		if errors.Is(res.Err(), context.Canceled) {
+			cancelled++
+		}
 		j.mu.Lock()
 		j.cells = append(j.cells, res)
 		j.rs.Add(res)
@@ -282,7 +293,10 @@ func (j *job) collect(m *Manager, stream <-chan *tracep.Result) {
 		j.mu.Unlock()
 	}
 	j.mu.Lock()
-	if len(j.cells) < j.total {
+	// A cell cut short by cancellation was delivered but not run, and
+	// persistCell keeps it out of the journal: a job whose last cells were
+	// in flight when it was cancelled or shut down is not done.
+	if len(j.cells)-cancelled < j.total {
 		j.state = StateCancelled
 	} else {
 		j.state = StateDone
@@ -361,12 +375,17 @@ func Resolve(req SweepRequest, corpus []tracep.Benchmark) ([]tracep.Benchmark, [
 	return benches, models, nil
 }
 
-// Submit resolves req's grid (Resolve) and checks its tolerances (an
-// unknown corpus name is a 404, any other error a 400), admits it, journals
+// Submit bounds req's row count, resolves its grid (Resolve) and checks its
+// tolerances (an unknown corpus name is a 404, any other error a 400),
+// admits it, journals
 // its record, starts its sweep on the shared pool, and returns the new
 // job's status. The sweep runs until its grid completes, Cancel is called,
 // or the manager closes.
 func (m *Manager) Submit(req SweepRequest) (Status, error) {
+	if rows := len(req.Benchmarks) + len(req.Corpus); rows > maxSweepRows {
+		return Status{}, &Error{StatusCode: http.StatusBadRequest,
+			Message: fmt.Sprintf("sweep names %d rows (benchmarks + corpus), over the limit of %d", rows, maxSweepRows)}
+	}
 	benches, models, err := Resolve(req, m.corpus)
 	if err == nil && req.Tolerances != nil {
 		err = req.Tolerances.Validate()

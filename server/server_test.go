@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -257,8 +258,8 @@ func TestConcurrentSweepsShareOnePool(t *testing.T) {
 }
 
 // TestSubmitValidation: unknown names, scenario instances not in canonical
-// spelling and invalid tolerances are 400s with a JSON error body, and
-// unknown job IDs are 404s.
+// spelling, more rows than the server's bound of 256 and invalid tolerances
+// are 400s with a JSON error body, and unknown job IDs are 404s.
 func TestSubmitValidation(t *testing.T) {
 	c := newTestServer(t, server.Config{Parallelism: 1})
 
@@ -282,7 +283,22 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	badTol := server.SweepRequest{Benchmarks: []string{"compress"}, Models: []string{"base"}, TargetInsts: 1000,
 		Tolerances: &tracep.Tolerances{IPCPct: -1}}
-	_, err := c.Submit(context.Background(), badTol)
+	// Distinct scenario instances each resolve to a program that must be
+	// built: one row over the bound is refused before any of them is. At
+	// the bound, the rows resolve and the unknown model is what fails.
+	rows := make([]string, 257)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("mixed-%d", i+1)
+	}
+	_, err := c.Submit(context.Background(), server.SweepRequest{Benchmarks: rows})
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "257 rows") {
+		t.Errorf("257 rows: error = %v, want 400 *server.Error naming the row count", err)
+	}
+	_, err = c.Submit(context.Background(), server.SweepRequest{Benchmarks: rows[:256], Models: []string{"nonesuch"}})
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "unknown model") {
+		t.Errorf("256 rows, unknown model: error = %v, want the model's 400", err)
+	}
+	_, err = c.Submit(context.Background(), badTol)
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "non-negative") {
 		t.Errorf("negative tolerance error = %v, want 400 *server.Error", err)
 	}
