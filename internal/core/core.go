@@ -14,6 +14,8 @@
 package core
 
 import (
+	"slices"
+
 	"tracep/internal/cache"
 	"tracep/internal/isa"
 )
@@ -262,12 +264,20 @@ type BIT struct {
 	cfg    BITConfig //tracep:nostats configuration
 	timing cache.SetAssoc
 	// results memoises the (pure) analysis so a re-fill after eviction
-	// recomputes timing cost but not the analysis itself.
-	results map[uint32]Region //tracep:nostats memoised analysis, not a counter
-	prog    *isa.Program      //tracep:nostats shared immutable program
+	// recomputes timing cost but not the analysis itself: one entry per
+	// static instruction, indexed by PC (a program has a few hundred).
+	results []bitMemo    //tracep:nostats memoised analysis, not a counter
+	prog    *isa.Program //tracep:nostats shared immutable program
 
 	Lookups    uint64
 	MissCycles uint64
+}
+
+// bitMemo is one PC's memoised analysis; known is false until the first
+// lookup of that PC.
+type bitMemo struct {
+	reg   Region
+	known bool
 }
 
 // NewBIT builds a BIT over prog.
@@ -284,9 +294,8 @@ func (b *BIT) Reset(prog *isa.Program, cfg BITConfig) {
 	if cfg.Entries == 0 {
 		cfg = DefaultBITConfig()
 	}
-	if b.results == nil {
-		b.results = make(map[uint32]Region)
-	} else if b.prog != prog || b.cfg.Analyze != cfg.Analyze {
+	if b.prog != prog || b.cfg.Analyze != cfg.Analyze {
+		b.results = slices.Grow(b.results[:0], prog.Len())[:prog.Len()]
 		clear(b.results)
 	}
 	b.timing.Reset(cfg.Entries/cfg.Assoc, cfg.Assoc)
@@ -302,14 +311,12 @@ func (b *BIT) Reset(prog *isa.Program, cfg BITConfig) {
 func (b *BIT) Lookup(pc uint32) (Region, int) {
 	b.Lookups++
 	hit := b.timing.Access(uint64(pc))
-	//tracep:allow map access: the BIT memo is keyed by static branch PC; the probe does not allocate
-	reg, known := b.results[pc]
-	if !known {
+	memo := &b.results[pc]
+	if !memo.known {
 		//tracep:allow BIT miss path: the FGCI scan runs once per static branch and is memoised
-		reg = AnalyzeRegion(b.prog, pc, b.cfg.Analyze)
-		//tracep:allow map access: memoises once per static branch, off the steady-state path
-		b.results[pc] = reg
+		memo.reg, memo.known = AnalyzeRegion(b.prog, pc, b.cfg.Analyze), true
 	}
+	reg := memo.reg
 	if hit {
 		return reg, 0
 	}
@@ -329,14 +336,7 @@ func (b *BIT) Clone(dst *BIT) *BIT {
 		dst = &BIT{}
 	}
 	b.timing.Clone(&dst.timing)
-	if dst.results == nil {
-		dst.results = make(map[uint32]Region, len(b.results))
-	} else {
-		clear(dst.results)
-	}
-	for pc, reg := range b.results { //tracep:orderinvariant map-to-map copy
-		dst.results[pc] = reg
-	}
+	dst.results = append(dst.results[:0], b.results...)
 	dst.cfg, dst.prog = b.cfg, b.prog
 	dst.Lookups, dst.MissCycles = b.Lookups, b.MissCycles
 	return dst

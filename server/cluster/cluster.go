@@ -164,6 +164,12 @@ func (c *Coordinator) Run(ctx context.Context, rows []server.RowSpec) <-chan *tr
 	return out
 }
 
+// submitTimeout bounds a sweep POST to a worker. The POST is not cut short
+// when its attempt ends (see attemptOn), so this is what stops a worker
+// that never answers from holding the attempt; a healthy worker answers in
+// milliseconds.
+const submitTimeout = 10 * time.Second
+
 // localSlot is the attempt-claim key for the coordinator's own pool; it
 // cannot collide with a worker URL.
 const localSlot = "\x00local"
@@ -377,7 +383,14 @@ func (c *Coordinator) attemptOn(ctx context.Context, w *worker, row server.RowSp
 		Seed:        row.Seed,
 		Warmup:      row.Warmup,
 	}
-	sub, err := w.c.Submit(attemptCtx, req)
+	// The POST outlives attemptCtx. Once the worker has accepted it, the
+	// job exists and simulates, and only its ID lets the DELETE below stop
+	// it: a submit abandoned when the coordinator job is cancelled or a
+	// rival attempt completes the row would orphan the job for the whole
+	// row. The timeout bounds a worker that never answers.
+	submitCtx, stopSubmit := context.WithTimeout(context.WithoutCancel(attemptCtx), submitTimeout)
+	sub, err := w.c.Submit(submitCtx, req)
+	stopSubmit()
 	if err != nil {
 		return fmt.Errorf("submit to %s: %w", w.url, err)
 	}

@@ -635,6 +635,56 @@ func TestClusterSharedGateAndCancel(t *testing.T) {
 	}
 }
 
+// TestClusterCancelDuringSubmit: a coordinator cancel that lands while a
+// worker's reply to the sweep POST is still in flight must not orphan the
+// job that POST started. The worker runs the real handler (the job exists
+// and simulates) and holds the reply; the coordinator job is cancelled
+// during the hold, then the reply is released. The coordinator must learn
+// the job's ID and cancel it, so the worker is idle within seconds instead
+// of simulating the row to the end.
+func TestClusterCancelDuringSubmit(t *testing.T) {
+	workers := []*clustertest.Worker{clustertest.NewWorker(t, server.Config{Parallelism: 1})}
+	mgr, _ := newCoordinator(t, workers, nil)
+	workers[0].SetFault(clustertest.FaultHoldSubmit)
+	st, err := mgr.Submit(server.SweepRequest{
+		Benchmarks:  []string{"compress"},
+		Models:      []string{"base"},
+		TargetInsts: 50_000_000, // minutes of simulation if nothing cancels it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !workers[0].Fired() || liveJobs(workers) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never started the held sweep")
+		}
+	}
+
+	cancelled := make(chan server.Status, 1)
+	go func() {
+		final, _ := mgr.Cancel(st.ID)
+		cancelled <- final
+	}()
+	// A coordinator that abandons the POST on cancel finishes its job at
+	// once; one that waits for the reply blocks until the release.
+	select {
+	case <-cancelled:
+	case <-time.After(500 * time.Millisecond):
+	}
+	workers[0].Release()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for live := liveJobs(workers); live != 0; live = liveJobs(workers) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d remote job still running 5s after the coordinator cancel: orphaned by the abandoned submit", live)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if final := waitTerminal(t, mgr, st.ID); final.State != server.StateCancelled {
+		t.Fatalf("coordinator job finished %s, want cancelled", final.State)
+	}
+}
+
 // liveJobs counts the jobs not yet terminal across workers.
 func liveJobs(workers []*clustertest.Worker) int {
 	live := 0

@@ -11,9 +11,13 @@
 //     up), as if the worker wedged — the case work-stealing exists for.
 //   - FaultCorrupt: the first stream line is scrambled into non-JSON, as
 //     if the payload was damaged in transit.
+//   - FaultHoldSubmit: a sweep POST runs the real handler, so the job
+//     exists and starts, but the response is withheld until Release is
+//     called or the client gives up, as if the reply were slow on the
+//     wire. A client that gives up never learns the job's ID.
 //
-// Die and corrupt are one-shot (the fault clears once it fires, so the
-// retry that follows sees a healthy worker); hang is sticky (a wedged
+// Die, corrupt and hold are one-shot (the fault clears once it fires, so
+// the retry that follows sees a healthy worker); hang is sticky (a wedged
 // worker stays wedged — recovery must come from stealing, not retrying).
 // Kill tears the whole worker down mid-flight: every open connection is
 // severed and the listener closed, so subsequent placements get connection
@@ -22,6 +26,7 @@ package clustertest
 
 import (
 	"bytes"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -40,6 +45,7 @@ const (
 	FaultDieMidStream
 	FaultHang
 	FaultCorrupt
+	FaultHoldSubmit
 )
 
 // Worker is a fault-injectable in-process worker tracepd.
@@ -50,16 +56,17 @@ type Worker struct {
 
 	ts *httptest.Server
 
-	mu    sync.Mutex
-	fault Fault
-	fired bool
+	mu      sync.Mutex
+	fault   Fault
+	fired   bool
+	release chan struct{} // closed by Release; renewed by SetFault
 }
 
 // NewWorker starts a worker over cfg. Cleanup (registered on t) closes the
 // HTTP server and drains the manager; Kill earlier is fine.
 func NewWorker(t testing.TB, cfg server.Config) *Worker {
 	t.Helper()
-	w := &Worker{Manager: server.NewManager(cfg)}
+	w := &Worker{Manager: server.NewManager(cfg), release: make(chan struct{})}
 	w.ts = httptest.NewServer(http.HandlerFunc(w.serve))
 	t.Cleanup(func() {
 		w.ts.Close()
@@ -82,11 +89,24 @@ func (w *Worker) SetFault(f Fault) {
 	w.mu.Lock()
 	w.fault = f
 	w.fired = false
+	w.release = make(chan struct{})
 	w.mu.Unlock()
 }
 
-// Fired reports whether an armed fault has been claimed by a stream
-// request since the last SetFault — how a test knows the injected failure
+// Release lets a response held by FaultHoldSubmit go to its client, if the
+// client is still waiting for it.
+func (w *Worker) Release() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case <-w.release:
+	default:
+		close(w.release)
+	}
+}
+
+// Fired reports whether an armed fault has been claimed by a request
+// since the last SetFault — how a test knows the injected failure
 // actually happened (e.g. to time a Kill right after a die fault fires).
 func (w *Worker) Fired() bool {
 	w.mu.Lock()
@@ -102,31 +122,42 @@ func (w *Worker) Kill() {
 	w.ts.Close()
 }
 
-// takeFault claims the armed fault for one stream request. One-shot faults
-// clear on claim; FaultHang stays armed.
-func (w *Worker) takeFault() Fault {
+// takeFault claims the armed fault for one request if it applies there:
+// FaultHoldSubmit to a sweep POST, every other fault to a stream GET.
+// One-shot faults clear on claim; FaultHang stays armed.
+func (w *Worker) takeFault(submit bool) Fault {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	f := w.fault
-	if f != FaultNone {
-		w.fired = true
+	if f == FaultNone || submit != (f == FaultHoldSubmit) {
+		return FaultNone
 	}
-	if f == FaultDieMidStream || f == FaultCorrupt {
+	w.fired = true
+	if f != FaultHang {
 		w.fault = FaultNone
 	}
 	return f
 }
 
 // serve is the fault middleware over the manager's real handler. Faults
-// apply only to the NDJSON stream endpoint — the path the coordinator's
-// exactly-once and steal machinery actually defends.
+// apply to the NDJSON stream endpoint — the path the coordinator's
+// exactly-once and steal machinery actually defends — except
+// FaultHoldSubmit, which applies to the sweep POST.
 func (w *Worker) serve(rw http.ResponseWriter, r *http.Request) {
 	h := w.Manager.Handler()
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/sweeps" {
+		if w.takeFault(true) == FaultHoldSubmit {
+			w.holdSubmit(h, rw, r)
+			return
+		}
+		h.ServeHTTP(rw, r)
+		return
+	}
 	if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/stream") {
 		h.ServeHTTP(rw, r)
 		return
 	}
-	switch w.takeFault() {
+	switch w.takeFault(false) {
 	case FaultDieMidStream:
 		h.ServeHTTP(&dieWriter{rw: rw}, r)
 	case FaultHang:
@@ -138,6 +169,24 @@ func (w *Worker) serve(rw http.ResponseWriter, r *http.Request) {
 	default:
 		h.ServeHTTP(rw, r)
 	}
+}
+
+// holdSubmit runs the real POST handler, then keeps its response until
+// Release or until the client disconnects, whichever comes first.
+func (w *Worker) holdSubmit(h http.Handler, rw http.ResponseWriter, r *http.Request) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	w.mu.Lock()
+	release := w.release
+	w.mu.Unlock()
+	select {
+	case <-release:
+	case <-r.Context().Done():
+		return
+	}
+	maps.Copy(rw.Header(), rec.Header())
+	rw.WriteHeader(rec.Code)
+	_, _ = rw.Write(rec.Body.Bytes())
 }
 
 // dieWriter lets exactly one stream line through, then aborts the

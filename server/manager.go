@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -174,6 +175,11 @@ type job struct {
 	failed  int
 	state   State
 	changed chan struct{}
+	// final is the GET /v1/sweeps/{id} body of a terminal job, encoded by
+	// the first such GET after the job ends (nil until then): a terminal
+	// job's Status never changes again, so every later read is a write of
+	// these bytes. It goes with the job at retention eviction.
+	final []byte
 }
 
 // newJob builds a running job over rec, the one constructor Submit and
@@ -242,6 +248,36 @@ func (j *job) snapshot(withResults bool) Status {
 		st.Results = j.rs
 	}
 	return st
+}
+
+// statusJSON returns the job's Status with results as compact JSON plus a
+// newline, the body of GET /v1/sweeps/{id}. A running job is encoded per
+// call, since its ResultSet grows; a terminal job is encoded once, outside
+// j.mu, and its bytes are kept. Two first reads racing may both encode;
+// they produce the same bytes and the first to finish is kept.
+func (j *job) statusJSON() ([]byte, error) {
+	j.mu.Lock()
+	body := j.final
+	j.mu.Unlock()
+	if body != nil {
+		return body, nil
+	}
+	st := j.snapshot(true)
+	body, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, '\n')
+	if !st.State.Terminal() {
+		return body, nil
+	}
+	j.mu.Lock()
+	if j.final == nil {
+		j.final = body
+	}
+	body = j.final
+	j.mu.Unlock()
+	return body, nil
 }
 
 // await blocks until cell i exists (returned with terminal=false), the job

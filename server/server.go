@@ -24,8 +24,10 @@
 //	                              header preferring text/plain, Prometheus text
 //	                              exposition instead; see metrics.go
 //
-// Errors are JSON Error bodies with matching HTTP status codes; requesting
-// a corpus workload the server does not hold is a 404.
+// Every body is compact JSON. Errors are JSON Error bodies with matching
+// HTTP status codes; requesting a corpus workload the server does not hold
+// is a 404. A terminal job's GET /v1/sweeps/{id} body is encoded once, by
+// the first such GET, and served as stored bytes after that (job.final).
 //
 // # Concurrency model
 //
@@ -63,12 +65,12 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as compact JSON (the bytes json.Marshal produces) and
+// a newline; a reader such as jq indents it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -113,12 +115,19 @@ func (m *Manager) handleCorpus(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := m.Status(id, true)
+	j, ok := m.get(id)
 	if !ok {
 		writeNotFound(w, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	body, err := j.statusJSON()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
