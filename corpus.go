@@ -10,9 +10,10 @@ import (
 	"tracep/internal/tracefile"
 )
 
-// ErrCorruptTrace is the sentinel wrapped by errors reporting a structurally
-// invalid .tptrace file — bad magic, checksum mismatch, truncated tail;
-// test with errors.Is. FromTraceFile and Corpus validate files at load, so
+// ErrCorruptTrace is the sentinel wrapped by errors reporting an invalid
+// .tptrace file — bad magic, checksum mismatch, truncated tail, or a
+// recorded path its own program does not take; test with errors.Is.
+// FromTraceFile and Corpus decode and check every record at load, so
 // corruption surfaces there rather than mid-simulation.
 var ErrCorruptTrace = tracefile.ErrCorruptTrace
 
@@ -20,18 +21,20 @@ var ErrCorruptTrace = tracefile.ErrCorruptTrace
 const TraceExt = tracefile.Ext
 
 // FromTraceFile loads a .tptrace recording as a Benchmark: the program
-// image embedded in the file replaces the in-process generator, and every
-// simulation of it verifies retirement against the recorded committed path
-// (streamed, so recordings larger than memory replay fine). The benchmark
-// keeps the recording's workload name, so it slots into Sweep grids,
-// baselines and warm-up overrides exactly like the generated suite:
+// image embedded in the file replaces the in-process generator. The load
+// decodes every record and emulates the program alongside, so the
+// recording is held to its program once, here; the file is not read again.
+// Simulations of the benchmark verify against the emulator (Config.Verify)
+// like those of any program. The benchmark keeps the recording's workload
+// name, so it slots into Sweep grids, baselines and warm-up overrides
+// exactly like the generated suite:
 //
 //	bm, err := tracep.FromTraceFile("traces/compress.tptrace")
 //	...
 //	res, err := tracep.NewBenchmark(bm, 300_000).Run(ctx)
 //
-// Empty and truncated recordings fail here with errors wrapping
-// ErrInvalidBenchmark and ErrCorruptTrace respectively.
+// Empty, truncated, corrupt and off-path recordings fail here with errors
+// wrapping ErrCorruptTrace.
 func FromTraceFile(path string) (Benchmark, error) {
 	return bench.FromTraceFile(path)
 }

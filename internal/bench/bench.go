@@ -45,9 +45,9 @@ type Benchmark struct {
 	// iteration, used to derive scale from an instruction budget.
 	InstsPerIter int64
 	// Recorded is set on benchmarks loaded from a .tptrace recording
-	// (FromTraceFile/Corpus): the simulator replays the recording as its
-	// retirement oracle instead of running the emulator in-process. Nil for
-	// generated workloads.
+	// (FromTraceFile/Corpus), naming the file; Build returns its embedded
+	// program. A tracepd coordinator keeps such rows local, since only it
+	// holds the file. Nil for generated workloads.
 	Recorded *RecordedTrace
 }
 

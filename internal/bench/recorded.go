@@ -12,50 +12,40 @@ import (
 )
 
 // RecordedTrace ties a Benchmark to the .tptrace file it was loaded from.
-// The embedded program image is decoded once at load and shared read-only
-// by every simulation; the committed-record stream is re-opened per run
-// (each Simulator needs its own cursor) via Open.
+// The recording was checked against its program once, at load; it is not
+// read again.
 type RecordedTrace struct {
 	path string
 	hdr  tracefile.Header
-	prog *isa.Program
 }
 
 // Path returns the trace file the benchmark was loaded from.
 func (rt *RecordedTrace) Path() string { return rt.path }
 
-// Records returns the total committed-record count of the recording — the
-// ceiling on how many instructions a replay can verify.
+// Records returns the total committed-record count of the recording.
 func (rt *RecordedTrace) Records() uint64 { return rt.hdr.Records }
-
-// Open returns a fresh streaming reader over the recording, positioned at
-// the first record.
-func (rt *RecordedTrace) Open() (*tracefile.Reader, error) {
-	return tracefile.OpenFile(rt.path)
-}
 
 // FromTraceFile loads path as a recorded-trace Benchmark: the embedded
 // program replaces Build (every scale returns the same image — a recording
-// has one fixed committed path), and Recorded carries the stream for the
-// simulator to verify against. The file's trailer and header are validated
-// here, so a truncated or empty capture fails at load with an error
-// wrapping tracefile.ErrCorruptTrace or ErrInvalidBenchmark, never at
-// simulation time.
+// has one fixed committed path), and Recorded names the file. The whole
+// recording is decoded and held to its program here (tracefile.Load), so a
+// corrupt, truncated or off-path capture fails at load with an error
+// wrapping tracefile.ErrCorruptTrace, never at simulation time. Simulations
+// of the benchmark verify against the emulator like any other program.
 func FromTraceFile(path string) (Benchmark, error) {
-	r, err := tracefile.OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("bench: loading trace %s: %w", path, err)
 	}
-	defer r.Close()
-	hdr := r.Header()
-	if hdr.Records == 0 {
-		return Benchmark{}, fmt.Errorf("bench: %w: trace %s records no instructions", ErrInvalidBenchmark, path)
+	defer f.Close()
+	hdr, prog, err := tracefile.Load(f)
+	if err != nil {
+		return Benchmark{}, fmt.Errorf("bench: loading trace %s: %w", path, err)
 	}
 	name := hdr.Name
 	if name == "" {
 		name = strings.TrimSuffix(filepath.Base(path), tracefile.Ext)
 	}
-	prog := r.Program()
 	ipi := hdr.InstsPerIter
 	if ipi <= 0 {
 		// A recording replays one fixed path; with no per-iteration
@@ -67,7 +57,7 @@ func FromTraceFile(path string) (Benchmark, error) {
 		Analogue: "recorded",
 		Profile:  fmt.Sprintf("recorded trace (%d insts) from %s", hdr.Records, filepath.Base(path)),
 		Build:    func(scale int64) *isa.Program { return prog },
-		Recorded: &RecordedTrace{path: path, hdr: hdr, prog: prog},
+		Recorded: &RecordedTrace{path: path, hdr: hdr},
 
 		InstsPerIter: ipi,
 	}, nil

@@ -133,9 +133,8 @@ type Processor struct {
 	model Model
 	prog  *isa.Program
 
-	mem     isa.Memory // committed architectural memory
-	oracle  *emu.Emulator
-	commits CommitSource // recorded-trace oracle; replaces the emulator when set
+	mem    isa.Memory // committed architectural memory
+	oracle *emu.Emulator
 	// oracleRec is the record the oracle steps into, one per processor so
 	// verification stays allocation-free.
 	oracleRec emu.Record

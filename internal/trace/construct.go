@@ -122,13 +122,18 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 			break
 		}
 		in := c.Prog.At(pc)
+		if brCount == MaxBranches && in.IsCondBranch() {
+			break
+		}
 
 		// FGCI selection: consult the BIT before the branch is added.
 		if c.Sel.FG && !frozen && c.BIT != nil && in.IsForwardBranch(pc) {
 			reg, lat := c.BIT.Lookup(pc)
 			cycles += lat
 			if reg.Embeddable(c.Sel.MaxLen) {
-				if effLen+reg.Size <= c.Sel.MaxLen {
+				// Any one path through the region executes at most
+				// min(NumCondBr, Size) conditional branches.
+				if effLen+reg.Size <= c.Sel.MaxLen && brCount+min(reg.NumCondBr, reg.Size) <= MaxBranches {
 					frozen = true
 					freezeEnd = reg.ReconvPC
 					effLen += reg.Size
@@ -218,7 +223,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 	if !t.EndsIndirect && !t.EndsHalt {
 		t.NextPC = pc
 	}
-	t.Desc.Len = uint8(len(t.PCs))
+	t.Desc.Len = uint16(len(t.PCs))
 	t.Desc.NumBr = uint8(brCount)
 	c.frozenScratch = frozenBranches[:0]
 	return t, cycles

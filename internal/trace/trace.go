@@ -19,13 +19,18 @@ import (
 // 3n+1 <= math.MaxInt16 gives n <= (math.MaxInt16-1)/3.
 const MaxLen = (math.MaxInt16 - 1) / 3
 
+// MaxBranches is the most conditional branches one trace holds: the width
+// of Descriptor.Outcomes. Selection ends a trace before its 33rd branch,
+// so a descriptor never drops an outcome.
+const MaxBranches = 32
+
 // Descriptor identifies a trace: its start PC, its physical length, and the
 // embedded outcomes of its conditional branches. Together with the static
 // program these determine the trace's contents exactly, so descriptors serve
 // as trace-cache keys and next-trace-predictor predictions.
 type Descriptor struct {
 	StartPC  uint32
-	Len      uint8
+	Len      uint16 // holds MaxLen
 	NumBr    uint8
 	Outcomes uint32 // bit i = taken outcome of the i-th conditional branch
 }

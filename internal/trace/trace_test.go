@@ -307,6 +307,62 @@ func TestDescriptorRoundTrip(t *testing.T) {
 	}
 }
 
+// hammocks builds n hammocks in a row whose two arms are equally long: each
+// is three instructions whichever way its branch goes, so every outcome
+// combination gives a trace of the same length.
+func hammocks(n int) *isa.Program {
+	b := asm.New("hammocks")
+	for i := 0; i < n; i++ {
+		els, join := fmt.Sprintf("else%d", i), fmt.Sprintf("join%d", i)
+		b.Beq(1, 0, els).Addi(2, 2, 1).Jump(join)
+		b.Label(els).Addi(3, 3, 1).Addi(3, 3, 1)
+		b.Label(join)
+	}
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestDescriptorCarriesEveryBranch checks that a descriptor determines its
+// trace. In every built trace NumBr counts its branches, at most
+// MaxBranches of them, and bit i of Outcomes is branch i's direction; so
+// forty equal-length hammocks built with outcomes that differ only at
+// branch 35 never give two traces under one descriptor, with or without
+// FGCI selection.
+func TestDescriptorCarriesEveryBranch(t *testing.T) {
+	check := func(tr *Trace) {
+		t.Helper()
+		d := tr.Desc
+		if int(d.Len) != tr.Len() || int(d.NumBr) != len(tr.Branches) || len(tr.Branches) > MaxBranches {
+			t.Fatalf("%v: Len %d for %d instructions, NumBr %d for %d branches (MaxBranches %d)",
+				d, d.Len, tr.Len(), d.NumBr, len(tr.Branches), MaxBranches)
+		}
+		for i, br := range tr.Branches {
+			if bit := d.Outcomes>>uint(i)&1 == 1; bit != br.Taken {
+				t.Fatalf("%v: outcome bit %d is %v but branch %d has taken=%v", d, i, bit, i, br.Taken)
+			}
+		}
+	}
+	prog := hammocks(40)
+	for _, c := range []*Constructor{
+		{Prog: prog, Sel: SelConfig{MaxLen: 200}},
+		fgConstructor(prog, 200),
+	} {
+		forced := make([]bool, 40)
+		a, _ := c.Build(0, forced)
+		forced[35] = true
+		b, _ := c.Build(0, forced)
+		check(a)
+		check(b)
+		if !slices.Equal(a.PCs, b.PCs) && (a.Desc == b.Desc || a.Desc.ID() == b.Desc.ID()) {
+			t.Fatalf("FG=%v: traces with different PCs share descriptor %v", c.Sel.FG, a.Desc)
+		}
+	}
+	for _, o := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		tr, _ := fgConstructor(figure7(), 16).Build(0, o)
+		check(tr)
+	}
+}
+
 // TestReconvergenceProperty: for random programs with a leading embeddable
 // region, fg-selected traces built with every outcome combination end at the
 // same NextPC — the trace-level re-convergence guarantee of §3.
@@ -405,14 +461,15 @@ func TestBranchAt(t *testing.T) {
 }
 
 // TestBranchAtLongTrace checks BranchAt's binary search against a linear
-// scan over every index of a MaxLen trace holding thousands of branches,
+// scan over every index of a MaxLen trace holding MaxBranches branches,
 // including the indices just outside the trace.
 func TestBranchAtLongTrace(t *testing.T) {
 	b := asm.New("branchy")
 	for i := 0; i < MaxLen+8; i++ {
-		// Branches at irregular spacing, each falling through to the next
-		// instruction whichever way it goes.
-		if i%3 == 0 || i%7 == 0 {
+		// One branch every 341 instructions, each falling through to the
+		// next instruction whichever way it goes: MaxBranches of them fit
+		// in MaxLen.
+		if i%341 == 170 {
 			b.Label(fmt.Sprintf("b%d", i)).Beq(1, 0, fmt.Sprintf("b%d", i+1))
 		} else {
 			b.Label(fmt.Sprintf("b%d", i)).Addi(2, 2, 1)
@@ -421,8 +478,8 @@ func TestBranchAtLongTrace(t *testing.T) {
 	b.Label(fmt.Sprintf("b%d", MaxLen+8)).Halt()
 	c := &Constructor{Prog: b.MustBuild(), Sel: SelConfig{MaxLen: MaxLen}}
 	tr, _ := c.Build(0, nil)
-	if tr.Len() != MaxLen || len(tr.Branches) < MaxLen/3 {
-		t.Fatalf("trace holds %d instructions and %d branches, want %d and at least %d", tr.Len(), len(tr.Branches), MaxLen, MaxLen/3)
+	if tr.Len() != MaxLen || len(tr.Branches) != MaxBranches {
+		t.Fatalf("trace holds %d instructions and %d branches, want %d and %d", tr.Len(), len(tr.Branches), MaxLen, MaxBranches)
 	}
 	for idx := -1; idx <= tr.Len(); idx++ {
 		var want *BranchInfo

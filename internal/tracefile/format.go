@@ -1,7 +1,9 @@
 // Package tracefile defines the .tptrace recorded-trace format and its
-// streaming codec: a compact, versioned, seekable on-disk representation of
-// one workload's committed execution path, captured from the architectural
-// emulator and replayed into the timing simulator as its retirement oracle.
+// streaming codec: a compact, versioned on-disk representation of one
+// workload's committed execution path, captured from the architectural
+// emulator (Capture) and checked against that same program when it is
+// loaded back (Load). A loaded recording is an ordinary program: the
+// simulator verifies it against the emulator like any other.
 //
 // A trace file decouples workload acquisition from the in-process program
 // generators: a directory of captured traces is a corpus that Sweep,
@@ -27,12 +29,13 @@
 // walking the embedded program, so a record typically costs a fraction of a
 // byte.
 //
-// Each block is self-contained: its header carries the absolute record
-// index, the walk PC and the address-delta base at its start, so a decoder
-// can skip whole blocks without expanding them (block-granular seek, used
-// to fast-forward past warmed-up prefixes) and can detect corruption
-// per-block via the payload CRC. A missing or mismatched trailer marks a
-// truncated capture. All structural errors wrap ErrCorruptTrace.
+// Each block header carries the absolute record index, the walk PC and the
+// address-delta base at its start, which the decoder checks against the
+// path it has rebuilt so far, and a CRC over the header fields and the
+// payload. A missing or mismatched trailer marks a truncated capture. Load
+// then emulates the embedded program alongside the decoded records, so a
+// recording whose every checksum holds but whose path the program does not
+// take is rejected too. All these errors wrap ErrCorruptTrace.
 package tracefile
 
 import (
@@ -51,9 +54,10 @@ const Ext = ".tptrace"
 // newer major format.
 const Version = 1
 
-// ErrCorruptTrace is the sentinel wrapped by every structural decode error:
-// bad magic, header or block CRC mismatch, truncated block, impossible
-// field values, or a missing trailer. Test with errors.Is.
+// ErrCorruptTrace is the sentinel wrapped by every decode error: bad magic,
+// header or block CRC mismatch, truncated block, impossible field values, a
+// missing trailer, or (from Load) a record off the program's own path. Test
+// with errors.Is.
 var ErrCorruptTrace = errors.New("corrupt trace file")
 
 var (
@@ -82,8 +86,9 @@ const (
 const trailerSize = 16
 
 // DefaultBlockRecords is the number of committed records per sync block.
-// Larger blocks amortise header overhead; smaller blocks seek at finer
-// granularity. 4096 records is a few KB of payload on typical workloads.
+// Larger blocks amortise header overhead; smaller blocks pin a checksum
+// failure to fewer records. 4096 records is a few KB of payload on typical
+// workloads.
 const DefaultBlockRecords = 4096
 
 // Meta is the capture-time metadata carried in a trace file's header.
@@ -103,9 +108,8 @@ type Header struct {
 	Meta
 	// FormatVersion is the file's format version.
 	FormatVersion uint32
-	// Records is the total committed-record count. OpenFile learns it from
-	// the trailer at open; a pure-stream Reader reports 0 until the trailer
-	// has been consumed.
+	// Records is the total committed-record count, declared by the trailer.
+	// Load reports it; a Reader reports 0 until Next has returned io.EOF.
 	Records uint64
 }
 
@@ -122,7 +126,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // byteReader adapts a byte slice to sequential varint decoding with
 // explicit exhaustion errors (bytes.Reader would allocate via interface
-// conversion on the hot refill path and cannot report *what* ran out).
+// conversion on every refill and cannot report *what* ran out).
 type byteReader struct {
 	buf []byte
 	pos int

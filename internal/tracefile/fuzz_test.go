@@ -13,9 +13,11 @@ import (
 )
 
 // FuzzReader drives the whole decode surface — magic, header varints,
-// program image, block framing, CRCs, trailer — with arbitrary bytes. The
-// invariant: NewReader/Next never panic, never loop forever, and fail only
-// with ErrCorruptTrace (or clean io.EOF on a structurally valid stream).
+// program image, block framing, CRCs, trailer — with arbitrary bytes, and
+// the load path behind it, which emulates the untrusted embedded program.
+// The invariant: Load and NewReader/Next never panic, never loop forever,
+// and fail only with ErrCorruptTrace (or clean io.EOF on a structurally
+// valid stream).
 // Seeds cover a valid capture plus the interesting prefixes; CI runs this
 // briefly every push (see .github/workflows/ci.yml), and the generated
 // corpus in testdata/fuzz persists the interesting mutants.
@@ -35,6 +37,11 @@ func FuzzReader(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Load takes one emulator step per decoded record, so it ends when
+		// the decoder does.
+		if _, _, err := Load(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrCorruptTrace) {
+			t.Fatalf("Load: non-typed error %v", err)
+		}
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorruptTrace) {

@@ -3,27 +3,20 @@ package tracefile
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"tracep/internal/emu"
 	"tracep/internal/isa"
 )
 
 // Reader streams committed records out of a .tptrace file. It decodes one
-// sync block at a time into a reusable chunk, so traces far larger than
-// memory replay with zero steady-state allocations: the cycle loop calls
-// Next, and only one block boundary in every BlockRecords calls touches the
-// underlying reader.
-//
-// Reader implements the simulator's commit-source contract: Next returns
-// io.EOF after the last record, and every structural problem wraps
-// ErrCorruptTrace.
+// sync block at a time into a reusable chunk, rebuilding each record by
+// walking the embedded program. Next returns io.EOF after the last record,
+// and every structural problem wraps ErrCorruptTrace. Load is the one
+// caller outside tests: it reads a recording through once, at load.
 type Reader struct {
-	br     *bufio.Reader
-	closer io.Closer
+	br *bufio.Reader
 
 	hdr  Header
 	prog *isa.Program
@@ -37,8 +30,6 @@ type Reader struct {
 	walkPC    uint32
 	prevAddr  uint32
 	halted    bool
-	resync    bool // after a block-granular skip: adopt the next header's walk state
-	done      bool
 	err       error
 
 	// Reusable decode scratch.
@@ -47,47 +38,8 @@ type Reader struct {
 	targets []uint32
 }
 
-// OpenFile opens path for streaming decode. Before returning it validates
-// the trailer at the end of the file, so a truncated or corrupt-tailed
-// capture is rejected at open rather than midway through a simulation; the
-// returned Reader's Header reports the total record count.
-func OpenFile(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	total, err := validateTrailer(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.hdr.Records = total
-	r.closer = f
-	return r, nil
-}
-
-// validateTrailer checks the fixed trailer at the end of f and returns the
-// total record count it declares.
-func validateTrailer(f *os.File) (uint64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if fi.Size() < trailerSize {
-		return 0, corrupt("file of %d bytes is shorter than the trailer", fi.Size())
-	}
-	var trailer [trailerSize]byte
-	if _, err := f.ReadAt(trailer[:], fi.Size()-trailerSize); err != nil {
-		return 0, err
-	}
-	return parseTrailer(trailer)
-}
-
+// parseTrailer checks the fixed end-of-stream trailer and returns the total
+// record count it declares.
 func parseTrailer(trailer [trailerSize]byte) (uint64, error) {
 	if [4]byte(trailer[:4]) != endMagic {
 		return 0, corrupt("missing end-of-stream trailer (truncated capture?)")
@@ -98,9 +50,9 @@ func parseTrailer(trailer [trailerSize]byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(trailer[4:12]), nil
 }
 
-// NewReader decodes a trace from a pure byte stream (no seeking): the
-// header is parsed immediately; the trailer is verified when the stream
-// reaches it. Prefer OpenFile for files — it detects truncation at open.
+// NewReader decodes a trace from a byte stream: the header is parsed
+// immediately; the trailer is verified when the stream reaches it. Load
+// wraps it to decode a whole recording and hold it to its program.
 func NewReader(rd io.Reader) (*Reader, error) {
 	r := &Reader{br: bufio.NewReaderSize(rd, 1<<16)}
 	if err := r.readHeader(); err != nil {
@@ -108,6 +60,41 @@ func NewReader(rd io.Reader) (*Reader, error) {
 	}
 	r.walkPC = r.prog.Entry
 	return r, nil
+}
+
+// Load decodes a whole recording from rd and holds it to its own program —
+// Capture's inverse. The embedded program is emulated from its entry, one
+// step per decoded record: each record's PC, NextPC, Addr, Taken and Halted
+// must match the emulator's, and the stream must end exactly at the halt.
+// Anything else, structural or a path the program does not take, fails
+// with an error wrapping ErrCorruptTrace. The returned Header reports the
+// record count.
+func Load(rd io.Reader) (Header, *isa.Program, error) {
+	r, err := NewReader(rd)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	e := emu.New(r.prog)
+	var want emu.Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return Header{}, nil, err
+		}
+		e.Step(&want)
+		if rec.PC != want.PC || rec.NextPC != want.NextPC || rec.Addr != want.Addr ||
+			rec.Taken != want.Taken || rec.Halted != want.Halted {
+			return Header{}, nil, corrupt("record %d at pc %d leaves the program's path: recorded next pc %d, addr %d, taken %v; program next pc %d, addr %d, taken %v",
+				e.Count-1, rec.PC, rec.NextPC, rec.Addr, rec.Taken, want.NextPC, want.Addr, want.Taken)
+		}
+	}
+	if !e.Halted {
+		return Header{}, nil, corrupt("recording ends after %d records, before the program halts", e.Count)
+	}
+	return r.hdr, r.prog, nil
 }
 
 func (r *Reader) readHeader() error {
@@ -187,8 +174,7 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// Header returns the file's metadata. Records is populated at open by
-// OpenFile; for a pure-stream NewReader it becomes valid once Next has
+// Header returns the file's metadata. Records becomes valid once Next has
 // returned io.EOF.
 func (r *Reader) Header() Header { return r.hdr }
 
@@ -196,184 +182,115 @@ func (r *Reader) Header() Header { return r.hdr }
 // callers must treat it as immutable (the simulator already does).
 func (r *Reader) Program() *isa.Program { return r.prog }
 
-// Close releases the underlying file, if the Reader owns one.
-func (r *Reader) Close() error {
-	if r.closer != nil {
-		c := r.closer
-		r.closer = nil
-		return c.Close()
-	}
-	return nil
-}
-
 // Next returns the next committed record, io.EOF at the verified end of the
 // trace, or an error wrapping ErrCorruptTrace. Errors are sticky.
-//
-//tracep:noalloc
 func (r *Reader) Next() (emu.Record, error) {
-	if r.pos < len(r.recs) {
-		rec := r.recs[r.pos]
-		r.pos++
-		return rec, nil
-	}
-	var zero uint64
-	//tracep:allow block refill is amortised over a whole block of records and decodes into reused buffers
-	if err := r.refill(&zero); err != nil {
-		return emu.Record{}, err
+	if r.pos == len(r.recs) {
+		if err := r.refill(); err != nil {
+			return emu.Record{}, err
+		}
 	}
 	rec := r.recs[r.pos]
 	r.pos++
 	return rec, nil
 }
 
-// Skip discards the next n records without returning them, consuming fully
-// skipped blocks at header granularity (their payloads are CRC-checked but
-// not expanded). It is how a trace-backed run aligns itself past a warm-up
-// prefix that a restored snapshot already replayed.
-func (r *Reader) Skip(n uint64) error {
-	for n > 0 {
-		if buffered := uint64(len(r.recs) - r.pos); buffered > 0 {
-			take := min(buffered, n)
-			r.pos += int(take)
-			n -= take
-			continue
+// refill decodes the next block into r.recs. At the trailer it verifies the
+// declared record count and returns io.EOF. Errors are sticky.
+func (r *Reader) refill() error {
+	if r.err == nil {
+		r.err = r.refillOnce()
+	}
+	return r.err
+}
+
+func (r *Reader) refillOnce() error {
+	var magic [4]byte
+	if _, err := io.ReadFull(r.br, magic[:]); err != nil {
+		return corrupt("reading block magic: %v", err)
+	}
+	if magic == endMagic {
+		var trailer [trailerSize]byte
+		copy(trailer[:4], magic[:])
+		if _, err := io.ReadFull(r.br, trailer[4:]); err != nil {
+			return corrupt("reading trailer: %v", err)
 		}
-		if err := r.refill(&n); err != nil {
-			if errors.Is(err, io.EOF) {
-				return corrupt("skip of %d records runs past the end of the trace", n)
-			}
+		total, err := parseTrailer(trailer)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// refill loads the next block. While *skip covers whole blocks, their
-// payloads are checksummed and discarded without decoding (decrementing
-// *skip for each record dropped); the first block extending past the skip
-// window is decoded into r.recs. At the trailer it verifies the declared
-// record count and returns io.EOF. Errors are sticky.
-func (r *Reader) refill(skip *uint64) error {
-	if r.err != nil {
-		return r.err
-	}
-	if err := r.refillOnce(skip); err != nil {
-		r.err = err
-		return err
-	}
-	return nil
-}
-
-func (r *Reader) refillOnce(skip *uint64) error {
-	for {
-		var magic [4]byte
-		if _, err := io.ReadFull(r.br, magic[:]); err != nil {
-			return corrupt("reading block magic: %v", err)
+		if total != r.nextIndex {
+			return corrupt("trailer declares %d records but %d were present", total, r.nextIndex)
 		}
-		if magic == endMagic {
-			var trailer [trailerSize]byte
-			copy(trailer[:4], magic[:])
-			if _, err := io.ReadFull(r.br, trailer[4:]); err != nil {
-				return corrupt("reading trailer: %v", err)
-			}
-			total, err := parseTrailer(trailer)
+		r.hdr.Records = total
+		return io.EOF
+	}
+	if magic != blockMagic {
+		return corrupt("bad block magic %q", magic[:])
+	}
+
+	var fields [5 * binary.MaxVarintLen64]byte
+	nf := 0
+	readField := func() (uint64, error) {
+		start := nf
+		for {
+			c, err := r.br.ReadByte()
 			if err != nil {
-				return err
+				return 0, corrupt("reading block header: %v", err)
 			}
-			if total != r.nextIndex {
-				return corrupt("trailer declares %d records but %d were present", total, r.nextIndex)
-			}
-			r.hdr.Records = total
-			r.done = true
-			return io.EOF
-		}
-		if magic != blockMagic {
-			return corrupt("bad block magic %q", magic[:])
-		}
-
-		var fields [5 * binary.MaxVarintLen64]byte
-		nf := 0
-		readField := func() (uint64, error) {
-			start := nf
-			for {
-				c, err := r.br.ReadByte()
-				if err != nil {
-					return 0, corrupt("reading block header: %v", err)
-				}
-				if nf >= len(fields) {
-					return 0, corrupt("block header varint overflow")
-				}
-				fields[nf] = c
-				nf++
-				if c < 0x80 {
-					break
-				}
-			}
-			v, n := binary.Uvarint(fields[start:nf])
-			if n <= 0 {
+			if nf >= len(fields) {
 				return 0, corrupt("block header varint overflow")
 			}
-			return v, nil
-		}
-		firstIndex, err1 := readField()
-		nrec, err2 := readField()
-		startPC, err3 := readField()
-		baseAddr, err4 := readField()
-		payloadLen, err5 := readField()
-		if err := firstErr(err1, err2, err3, err4, err5); err != nil {
-			return err
-		}
-		if nrec == 0 || nrec > maxBlockRecords {
-			return corrupt("block claims %d records", nrec)
-		}
-		if payloadLen > maxPayloadBytes {
-			return corrupt("block claims %d payload bytes", payloadLen)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
-			return corrupt("reading block checksum: %v", err)
-		}
-		if cap(r.payload) < int(payloadLen) {
-			r.payload = make([]byte, payloadLen)
-		}
-		r.payload = r.payload[:payloadLen]
-		if _, err := io.ReadFull(r.br, r.payload); err != nil {
-			return corrupt("reading block payload: %v", err)
-		}
-		crc := crc32.Update(0, crcTable, fields[:nf])
-		crc = crc32.Update(crc, crcTable, r.payload)
-		if crc != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return corrupt("block %d checksum mismatch", firstIndex)
-		}
-		if firstIndex != r.nextIndex {
-			return corrupt("block starts at record %d, expected %d", firstIndex, r.nextIndex)
-		}
-		if r.resync {
-			r.walkPC = uint32(startPC)
-			r.prevAddr = uint32(baseAddr)
-			r.resync = false
-		} else if uint32(startPC) != r.walkPC || uint32(baseAddr) != r.prevAddr {
-			return corrupt("block %d walk state (pc %d, addr base %d) disagrees with the decoded path (pc %d, addr base %d)",
-				firstIndex, startPC, baseAddr, r.walkPC, r.prevAddr)
-		}
-
-		if *skip >= nrec {
-			// The caller is discarding this entire block: account for it
-			// and resynchronise the walk from the next block's header.
-			r.nextIndex += nrec
-			r.resync = true
-			r.recs = r.recs[:0]
-			r.pos = 0
-			*skip -= nrec
-			if *skip == 0 {
-				// The window closed exactly on a block boundary; the
-				// next Next/Skip call will load the following block.
-				return nil
+			fields[nf] = c
+			nf++
+			if c < 0x80 {
+				break
 			}
-			continue
 		}
-		return r.decodeBlock(int(nrec))
+		v, n := binary.Uvarint(fields[start:nf])
+		if n <= 0 {
+			return 0, corrupt("block header varint overflow")
+		}
+		return v, nil
 	}
+	firstIndex, err1 := readField()
+	nrec, err2 := readField()
+	startPC, err3 := readField()
+	baseAddr, err4 := readField()
+	payloadLen, err5 := readField()
+	if err := firstErr(err1, err2, err3, err4, err5); err != nil {
+		return err
+	}
+	if nrec == 0 || nrec > maxBlockRecords {
+		return corrupt("block claims %d records", nrec)
+	}
+	if payloadLen > maxPayloadBytes {
+		return corrupt("block claims %d payload bytes", payloadLen)
+	}
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
+		return corrupt("reading block checksum: %v", err)
+	}
+	if cap(r.payload) < int(payloadLen) {
+		r.payload = make([]byte, payloadLen)
+	}
+	r.payload = r.payload[:payloadLen]
+	if _, err := io.ReadFull(r.br, r.payload); err != nil {
+		return corrupt("reading block payload: %v", err)
+	}
+	crc := crc32.Update(0, crcTable, fields[:nf])
+	crc = crc32.Update(crc, crcTable, r.payload)
+	if crc != binary.LittleEndian.Uint32(crcBuf[:]) {
+		return corrupt("block %d checksum mismatch", firstIndex)
+	}
+	if firstIndex != r.nextIndex {
+		return corrupt("block starts at record %d, expected %d", firstIndex, r.nextIndex)
+	}
+	if uint32(startPC) != r.walkPC || uint32(baseAddr) != r.prevAddr {
+		return corrupt("block %d walk state (pc %d, addr base %d) disagrees with the decoded path (pc %d, addr base %d)",
+			firstIndex, startPC, baseAddr, r.walkPC, r.prevAddr)
+	}
+	return r.decodeBlock(int(nrec))
 }
 
 // decodeBlock expands the current payload into r.recs by replaying the

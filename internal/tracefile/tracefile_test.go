@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"tracep/internal/emu"
@@ -145,51 +146,35 @@ func TestRoundTripSmallBlocks(t *testing.T) {
 	}
 }
 
-func TestOpenFile(t *testing.T) {
+// TestLoad checks Load as Capture's inverse: a captured recording loads
+// with its metadata, its program and its record count.
+func TestLoad(t *testing.T) {
 	prog := testProgram()
-	data, n := captureBuf(t, prog, Meta{Name: "file"})
-	path := filepath.Join(t.TempDir(), "file"+Ext)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenFile(path)
+	meta := Meta{Name: "load", InstsPerIter: 11, TargetInsts: 5000}
+	data, n := captureBuf(t, prog, meta)
+	hdr, got, err := Load(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	defer r.Close()
-	if r.Header().Records != n {
-		t.Fatalf("OpenFile reported %d records, want %d", r.Header().Records, n)
+	if hdr.Meta != meta || hdr.FormatVersion != Version || hdr.Records != n {
+		t.Fatalf("Load header = %+v, want %+v with %d records", hdr, meta, n)
 	}
-	var count uint64
-	for {
-		if _, err := r.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			t.Fatalf("Next: %v", err)
-		}
-		count++
-	}
-	if count != n {
-		t.Fatalf("decoded %d records, want %d", count, n)
+	if got.Entry != prog.Entry || !reflect.DeepEqual(got.Insts, prog.Insts) || !reflect.DeepEqual(got.Data, prog.Data) {
+		t.Fatal("Load returned a program that differs from the captured one")
 	}
 }
 
-func TestSkip(t *testing.T) {
-	prog := testProgram()
-	want := referenceRecords(prog)
-	total := uint64(len(want))
-
+// writeRecords writes recs through a Writer in blocks of 8 records: every
+// checksum holds whatever the records say.
+func writeRecords(t *testing.T, prog *isa.Program, recs []emu.Record) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, prog, Meta{Name: "skip"})
+	w, err := NewWriter(&buf, prog, Meta{Name: "forged"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BlockRecords = 16 // several blocks, so skips cross block boundaries
-	e := emu.New(prog)
-	var rec emu.Record
-	for !e.Halted {
-		e.Step(&rec)
+	w.BlockRecords = 8
+	for _, rec := range recs {
 		if err := w.Add(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -197,39 +182,38 @@ func TestSkip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	return buf.Bytes()
+}
 
-	// Skip amounts chosen to land mid-block, exactly on a boundary, to
-	// consume whole blocks without decoding, and to skip nothing at all.
-	for _, skip := range []uint64{0, 1, 5, 16, 17, 40, total - 1, total} {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Skip(skip); err != nil {
-			t.Fatalf("Skip(%d): %v", skip, err)
-		}
-		for i := skip; i < total; i++ {
-			rec, err := r.Next()
-			if err != nil {
-				t.Fatalf("skip %d: Next at record %d: %v", skip, i, err)
-			}
-			if rec != want[i] {
-				t.Fatalf("skip %d: record %d mismatch:\n got %+v\nwant %+v", skip, i, rec, want[i])
-			}
-		}
-		if _, err := r.Next(); !errors.Is(err, io.EOF) {
-			t.Fatalf("skip %d: Next past end = %v, want io.EOF", skip, err)
-		}
+// TestLoadRejectsOffPath forges recordings that are well-formed, every
+// checksum valid, but that the embedded program does not produce: Load
+// must hold them to the program and name the record that leaves its path.
+func TestLoadRejectsOffPath(t *testing.T) {
+	prog := testProgram()
+	want := referenceRecords(prog)
+	if _, _, err := Load(bytes.NewReader(writeRecords(t, prog, want))); err != nil {
+		t.Fatalf("Load of the emulator's own records: %v", err)
 	}
 
-	// Skipping beyond the end is structural corruption, not EOF.
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	// Move the third loop iteration's load: mid-stream, past a block
+	// boundary.
+	moved := slices.Clone(want)
+	i, loads := 0, 0
+	for ; loads < 3; i++ {
+		if moved[i].Inst.Op == isa.OpLoad {
+			loads++
+		}
 	}
-	if err := r.Skip(total + 1); !errors.Is(err, ErrCorruptTrace) {
-		t.Fatalf("Skip past end = %v, want ErrCorruptTrace", err)
+	i--
+	moved[i].Addr++
+	_, _, err := Load(bytes.NewReader(writeRecords(t, prog, moved)))
+	if !errors.Is(err, ErrCorruptTrace) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", i)) {
+		t.Fatalf("Load of a moved load address = %v, want ErrCorruptTrace naming record %d", err, i)
+	}
+
+	short := want[:len(want)-1] // every record but the halt
+	if _, _, err := Load(bytes.NewReader(writeRecords(t, prog, short))); !errors.Is(err, ErrCorruptTrace) {
+		t.Fatalf("Load of a recording that stops before the halt = %v, want ErrCorruptTrace", err)
 	}
 }
 
@@ -240,13 +224,8 @@ func TestTruncationDetected(t *testing.T) {
 	for _, cut := range []int{1, trailerSize, trailerSize + 7, len(data) / 2} {
 		trunc := data[:len(data)-cut]
 
-		// OpenFile detects the missing trailer before any decode.
-		path := filepath.Join(t.TempDir(), "trunc"+Ext)
-		if err := os.WriteFile(path, trunc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFile(path); !errors.Is(err, ErrCorruptTrace) {
-			t.Fatalf("cut %d: OpenFile = %v, want ErrCorruptTrace", cut, err)
+		if _, _, err := Load(bytes.NewReader(trunc)); !errors.Is(err, ErrCorruptTrace) {
+			t.Fatalf("cut %d: Load = %v, want ErrCorruptTrace", cut, err)
 		}
 
 		// A pure stream must fail at the tail, never report clean EOF.

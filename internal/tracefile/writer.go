@@ -153,7 +153,7 @@ func (w *Writer) flushBlock() error {
 	n += binary.PutUvarint(fields[n:], uint64(len(payload)))
 
 	// The CRC covers the header fields and the payload, so a flipped bit in
-	// either (including the seek metadata Skip trusts) is caught.
+	// either (including the walk state the decoder checks) is caught.
 	crc := crc32.Update(0, crcTable, fields[:n])
 	crc = crc32.Update(crc, crcTable, payload)
 

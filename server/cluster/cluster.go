@@ -33,8 +33,8 @@
 // row of a sweep: the coordinator simulates only through its local pool
 // (corpus rows and fallback), so its Gate bounds warm jobs as it bounds
 // cold ones. Recorded-trace (corpus) rows — those whose Bench.Recorded is
-// set — never move: their .tptrace recordings live on the coordinator, so
-// they run locally by construction. A suite row is placed even when the corpus
+// set — never move: each runs the program of a .tptrace recording that
+// only the coordinator holds, so they run locally by construction. A suite row is placed even when the corpus
 // holds a recording of the same name.
 package cluster
 

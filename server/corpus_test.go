@@ -38,8 +38,8 @@ func captureTestCorpus(t *testing.T, targetInsts uint64) []tracep.Benchmark {
 
 // TestCorpusOverWire drives the recorded-trace path end to end through the
 // HTTP stack: GET /v1/corpus lists the server's recordings, a corpus-only
-// SweepRequest replays them server-side with per-record verification on,
-// and the collected ResultSet is byte-identical to sweeping the same
+// SweepRequest runs their programs server-side with verification on, and
+// the collected ResultSet is byte-identical to sweeping the same
 // recordings in-process.
 func TestCorpusOverWire(t *testing.T) {
 	const target = 5_000

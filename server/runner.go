@@ -14,9 +14,9 @@ import (
 // cell — so the Runner decides placement per row, never per cell.
 type RowSpec struct {
 	// Bench is the resolved workload. A corpus row is one whose
-	// Bench.Recorded is set: it replays (and verifies against) a .tptrace
-	// recording that only this server holds, so a coordinator never moves
-	// it to a worker. A suite row never has Recorded set, even when a
+	// Bench.Recorded is set: it runs the program of a .tptrace recording
+	// that only this server holds, so a coordinator never moves it to a
+	// worker. A suite row never has Recorded set, even when a
 	// recording of the same name is in the corpus.
 	Bench tracep.Benchmark
 	// Models lists the cells to simulate for this row: those the job does

@@ -49,10 +49,6 @@ type Simulator struct {
 	bm       *Benchmark
 	bmTarget uint64
 
-	// recorded is set for sessions over a recorded-trace Benchmark
-	// (FromTraceFile/Corpus); see runCell.
-	recorded *bench.RecordedTrace
-
 	label string
 	model Model
 	cfg   Config
@@ -93,7 +89,6 @@ func New(prog *Program, opts ...Option) *Simulator {
 func NewBenchmark(bm Benchmark, targetInsts uint64, opts ...Option) *Simulator {
 	s := newSimulator(bm.Name, opts)
 	s.bm, s.bmTarget = &bm, targetInsts
-	s.recorded = bm.Recorded
 	return s
 }
 
@@ -157,7 +152,7 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 		}
 		return nil, fmt.Errorf("tracep: %s: %w", s.label, err)
 	}
-	return runCell(ctx, s.label, prog, s.model, s.cfg, s.snap, s.recorded, &proc.Processor{})
+	return runCell(ctx, s.label, prog, s.model, s.cfg, s.snap, &proc.Processor{})
 }
 
 // runCell is the one path every simulation takes, from Simulator.Run and
@@ -166,11 +161,9 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 // Both callers hand it a snapshot of prog itself: a sweep row captures from
 // its own build, and NewFromSnapshot takes its program from the snapshot.
 // Results never point into engine, so the caller may reset it for its next
-// cell. A recorded-trace workload (rec non-nil) verifies retirement against
-// its .tptrace stream instead of an in-process emulator; each run opens its
-// own cursor, advanced past the prefix a warm-up already replayed.
+// cell.
 func runCell(ctx context.Context, label string, prog *Program, m Model, cfg Config,
-	snap *Snapshot, rec *bench.RecordedTrace, engine *proc.Processor) (*Result, error) {
+	snap *Snapshot, engine *proc.Processor) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("tracep: %s: %w", label, err)
 	}
@@ -180,19 +173,6 @@ func runCell(ctx context.Context, label string, prog *Program, m Model, cfg Conf
 		}
 	} else {
 		engine.Reset(prog, m, cfg)
-	}
-	if rec != nil && cfg.Verify {
-		src, err := rec.Open()
-		if err != nil {
-			return nil, fmt.Errorf("tracep: %s: %w", label, err)
-		}
-		defer src.Close()
-		if n := engine.Stats.WarmupInsts; n > 0 {
-			if err := src.Skip(n); err != nil {
-				return nil, fmt.Errorf("tracep: %s: aligning recorded trace past %d warm-up insts: %w", label, n, err)
-			}
-		}
-		engine.SetCommitSource(src)
 	}
 	stats, err := engine.RunContext(ctx, 0, 0, nil)
 	if err != nil {

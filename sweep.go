@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"tracep/internal/bench"
 	"tracep/internal/proc"
 )
 
@@ -103,9 +102,6 @@ type sweepRow struct {
 	seed     int64
 	prog     *Program
 	buildErr error
-	// recorded carries the row's .tptrace stream for recorded-trace
-	// benchmarks (Benchmark.Recorded); every cell opens its own cursor.
-	recorded *bench.RecordedTrace
 	// warmup is the row's effective warm-up length (WarmupFor override or
 	// the sweep-wide Warmup), resolved once at feed time.
 	warmup uint64
@@ -283,7 +279,7 @@ func (sw *Sweep) feed(seeds []int64, send func(sweepJob) bool) {
 			prog, err = buildProgram(bm, sw.TargetInsts)
 		}
 		return &sweepRow{sw: sw, bench: bm.Name, seed: seeds[r%len(seeds)], prog: prog,
-			buildErr: err, recorded: bm.Recorded, warmup: sw.warmupFor(bm.Name)}
+			buildErr: err, warmup: sw.warmupFor(bm.Name)}
 	}
 	rows := len(sw.Benchmarks) * len(seeds)
 	cur := row(0)
@@ -364,7 +360,7 @@ func (sw *Sweep) runOne(ctx context.Context, job sweepJob, engine *proc.Processo
 	// Every cell runs under its row's cellConfig — the exact configuration
 	// the row snapshot is captured with, so capture and restore cannot
 	// drift.
-	res, err := runCell(ctx, row.bench, row.prog, job.model, sw.cellConfig(row.seed), snap, row.recorded, engine)
+	res, err := runCell(ctx, row.bench, row.prog, job.model, sw.cellConfig(row.seed), snap, engine)
 	if err != nil {
 		return fail(err)
 	}

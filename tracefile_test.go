@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tracep"
+	"tracep/internal/emu"
+	"tracep/internal/isa"
+	"tracep/internal/tracefile"
 )
 
 // captureCorpus records every benchmark of the CI baseline grid to a
@@ -30,14 +35,12 @@ func captureCorpus(t *testing.T, targetInsts uint64) string {
 }
 
 // TestRecordedTraceByteIdentity is the round-trip gate for the trace
-// ingestion subsystem: capture → decode → simulate must be invisible in the
+// ingestion subsystem: capture → load → simulate must be invisible in the
 // results. Every benchmark of the CI baseline grid is recorded to a
-// .tptrace file, loaded back through Corpus, and swept across all eight
-// models; the ResultSet JSON must be byte-identical to the direct
-// emulator-fed sweep and to the committed testdata/ci-baseline.json. Along
-// the way every retired instruction is verified against the recorded
-// stream (Verify is on in DefaultConfig), so the decoder's reconstruction
-// of the committed path is checked record by record, not just in aggregate.
+// .tptrace file, loaded back through Corpus (which decodes each recording
+// and holds it to its embedded program), and swept across all eight
+// models; the ResultSet JSON must be byte-identical to the direct sweep and
+// to the committed testdata/ci-baseline.json.
 func TestRecordedTraceByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full baseline grid twice")
@@ -68,11 +71,10 @@ func TestRecordedTraceByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRecordedTraceWarmupIdentity exercises the Skip path: a warmed-up
-// sweep over recorded traces must still match the direct warmed-up sweep
-// byte for byte — the reader has to fast-forward exactly WarmupInsts
-// records (block-granular, mid-block) to stay aligned with the snapshot
-// restore.
+// TestRecordedTraceWarmupIdentity checks warm-ups over recordings: a
+// warmed-up sweep over recorded traces must match the direct warmed-up
+// sweep byte for byte, so a loaded program warms exactly like the one it
+// was captured from.
 func TestRecordedTraceWarmupIdentity(t *testing.T) {
 	const target, warm = 20_000, 7_500
 	mk := func(benches []tracep.Benchmark) tracep.Sweep {
@@ -103,9 +105,10 @@ func TestRecordedTraceWarmupIdentity(t *testing.T) {
 }
 
 // TestRecordedTraceTypedErrors pins the failure modes of trace loading to
-// typed sentinels: an empty capture is ErrInvalidBenchmark, a truncated
-// file is ErrCorruptTrace, and an empty corpus directory refuses to
-// masquerade as a zero-benchmark sweep. None of them may panic.
+// typed sentinels: a truncated, corrupt or off-path recording is
+// ErrCorruptTrace at FromTraceFile and Corpus, before any cell runs, and an
+// empty corpus directory refuses to masquerade as a zero-benchmark sweep.
+// None of them may panic.
 func TestRecordedTraceTypedErrors(t *testing.T) {
 	dir := captureCorpus(t, 5000)
 	path := filepath.Join(dir, "compress"+tracep.TraceExt)
@@ -133,11 +136,34 @@ func TestRecordedTraceTypedErrors(t *testing.T) {
 		t.Fatal("Corpus of a missing directory succeeded")
 	}
 
-	// A replay capped past the end of the recording must fail with a clear
-	// error, not silently under-verify: the recording for 5000-inst sizing
-	// halts, so ask the simulator to retire more than it holds by rebuilding
-	// at a larger size — the embedded program ignores scale, making the
-	// recording too short by construction.
+	// (a) One flipped byte in a block payload: the byte just before the
+	// 16-byte trailer ends the last block's payload. The load reads every
+	// block, so the file fails there.
+	flipped := filepath.Join(t.TempDir(), "flipped"+tracep.TraceExt)
+	mut := bytes.Clone(data)
+	mut[len(mut)-17] ^= 0x01
+	if err := os.WriteFile(flipped, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracep.FromTraceFile(flipped); !errors.Is(err, tracep.ErrCorruptTrace) {
+		t.Fatalf("FromTraceFile(payload byte flipped) = %v, want ErrCorruptTrace", err)
+	}
+
+	// (b) A recording whose every checksum holds but whose path the program
+	// does not take: the emulator's records with one load address moved.
+	offDir := t.TempDir()
+	off := filepath.Join(offDir, "compress"+tracep.TraceExt)
+	rec := writeOffPath(t, off, 5000)
+	_, err = tracep.FromTraceFile(off)
+	if !errors.Is(err, tracep.ErrCorruptTrace) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", rec)) {
+		t.Fatalf("FromTraceFile(off-path) = %v, want ErrCorruptTrace naming record %d", err, rec)
+	}
+
+	// (c) A corpus holding it fails as a whole.
+	if _, err := tracep.Corpus(offDir); !errors.Is(err, tracep.ErrCorruptTrace) {
+		t.Fatalf("Corpus(off-path recording) = %v, want ErrCorruptTrace", err)
+	}
+
 	bm, err := tracep.FromTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -145,4 +171,46 @@ func TestRecordedTraceTypedErrors(t *testing.T) {
 	if bm.Recorded == nil || bm.Recorded.Records() == 0 {
 		t.Fatal("recorded benchmark carries no recording metadata")
 	}
+}
+
+// writeOffPath writes compress, sized for targetInsts, to path through
+// tracefile.NewWriter from the emulator's own records, except that the
+// address of a load about halfway along is moved by one word. It returns
+// that record's index.
+func writeOffPath(t *testing.T, path string, targetInsts uint64) uint64 {
+	t.Helper()
+	bm, err := tracep.BenchmarkByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(targetInsts))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := tracefile.NewWriter(f, prog, tracefile.Meta{Name: bm.Name, InstsPerIter: bm.InstsPerIter, TargetInsts: targetInsts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := emu.New(prog)
+	var rec emu.Record
+	moved := uint64(0)
+	for !e.Halted {
+		e.Step(&rec)
+		if moved == 0 && e.Count > targetInsts/2 && rec.Inst.Op == isa.OpLoad {
+			moved = e.Count - 1
+			rec.Addr++
+		}
+		if err := w.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("compress retired no load past its midpoint")
+	}
+	return moved
 }
