@@ -52,7 +52,7 @@ func dump(bm tracep.Benchmark, maxLen int) {
 
 	var total, embeddable, big int
 	for pc := uint32(0); int(pc) < prog.Len(); pc++ {
-		in := prog.At(pc)
+		in := prog.Ref(pc)
 		if !in.IsCondBranch() {
 			continue
 		}

@@ -81,10 +81,16 @@ func (c *SetAssoc) Assoc() int { return c.assoc }
 //tracep:noalloc
 func (c *SetAssoc) set(key uint64) int { return int(key) & (c.sets - 1) }
 
+// touch makes way the MRU of set si. A hit on the way that is already MRU
+// (rank 0) changes no rank, so it returns at once: no rank is below 0.
+//
 //tracep:noalloc
 func (c *SetAssoc) touch(si, way int) {
 	base := si * c.assoc
 	old := c.lru[base+way]
+	if old == 0 {
+		return
+	}
 	for w := 0; w < c.assoc; w++ {
 		if c.lru[base+w] < old {
 			c.lru[base+w]++

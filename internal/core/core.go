@@ -87,7 +87,7 @@ type edge struct {
 // re-convergence is declared when the scan reaches it.
 func AnalyzeRegion(prog *isa.Program, branchPC uint32, cfg AnalyzeConfig) Region {
 	reg := Region{BranchPC: branchPC}
-	br := prog.At(branchPC)
+	br := prog.Ref(branchPC)
 	if !br.IsForwardBranch(branchPC) {
 		return reg
 	}
@@ -162,7 +162,7 @@ func AnalyzeRegion(prog *isa.Program, branchPC uint32, cfg AnalyzeConfig) Region
 			in = fallVal
 		}
 
-		inst := prog.At(pc)
+		inst := prog.Ref(pc)
 		reg.Scanned++
 
 		// Disqualifying instructions abort the scan wherever they appear —
@@ -230,7 +230,7 @@ const (
 // returns the region too (not Found for backward and other-forward
 // branches; a backward branch is not scanned at all).
 func ClassifyBranch(prog *isa.Program, pc uint32, maxLen int) (BranchClass, Region) {
-	if prog.At(pc).IsBackwardBranch(pc) {
+	if prog.Ref(pc).IsBackwardBranch(pc) {
 		return ClassBackward, Region{BranchPC: pc}
 	}
 	reg := AnalyzeRegion(prog, pc, AnalyzeConfig{MaxSize: 4 * maxLen, MaxEdges: 8, MaxScan: 2048})

@@ -344,7 +344,7 @@ func bruteLongest(prog *isa.Program, start, reconv uint32) int {
 		if v, ok := memo[pc]; ok {
 			return v
 		}
-		in := prog.At(pc)
+		in := prog.Ref(pc)
 		best := 0
 		switch {
 		case in.IsCondBranch():

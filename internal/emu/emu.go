@@ -74,31 +74,16 @@ func (e *Emulator) Clone(dst *Emulator) *Emulator {
 	return dst
 }
 
-// rd reads register r architecturally (R0 reads as zero).
-//
-//tracep:noalloc
-func (e *Emulator) rd(r isa.Reg) int64 {
-	if r == 0 {
-		return 0
-	}
-	return e.Regs[r]
-}
-
-// wr writes v to register r (writes to R0 are discarded) and records the
-// destination in rec.
-//
-//tracep:noalloc
-func (e *Emulator) wr(rec *Record, r isa.Reg, v int64) {
-	if r != 0 {
-		e.Regs[r] = v
-		rec.Dest, rec.Value, rec.HasDest = r, v, true
-	}
-}
-
 // Step executes the next instruction and writes its record into rec,
-// setting every field, so one record can be reused across a whole run.
+// setting every field once, so one record can be reused across a whole run.
 // Stepping a halted machine writes a record with Halted set and advances
 // nothing.
+//
+// Dispatch is one switch on the opcode, which the compiler lowers to a jump
+// table, with each ALU op and branch condition evaluated in its own case
+// (emu's tests hold them to isa.EvalALU and isa.BranchTaken). Both source
+// registers are read up front without testing for R0: R0 is never written
+// (a write to it is discarded below and Reset zeroes it), so it reads 0.
 //
 //tracep:noalloc
 func (e *Emulator) Step(rec *Record) {
@@ -107,55 +92,111 @@ func (e *Emulator) Step(rec *Record) {
 		*rec = Record{PC: pc, Halted: true}
 		return
 	}
-	// Zero in place, then set fields one by one: a composite literal would be
-	// built on the stack and copied out, and that copy stalls on store
-	// forwarding.
-	*rec = Record{}
-	rec.PC, rec.NextPC = pc, pc+1
-	rec.Inst = e.Prog.At(pc)
-	in := &rec.Inst
-
-	switch op := in.Op; {
-	case op == isa.OpNop:
-	case op == isa.OpHalt:
-		e.Halted = true
-		rec.Halted = true
-		rec.NextPC = pc
-	case op >= isa.OpAdd && op <= isa.OpLui:
-		e.wr(rec, in.Rd, isa.EvalALU(op, e.rd(in.Rs1), e.rd(in.Rs2), in.Imm))
-	case op == isa.OpLoad:
-		addr := uint32(e.rd(in.Rs1) + in.Imm)
-		rec.Addr = addr
-		e.wr(rec, in.Rd, e.Mem.Read(addr))
-	case op == isa.OpStore:
-		addr := uint32(e.rd(in.Rs1) + in.Imm)
-		rec.Addr = addr
-		rec.StoreVal = e.rd(in.Rs2)
-		e.Mem.Write(addr, rec.StoreVal)
-	case in.IsCondBranch():
-		rec.Taken = isa.BranchTaken(op, e.rd(in.Rs1), e.rd(in.Rs2))
-		if rec.Taken {
-			rec.NextPC = in.Target
+	in := e.Prog.Ref(pc)
+	rec.Inst = *in
+	a := e.Regs[in.Rs1&(isa.NumRegs-1)]
+	b := e.Regs[in.Rs2&(isa.NumRegs-1)]
+	next := pc + 1
+	var (
+		dest          isa.Reg // 0: no register written
+		val, storeVal int64
+		addr          uint32
+		taken, halted bool
+	)
+	switch in.Op {
+	case isa.OpNop:
+	case isa.OpAdd:
+		dest, val = in.Rd, a+b
+	case isa.OpSub:
+		dest, val = in.Rd, a-b
+	case isa.OpAnd:
+		dest, val = in.Rd, a&b
+	case isa.OpOr:
+		dest, val = in.Rd, a|b
+	case isa.OpXor:
+		dest, val = in.Rd, a^b
+	case isa.OpShl:
+		dest, val = in.Rd, a<<(uint64(b)&63)
+	case isa.OpShr:
+		dest, val = in.Rd, int64(uint64(a)>>(uint64(b)&63))
+	case isa.OpMul:
+		dest, val = in.Rd, a*b
+	case isa.OpDiv:
+		dest = in.Rd
+		if b != 0 {
+			val = a / b
 		}
-	case op == isa.OpJump:
-		rec.NextPC = in.Target
-	case op == isa.OpCall:
-		e.wr(rec, isa.RLink, int64(pc+1))
-		rec.NextPC = in.Target
-	case op == isa.OpJr:
-		rec.NextPC = uint32(e.rd(in.Rs1))
-	case op == isa.OpCallR:
-		target := uint32(e.rd(in.Rs1))
-		e.wr(rec, isa.RLink, int64(pc+1))
-		rec.NextPC = target
-	case op == isa.OpRet:
-		rec.NextPC = uint32(e.rd(isa.RLink))
+	case isa.OpSlt:
+		dest = in.Rd
+		if a < b {
+			val = 1
+		}
+	case isa.OpAddi:
+		dest, val = in.Rd, a+in.Imm
+	case isa.OpAndi:
+		dest, val = in.Rd, a&in.Imm
+	case isa.OpOri:
+		dest, val = in.Rd, a|in.Imm
+	case isa.OpXori:
+		dest, val = in.Rd, a^in.Imm
+	case isa.OpShli:
+		dest, val = in.Rd, a<<(uint64(in.Imm)&63)
+	case isa.OpShri:
+		dest, val = in.Rd, int64(uint64(a)>>(uint64(in.Imm)&63))
+	case isa.OpSlti:
+		dest = in.Rd
+		if a < in.Imm {
+			val = 1
+		}
+	case isa.OpLui:
+		dest, val = in.Rd, in.Imm<<16
+	case isa.OpLoad:
+		addr = uint32(a + in.Imm)
+		dest, val = in.Rd, e.Mem.Read(addr)
+	case isa.OpStore:
+		addr, storeVal = uint32(a+in.Imm), b
+		e.Mem.Write(addr, b)
+	case isa.OpBeq:
+		taken = a == b
+	case isa.OpBne:
+		taken = a != b
+	case isa.OpBlt:
+		taken = a < b
+	case isa.OpBge:
+		taken = a >= b
+	case isa.OpJump:
+		next = in.Target
+	case isa.OpCall:
+		dest, val, next = isa.RLink, int64(pc+1), in.Target
+	case isa.OpJr:
+		next = uint32(a)
+	case isa.OpCallR:
+		dest, val, next = isa.RLink, int64(pc+1), uint32(a)
+	case isa.OpRet:
+		next = uint32(e.Regs[isa.RLink])
+	case isa.OpHalt:
+		e.Halted, halted, next = true, true, pc
 	default:
 		//tracep:allow unreachable on well-formed programs: the panic aborts the process
-		panic(fmt.Sprintf("emu: unknown opcode %v at pc %d", op, pc))
+		panic(fmt.Sprintf("emu: unknown opcode %v at pc %d", in.Op, pc))
 	}
+	if taken {
+		next = in.Target
+	}
+	// A write to R0 is discarded: the record names no destination and R0
+	// keeps 0.
+	if dest == 0 {
+		val = 0
+	}
+	e.Regs[dest&(isa.NumRegs-1)] = val
 
-	e.PC = rec.NextPC
+	// Field by field: a composite literal would be built on the stack and
+	// copied out, and that copy stalls on store forwarding.
+	rec.PC, rec.NextPC = pc, next
+	rec.Dest, rec.Value, rec.HasDest = dest, val, dest != 0
+	rec.Addr, rec.StoreVal = addr, storeVal
+	rec.Taken, rec.Halted = taken, halted
+	e.PC = next
 	e.Count++
 }
 

@@ -78,3 +78,29 @@ func TestReusedRecordStream(t *testing.T) {
 		t.Fatalf("reused-record run executed %d, fresh %d", e.Count, len(fresh))
 	}
 }
+
+// BenchmarkStep measures the emulator alone: one op resets it over a suite
+// program (gcc) and steps one million instructions into one reused record.
+// It reports the rate in Minsts/s.
+func BenchmarkStep(b *testing.B) {
+	const steps = 1_000_000
+	bm, err := bench.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := bm.Build(bm.ScaleFor(2 * steps))
+	e := emu.New(prog)
+	var rec emu.Record
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Reset(prog)
+		for j := 0; j < steps; j++ {
+			e.Step(&rec)
+		}
+		if rec.Halted {
+			b.Fatalf("gcc halted within %d instructions", steps)
+		}
+	}
+	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minsts/s")
+}

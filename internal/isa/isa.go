@@ -325,16 +325,10 @@ type Program struct {
 // halt stands in for every PC past the end of a program image.
 var halt = Inst{Op: OpHalt}
 
-// At returns the instruction at pc. Out-of-range PCs decode as Halt, so a
-// wrong-path walk off the end of the image stops harmlessly.
-//
-//tracep:noalloc
-func (p *Program) At(pc uint32) Inst { return *p.Ref(pc) }
-
 // Ref returns a pointer to the instruction at pc, which callers must not
 // modify: into the program's Insts, or to a shared halt for out-of-range
-// PCs (as At). A dispatched instruction points at its static copy this way
-// instead of copying it.
+// PCs, so a wrong-path walk off the end of the image stops harmlessly. It is
+// the only program accessor.
 //
 //tracep:noalloc
 func (p *Program) Ref(pc uint32) *Inst {

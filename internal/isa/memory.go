@@ -7,9 +7,12 @@ type Memory struct {
 	pages map[uint32]*page
 }
 
+// PageShift is log2 of the words in one page. A page (32 KB) is allocated
+// whole on its first touch.
+const PageShift = 12
+
 const (
-	pageShift = 12
-	pageWords = 1 << pageShift
+	pageWords = 1 << PageShift
 	pageMask  = pageWords - 1
 )
 
@@ -45,7 +48,7 @@ func (m *Memory) Reset(prog *Program) {
 //tracep:noalloc
 func (m *Memory) Read(addr uint32) int64 {
 	//tracep:allow map access: sparse page directory over the 32-bit address space; one probe per memory op, no allocation
-	p, ok := m.pages[addr>>pageShift]
+	p, ok := m.pages[addr>>PageShift]
 	if !ok {
 		return 0
 	}
@@ -56,7 +59,7 @@ func (m *Memory) Read(addr uint32) int64 {
 //
 //tracep:noalloc
 func (m *Memory) Write(addr uint32, v int64) {
-	idx := addr >> pageShift
+	idx := addr >> PageShift
 	//tracep:allow map access: sparse page directory over the 32-bit address space; one probe per memory op, no allocation
 	p, ok := m.pages[idx]
 	if !ok {

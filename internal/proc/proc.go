@@ -501,7 +501,7 @@ func (p *Processor) classifyBranches() {
 	p.branchClasses = slices.Grow(p.branchClasses[:0], p.prog.Len())[:p.prog.Len()]
 	clear(p.branchClasses)
 	for pc := uint32(0); int(pc) < p.prog.Len(); pc++ {
-		if !p.prog.At(pc).IsCondBranch() {
+		if !p.prog.Ref(pc).IsCondBranch() {
 			continue
 		}
 		kind, reg := core.ClassifyBranch(p.prog, pc, p.cfg.MaxTraceLen)

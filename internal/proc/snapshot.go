@@ -127,24 +127,23 @@ func CaptureSnapshot(ctx context.Context, prog *isa.Program, cfg Config, warmupI
 		}
 		lastPC = rec.PC
 
-		in := &rec.Inst
-		switch {
-		case in.IsCondBranch():
+		switch rec.Inst.Op {
+		case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
 			bp.UpdateDirection(rec.PC, rec.Taken)
-			if in.IsForwardBranch(rec.PC) {
+			if rec.Inst.Target > rec.PC { // forward
 				bit.Lookup(rec.PC)
 			}
-		case in.IsCall():
+		case isa.OpCall:
 			bp.PushRAS(rec.PC + 1)
-			if in.Op == isa.OpCallR {
-				bp.UpdateIndirect(rec.PC, rec.NextPC)
-			}
-		case in.Op == isa.OpRet:
+		case isa.OpCallR:
+			bp.PushRAS(rec.PC + 1)
+			bp.UpdateIndirect(rec.PC, rec.NextPC)
+		case isa.OpRet:
 			bp.PopRAS()
 			bp.UpdateIndirect(rec.PC, rec.NextPC)
-		case in.Op == isa.OpJr:
+		case isa.OpJr:
 			bp.UpdateIndirect(rec.PC, rec.NextPC)
-		case in.IsMem():
+		case isa.OpLoad, isa.OpStore:
 			dc.Access(rec.Addr)
 		}
 	}

@@ -482,7 +482,7 @@ func (o *oracleRunner) Run(max uint64) {
 	var regs [isa.NumRegs]int64
 	pc := o.p.Entry
 	for o.Count < max {
-		in := o.p.At(pc)
+		in := o.p.Ref(pc)
 		if in.Op == isa.OpHalt {
 			o.Count++
 			return

@@ -121,7 +121,7 @@ func (c *Constructor) BuildTransient(startPC uint32, forced []bool) (*Trace, int
 		if !frozen && effLen >= c.Sel.MaxLen {
 			break
 		}
-		in := c.Prog.At(pc)
+		in := c.Prog.Ref(pc)
 		if brCount == MaxBranches && in.IsCondBranch() {
 			break
 		}
@@ -296,7 +296,7 @@ func (c *Constructor) SuffixCycles(tr *Trace, from int) int {
 		}
 		bbStart = false
 		last = pc
-		if c.Prog.At(pc).IsControl() {
+		if c.Prog.Ref(pc).IsControl() {
 			bbStart = true
 		}
 	}

@@ -42,7 +42,7 @@ func Example_figure7() {
 
 	fmt.Println("FGCI-algorithm, one region per forward conditional branch:")
 	for pc := uint32(0); int(pc) < prog.Len(); pc++ {
-		if !prog.At(pc).IsForwardBranch(pc) {
+		if !prog.Ref(pc).IsForwardBranch(pc) {
 			continue
 		}
 		reg := core.AnalyzeRegion(prog, pc, core.DefaultAnalyzeConfig())

@@ -261,7 +261,7 @@ func (t *Trace) prerename(prog *isa.Program) {
 	seenLiveIn := [isa.NumRegs]bool{}
 	totalConsumers := 0
 	for i, pc := range t.PCs {
-		in := prog.At(pc)
+		in := prog.Ref(pc)
 		s1, u1, s2, u2 := in.SrcRegs()
 		srcs := [2]struct {
 			r isa.Reg

@@ -81,6 +81,16 @@ const (
 	maxPayloadBytes = 1 << 26
 )
 
+// maxDataPages bounds the distinct memory pages (1<<isa.PageShift words,
+// 32 KB each) the data image spans, because Load builds the emulator's
+// memory from it a whole page at a time: without it, a few KB of header
+// with words one page apart make Load allocate tens of MB. Suite and
+// scenario programs embed no data image at all (stores fault pages in
+// at run time, at most 3 pages over a 300k-instruction run), and the
+// hand-built images in tests span one page, so 64 pages (256 Ki words,
+// 2 MB at load) leaves ample room for any image this repo writes.
+const maxDataPages = 64
+
 // trailerSize is the fixed byte length of the end-of-stream trailer:
 // 4 magic + 8 record count + 4 CRC.
 const trailerSize = 16
@@ -254,6 +264,10 @@ func decodeProgram(br *byteReader, name string) (*isa.Program, error) {
 	}
 	prog.Data = make(map[uint32]int64)
 	addr := uint32(0)
+	// Count page changes along the image: the writer sorts addresses, so for
+	// its images this is the distinct page count, and for any other order it
+	// can only overcount.
+	pages, page := 0, uint32(0)
 	for i := uint64(0); i < nd; i++ {
 		d, err1 := br.uvarint()
 		v, err2 := br.varint()
@@ -261,6 +275,12 @@ func decodeProgram(br *byteReader, name string) (*isa.Program, error) {
 			return nil, err
 		}
 		addr += uint32(d)
+		if p := addr >> isa.PageShift; i == 0 || p != page {
+			if pages++; pages > maxDataPages {
+				return nil, corrupt("data image spans more than %d pages", maxDataPages)
+			}
+			page = p
+		}
 		prog.Data[addr] = v
 	}
 	return prog, nil

@@ -357,8 +357,8 @@ func (r *Reader) decodeBlock(nrec int) error {
 		if r.halted {
 			return corrupt("record %d follows the halt", r.nextIndex+uint64(k))
 		}
-		in := r.prog.At(pc)
-		rec := emu.Record{PC: pc, Inst: in, NextPC: pc + 1}
+		in := r.prog.Ref(pc)
+		rec := emu.Record{PC: pc, Inst: *in, NextPC: pc + 1}
 		switch {
 		case in.Op == isa.OpHalt:
 			rec.Halted = true

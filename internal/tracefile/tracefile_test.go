@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -214,6 +215,35 @@ func TestLoadRejectsOffPath(t *testing.T) {
 	short := want[:len(want)-1] // every record but the halt
 	if _, _, err := Load(bytes.NewReader(writeRecords(t, prog, short))); !errors.Is(err, ErrCorruptTrace) {
 		t.Fatalf("Load of a recording that stops before the halt = %v, want ErrCorruptTrace", err)
+	}
+}
+
+// TestLoadBoundsDataPages forges a recording whose header is a few KB but
+// whose data image puts one word on each of 2,000 pages: building the
+// emulator's memory from it would allocate 64 MB. Load must reject it with
+// ErrCorruptTrace before any memory is built, allocating under 1 MB, and a
+// recording whose image spans exactly the bound must still load.
+func TestLoadBoundsDataPages(t *testing.T) {
+	recording := func(pages int) []byte {
+		prog := &isa.Program{Name: "paged", Insts: []isa.Inst{{Op: isa.OpHalt}}, Data: map[uint32]int64{}}
+		for i := 0; i < pages; i++ {
+			prog.Data[uint32(i)<<isa.PageShift] = int64(i + 1)
+		}
+		return writeRecords(t, prog, []emu.Record{{Inst: prog.Insts[0], Halted: true}})
+	}
+	forged := recording(2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Load(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptTrace) {
+		t.Fatalf("Load of a %d-byte recording spanning 2000 data pages = %v, want ErrCorruptTrace", len(forged), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte recording allocated %d bytes, want under 1 MB", len(forged), alloc)
+	}
+	if _, prog, err := Load(bytes.NewReader(recording(maxDataPages))); err != nil || len(prog.Data) != maxDataPages {
+		t.Fatalf("Load of an image spanning %d pages: %v", maxDataPages, err)
 	}
 }
 

@@ -103,7 +103,7 @@ func (w *Writer) Add(rec emu.Record) error {
 	if rec.PC != w.expectPC {
 		return fmt.Errorf("tracefile: record at PC %d breaks the committed path (expected PC %d)", rec.PC, w.expectPC)
 	}
-	in := w.prog.At(rec.PC)
+	in := w.prog.Ref(rec.PC)
 	switch {
 	case in.Op == isa.OpHalt:
 		w.halted = true

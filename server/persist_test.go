@@ -141,10 +141,13 @@ func TestStoreReplayFinishedJob(t *testing.T) {
 func TestStoreResumeAfterShutdown(t *testing.T) {
 	dir := t.TempDir()
 	models := []string{"base", "base(fg)", "FG", "FG+MLB-RET"}
+	// Cells are long enough that the other seven cannot all finish between
+	// the poll that sees the first one and Close, even on a loaded host;
+	// at 20,000 instructions they sometimes did, and nothing was resumed.
 	req := server.SweepRequest{
 		Benchmarks:  []string{"compress", "vortex"},
 		Models:      models,
-		TargetInsts: 20_000,
+		TargetInsts: 100_000,
 	}
 
 	m1, err := server.OpenManager(server.Config{Parallelism: 2, StoreDir: dir})
@@ -195,7 +198,7 @@ func TestStoreResumeAfterShutdown(t *testing.T) {
 		}
 		mds = append(mds, md)
 	}
-	local := inProcessJSON(t, req.Benchmarks, mds, 20_000, 0)
+	local := inProcessJSON(t, req.Benchmarks, mds, 100_000, 0)
 	if got := resultsJSON(t, m2, st.ID); !bytes.Equal(got, local) {
 		t.Errorf("resumed ResultSet differs from uninterrupted in-process run:\n%s\n%s", got, local)
 	}
