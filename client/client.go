@@ -157,16 +157,38 @@ func (c *Client) Cancel(ctx context.Context, id string) (*server.Status, error) 
 }
 
 // ResultSet fetches a job's collected ResultSet as the server holds it.
-// For a terminal job this is the complete (or cancelled-partial) set.
+// For a terminal job this is the complete (or cancelled-partial) set. The
+// status body is read once and its results decoded in one pass over it
+// (tracep.DecodeResultSetMember); the status's other fields are not
+// decoded.
 func (c *Client) ResultSet(ctx context.Context, id string) (*tracep.ResultSet, error) {
-	st, err := c.Status(ctx, id)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/", url.PathEscape(id)), nil)
 	if err != nil {
 		return nil, err
 	}
-	if st.Results == nil {
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if err := checkStatus(resp); err != nil {
+		return nil, err
+	}
+	var body bytes.Buffer
+	if resp.ContentLength > 0 {
+		body.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	rs, err := tracep.DecodeResultSetMember(body.Bytes(), "results")
+	if err != nil {
+		return nil, fmt.Errorf("tracepd: sweep %s status: %w", id, err)
+	}
+	if rs == nil {
 		return nil, fmt.Errorf("tracepd: sweep %s status carried no results", id)
 	}
-	return st.Results, nil
+	return rs, nil
 }
 
 // Stream follows a job's NDJSON cell stream, invoking fn for every cell in

@@ -585,7 +585,7 @@ func loadResultSet(path string) (*tracep.ResultSet, error) {
 		return nil, err
 	}
 	var rs tracep.ResultSet
-	if err := json.Unmarshal(data, &rs); err != nil {
+	if err := rs.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rs, nil

@@ -36,6 +36,9 @@ func (p *Processor) verifyRetired(st *instState) error {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired load addr %d, oracle %d", st.cold().pc, st.lastAddr, rec.Addr)
 	}
+	if rec.Inst.IsCondBranch() {
+		p.oracleCondBrs++
+	}
 	if st.isBr() && st.resolvedTaken != rec.Taken {
 		//tracep:allow verification mismatch is terminal: the run aborts
 		return fmt.Errorf("pc %d: retired branch taken=%v, oracle %v", st.cold().pc, st.resolvedTaken, rec.Taken)

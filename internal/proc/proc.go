@@ -138,6 +138,9 @@ type Processor struct {
 	// oracleRec is the record the oracle steps into, one per processor so
 	// verification stays allocation-free.
 	oracleRec emu.Record
+	// oracleCondBrs counts the conditional branches the oracle committed
+	// (Verify only): the Table 5 classes must account for each of them.
+	oracleCondBrs uint64
 
 	regs    rename.File
 	specMap rename.Map // rename map at the dispatch frontier

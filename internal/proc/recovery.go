@@ -239,8 +239,16 @@ func (p *Processor) startRecovery(st *instState) {
 		}
 		break
 	}
-	newTr, _ := p.ctor.Build(pe.tr.Desc.StartPC, forced)
+	newTr, _ := p.ctor.BuildTransient(pe.tr.Desc.StartPC, forced)
 	p.forcedScratch = forced[:0]
+	// A repaired trace the trace cache already holds is reused, its
+	// pre-renaming done; only a miss pays for it. installRepair's
+	// insertTrace fills the line either way.
+	if res, ok := p.tcache.Resident(newTr.Desc); ok {
+		newTr = res
+	} else {
+		newTr = p.ctor.Keep(newTr)
+	}
 	rec.newTrace = newTr
 	rec.newTrace.Retain() // the recovery's reference, transferred to the PE at install
 	repair := int64(p.ctor.SuffixCycles(newTr, slot))

@@ -119,12 +119,29 @@ func (p *Processor) finalizeStats() {
 // every recovery is of exactly one kind, retired trace lengths sum to the
 // retired instructions, at most one trace of at most MaxTraceLen
 // instructions retires per cycle, no cache misses more often than it is
-// accessed, and every dispatched trace has retired, been squashed, or is
-// still in the window. RunContext checks them at the end of a verified run.
+// accessed, every dispatched trace has retired, been squashed, or is still
+// in the window, a model recovers only in the modes it has, and the Table
+// 5 branch classes count every conditional branch the oracle committed.
+// RunContext checks them at the end of a verified run.
 func (p *Processor) checkStatsLaws() error {
 	s := &p.Stats
 	if kinds := s.FGCIRecoveries + s.CGCIRecoveries + s.BaseRecoveries; s.Recoveries != kinds {
 		return fmt.Errorf("%w: Recoveries %d != FGCI %d + CGCI %d + base %d", ErrStatsLaw, s.Recoveries, s.FGCIRecoveries, s.CGCIRecoveries, s.BaseRecoveries)
+	}
+	if !p.model.FGCI && s.FGCIRecoveries != 0 {
+		return fmt.Errorf("%w: model %s has no FGCI but made %d FGCI recoveries", ErrStatsLaw, p.model.Name, s.FGCIRecoveries)
+	}
+	if p.model.CGCI == CGCINone && s.CGCIRecoveries != 0 {
+		return fmt.Errorf("%w: model %s has no CGCI but made %d CGCI recoveries", ErrStatsLaw, p.model.Name, s.CGCIRecoveries)
+	}
+	if p.cfg.Verify {
+		classified := uint64(0)
+		for _, c := range s.BranchClasses {
+			classified += c.Dynamic
+		}
+		if classified != p.oracleCondBrs {
+			return fmt.Errorf("%w: the branch classes count %d conditional branches, the oracle committed %d", ErrStatsLaw, classified, p.oracleCondBrs)
+		}
 	}
 	if s.RetiredTraceLenSum != s.RetiredInsts {
 		return fmt.Errorf("%w: RetiredTraceLenSum %d != RetiredInsts %d", ErrStatsLaw, s.RetiredTraceLenSum, s.RetiredInsts)

@@ -183,10 +183,38 @@ func TestStatsLawsCatchCorruption(t *testing.T) {
 		{"instruction-cache misses", func(s *Stats) { s.ICMisses = s.ICAccesses + 1 }},
 		{"data-cache misses", func(s *Stats) { s.DCMisses = s.DCAccesses + 1 }},
 		{"dispatched traces", func(s *Stats) { s.DispatchedTraces++ }},
+		{"branch classes", func(s *Stats) { s.BranchClasses[1].Dynamic++ }},
 	} {
 		p.Stats = good
 		tc.corrupt(&p.Stats)
 		if err := p.checkStatsLaws(); !errors.Is(err, ErrStatsLaw) {
+			t.Errorf("%s: corrupted Stats gave %v, want ErrStatsLaw", tc.law, err)
+		}
+	}
+	if good.BranchClasses == ([4]ClassStats{}) {
+		t.Fatal("the run retired no conditional branch, so the branch-class law went unchecked")
+	}
+
+	// A recovery in a mode the model lacks breaks a law even when the
+	// recovery kinds still sum.
+	base := New(prog, ModelBase, testConfig())
+	if _, err := base.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	good = base.Stats
+	for _, tc := range []struct {
+		law     string
+		corrupt func(s *Stats)
+	}{
+		{"FGCI recoveries without FGCI", func(s *Stats) { s.FGCIRecoveries++; s.Recoveries++ }},
+		{"CGCI recoveries without CGCI", func(s *Stats) { s.CGCIRecoveries++; s.Recoveries++ }},
+	} {
+		base.Stats = good
+		if err := base.checkStatsLaws(); err != nil {
+			t.Fatalf("uncorrupted base run: %v", err)
+		}
+		tc.corrupt(&base.Stats)
+		if err := base.checkStatsLaws(); !errors.Is(err, ErrStatsLaw) {
 			t.Errorf("%s: corrupted Stats gave %v, want ErrStatsLaw", tc.law, err)
 		}
 	}

@@ -65,6 +65,17 @@ func (c *Cache) Lookup(d Descriptor) (*Trace, bool) {
 	return nil, false
 }
 
+// Resident returns the trace stored under d without touching the timing
+// array: no access is counted and no LRU state moves. A recovery asks it
+// whether the trace it rebuilt is already resident, pre-renamed.
+//
+//tracep:noalloc
+func (c *Cache) Resident(d Descriptor) (*Trace, bool) {
+	//tracep:allow map access: the trace cache content index is cold (one probe per repair)
+	tr, ok := c.store[d.ID()]
+	return tr, ok && tr.Desc == d
+}
+
 // Insert fills the cache with tr, evicting an LRU victim if needed. It
 // returns the trace the cache stopped holding — the LRU victim, or a
 // different trace previously stored under the same key — so the caller can

@@ -351,15 +351,17 @@ func (r *ResultSet) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON rebuilds a set marshalled by MarshalJSON — including
 // pre-seeds files, whose absent seeds axis rebuilds from the cells
 // themselves as a single-replicate grid. Wrapped run errors do not survive
-// the trip; Result.Error text does.
+// the trip; Result.Error text does. It reads data in one pass (see
+// DecodeResultSetMember); null gives an empty set.
 func (r *ResultSet) UnmarshalJSON(data []byte) error {
-	var wire resultSetJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	fresh := NewResultSet()
+	d := wireReader{data: data}
+	err := d.document(func() (err error) {
+		fresh, err = d.resultSet()
 		return err
-	}
-	fresh := NewResultSetGrid(wire.Benchmarks, wire.Models, wire.Seeds)
-	for _, res := range wire.Results {
-		fresh.Add(res)
+	})
+	if err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

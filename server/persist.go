@@ -177,7 +177,7 @@ func replayLog(recs []store.Record) (jobs []*recovered, keep []store.Record) {
 				continue // cell without a job record: stranded, drop
 			}
 			var res tracep.Result
-			if json.Unmarshal(rec.Payload, &res) != nil {
+			if res.UnmarshalJSON(rec.Payload) != nil {
 				continue
 			}
 			r.cells = append(r.cells, &res)

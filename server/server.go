@@ -43,6 +43,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 )
 
 // maxSweepRequestBytes bounds POST /v1/sweeps bodies. A request names
@@ -126,6 +127,7 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -165,10 +165,10 @@ func TestStatusEncodedOnceWhenTerminal(t *testing.T) {
 	}
 }
 
-// BenchmarkStatusRead times the service's common request: a client reading
-// a finished sweep's ResultSet (GET /v1/sweeps/{id} plus decoding), over
-// loopback, for one benchmark × eight models × 5,000 instructions.
-func BenchmarkStatusRead(b *testing.B) {
+// finishedReadSweep runs the sweep the read benchmarks read — one
+// benchmark × eight models × 5,000 instructions — on a tracepd over
+// loopback, and returns a client of it and the finished job's ID.
+func finishedReadSweep(b *testing.B) (*client.Client, *httptest.Server, string) {
 	mgr := server.NewManager(server.Config{Parallelism: 2})
 	ts := httptest.NewServer(mgr.Handler())
 	b.Cleanup(func() {
@@ -176,7 +176,6 @@ func BenchmarkStatusRead(b *testing.B) {
 		mgr.Close()
 	})
 	c := client.New(ts.URL)
-	ctx := context.Background()
 	st, err := mgr.Submit(server.SweepRequest{
 		Benchmarks:  []string{"compress"},
 		Models:      modelNameList(tracep.Models()),
@@ -185,14 +184,43 @@ func BenchmarkStatusRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if final, err := c.Stream(ctx, st.ID, nil); err != nil || final.State != server.StateDone {
+	if final, err := c.Stream(context.Background(), st.ID, nil); err != nil || final.State != server.StateDone {
 		b.Fatalf("setup sweep: %v (%+v)", err, final)
 	}
+	return c, ts, st.ID
+}
+
+// BenchmarkStatusRead times the service's common request: a client reading
+// a finished sweep's ResultSet (GET /v1/sweeps/{id} plus decoding), over
+// loopback, for one benchmark × eight models × 5,000 instructions.
+func BenchmarkStatusRead(b *testing.B) {
+	c, _, id := finishedReadSweep(b)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ResultSet(ctx, st.ID); err != nil {
+		if _, err := c.ResultSet(ctx, id); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResultSetDecode times BenchmarkStatusRead's decoding alone: the
+// finished 8-cell status body, read as client.ResultSet reads it, with no
+// HTTP.
+func BenchmarkResultSetDecode(b *testing.B) {
+	_, ts, id := finishedReadSweep(b)
+	code, body := getStatus(b, ts.URL, id)
+	if code != http.StatusOK {
+		b.Fatalf("GET %s: HTTP %d", id, code)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := tracep.DecodeResultSetMember(body, "results")
+		if err != nil || rs.Len() != 8 {
+			b.Fatalf("decoded %v, %v", rs, err)
 		}
 	}
 }
