@@ -1,9 +1,10 @@
 // Command tracerec captures workloads to .tptrace recordings: it emulates
-// each benchmark's committed execution path to architectural halt and
-// serialises it (program image plus delta-encoded branch outcomes, memory
-// addresses and indirect targets) into the recorded-trace format defined by
-// internal/tracefile. The resulting files replay through tracep.FromTraceFile
-// and tracep.Corpus — and a directory of them is a corpus for
+// each benchmark's program to architectural halt and writes the program
+// image with the committed path's record count and digest, in the
+// recorded-trace format defined by internal/tracefile (a few hundred bytes
+// per workload, whatever its length). The resulting files load through
+// tracep.FromTraceFile and tracep.Corpus, which hold each program to its
+// count and digest — and a directory of them is a corpus for
 // `experiments -corpus` or a tracepd started with -corpus.
 //
 // Usage:
@@ -65,8 +66,7 @@ func main() {
 			if fi != nil {
 				size = fi.Size()
 			}
-			fmt.Printf("%s: %d insts, %d bytes (%.2f bits/inst)\n",
-				path, recs, size, float64(size*8)/float64(recs))
+			fmt.Printf("%s: %d insts, %d bytes\n", path, recs, size)
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // ErrCorruptTrace is the sentinel wrapped by errors reporting an invalid
-// .tptrace file — bad magic, checksum mismatch, truncated tail, or a
-// recorded path its own program does not take; test with errors.Is.
-// FromTraceFile and Corpus decode and check every record at load, so
-// corruption surfaces there rather than mid-simulation.
+// .tptrace file — bad magic, checksum mismatch, truncation, a format
+// version other than the current one (record the workload again), or a
+// program whose path does not match the recorded count and digest; test
+// with errors.Is. FromTraceFile and Corpus check every recording at load,
+// so corruption surfaces there rather than mid-simulation.
 var ErrCorruptTrace = tracefile.ErrCorruptTrace
 
 // TraceExt is the conventional file extension of recorded traces.
@@ -22,8 +23,9 @@ const TraceExt = tracefile.Ext
 
 // FromTraceFile loads a .tptrace recording as a Benchmark: the program
 // image embedded in the file replaces the in-process generator. The load
-// decodes every record and emulates the program alongside, so the
-// recording is held to its program once, here; the file is not read again.
+// emulates the program to its halt and checks the recorded record count
+// and path digest, so the recording is held to its program once, here;
+// the file is not read again.
 // Simulations of the benchmark verify against the emulator (Config.Verify)
 // like those of any program. The benchmark keeps the recording's workload
 // name, so it slots into Sweep grids, baselines and warm-up overrides
@@ -33,8 +35,8 @@ const TraceExt = tracefile.Ext
 //	...
 //	res, err := tracep.NewBenchmark(bm, 300_000).Run(ctx)
 //
-// Empty, truncated, corrupt and off-path recordings fail here with errors
-// wrapping ErrCorruptTrace.
+// Empty, truncated, corrupt, off-path and version-1 recordings fail here
+// with errors wrapping ErrCorruptTrace.
 func FromTraceFile(path string) (Benchmark, error) {
 	return bench.FromTraceFile(path)
 }
@@ -52,9 +54,10 @@ func Corpus(dir string) ([]Benchmark, error) {
 	return bench.Corpus(dir)
 }
 
-// CaptureTrace records bm's committed execution path to w as a .tptrace
-// stream: the workload is built for targetInsts (exactly like NewBenchmark)
-// and emulated to its architectural halt, so a later replay at the same
+// CaptureTrace records bm to w as a .tptrace file: the workload is built
+// for targetInsts (exactly like NewBenchmark) and emulated to its
+// architectural halt, and the file holds the program with its committed
+// path's record count and digest, so a later replay at the same
 // TargetInsts retires the identical instruction sequence. It returns the
 // number of instructions captured. Cancelling ctx abandons the capture.
 func CaptureTrace(ctx context.Context, bm Benchmark, targetInsts uint64, w io.Writer) (uint64, error) {
@@ -72,7 +75,7 @@ func CaptureTrace(ctx context.Context, bm Benchmark, targetInsts uint64, w io.Wr
 
 // CaptureTraceFile captures bm (see CaptureTrace) to path, creating or
 // truncating it. On error the partial file is removed — a .tptrace on disk
-// is always a complete, trailer-terminated capture.
+// is always a complete capture.
 func CaptureTraceFile(ctx context.Context, bm Benchmark, targetInsts uint64, path string) (uint64, error) {
 	f, err := os.Create(path)
 	if err != nil {

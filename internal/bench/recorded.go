@@ -12,7 +12,8 @@ import (
 )
 
 // RecordedTrace ties a Benchmark to the .tptrace file it was loaded from.
-// The recording was checked against its program once, at load; it is not
+// The file holds the program with its committed path's record count and
+// digest; the program was held to both once, at load, and the file is not
 // read again.
 type RecordedTrace struct {
 	path string
@@ -27,11 +28,12 @@ func (rt *RecordedTrace) Records() uint64 { return rt.hdr.Records }
 
 // FromTraceFile loads path as a recorded-trace Benchmark: the embedded
 // program replaces Build (every scale returns the same image — a recording
-// has one fixed committed path), and Recorded names the file. The whole
-// recording is decoded and held to its program here (tracefile.Load), so a
-// corrupt, truncated or off-path capture fails at load with an error
-// wrapping tracefile.ErrCorruptTrace, never at simulation time. Simulations
-// of the benchmark verify against the emulator like any other program.
+// has one fixed committed path), and Recorded names the file. The program
+// is emulated to its halt and held to the recorded count and digest here
+// (tracefile.Load), so a corrupt, truncated, off-path or version-1 capture
+// fails at load with an error wrapping tracefile.ErrCorruptTrace, never at
+// simulation time. Simulations of the benchmark verify against the
+// emulator like any other program.
 func FromTraceFile(path string) (Benchmark, error) {
 	f, err := os.Open(path)
 	if err != nil {

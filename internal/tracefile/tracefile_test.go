@@ -3,14 +3,17 @@ package tracefile
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/fnv"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"tracep/internal/emu"
 	"tracep/internal/isa"
@@ -55,95 +58,39 @@ func captureBuf(t *testing.T, prog *isa.Program, meta Meta) ([]byte, uint64) {
 	return buf.Bytes(), n
 }
 
-// referenceRecords runs the emulator directly and returns the records a
-// perfect decoder must reproduce (sans register/store values, which the
-// format deliberately omits).
-func referenceRecords(prog *isa.Program) []emu.Record {
+// walkPath emulates prog to its halt, passing each record through edit
+// (when non-nil) before it is hashed, and returns the record count and the
+// path digest.
+func walkPath(prog *isa.Program, edit func(*emu.Record)) (uint64, pathDigest) {
 	e := emu.New(prog)
-	var recs []emu.Record
 	var rec emu.Record
+	digest := fnvOffset64
 	for !e.Halted {
 		e.Step(&rec)
-		rec.Dest, rec.Value, rec.HasDest, rec.StoreVal = 0, 0, false, 0
-		recs = append(recs, rec)
+		if edit != nil {
+			edit(&rec)
+		}
+		digest.add(&rec)
 	}
-	return recs
+	return e.Count, digest
 }
 
-func TestRoundTrip(t *testing.T) {
-	prog := testProgram()
-	meta := Meta{Name: "rt", InstsPerIter: 11, TargetInsts: 5000}
-	data, n := captureBuf(t, prog, meta)
-	want := referenceRecords(prog)
-	if uint64(len(want)) != n {
-		t.Fatalf("Capture reported %d records, emulator committed %d", n, len(want))
-	}
-
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	if h := r.Header(); h.Name != "rt" || h.InstsPerIter != 11 || h.TargetInsts != 5000 || h.FormatVersion != Version {
-		t.Fatalf("header mismatch: %+v", h)
-	}
-	got := r.Program()
-	if got.Name != "rt" || got.Entry != prog.Entry ||
-		!reflect.DeepEqual(got.Insts, prog.Insts) || !reflect.DeepEqual(got.Data, prog.Data) {
-		t.Fatalf("embedded program did not round-trip")
-	}
-
-	for i, w := range want {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next at record %d: %v", i, err)
-		}
-		if rec != w {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, rec, w)
-		}
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("Next past end = %v, want io.EOF", err)
-	}
-	if r.Header().Records != n {
-		t.Fatalf("stream reader learned %d records at EOF, want %d", r.Header().Records, n)
-	}
-}
-
-func TestRoundTripSmallBlocks(t *testing.T) {
-	prog := testProgram()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, prog, Meta{Name: "small"})
+// forge encodes a recording of prog that declares records and digest, with
+// every checksum valid, through the encoder Capture uses.
+func forge(t *testing.T, prog *isa.Program, records uint64, digest pathDigest) []byte {
+	t.Helper()
+	buf, err := encodeHeader(prog, Meta{Name: "forged"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BlockRecords = 8 // force many block boundaries
-	e := emu.New(prog)
-	var rec emu.Record
-	for !e.Halted {
-		e.Step(&rec)
-		if err := w.Add(rec); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	return appendPath(buf, records, digest)
+}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range referenceRecords(prog) {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next at record %d: %v", i, err)
-		}
-		if rec != want {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, rec, want)
-		}
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("Next past end = %v, want io.EOF", err)
+// wantCorrupt fails t unless err wraps ErrCorruptTrace and mentions want.
+func wantCorrupt(t *testing.T, what string, err error, want string) {
+	t.Helper()
+	if !errors.Is(err, ErrCorruptTrace) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load of %s = %v, want ErrCorruptTrace mentioning %q", what, err, want)
 	}
 }
 
@@ -157,65 +104,121 @@ func TestLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if hdr.Meta != meta || hdr.FormatVersion != Version || hdr.Records != n {
+	if hdr.Meta != meta || hdr.Records != n {
 		t.Fatalf("Load header = %+v, want %+v with %d records", hdr, meta, n)
 	}
 	if got.Entry != prog.Entry || !reflect.DeepEqual(got.Insts, prog.Insts) || !reflect.DeepEqual(got.Data, prog.Data) {
 		t.Fatal("Load returned a program that differs from the captured one")
 	}
+	if len(data) > 1024 {
+		t.Fatalf("recording of a %d-instruction program is %d bytes, want under 1 KB", len(prog.Insts), len(data))
+	}
 }
 
-// writeRecords writes recs through a Writer in blocks of 8 records: every
-// checksum holds whatever the records say.
-func writeRecords(t *testing.T, prog *isa.Program, recs []emu.Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, prog, Meta{Name: "forged"})
+// TestPathDigestIsFNV1a holds pathDigest to hash/fnv's 64-bit FNV-1a over
+// the documented 13 bytes per record, so the digest is the fixed function
+// the format names and not whatever add happens to compute.
+func TestPathDigestIsFNV1a(t *testing.T) {
+	ref := fnv.New64a()
+	var b [13]byte
+	_, got := walkPath(testProgram(), func(rec *emu.Record) {
+		binary.LittleEndian.PutUint32(b[0:], rec.PC)
+		binary.LittleEndian.PutUint32(b[4:], rec.NextPC)
+		binary.LittleEndian.PutUint32(b[8:], rec.Addr)
+		b[12] = 0
+		if rec.Taken {
+			b[12] |= 1
+		}
+		if rec.Halted {
+			b[12] |= 2
+		}
+		ref.Write(b[:])
+	})
+	if uint64(got) != ref.Sum64() {
+		t.Fatalf("path digest %#x, FNV-1a of the same bytes %#x", uint64(got), ref.Sum64())
+	}
+}
+
+// TestLoadRejectsOffPath forges recordings whose every checksum holds but
+// whose count or digest the embedded program's path does not match.
+func TestLoadRejectsOffPath(t *testing.T) {
+	prog := testProgram()
+	n, digest := walkPath(prog, nil)
+	if _, _, err := Load(bytes.NewReader(forge(t, prog, n, digest))); err != nil {
+		t.Fatalf("Load of the program's own path: %v", err)
+	}
+
+	// The third loop iteration's load address moved by one word: the same
+	// count, another path.
+	loads := 0
+	moved, movedDigest := walkPath(prog, func(rec *emu.Record) {
+		if rec.Inst.Op == isa.OpLoad {
+			if loads++; loads == 3 {
+				rec.Addr++
+			}
+		}
+	})
+	if moved != n || loads < 3 {
+		t.Fatalf("moved path has %d records and %d loads, want %d records and at least 3 loads", moved, loads, n)
+	}
+	_, _, err := Load(bytes.NewReader(forge(t, prog, n, movedDigest)))
+	wantCorrupt(t, "a moved load address", err, "path digest mismatch")
+
+	_, _, err = Load(bytes.NewReader(forge(t, prog, n-1, digest)))
+	wantCorrupt(t, "a recording that stops before the halt", err, "does not halt")
+	_, _, err = Load(bytes.NewReader(forge(t, prog, n+1, digest)))
+	wantCorrupt(t, "a recording that runs past the halt", err, "halts after")
+}
+
+// TestLoadBoundsRecords checks the declared record count's bounds: a
+// program that never halts fails after the declared steps, and a count
+// above maxRecords fails before any step is taken.
+func TestLoadBoundsRecords(t *testing.T) {
+	spin := &isa.Program{Name: "spin", Insts: []isa.Inst{{Op: isa.OpJump, Target: 0}}}
+	start := time.Now()
+	_, _, err := Load(bytes.NewReader(forge(t, spin, 1_000_000, fnvOffset64)))
+	wantCorrupt(t, "a non-halting program declaring 1e6 records", err, "does not halt")
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("rejecting a non-halting program declaring 1e6 records took %v", d)
+	}
+
+	// A one-instruction program that halts at once: were the count not
+	// refused up front, the emulation would end on "halts after".
+	halt := &isa.Program{Name: "halt", Insts: []isa.Inst{{Op: isa.OpHalt}}}
+	_, _, err = Load(bytes.NewReader(forge(t, halt, maxRecords+1, fnvOffset64)))
+	wantCorrupt(t, "a count above maxRecords", err, "want 1 to")
+}
+
+// TestLoadRejectsEmpty checks that neither an empty file nor a recording
+// of no records loads.
+func TestLoadRejectsEmpty(t *testing.T) {
+	_, _, err := Load(bytes.NewReader(nil))
+	wantCorrupt(t, "an empty file", err, "bad magic")
+	_, _, err = Load(bytes.NewReader(forge(t, testProgram(), 0, fnvOffset64)))
+	wantCorrupt(t, "a recording of 0 records", err, "declares 0 records")
+}
+
+// TestLoadRejectsVersion1 loads a version-1 recording (the record-stream
+// format, captured from testProgram before version 2): it must be refused
+// by its version, with the advice to record it again.
+func TestLoadRejectsVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "version1.tptrace"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.BlockRecords = 8
-	for _, rec := range recs {
-		if err := w.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadRejectsOffPath forges recordings that are well-formed, every
-// checksum valid, but that the embedded program does not produce: Load
-// must hold them to the program and name the record that leaves its path.
-func TestLoadRejectsOffPath(t *testing.T) {
-	prog := testProgram()
-	want := referenceRecords(prog)
-	if _, _, err := Load(bytes.NewReader(writeRecords(t, prog, want))); err != nil {
-		t.Fatalf("Load of the emulator's own records: %v", err)
+	_, _, err = Load(bytes.NewReader(data))
+	wantCorrupt(t, "a version-1 recording", err, "format version 1;")
+	if !strings.Contains(err.Error(), "record the workload again") {
+		t.Fatalf("version error %q does not say to record again", err)
 	}
 
-	// Move the third loop iteration's load: mid-stream, past a block
-	// boundary.
-	moved := slices.Clone(want)
-	i, loads := 0, 0
-	for ; loads < 3; i++ {
-		if moved[i].Inst.Op == isa.OpLoad {
-			loads++
-		}
-	}
-	i--
-	moved[i].Addr++
-	_, _, err := Load(bytes.NewReader(writeRecords(t, prog, moved)))
-	if !errors.Is(err, ErrCorruptTrace) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", i)) {
-		t.Fatalf("Load of a moved load address = %v, want ErrCorruptTrace naming record %d", err, i)
-	}
-
-	short := want[:len(want)-1] // every record but the halt
-	if _, _, err := Load(bytes.NewReader(writeRecords(t, prog, short))); !errors.Is(err, ErrCorruptTrace) {
-		t.Fatalf("Load of a recording that stops before the halt = %v, want ErrCorruptTrace", err)
-	}
+	// A flipped version byte in a version-2 file is damage, not another
+	// version: the header's own checksum reports it first.
+	data, _ = captureBuf(t, testProgram(), Meta{Name: "v2"})
+	_, lenBytes := binary.Uvarint(data[len(fileMagic):])
+	data[len(fileMagic)+lenBytes] ^= 0x01 // the header's first byte
+	_, _, err = Load(bytes.NewReader(data))
+	wantCorrupt(t, "a version-2 file with its version byte flipped", err, "header checksum mismatch")
 }
 
 // TestLoadBoundsDataPages forges a recording whose header is a few KB but
@@ -229,7 +232,8 @@ func TestLoadBoundsDataPages(t *testing.T) {
 		for i := 0; i < pages; i++ {
 			prog.Data[uint32(i)<<isa.PageShift] = int64(i + 1)
 		}
-		return writeRecords(t, prog, []emu.Record{{Inst: prog.Insts[0], Halted: true}})
+		n, digest := walkPath(prog, nil)
+		return forge(t, prog, n, digest)
 	}
 	forged := recording(2000)
 	var before, after runtime.MemStats
@@ -247,99 +251,37 @@ func TestLoadBoundsDataPages(t *testing.T) {
 	}
 }
 
+// TestTruncationDetected cuts a recording at every length short of whole,
+// and lengthens it by one byte.
 func TestTruncationDetected(t *testing.T) {
-	prog := testProgram()
-	data, _ := captureBuf(t, prog, Meta{Name: "trunc"})
-
-	for _, cut := range []int{1, trailerSize, trailerSize + 7, len(data) / 2} {
-		trunc := data[:len(data)-cut]
-
-		if _, _, err := Load(bytes.NewReader(trunc)); !errors.Is(err, ErrCorruptTrace) {
-			t.Fatalf("cut %d: Load = %v, want ErrCorruptTrace", cut, err)
+	data, _ := captureBuf(t, testProgram(), Meta{Name: "trunc"})
+	for n := 0; n < len(data); n++ {
+		if _, _, err := Load(bytes.NewReader(data[:n])); !errors.Is(err, ErrCorruptTrace) {
+			t.Fatalf("first %d of %d bytes: Load = %v, want ErrCorruptTrace", n, len(data), err)
 		}
-
-		// A pure stream must fail at the tail, never report clean EOF.
-		r, err := NewReader(bytes.NewReader(trunc))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptTrace) {
-				t.Fatalf("cut %d: NewReader = %v, want ErrCorruptTrace", cut, err)
-			}
-			continue
-		}
-		for {
-			_, err := r.Next()
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, io.EOF) {
-				t.Fatalf("cut %d: stream reported clean EOF on a truncated trace", cut)
-			}
-			if !errors.Is(err, ErrCorruptTrace) {
-				t.Fatalf("cut %d: Next = %v, want ErrCorruptTrace", cut, err)
-			}
-			break
-		}
+	}
+	if _, _, err := Load(bytes.NewReader(append(data, 0))); !errors.Is(err, ErrCorruptTrace) {
+		t.Fatalf("a recording with a byte appended: Load = %v, want ErrCorruptTrace", err)
 	}
 }
 
+// TestBitFlipsDetected flips one byte at every offset of a recording.
 func TestBitFlipsDetected(t *testing.T) {
-	prog := testProgram()
-	data, _ := captureBuf(t, prog, Meta{Name: "flip"})
-
-	// Flip one byte at a spread of offsets over the whole file; every
-	// decode must end in ErrCorruptTrace or io.EOF (a flip in a length
-	// varint can reshape framing, but the CRCs catch the damage) and must
-	// never panic or loop forever.
-	for off := 0; off < len(data); off += 13 {
+	data, _ := captureBuf(t, testProgram(), Meta{Name: "flip"})
+	for off := range data {
 		mut := bytes.Clone(data)
 		mut[off] ^= 0x41
-		r, err := NewReader(bytes.NewReader(mut))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptTrace) {
-				t.Fatalf("offset %d: NewReader = %v, want ErrCorruptTrace", off, err)
-			}
-			continue
+		if _, _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrCorruptTrace) {
+			t.Fatalf("offset %d of %d: Load = %v, want ErrCorruptTrace", off, len(data), err)
 		}
-		for i := 0; ; i++ {
-			if i > len(data)*8 {
-				t.Fatalf("offset %d: decoder failed to terminate", off)
-			}
-			_, err := r.Next()
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, ErrCorruptTrace) && !errors.Is(err, io.EOF) {
-				t.Fatalf("offset %d: Next = %v, want ErrCorruptTrace or io.EOF", off, err)
-			}
-			break
-		}
-	}
-}
-
-func TestWriterMisuse(t *testing.T) {
-	prog := testProgram()
-	if _, err := NewWriter(io.Discard, &isa.Program{Name: "empty"}, Meta{}); err == nil {
-		t.Fatal("NewWriter accepted an empty program")
-	}
-
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, prog, Meta{Name: "misuse"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := emu.New(prog)
-	var first emu.Record
-	e.Step(&first)
-	if err := w.Add(first); err != nil {
-		t.Fatal(err)
-	}
-	// A record that does not continue the committed path is rejected.
-	if err := w.Add(emu.Record{PC: first.NextPC + 5}); err == nil {
-		t.Fatal("Add accepted a record off the committed path")
 	}
 }
 
 func TestCaptureBounds(t *testing.T) {
+	if _, err := Capture(context.Background(), io.Discard, &isa.Program{Name: "empty"}, Meta{}, 0); err == nil {
+		t.Fatal("Capture accepted an empty program")
+	}
+
 	// An infinite loop must hit the instruction bound, not hang.
 	spin := &isa.Program{
 		Name:  "spin",

@@ -7,9 +7,8 @@
 //
 // # Log format
 //
-// The job log (jobs.log) follows the same framing discipline as the
-// .tptrace format (internal/tracefile): a magic string, then self-checking
-// records —
+// The job log (jobs.log) is a magic string, then self-checking records,
+// each with its own CRC32-C (the checksum .tptrace files use too) —
 //
 //	magic "TPSTORE1"                                 (8 bytes)
 //	record  kind (1 byte) | uvarint job-ID length | job ID

@@ -3,17 +3,15 @@ package tracep_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tracep"
-	"tracep/internal/emu"
-	"tracep/internal/isa"
-	"tracep/internal/tracefile"
 )
 
 // captureCorpus records every benchmark of the CI baseline grid to a
@@ -37,8 +35,8 @@ func captureCorpus(t *testing.T, targetInsts uint64) string {
 // TestRecordedTraceByteIdentity is the round-trip gate for the trace
 // ingestion subsystem: capture → load → simulate must be invisible in the
 // results. Every benchmark of the CI baseline grid is recorded to a
-// .tptrace file, loaded back through Corpus (which decodes each recording
-// and holds it to its embedded program), and swept across all eight
+// .tptrace file, loaded back through Corpus (which holds each recording
+// to its embedded program), and swept across all eight
 // models; the ResultSet JSON must be byte-identical to the direct sweep and
 // to the committed testdata/ci-baseline.json.
 func TestRecordedTraceByteIdentity(t *testing.T) {
@@ -136,9 +134,8 @@ func TestRecordedTraceTypedErrors(t *testing.T) {
 		t.Fatal("Corpus of a missing directory succeeded")
 	}
 
-	// (a) One flipped byte in a block payload: the byte just before the
-	// 16-byte trailer ends the last block's payload. The load reads every
-	// block, so the file fails there.
+	// (a) One flipped byte in the record count (20 bytes of count, digest
+	// and checksum end the file): the file checksum catches it.
 	flipped := filepath.Join(t.TempDir(), "flipped"+tracep.TraceExt)
 	mut := bytes.Clone(data)
 	mut[len(mut)-17] ^= 0x01
@@ -146,22 +143,27 @@ func TestRecordedTraceTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := tracep.FromTraceFile(flipped); !errors.Is(err, tracep.ErrCorruptTrace) {
-		t.Fatalf("FromTraceFile(payload byte flipped) = %v, want ErrCorruptTrace", err)
+		t.Fatalf("FromTraceFile(record-count byte flipped) = %v, want ErrCorruptTrace", err)
 	}
 
-	// (b) A recording whose every checksum holds but whose path the program
-	// does not take: the emulator's records with one load address moved.
+	// (b) A recording whose every checksum holds but whose path digest the
+	// program's path does not match: the digest's low byte changed and the
+	// file checksum recomputed over it.
 	offDir := t.TempDir()
 	off := filepath.Join(offDir, "compress"+tracep.TraceExt)
-	rec := writeOffPath(t, off, 5000)
-	_, err = tracep.FromTraceFile(off)
-	if !errors.Is(err, tracep.ErrCorruptTrace) || !strings.Contains(err.Error(), fmt.Sprintf("record %d ", rec)) {
-		t.Fatalf("FromTraceFile(off-path) = %v, want ErrCorruptTrace naming record %d", err, rec)
+	mut = bytes.Clone(data)
+	mut[len(mut)-12] ^= 0x01
+	binary.LittleEndian.PutUint32(mut[len(mut)-4:], crc32.Checksum(mut[:len(mut)-4], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(off, mut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracep.FromTraceFile(off); !errors.Is(err, tracep.ErrCorruptTrace) || !strings.Contains(err.Error(), "path digest mismatch") {
+		t.Fatalf("FromTraceFile(off-path) = %v, want ErrCorruptTrace on the path digest", err)
 	}
 
-	// (c) A corpus holding it fails as a whole.
-	if _, err := tracep.Corpus(offDir); !errors.Is(err, tracep.ErrCorruptTrace) {
-		t.Fatalf("Corpus(off-path recording) = %v, want ErrCorruptTrace", err)
+	// (c) A corpus holding it fails as a whole, on the same check.
+	if _, err := tracep.Corpus(offDir); !errors.Is(err, tracep.ErrCorruptTrace) || !strings.Contains(err.Error(), "path digest mismatch") {
+		t.Fatalf("Corpus(off-path recording) = %v, want ErrCorruptTrace on the path digest", err)
 	}
 
 	bm, err := tracep.FromTraceFile(path)
@@ -171,46 +173,4 @@ func TestRecordedTraceTypedErrors(t *testing.T) {
 	if bm.Recorded == nil || bm.Recorded.Records() == 0 {
 		t.Fatal("recorded benchmark carries no recording metadata")
 	}
-}
-
-// writeOffPath writes compress, sized for targetInsts, to path through
-// tracefile.NewWriter from the emulator's own records, except that the
-// address of a load about halfway along is moved by one word. It returns
-// that record's index.
-func writeOffPath(t *testing.T, path string, targetInsts uint64) uint64 {
-	t.Helper()
-	bm, err := tracep.BenchmarkByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := bm.Build(bm.ScaleFor(targetInsts))
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w, err := tracefile.NewWriter(f, prog, tracefile.Meta{Name: bm.Name, InstsPerIter: bm.InstsPerIter, TargetInsts: targetInsts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := emu.New(prog)
-	var rec emu.Record
-	moved := uint64(0)
-	for !e.Halted {
-		e.Step(&rec)
-		if moved == 0 && e.Count > targetInsts/2 && rec.Inst.Op == isa.OpLoad {
-			moved = e.Count - 1
-			rec.Addr++
-		}
-		if err := w.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("compress retired no load past its midpoint")
-	}
-	return moved
 }
