@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -277,11 +278,49 @@ func TestBitFlipsDetected(t *testing.T) {
 	}
 }
 
-func TestCaptureBounds(t *testing.T) {
-	if _, err := Capture(context.Background(), io.Discard, &isa.Program{Name: "empty"}, Meta{}, 0); err == nil {
+// TestRoundTripSmallBlocks round-trips the shortest recordings: a lone
+// halt (one record) and the test loop cut to 1..8 iterations, so Load's
+// emulate-to-count check ends on the halt for paths only a few records long.
+func TestRoundTripSmallBlocks(t *testing.T) {
+	progs := []*isa.Program{{Name: "halt", Insts: []isa.Inst{{Op: isa.OpHalt}}}}
+	for iters := int64(1); iters <= 8; iters++ {
+		prog := testProgram()
+		prog.Insts[0].Imm = iters
+		progs = append(progs, prog)
+	}
+	for i, prog := range progs {
+		want, _ := walkPath(prog, nil)
+		data, n := captureBuf(t, prog, Meta{Name: "small"})
+		if n != want {
+			t.Fatalf("program %d: Capture reported %d records, emulator committed %d", i, n, want)
+		}
+		hdr, got, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("program %d (%d records): Load: %v", i, n, err)
+		}
+		if hdr.Records != n || !reflect.DeepEqual(got.Insts, prog.Insts) || !maps.Equal(got.Data, prog.Data) {
+			t.Fatalf("program %d (%d records): Load returned %d records or another program", i, n, hdr.Records)
+		}
+	}
+}
+
+// TestWriterMisuse checks that Capture refuses what it cannot record, an
+// empty program or a name over maxNameLen, and writes nothing when it does.
+func TestWriterMisuse(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Capture(context.Background(), &buf, &isa.Program{Name: "empty"}, Meta{}, 0); err == nil {
 		t.Fatal("Capture accepted an empty program")
 	}
+	long := Meta{Name: strings.Repeat("n", maxNameLen+1)}
+	if _, err := Capture(context.Background(), &buf, testProgram(), long, 0); err == nil {
+		t.Fatalf("Capture accepted a %d-byte name", len(long.Name))
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused captures wrote %d bytes", buf.Len())
+	}
+}
 
+func TestCaptureBounds(t *testing.T) {
 	// An infinite loop must hit the instruction bound, not hang.
 	spin := &isa.Program{
 		Name:  "spin",
