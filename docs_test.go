@@ -98,7 +98,7 @@ func TestDocsCoverCluster(t *testing.T) {
 // TestDocsCoverMemoryLayout gates the engine-memory-layout prose: the
 // ARCHITECTURE.md section must keep describing the structures the engine
 // actually uses — the hot/cold instruction banks, the paged rename table,
-// the flat subscriber/load tables, batched event delivery and the
+// the flat subscriber and ARB tables, batched event delivery and the
 // reference-counted trace pool — and the README's performance methodology
 // must keep naming what measures speed: CI's per-commit BENCH_ci.json
 // trend gate and tracepbench's paired workload runs.
@@ -110,7 +110,7 @@ func TestDocsCoverMemoryLayout(t *testing.T) {
 			"Hot/cold instruction banks",
 			"paged, gen-checked rename table",
 			"subTab",
-			"loadTable",
+			"arbTable",
 			"Batched event delivery",
 			"drainWakes",
 			"Reference-counted persistent traces",

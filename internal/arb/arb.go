@@ -1,14 +1,18 @@
-// Package arb implements the trace processor's speculative memory
-// disambiguation substrate: a variant of the Address Resolution Buffer
-// (Franklin & Sohi 1996) that keeps a list of speculative store versions per
-// address, ordered by sequence number (§2.2.2).
+// Package arb implements the rules of the trace processor's speculative
+// memory disambiguation (§2.2.2), a variant of the Address Resolution Buffer
+// (Franklin & Sohi 1996): each data address buffers a list of speculative
+// store versions, and loads that read the address snoop store performs and
+// undos.
+//
+// The package holds no buffer of its own. The processor keeps one
+// per-address table whose entries hold both the address's versions and its
+// load records; this package supplies the operations on one address's
+// version list (Store, Undo, Load, Commit) and the snoop predicates
+// (NeedsReissue, UndoHitsLoad) the processor applies to the load records.
 //
 // Loads issue as soon as their addresses are available, irrespective of
-// prior stores; the ARB returns the correct (nearest older) version and the
-// sequence number of the store that produced it. Memory dependence
-// violations are detected by loads snooping store performs and store undos —
-// the snoop predicates live here (NeedsReissue, UndoHitsLoad); the processor
-// applies them to its load records.
+// prior stores; Load returns the correct (nearest older) version and the
+// sequence number of the store that produced it.
 package arb
 
 import (
@@ -39,124 +43,58 @@ var MemSeq = Seq{PE: -1, Slot: -1}
 // LessFunc orders two sequence numbers in program order.
 type LessFunc func(a, b Seq) bool
 
-type version struct {
-	seq Seq
-	val int64
+// Version is one speculative store's data buffered at an address. An
+// address's versions form an unordered list with at most one version per
+// sequence number; Load orders them by the processor's LessFunc.
+type Version struct {
+	Seq Seq
+	Val int64
 }
 
-// ARB buffers speculative store data, arranged per address. Per-address
-// version lists are recycled through an internal pool when their last
-// version commits or is undone, so the steady-state store/commit churn of a
-// simulation performs no heap allocation.
-type ARB struct {
-	byAddr map[uint32][]version
-	pool   [][]version // emptied version lists awaiting reuse
-
-	Stores  uint64
-	Undos   uint64
-	Commits uint64
-}
-
-// New builds an empty ARB.
-func New() *ARB {
-	a := &ARB{}
-	a.Reset()
-	return a
-}
-
-// Reset empties the ARB and zeroes its counters, recycling every version
-// list into the pool.
-func (a *ARB) Reset() {
-	if a.byAddr == nil {
-		a.byAddr = make(map[uint32][]version)
-	}
-	for _, vs := range a.byAddr { //tracep:orderinvariant pooled lists are interchangeable
-		a.recycle(vs)
-	}
-	clear(a.byAddr)
-	a.Stores, a.Undos, a.Commits = 0, 0, 0
-}
-
-// recycle returns an emptied version list to the pool.
+// Store performs (or re-performs) the store seq on an address's version
+// list vs: it installs the version, replacing any previous version by the
+// same sequence number, and returns the list.
 //
 //tracep:noalloc
-func (a *ARB) recycle(vs []version) {
-	if cap(vs) > 0 {
-		//tracep:allow pool return: emptied version lists are recycled; growth is amortised
-		a.pool = append(a.pool, vs[:0])
-	}
-}
-
-// Store performs (or re-performs) a store: it installs the version for
-// (addr, seq), replacing any previous version by the same sequence number at
-// this address.
-//
-//tracep:noalloc
-func (a *ARB) Store(addr uint32, val int64, seq Seq) {
-	a.Stores++
-	//tracep:allow map access: the ARB is keyed by sparse 32-bit addresses; the probe is the design (§2.2.2) and does not allocate
-	vs, ok := a.byAddr[addr]
-	if !ok {
-		if n := len(a.pool); n > 0 {
-			vs = a.pool[n-1]
-			a.pool = a.pool[:n-1]
-		}
-	}
+func Store(vs []Version, val int64, seq Seq) []Version {
 	for i := range vs {
-		if vs[i].seq == seq {
-			vs[i].val = val
-			return
+		if vs[i].Seq == seq {
+			vs[i].Val = val
+			return vs
 		}
 	}
 	//tracep:allow version lists draw on recycled capacity; growth is amortised across stores
-	a.byAddr[addr] = append(vs, version{seq, val})
+	return append(vs, Version{seq, val})
 }
 
-// Undo removes the version for (addr, seq); it reports whether a version was
-// present. Used when a store is squashed or re-issues to a different
-// address.
+// Undo removes the version by seq from vs and returns the list; it reports
+// whether a version was present. Used when a store is squashed or re-issues
+// to a different address.
 //
 //tracep:noalloc
-func (a *ARB) Undo(addr uint32, seq Seq) bool {
-	//tracep:allow map access: the ARB is keyed by sparse 32-bit addresses; the probe is the design (§2.2.2) and does not allocate
-	vs := a.byAddr[addr]
-	for i := range vs {
-		if vs[i].seq == seq {
-			a.Undos++
-			vs[i] = vs[len(vs)-1]
-			vs = vs[:len(vs)-1]
-			if len(vs) == 0 {
-				delete(a.byAddr, addr)
-				a.recycle(vs)
-			} else {
-				//tracep:allow map access: writes back the shortened version list; no allocation
-				a.byAddr[addr] = vs
-			}
-			return true
-		}
-	}
-	return false
+func Undo(vs []Version, seq Seq) ([]Version, bool) {
+	vs, _, ok := remove(vs, seq)
+	return vs, ok
 }
 
-// Load returns the correct version of addr for a load with sequence number
-// seq: the youngest speculative store older than the load, or committed
-// memory when none exists. It returns the value and the sequence number of
-// the producing store (MemSeq for memory).
+// Load returns the correct version at addr, whose version list is vs, for
+// a load with sequence number seq: the youngest speculative store older
+// than the load, or committed memory when none exists. It returns the value
+// and the sequence number of the producing store (MemSeq for memory).
 //
 //tracep:noalloc
-func (a *ARB) Load(addr uint32, seq Seq, less LessFunc, mem *isa.Memory) (val int64, src Seq) {
+func Load(vs []Version, addr uint32, seq Seq, less LessFunc, mem *isa.Memory) (val int64, src Seq) {
 	best := MemSeq
 	found := false
-	//tracep:allow map access: the ARB is keyed by sparse 32-bit addresses; the probe is the design (§2.2.2) and does not allocate
-	for _, v := range a.byAddr[addr] {
+	for _, v := range vs {
 		//tracep:allow less is the caller's prebuilt seqLess func value, itself //tracep:noalloc
-		if !less(v.seq, seq) {
+		if !less(v.Seq, seq) {
 			continue // store not older than the load
 		}
 		//tracep:allow less is the caller's prebuilt seqLess func value, itself //tracep:noalloc
-		if !found || less(best, v.seq) {
-			best = v.seq
-			val = v.val
+		if !found || less(best, v.Seq) {
+			best = v.Seq
+			val = v.Val
 			found = true
 		}
 	}
@@ -166,31 +104,31 @@ func (a *ARB) Load(addr uint32, seq Seq, less LessFunc, mem *isa.Memory) (val in
 	return val, best
 }
 
-// Commit writes the version for (addr, seq) to memory and removes it from
-// the buffer; it reports whether the version existed. Called at trace
-// retirement in program order.
+// Commit writes the version by seq in addr's list vs to memory and removes
+// it, returning the list; it reports whether the version existed. Called at
+// trace retirement in program order.
 //
 //tracep:noalloc
-func (a *ARB) Commit(addr uint32, seq Seq, mem *isa.Memory) bool {
-	//tracep:allow map access: the ARB is keyed by sparse 32-bit addresses; the probe is the design (§2.2.2) and does not allocate
-	vs := a.byAddr[addr]
-	for i := range vs {
-		if vs[i].seq == seq {
-			mem.Write(addr, vs[i].val)
-			a.Commits++
+func Commit(vs []Version, addr uint32, seq Seq, mem *isa.Memory) ([]Version, bool) {
+	vs, v, ok := remove(vs, seq)
+	if ok {
+		mem.Write(addr, v.Val)
+	}
+	return vs, ok
+}
+
+// remove swap-removes the version by seq from vs, returning the list and
+// the removed version.
+//
+//tracep:noalloc
+func remove(vs []Version, seq Seq) ([]Version, Version, bool) {
+	for i, v := range vs {
+		if v.Seq == seq {
 			vs[i] = vs[len(vs)-1]
-			vs = vs[:len(vs)-1]
-			if len(vs) == 0 {
-				delete(a.byAddr, addr)
-				a.recycle(vs)
-			} else {
-				//tracep:allow map access: writes back the shortened version list; no allocation
-				a.byAddr[addr] = vs
-			}
-			return true
+			return vs[:len(vs)-1], v, true
 		}
 	}
-	return false
+	return vs, Version{}, false
 }
 
 // NeedsReissue is the load snoop predicate of §2.2.2: when a store to the

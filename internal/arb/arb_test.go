@@ -19,88 +19,85 @@ func simpleLess(a, b Seq) bool {
 func seq(pe, slot int) Seq { return Seq{PE: int16(pe), Slot: int16(slot)} }
 
 func TestLoadFromMemoryWhenEmpty(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
 	mem.Write(100, 55)
-	val, src := a.Load(100, seq(2, 0), simpleLess, mem)
+	val, src := Load(nil, 100, seq(2, 0), simpleLess, mem)
 	if val != 55 || src != MemSeq {
 		t.Errorf("load = (%d,%v), want (55, MemSeq)", val, src)
 	}
 }
 
 func TestLoadPicksNearestOlderStore(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
-	a.Store(100, 1, seq(0, 0))
-	a.Store(100, 2, seq(1, 3))
-	a.Store(100, 3, seq(3, 0)) // younger than the load below
-	val, src := a.Load(100, seq(2, 0), simpleLess, mem)
+	var vs []Version
+	vs = Store(vs, 1, seq(0, 0))
+	vs = Store(vs, 2, seq(1, 3))
+	vs = Store(vs, 3, seq(3, 0)) // younger than the load below
+	val, src := Load(vs, 100, seq(2, 0), simpleLess, mem)
 	if val != 2 || src != seq(1, 3) {
 		t.Errorf("load = (%d,%v), want (2, {1 3})", val, src)
 	}
 	// A load older than every store reads memory.
-	val, src = a.Load(100, seq(0, 0), simpleLess, mem)
+	val, src = Load(vs, 100, seq(0, 0), simpleLess, mem)
 	if val != 0 || src != MemSeq {
 		t.Errorf("oldest load = (%d,%v), want (0, MemSeq)", val, src)
 	}
 }
 
 func TestStoreReplaceSameSeq(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
-	a.Store(100, 1, seq(0, 0))
-	a.Store(100, 9, seq(0, 0)) // same store re-performs with a new value
-	if len(a.byAddr[100]) != 1 {
-		t.Errorf("versions = %d, want 1 (replaced)", len(a.byAddr[100]))
+	vs := Store(nil, 1, seq(0, 0))
+	vs = Store(vs, 9, seq(0, 0)) // same store re-performs with a new value
+	if len(vs) != 1 {
+		t.Errorf("versions = %d, want 1 (replaced)", len(vs))
 	}
-	val, _ := a.Load(100, seq(1, 0), simpleLess, mem)
+	val, _ := Load(vs, 100, seq(1, 0), simpleLess, mem)
 	if val != 9 {
 		t.Errorf("load = %d, want 9", val)
 	}
 }
 
 func TestUndo(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
 	mem.Write(100, 7)
-	a.Store(100, 1, seq(0, 0))
-	if !a.Undo(100, seq(0, 0)) {
+	vs := Store(nil, 1, seq(0, 0))
+	vs, ok := Undo(vs, seq(0, 0))
+	if !ok {
 		t.Error("undo of present version must report true")
 	}
-	if a.Undo(100, seq(0, 0)) {
+	if vs, ok = Undo(vs, seq(0, 0)); ok {
 		t.Error("undo of absent version must report false")
 	}
-	val, src := a.Load(100, seq(1, 0), simpleLess, mem)
+	val, src := Load(vs, 100, seq(1, 0), simpleLess, mem)
 	if val != 7 || src != MemSeq {
 		t.Errorf("after undo load = (%d,%v), want (7, MemSeq)", val, src)
 	}
 }
 
 func TestCommit(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
-	a.Store(100, 42, seq(0, 0))
-	if !a.Commit(100, seq(0, 0), mem) {
+	vs := Store(nil, 42, seq(0, 0))
+	vs, ok := Commit(vs, 100, seq(0, 0), mem)
+	if !ok {
 		t.Error("commit must succeed")
 	}
 	if mem.Read(100) != 42 {
 		t.Errorf("memory = %d, want 42", mem.Read(100))
 	}
-	if len(a.byAddr[100]) != 0 {
-		t.Error("committed version must leave the buffer")
+	if len(vs) != 0 {
+		t.Error("committed version must leave the list")
 	}
-	if a.Commit(100, seq(0, 0), mem) {
+	if _, ok := Commit(vs, 100, seq(0, 0), mem); ok {
 		t.Error("double commit must fail")
 	}
 }
 
 func TestCommitInProgramOrderOverwrites(t *testing.T) {
-	a := New()
 	mem := isa.NewMemory(nil)
-	a.Store(100, 1, seq(0, 0))
-	a.Store(100, 2, seq(0, 5))
-	a.Commit(100, seq(0, 0), mem)
-	a.Commit(100, seq(0, 5), mem)
+	vs := Store(nil, 1, seq(0, 0))
+	vs = Store(vs, 2, seq(0, 5))
+	vs, _ = Commit(vs, 100, seq(0, 0), mem)
+	Commit(vs, 100, seq(0, 5), mem)
 	if mem.Read(100) != 2 {
 		t.Errorf("memory = %d, want 2 (last store wins)", mem.Read(100))
 	}
@@ -140,9 +137,10 @@ func TestUndoHitsLoad(t *testing.T) {
 	}
 }
 
-// TestARBMatchesReference checks the ARB against a reference model: after
-// any interleaving of stores/undos, a load sees exactly the youngest older
-// surviving store, else memory.
+// TestARBMatchesReference checks the version-list operations against a
+// reference model: after any interleaving of stores and undos over four
+// addresses' lists, a load sees exactly the youngest older surviving store,
+// else memory.
 func TestARBMatchesReference(t *testing.T) {
 	type op struct {
 		Kind byte // 0 = store, 1 = undo
@@ -152,7 +150,7 @@ func TestARBMatchesReference(t *testing.T) {
 		Val  int64
 	}
 	f := func(ops []op, loadPE, loadSlot, loadAddr uint8) bool {
-		a := New()
+		var buf [4][]Version // one version list per address
 		mem := isa.NewMemory(nil)
 		mem.Write(uint32(loadAddr%4), -999)
 		live := make(map[Seq]struct {
@@ -167,23 +165,23 @@ func TestARBMatchesReference(t *testing.T) {
 				if prev, ok := live[s]; ok && prev.addr != addr {
 					// A store that re-performs to a new address must undo
 					// first, as the processor does.
-					a.Undo(prev.addr, s)
+					buf[prev.addr], _ = Undo(buf[prev.addr], s)
 				}
-				a.Store(addr, o.Val, s)
+				buf[addr] = Store(buf[addr], o.Val, s)
 				live[s] = struct {
 					addr uint32
 					val  int64
 				}{addr, o.Val}
 			case 1:
 				if prev, ok := live[s]; ok {
-					a.Undo(prev.addr, s)
+					buf[prev.addr], _ = Undo(buf[prev.addr], s)
 					delete(live, s)
 				}
 			}
 		}
 		loadSeq := seq(int(loadPE%8), int(loadSlot%8))
 		la := uint32(loadAddr % 4)
-		got, gotSrc := a.Load(la, loadSeq, simpleLess, mem)
+		got, gotSrc := Load(buf[la], la, loadSeq, simpleLess, mem)
 
 		// Reference: youngest older surviving store at la.
 		want, wantSrc, found := int64(-999), MemSeq, false
@@ -202,24 +200,24 @@ func TestARBMatchesReference(t *testing.T) {
 	}
 }
 
-// totalVersions counts the buffered versions across all addresses.
-func totalVersions(a *ARB) int {
-	n := 0
-	for _, vs := range a.byAddr {
-		n += len(vs)
-	}
-	return n
-}
-
+// TestTotalVersions: each address's list holds one version per live store
+// sequence number. A new sequence number adds a version, a re-perform by the
+// same one replaces it, and an undo or a commit takes one away, leaving the
+// other addresses' lists alone.
 func TestTotalVersions(t *testing.T) {
-	a := New()
-	a.Store(1, 1, seq(0, 0))
-	a.Store(1, 2, seq(0, 1))
-	a.Store(2, 3, seq(0, 2))
-	if totalVersions(a) != 3 {
-		t.Errorf("total = %d, want 3", totalVersions(a))
+	mem := isa.NewMemory(nil)
+	var buf [3][]Version
+	total := func() int { return len(buf[0]) + len(buf[1]) + len(buf[2]) }
+	buf[1] = Store(buf[1], 1, seq(0, 0))
+	buf[1] = Store(buf[1], 2, seq(0, 1))
+	buf[2] = Store(buf[2], 3, seq(0, 2))
+	buf[2] = Store(buf[2], 4, seq(0, 2))
+	if total() != 3 || len(buf[1]) != 2 {
+		t.Fatalf("total = %d, versions(1) = %d; want 3, 2", total(), len(buf[1]))
 	}
-	if len(a.byAddr[1]) != 2 {
-		t.Errorf("versions(1) = %d, want 2", len(a.byAddr[1]))
+	buf[1], _ = Undo(buf[1], seq(0, 0))
+	buf[2], _ = Commit(buf[2], 2, seq(0, 2), mem)
+	if total() != 1 || len(buf[1]) != 1 || buf[1][0].Seq != seq(0, 1) {
+		t.Errorf("after undo and commit: total = %d, versions(1) = %v; want 1, [{0 1}]", total(), buf[1])
 	}
 }

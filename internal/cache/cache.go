@@ -81,130 +81,99 @@ func (c *SetAssoc) Assoc() int { return c.assoc }
 //tracep:noalloc
 func (c *SetAssoc) set(key uint64) int { return int(key) & (c.sets - 1) }
 
-// touch makes way the MRU of set si. A hit on the way that is already MRU
-// (rank 0) changes no rank, so it returns at once: no rank is below 0.
+// touch makes line l, a way of the set starting at line base, the set's
+// MRU. A hit on the way that is already MRU (rank 0) changes no rank, so it
+// returns at once: no rank is below 0.
 //
 //tracep:noalloc
-func (c *SetAssoc) touch(si, way int) {
-	base := si * c.assoc
-	old := c.lru[base+way]
+func (c *SetAssoc) touch(base, l int) {
+	old := c.lru[l]
 	if old == 0 {
 		return
 	}
-	for w := 0; w < c.assoc; w++ {
-		if c.lru[base+w] < old {
-			c.lru[base+w]++
+	for w := base; w < base+c.assoc; w++ {
+		if c.lru[w] < old {
+			c.lru[w]++
 		}
 	}
-	c.lru[base+way] = 0
+	c.lru[l] = 0
 }
 
 // Access looks key up, fills on miss (evicting the LRU way) and returns
-// whether it hit. The returned evicted key is meaningful only when evict is
-// true.
+// whether it hit.
 //
 //tracep:noalloc
 func (c *SetAssoc) Access(key uint64) (hit bool) {
-	hit, _, _ = c.AccessEvict(key)
-	return hit
-}
-
-// AccessEvict is Access, also reporting any evicted valid line's key.
-//
-//tracep:noalloc
-func (c *SetAssoc) AccessEvict(key uint64) (hit bool, evicted uint64, evict bool) {
-	c.Accesses++
-	si := c.set(key)
-	base := si * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == key {
-			c.touch(si, w)
-			return true, 0, false
-		}
+	if c.Touch(key) >= 0 {
+		return true
 	}
-	c.Misses++
-	// Fill: pick LRU way.
-	victim := 0
-	for w := 0; w < c.assoc; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			evict = false
-			goto fill
-		}
-		if c.lru[base+w] == uint8(c.assoc-1) {
-			victim = w
-		}
-	}
-	if c.valid[base+victim] {
-		evicted, evict = c.tags[base+victim], true
-	}
-fill:
-	c.tags[base+victim] = key
-	c.valid[base+victim] = true
-	c.touch(si, victim)
-	return false, evicted, evict
-}
-
-// Touch looks key up without filling on a miss: it updates LRU and counts
-// the access. It is the lookup primitive for caches whose contents arrive
-// later (the trace cache fills at construction completion, not at lookup).
-//
-//tracep:noalloc
-func (c *SetAssoc) Touch(key uint64) bool {
-	c.Accesses++
-	si := c.set(key)
-	base := si * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == key {
-			c.touch(si, w)
-			return true
-		}
-	}
-	c.Misses++
+	c.install(key)
 	return false
 }
 
-// Fill installs key (if absent), evicting the LRU way when the set is full.
-// It does not count as an access.
+// Touch looks key up without filling on a miss: it updates LRU, counts the
+// access and returns key's line (-1 on a miss). It is the lookup primitive
+// for caches whose contents arrive later (the trace cache fills at
+// construction completion, not at lookup).
 //
 //tracep:noalloc
-func (c *SetAssoc) Fill(key uint64) (evicted uint64, evict bool) {
-	si := c.set(key)
-	base := si * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == key {
-			c.touch(si, w)
-			return 0, false
-		}
+func (c *SetAssoc) Touch(key uint64) int {
+	c.Accesses++
+	l := c.Probe(key)
+	if l < 0 {
+		c.Misses++
+		return -1
 	}
-	victim := 0
-	for w := 0; w < c.assoc; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			goto fill
-		}
-		if c.lru[base+w] == uint8(c.assoc-1) {
-			victim = w
-		}
-	}
-	evicted, evict = c.tags[base+victim], true
-fill:
-	c.tags[base+victim] = key
-	c.valid[base+victim] = true
-	c.touch(si, victim)
-	return evicted, evict
+	c.touch(c.set(key)*c.assoc, l)
+	return l
 }
 
-// Probe reports whether key is resident without updating LRU or filling.
-func (c *SetAssoc) Probe(key uint64) bool {
-	si := c.set(key)
-	base := si * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == key {
-			return true
+// Fill installs key (if absent), evicting the LRU way when the set is full,
+// and returns its line. It does not count as an access.
+//
+//tracep:noalloc
+func (c *SetAssoc) Fill(key uint64) int {
+	if l := c.Probe(key); l >= 0 {
+		c.touch(c.set(key)*c.assoc, l)
+		return l
+	}
+	return c.install(key)
+}
+
+// install puts absent key in its set's first invalid way, else its LRU way,
+// makes it MRU and returns its line.
+//
+//tracep:noalloc
+func (c *SetAssoc) install(key uint64) int {
+	base := c.set(key) * c.assoc
+	victim := base
+	for l := base; l < base+c.assoc; l++ {
+		if !c.valid[l] {
+			victim = l
+			break
+		}
+		if c.lru[l] == uint8(c.assoc-1) {
+			victim = l
 		}
 	}
-	return false
+	c.tags[victim] = key
+	c.valid[victim] = true
+	c.touch(base, victim)
+	return victim
+}
+
+// Probe returns key's line, the flat set*assoc+way index, without updating
+// LRU or filling; -1 when key is not resident.
+//
+//tracep:noalloc
+func (c *SetAssoc) Probe(key uint64) int {
+	base := c.set(key) * c.assoc
+	for l := base; l < base+c.assoc; l++ {
+		if c.valid[l] && c.tags[l] == key {
+			return l
+		}
+	}
+	return -1
 }
 
 // ICache models the instruction cache: 64 kB, 4-way, 16-instruction lines,

@@ -28,27 +28,41 @@ func TestLRUOrder(t *testing.T) {
 	c.Access(1)
 	c.Access(0) // 0 is MRU, 1 is LRU
 	c.Access(2) // evicts 1
-	if !c.Probe(0) {
+	if c.Probe(0) < 0 {
 		t.Error("key 0 (MRU) must survive")
 	}
-	if c.Probe(1) {
+	if c.Probe(1) >= 0 {
 		t.Error("key 1 (LRU) must be evicted")
 	}
-	if !c.Probe(2) {
+	if c.Probe(2) < 0 {
 		t.Error("key 2 must be resident")
 	}
 }
 
+// TestAccessEvict: a missing Access into a full set evicts the LRU line
+// and installs the key in that line; Touch and Fill then find it there.
 func TestAccessEvict(t *testing.T) {
 	c := newSetAssoc(1, 2)
 	c.Access(10)
 	c.Access(20)
-	hit, evicted, evict := c.AccessEvict(30)
-	if hit {
+	line := c.Probe(10)
+	if c.Access(30) {
 		t.Error("must miss")
 	}
-	if !evict || evicted != 10 {
-		t.Errorf("evicted = (%d,%v), want (10,true)", evicted, evict)
+	if c.Probe(10) >= 0 || c.Probe(20) < 0 {
+		t.Errorf("after the miss 10 resident = %v, 20 resident = %v; want the LRU key 10 evicted", c.Probe(10) >= 0, c.Probe(20) >= 0)
+	}
+	if got := c.Probe(30); got != line {
+		t.Errorf("30 is in line %d, want the evicted line %d", got, line)
+	}
+	if got := c.Touch(30); got != line {
+		t.Errorf("Touch(30) = %d, want line %d", got, line)
+	}
+	if got := c.Fill(30); got != line {
+		t.Errorf("Fill(30) = %d, want line %d", got, line)
+	}
+	if got := c.Touch(10); got != -1 {
+		t.Errorf("Touch of the evicted key = %d, want -1", got)
 	}
 }
 
@@ -78,7 +92,7 @@ func TestInvalidate(t *testing.T) {
 	if !invalidate(c, 5) {
 		t.Error("invalidate of resident key must report true")
 	}
-	if c.Probe(5) {
+	if c.Probe(5) >= 0 {
 		t.Error("invalidated key must be gone")
 	}
 	if invalidate(c, 5) {
@@ -92,7 +106,7 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 	c.Access(1) // LRU order: 1 (MRU), 0
 	c.Probe(0)  // must NOT touch LRU
 	c.Access(2) // should evict 0 (still LRU)
-	if c.Probe(0) {
+	if c.Probe(0) >= 0 {
 		t.Error("probe must not update recency")
 	}
 	misses := c.Misses

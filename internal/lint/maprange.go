@@ -22,10 +22,10 @@ import (
 // The analyzer additionally forbids map indexing (lookups, stores, deletes
 // through index expressions) inside //tracep:noalloc functions: the warmed
 // cycle loop was flattened onto direct-indexed tables (the paged rename
-// file, the subscriber table, the open-addressed load index), and a map
+// file, the subscriber table, the open-addressed ARB table), and a map
 // probe creeping back into a hot function is a silent performance
-// regression even when it allocates nothing. A deliberate cold-path probe
-// (the trace cache's content index) is suppressed with //tracep:allow and a
+// regression even when it allocates nothing. A deliberate probe (the sparse
+// data-memory page directory) is suppressed with //tracep:allow and a
 // reason on or above the line.
 func MapRange() *analysis.Analyzer {
 	a := &analysis.Analyzer{

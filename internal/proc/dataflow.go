@@ -319,105 +319,134 @@ func (p *Processor) addSub(tag rename.Tag, ref subRef) {
 	row.list = append(row.list, ref)
 }
 
-// ---- load/store snooping ----
+// ---- the ARB: store versions and load snooping ----
 
-// recordLoad indexes a performed load by address for snooping; a reissued
-// load migrating to a new address is moved between buckets. Buckets are
-// pooled slices of gen-stamped references, so the record churn of the load
-// stream performs no steady-state allocation.
+// Each operation below finds its address in the ARB table once and works on
+// that entry's version list and load records together (§2.2.2).
+
+// recordLoad indexes a performed load under addr in the ARB table and
+// returns the address's slot; a reissued load migrating to a new address is
+// moved between entries. Records are gen-stamped references in the entry's
+// pooled list, so the record churn of the load stream performs no
+// steady-state allocation.
 //
 //tracep:noalloc
-func (p *Processor) recordLoad(st *instState, addr uint32) {
+func (p *Processor) recordLoad(st *instState, addr uint32) int {
 	if st.inLoadRecs && st.lastAddr != addr {
 		p.removeLoadRec(st)
 	}
 	st.lastAddr = addr
+	i := p.arbTab.slotFor(addr)
 	if !st.inLoadRecs {
 		st.inLoadRecs = true
-		i := p.loadRecs.slotFor(addr)
-		//tracep:allow load-record buckets reuse pooled capacity
-		p.loadRecs.recs[i] = append(p.loadRecs.recs[i], instRef{st: st, gen: st.gen})
+		e := &p.arbTab.slots[i]
+		//tracep:allow load records reuse pooled capacity
+		e.loads = append(e.loads, instRef{st: st, gen: st.gen})
 	}
+	return i
 }
 
 //tracep:noalloc
 func (p *Processor) removeLoadRec(st *instState) {
-	if i := p.loadRecs.find(st.lastAddr); i >= 0 {
-		recs := p.loadRecs.recs[i]
-		for k, r := range recs {
+	if i := p.arbTab.find(st.lastAddr); i >= 0 {
+		e := &p.arbTab.slots[i]
+		for k, r := range e.loads {
 			if r.st == st && r.gen == st.gen {
-				recs[k] = recs[len(recs)-1]
-				recs = recs[:len(recs)-1]
+				e.loads[k] = e.loads[len(e.loads)-1]
+				e.loads = e.loads[:len(e.loads)-1]
 				break
 			}
 		}
-		p.loadRecs.recs[i] = recs
-		if len(recs) == 0 {
-			p.loadRecs.del(i)
-		}
+		p.arbTab.release(i)
 	}
 	st.inLoadRecs = false
 }
 
-// snoopStore applies the §2.2.2 reissue rule to loads at addr when a store
-// performs.
+// performStore installs store st's version of addr and reissues the loads
+// at addr that the new version supersedes.
 //
 //tracep:noalloc
-func (p *Processor) snoopStore(addr uint32, storeSeq arb.Seq) {
-	for _, ld := range p.snapshotLoads(addr) {
-		if arb.NeedsReissue(ld.seq(), ld.dataSeq, storeSeq, p.less) {
-			p.Stats.LoadSnoopReissues++
-			p.reissue(ld)
-		}
-	}
+func (p *Processor) performStore(st *instState, addr uint32, val int64) {
+	seq := st.seq()
+	e := &p.arbTab.slots[p.arbTab.slotFor(addr)]
+	e.versions = arb.Store(e.versions, val, seq)
+	p.snoopLoads(e, seq, false)
 }
 
-// snoopUndo reissues loads whose data came from the undone store.
+// undoStore removes performed store st's version and reissues the loads that
+// read it.
 //
 //tracep:noalloc
-func (p *Processor) snoopUndo(addr uint32, undoSeq arb.Seq) {
-	for _, ld := range p.snapshotLoads(addr) {
-		if arb.UndoHitsLoad(ld.dataSeq, undoSeq) {
-			p.Stats.LoadSnoopReissues++
-			p.reissue(ld)
-		}
-	}
-}
-
-// snapshotLoads returns the valid load records at addr, pruning dead ones.
-// The returned slice is the processor's reusable snoop scratch: valid until
-// the next snapshotLoads call, which is fine because snoops only reissue the
-// returned loads (never re-enter the record index).
-//
-//tracep:noalloc
-func (p *Processor) snapshotLoads(addr uint32) []*instState {
-	i := p.loadRecs.find(addr)
+func (p *Processor) undoStore(st *instState) {
+	i := p.arbTab.find(st.lastAddr)
 	if i < 0 {
-		return nil
+		return
 	}
-	recs := p.loadRecs.recs[i]
-	kept := recs[:0]
-	out := p.loadScratch[:0]
-	for _, r := range recs {
-		st := r.st
-		if r.gen != st.gen || st.cancelled || !st.pe.active || !st.inLoadRecs {
-			if r.gen == st.gen {
-				st.inLoadRecs = false
+	seq := st.seq()
+	e := &p.arbTab.slots[i]
+	e.versions, _ = arb.Undo(e.versions, seq)
+	p.snoopLoads(e, seq, true)
+	p.arbTab.release(i)
+}
+
+// commitStore writes retiring store st's version to memory and removes it;
+// it reports whether the version existed. In-flight loads holding this
+// store's data now source it from committed memory: their data sequence
+// numbers are rewritten so later snoops do not compare against a recycled
+// PE's logical position.
+//
+//tracep:noalloc
+func (p *Processor) commitStore(st *instState) bool {
+	i := p.arbTab.find(st.lastAddr)
+	if i < 0 {
+		return false
+	}
+	seq := st.seq()
+	e := &p.arbTab.slots[i]
+	var ok bool
+	if e.versions, ok = arb.Commit(e.versions, st.lastAddr, seq, &p.mem); !ok {
+		return false
+	}
+	for _, r := range e.loads {
+		if ld := r.st; r.gen == ld.gen && !ld.cancelled && ld.dataSeq == seq {
+			ld.dataSeq = arb.MemSeq
+		}
+	}
+	p.arbTab.release(i)
+	return true
+}
+
+// snoopLoads applies the perform (undo false) or undo of the store seq to
+// entry e's load records. Dead records are pruned, keeping the order of the
+// rest; a live load reissues when the §2.2.2 rule says the performed version
+// supersedes its data, or when its data came from the undone store.
+// Reissuing never re-enters the table, so e stays valid throughout.
+//
+//tracep:noalloc
+func (p *Processor) snoopLoads(e *arbEntry, seq arb.Seq, undo bool) {
+	kept := e.loads[:0]
+	for _, r := range e.loads {
+		ld := r.st
+		if r.gen != ld.gen || ld.cancelled || !ld.pe.active || !ld.inLoadRecs {
+			if r.gen == ld.gen {
+				ld.inLoadRecs = false
 			}
 			continue
 		}
-		//tracep:allow compaction reuses the bucket's backing array
+		//tracep:allow compaction reuses the list's backing array
 		kept = append(kept, r)
-		//tracep:allow snoop scratch retains capacity across snoops
-		out = append(out, st)
+		var hit bool
+		if undo {
+			hit = arb.UndoHitsLoad(ld.dataSeq, seq)
+		} else {
+			hit = arb.NeedsReissue(ld.seq(), ld.dataSeq, seq, p.less)
+		}
+		if hit {
+			p.Stats.LoadSnoopReissues++
+			p.reissue(ld)
+		}
 	}
-	p.loadScratch = out
-	p.loadRecs.recs[i] = kept
-	if len(kept) == 0 {
-		p.loadRecs.del(i)
-		return nil
-	}
-	return out
+	e.loads = kept
 }
 
 // ---- garbage collection ----

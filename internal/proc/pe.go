@@ -645,8 +645,8 @@ func (p *Processor) execute(st *instState) {
 
 	case in.Op == isa.OpLoad:
 		addr := uint32(a + in.Imm)
-		p.recordLoad(st, addr)
-		val, src := p.arbuf.Load(addr, st.seq(), p.less, &p.mem)
+		e := &p.arbTab.slots[p.recordLoad(st, addr)]
+		val, src := arb.Load(e.versions, addr, st.seq(), p.less, &p.mem)
 		st.dataSeq = src
 		st.performed = true
 		lat := int64(1 + p.dcache.Access(addr))
@@ -659,14 +659,12 @@ func (p *Processor) execute(st *instState) {
 		if st.performed && st.lastAddr != addr {
 			// Store re-issues to a different address: undo the old version
 			// in the same transaction (§2.2.2).
-			p.arbuf.Undo(st.lastAddr, st.seq())
-			p.snoopUndo(st.lastAddr, st.seq())
+			p.undoStore(st)
 		}
 		st.lastAddr = addr
 		st.cold().lastStoreVal = val
 		st.performed = true
-		p.arbuf.Store(addr, val, st.seq())
-		p.snoopStore(addr, st.seq())
+		p.performStore(st, addr, val)
 		p.schedule(p.cycle+1, event{kind: evComplete, st: st, gen: st.gen})
 		p.Stats.Stores++
 

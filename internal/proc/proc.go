@@ -148,7 +148,6 @@ type Processor struct {
 	// garbage once fewer than this many are free (see tagSpace).
 	tagHeadroom int
 
-	arbuf  arb.ARB
 	dcache cache.DCache
 	icache cache.ICache
 	tcache trace.Cache
@@ -178,10 +177,10 @@ type Processor struct {
 	// not allocate one tiny slice each. Lists outgrowing their carve move to
 	// dedicated storage via ordinary append.
 	subArena []subRef
-	// loadRecs indexes performed loads by address for store/undo snooping
-	// (open-addressed, see tables.go); the snoop iteration scratch is reused.
-	loadRecs    loadTable
-	loadScratch []*instState
+	// arbTab is the ARB (§2.2.2): one open-addressed table from data address
+	// to the speculative store versions and the performed loads at that
+	// address, which snoop store performs and undos. See tables.go.
+	arbTab arbTable
 	// bcastQueue holds pending global result-bus requests in request order;
 	// busPerPE is the flat per-PE grant counter reset each arbitration.
 	bcastQueue []instRef
@@ -254,21 +253,18 @@ func (p *Processor) build(prog *isa.Program, model Model, cfg Config, snap *Snap
 	*p = Processor{
 		cfg: cfg, model: model, prog: prog, head: -1, tail: -1,
 
-		mem: old.mem, regs: old.regs, arbuf: old.arbuf,
+		mem: old.mem, regs: old.regs, arbTab: old.arbTab,
 		dcache: old.dcache, icache: old.icache, tcache: old.tcache,
-		bp: old.bp, tp: old.tp, bit: old.bit, ctor: old.ctor,
-		fe: old.fe, loadRecs: old.loadRecs,
+		bp: old.bp, tp: old.tp, bit: old.bit, ctor: old.ctor, fe: old.fe,
 		evBuckets: old.evBuckets, subTab: old.subTab, subArena: old.subArena,
 
-		loadScratch: old.loadScratch[:0], bcastQueue: old.bcastQueue[:0],
-		busPerPE:  slices.Grow(old.busPerPE[:0], cfg.NumPEs)[:cfg.NumPEs],
+		bcastQueue: old.bcastQueue[:0], busPerPE: slices.Grow(old.busPerPE[:0], cfg.NumPEs)[:cfg.NumPEs],
 		wakeBatch: old.wakeBatch[:0], mispQueue: old.mispQueue[:0],
 		forcedScratch: old.forcedScratch, ciYounger: old.ciYounger, ciViews: old.ciViews,
 		rec: recovery{redispatch: old.rec.redispatch[:0], redispatchGens: old.rec.redispatchGens[:0]},
 	}
 	p.initEventRing()
-	p.loadRecs.reset()
-	p.arbuf.Reset()
+	p.arbTab.reset()
 	capacity, headroom := tagSpace(cfg)
 	p.regs.Reset(capacity)
 	p.tagHeadroom = headroom

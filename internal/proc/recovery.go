@@ -307,8 +307,7 @@ func (p *Processor) squashSuffix(pe *peState, from int) {
 			p.removeLoadRec(st)
 		}
 		if st.isStore() && st.performed {
-			p.arbuf.Undo(st.lastAddr, st.seq())
-			p.snoopUndo(st.lastAddr, st.seq())
+			p.undoStore(st)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package proc
 import (
 	"fmt"
 
-	"tracep/internal/arb"
 	"tracep/internal/core"
 )
 
@@ -84,20 +83,10 @@ func (p *Processor) retireStep() {
 			}
 		}
 		p.accountRetired(st)
-		if st.isStore() {
-			if !p.arbuf.Commit(st.lastAddr, st.seq(), &p.mem) {
-				//tracep:allow terminal: a missing ARB version aborts the run
-				p.fail(fmt.Errorf("store at pc %d has no ARB version to commit", st.cold().pc))
-				return
-			}
-			// In-flight loads holding this store's data now source it from
-			// committed memory: rewrite their data sequence numbers so later
-			// snoops do not compare against a recycled PE's logical position.
-			for _, r := range p.loadRecs.get(st.lastAddr) {
-				if ld := r.st; r.gen == ld.gen && !ld.cancelled && ld.dataSeq == st.seq() {
-					ld.dataSeq = arb.MemSeq
-				}
-			}
+		if st.isStore() && !p.commitStore(st) {
+			//tracep:allow terminal: a missing ARB version aborts the run
+			p.fail(fmt.Errorf("store at pc %d has no ARB version to commit", st.cold().pc))
+			return
 		}
 		if st.inLoadRecs {
 			p.removeLoadRec(st)

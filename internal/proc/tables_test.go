@@ -3,16 +3,18 @@ package proc
 import (
 	"fmt"
 	"testing"
+
+	"tracep/internal/arb"
 )
 
-// TestLoadTableGrowth drives the load-record index through two growths with
+// TestARBTableGrowth drives the ARB table through two growths with
 // backward-shift deletions interleaved. The addresses are multiples of 64,
 // so they share a handful of home slots and every probe chain is long and
 // wraps. After each growth, and every few operations, each live address
-// must find its own bucket and each deleted one none. After reset the slot
-// arrays are reused and every bucket is pooled for the next run.
-func TestLoadTableGrowth(t *testing.T) {
-	var tab loadTable
+// must find its own entry and each deleted one none. After reset the slot
+// array is reused and every entry's lists are pooled for the next run.
+func TestARBTableGrowth(t *testing.T) {
+	var tab arbTable
 	var live []uint32
 	var dead []uint32
 	check := func(when string) {
@@ -22,11 +24,12 @@ func TestLoadTableGrowth(t *testing.T) {
 		}
 		for _, a := range live {
 			i := tab.find(a)
-			if i < 0 || tab.keys[i] != a {
+			if i < 0 || tab.slots[i].addr != a {
 				t.Fatalf("%s: live address %d not found", when, a)
 			}
-			if b := tab.recs[i]; len(b) != 1 || b[0].gen != uint64(a) {
-				t.Fatalf("%s: address %d holds bucket %v, want its own", when, a, b)
+			e := tab.slots[i]
+			if len(e.loads) != 1 || e.loads[0].gen != uint64(a) || len(e.versions) != 1 || e.versions[0].Val != int64(a) {
+				t.Fatalf("%s: address %d holds entry %+v, want its own", when, a, e)
 			}
 		}
 		for _, a := range dead {
@@ -38,10 +41,11 @@ func TestLoadTableGrowth(t *testing.T) {
 
 	growths := 0
 	for i := 0; i < 800; i++ {
-		size := len(tab.keys)
+		size := len(tab.slots)
 		a := uint32(i) * 64
-		s := tab.slotFor(a)
-		tab.recs[s] = append(tab.recs[s], instRef{gen: uint64(a)})
+		e := &tab.slots[tab.slotFor(a)]
+		e.loads = append(e.loads, instRef{gen: uint64(a)})
+		e.versions = append(e.versions, arb.Version{Val: int64(a)})
 		live = append(live, a)
 		if i%3 == 2 {
 			// Delete from the middle of the live set, so holes open inside
@@ -52,9 +56,9 @@ func TestLoadTableGrowth(t *testing.T) {
 			live = append(live[:k], live[k+1:]...)
 			dead = append(dead, victim)
 		}
-		if len(tab.keys) != size && size > 0 {
+		if len(tab.slots) != size && size > 0 {
 			growths++
-			check(fmt.Sprintf("after growth to %d slots", len(tab.keys)))
+			check(fmt.Sprintf("after growth to %d slots", len(tab.slots)))
 		} else if i%25 == 0 {
 			check(fmt.Sprintf("after insert %d", i))
 		}
@@ -64,19 +68,73 @@ func TestLoadTableGrowth(t *testing.T) {
 	}
 	check("at the end")
 
-	keys, used, recs := &tab.keys[0], &tab.used[0], &tab.recs[0]
-	size, buckets := len(tab.keys), len(live)+len(tab.pool)
+	slots, size, entries := &tab.slots[0], len(tab.slots), len(live)+len(tab.pool)
 	tab.reset()
-	if &tab.keys[0] != keys || &tab.used[0] != used || &tab.recs[0] != recs || len(tab.keys) != size {
-		t.Fatal("reset replaced the slot arrays")
+	if &tab.slots[0] != slots || len(tab.slots) != size {
+		t.Fatal("reset replaced the slot array")
 	}
-	if len(tab.pool) != buckets {
-		t.Fatalf("reset pooled %d buckets, want %d", len(tab.pool), buckets)
+	if len(tab.pool) != entries {
+		t.Fatalf("reset pooled %d entries, want %d", len(tab.pool), entries)
 	}
 	live, dead = nil, append(dead, live...)
 	check("after reset")
-	s := tab.slotFor(1) // an address the table has not held
-	if cap(tab.recs[s]) == 0 || len(tab.pool) != buckets-1 {
-		t.Errorf("first insert after reset did not take a pooled bucket (cap %d, pool %d)", cap(tab.recs[s]), len(tab.pool))
+	e := tab.slots[tab.slotFor(1)] // an address the table has not held
+	if cap(e.loads) == 0 || cap(e.versions) == 0 || len(tab.pool) != entries-1 {
+		t.Errorf("first insert after reset did not take pooled lists (caps %d/%d, pool %d)", cap(e.versions), cap(e.loads), len(tab.pool))
+	}
+}
+
+// TestARBEntryLifetime: an address holding both store versions and load
+// records keeps its entry while either list is non-empty, and loses it when
+// both empty, whichever empties last. The store is younger than the load,
+// so no snoop reissues it.
+func TestARBEntryLifetime(t *testing.T) {
+	const addr = 40
+	p := &Processor{}
+	p.less = p.seqLess
+	p.mem.Reset(nil)
+	pe := &peState{active: true}
+	p.pes = []*peState{pe}
+	ld := &instState{pe: pe}
+	st := &instState{pe: pe}
+	st.slot, st.lastAddr = 1, addr
+
+	entry := func(when string, versions, loads int) {
+		t.Helper()
+		i := p.arbTab.find(addr)
+		if versions+loads == 0 {
+			if i >= 0 || p.arbTab.n != 0 {
+				t.Fatalf("%s: entry kept with both lists empty (slot %d, %d entries)", when, i, p.arbTab.n)
+			}
+			return
+		}
+		if i < 0 {
+			t.Fatalf("%s: entry gone, want %d versions and %d loads", when, versions, loads)
+		}
+		if e := p.arbTab.slots[i]; len(e.versions) != versions || len(e.loads) != loads {
+			t.Fatalf("%s: %d versions and %d loads, want %d and %d", when, len(e.versions), len(e.loads), versions, loads)
+		}
+	}
+
+	// The versions empty first, then the loads.
+	p.recordLoad(ld, addr)
+	p.performStore(st, addr, 7)
+	entry("load and store", 1, 1)
+	p.undoStore(st)
+	entry("store undone", 0, 1)
+	p.removeLoadRec(ld)
+	entry("load removed", 0, 0)
+
+	// The loads empty first, then the versions.
+	p.recordLoad(ld, addr)
+	p.performStore(st, addr, 9)
+	p.removeLoadRec(ld)
+	entry("load removed", 1, 0)
+	if !p.commitStore(st) {
+		t.Fatal("commit found no version")
+	}
+	entry("store committed", 0, 0)
+	if got := p.mem.Read(addr); got != 9 {
+		t.Errorf("memory = %d after commit, want 9", got)
 	}
 }

@@ -54,17 +54,24 @@ func TestTraceRefcountLifecycle(t *testing.T) {
 	}
 }
 
-// TestCacheContentMissCountsOnce: a lookup whose tag hits in the timing
-// array but finds no stored trace is one access and one miss.
+// TestCacheContentMissCountsOnce: a lookup of an absent trace is one
+// access and one miss, the Insert that follows counts none, and the next
+// lookup is one access that hits the inserted trace.
 func TestCacheContentMissCountsOnce(t *testing.T) {
 	c := newCache(CacheConfig{Sets: 4, Assoc: 2})
-	d := Descriptor{StartPC: 10, Len: 1}
-	c.timing.Fill(d.ID())
-	if tr, hit := c.Lookup(d); hit || tr != nil {
-		t.Fatalf("lookup with no stored trace = %v/%v, want a miss", tr, hit)
+	tr := &Trace{Desc: Descriptor{StartPC: 10, Len: 1}}
+	if got, hit := c.Lookup(tr.Desc); hit || got != nil {
+		t.Fatalf("lookup of an absent trace = %v/%v, want a miss", got, hit)
 	}
+	c.Insert(tr)
 	if lookups, misses := c.Stats(); lookups != 1 || misses != 1 {
-		t.Errorf("Stats = %d lookups, %d misses; want 1, 1", lookups, misses)
+		t.Errorf("Stats after the miss and insert = %d lookups, %d misses; want 1, 1", lookups, misses)
+	}
+	if got, hit := c.Lookup(tr.Desc); !hit || got != tr {
+		t.Fatalf("lookup after insert = %v/%v, want the inserted trace", got, hit)
+	}
+	if lookups, misses := c.Stats(); lookups != 2 || misses != 1 {
+		t.Errorf("Stats after the hit = %d lookups, %d misses; want 2, 1", lookups, misses)
 	}
 }
 
@@ -95,7 +102,7 @@ func TestCacheInsertDisplacement(t *testing.T) {
 	if !fresh || ev == nil || (ev != a2 && ev != b) {
 		t.Fatalf("capacity eviction: evicted=%v fresh=%v, want a displaced resident/true", ev, fresh)
 	}
-	if !c.timing.Probe(d.Desc.ID()) {
+	if c.timing.Probe(d.Desc.ID()) < 0 {
 		t.Error("inserted trace not resident after eviction")
 	}
 }

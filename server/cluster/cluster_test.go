@@ -313,22 +313,11 @@ func TestClusterWorkerKill(t *testing.T) {
 		cfg.MaxRetries = 1
 	})
 
-	// Arm worker 0 (row 0's first placement) to abort its stream after one
-	// line, then go fully dark the moment that happens — the retry then
-	// meets a dead socket, like a crashed process.
-	workers[0].SetFault(clustertest.FaultDieMidStream)
-	done := make(chan struct{})
-	go func() {
-		for !workers[0].Fired() {
-			select {
-			case <-done:
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-		workers[0].Kill()
-	}()
-	defer close(done)
+	// Arm worker 0 (row 0's first placement) to go fully dark after one
+	// stream line: the worker closes its listener and severs its
+	// connections before the client sees the cut, so the retry meets a dead
+	// socket, like a crashed process.
+	workers[0].SetFault(clustertest.FaultCrashMidStream)
 
 	models := tracep.Models()
 	st, err := mgr.Submit(server.SweepRequest{

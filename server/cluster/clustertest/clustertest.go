@@ -7,6 +7,10 @@
 //
 //   - FaultDieMidStream: the connection is severed after the first stream
 //     line, as if the worker process died mid-cell.
+//   - FaultCrashMidStream: as FaultDieMidStream, but the whole worker dies
+//     with the stream: before the cut reaches the client, the listener is
+//     closed and every connection severed (see Kill), so no retry can reach
+//     the worker again.
 //   - FaultHang: the stream request blocks forever (until the client gives
 //     up), as if the worker wedged — the case work-stealing exists for.
 //   - FaultCorrupt: the first stream line is scrambled into non-JSON, as
@@ -21,7 +25,8 @@
 // worker stays wedged — recovery must come from stealing, not retrying).
 // Kill tears the whole worker down mid-flight: every open connection is
 // severed and the listener closed, so subsequent placements get connection
-// errors, exactly like a crashed node.
+// errors, exactly like a crashed node. FaultCrashMidStream is Kill timed
+// from inside the stream handler, at the moment the stream dies.
 package clustertest
 
 import (
@@ -46,6 +51,7 @@ const (
 	FaultHang
 	FaultCorrupt
 	FaultHoldSubmit
+	FaultCrashMidStream
 )
 
 // Worker is a fault-injectable in-process worker tracepd.
@@ -107,7 +113,7 @@ func (w *Worker) Release() {
 
 // Fired reports whether an armed fault has been claimed by a request
 // since the last SetFault — how a test knows the injected failure
-// actually happened (e.g. to time a Kill right after a die fault fires).
+// actually happened.
 func (w *Worker) Fired() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -120,6 +126,14 @@ func (w *Worker) Fired() bool {
 func (w *Worker) Kill() {
 	w.ts.CloseClientConnections()
 	w.ts.Close()
+}
+
+// crash is Kill from inside a request handler: the listener closes and
+// every connection is severed at once. It leaves out Kill's server Close,
+// which waits for handlers to return; the cleanup runs it.
+func (w *Worker) crash() {
+	w.ts.Listener.Close()
+	w.ts.CloseClientConnections()
 }
 
 // takeFault claims the armed fault for one request if it applies there:
@@ -160,6 +174,8 @@ func (w *Worker) serve(rw http.ResponseWriter, r *http.Request) {
 	switch w.takeFault(false) {
 	case FaultDieMidStream:
 		h.ServeHTTP(&dieWriter{rw: rw}, r)
+	case FaultCrashMidStream:
+		h.ServeHTTP(&dieWriter{rw: rw, die: w.crash}, r)
 	case FaultHang:
 		// Never answer; release the handler goroutine when the client
 		// disconnects or the test tears the server down.
@@ -191,10 +207,11 @@ func (w *Worker) holdSubmit(h http.Handler, rw http.ResponseWriter, r *http.Requ
 
 // dieWriter lets exactly one stream line through, then aborts the
 // connection: the client sees a cell land and then the stream cut with no
-// done event.
+// done event. A non-nil die runs just before the abort.
 type dieWriter struct {
 	rw    http.ResponseWriter
 	lines int
+	die   func()
 }
 
 func (d *dieWriter) Header() http.Header  { return d.rw.Header() }
@@ -202,6 +219,9 @@ func (d *dieWriter) WriteHeader(code int) { d.rw.WriteHeader(code) }
 func (d *dieWriter) Flush()               { flush(d.rw) }
 func (d *dieWriter) Write(p []byte) (int, error) {
 	if d.lines >= 1 {
+		if d.die != nil {
+			d.die()
+		}
 		panic(http.ErrAbortHandler)
 	}
 	n, err := d.rw.Write(p)
